@@ -17,7 +17,17 @@ from .analysis import (
     verify_encoding,
     verify_pattern,
 )
-from .circuit import Circuit, Gate, RegisterLayout, apply, compose, controlled, export_text, unitary
+from .circuit import (
+    Circuit,
+    Gate,
+    RegisterLayout,
+    adjoint,
+    apply,
+    compose,
+    controlled,
+    export_text,
+    unitary,
+)
 from .encodings import (
     BlockEncoding,
     alpha_d,
@@ -58,6 +68,7 @@ __all__ = [
     "RegisterLayout",
     "SweepRow",
     "VerificationReport",
+    "adjoint",
     "alpha_d",
     "apply",
     "banded_circulant",

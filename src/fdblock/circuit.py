@@ -203,6 +203,19 @@ def unitary(circuit: Circuit) -> np.ndarray:
     return apply_to_columns(circuit, np.eye(circuit.dim, dtype=np.complex128))
 
 
+def adjoint(circuit: Circuit) -> Circuit:
+    """Circuit of U^dagger: the gates reversed, each RY angle negated.
+
+    X, Y, Z and H are self-adjoint, and the adjoint of a controlled gate
+    is the controlled adjoint, so only RY changes.
+    """
+    gates = tuple(
+        Gate(g.kind, g.target, g.controls, -g.theta) if g.kind == "RY" else g
+        for g in reversed(circuit.gates)
+    )
+    return Circuit(circuit.num_qubits, gates, circuit.layout)
+
+
 def controlled(circuit: Circuit, controls) -> Circuit:
     """Add the given (qubit, polarity) controls to every gate.
 

@@ -7,21 +7,26 @@ sweep      success-probability / discretization-error sweep to CSV
 resources  Clifford+T gate counts to CSV
 export     deterministic circuit text listing
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 I/O error.
-Output files are written atomically (temp file + rename) and contain no
-timestamps, so identical invocations produce byte-identical files.
+Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 I/O error,
+4 internal error (an unexpected exception; a one-line message goes to
+stderr).  Output files are written atomically (temp file + rename) and
+contain no timestamps, so identical invocations at the same BLAS thread
+count produce byte-identical files.  The thread count matters because
+norms go through threaded BLAS reductions: the last digit of a sweep's
+p_success can differ between one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
 
 from . import analysis, resources
-from .circuit import MAX_SIM_QUBITS, MAX_UNITARY_QUBITS, export_text
+from .circuit import MAX_SIM_QUBITS, export_text
 from .errors import FdblockError
 
 OPS = ("laplace", "derivative", "gradient", "divergence", "wave", "lcu")
@@ -50,10 +55,7 @@ def _parse_range(text: str) -> list[int]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation: command, operator, ranges, tolerance, output.
-
-    The seed field is reserved; nothing in the pipeline is randomized.
-    """
+    """Validated invocation: command, operator, ranges, tolerance, output."""
 
     command: str
     op: str
@@ -63,12 +65,11 @@ class RunConfig:
     tol: float
     out: str | None
     fmt: str | None
-    seed: int | None = None
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise UsageError(f"--tol must be finite and positive, got {args.tol}")
         n_values = _parse_range(args.n)
         dims = _parse_range(args.dim) if args.dim else None
         return cls(
@@ -142,11 +143,6 @@ def _check_sim_cap(num_qubits: int):
             f"{num_qubits} qubits exceeds the statevector cap of {MAX_SIM_QUBITS};"
             " choose a smaller --dim/--n"
         )
-    if num_qubits > MAX_UNITARY_QUBITS:
-        raise UsageError(
-            f"{num_qubits} qubits exceeds the full-unitary cap of {MAX_UNITARY_QUBITS}"
-            " required for verification"
-        )
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -208,6 +204,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # One line that names the exception and the frame that raised it.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message} (at {where})", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

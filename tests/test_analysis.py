@@ -16,9 +16,10 @@ from fdblock.analysis import (
     verify_encoding,
     verify_pattern,
 )
-from fdblock.circuit import Circuit, apply
+from fdblock.circuit import Circuit, apply, unitary
 from fdblock.encodings import (
     BlockEncoding,
+    encode_banded_lcu,
     encode_derivative_1d,
     encode_divergence_2d,
     encode_gradient_2d,
@@ -28,7 +29,7 @@ from fdblock.encodings import (
     encode_wave_2d,
 )
 from fdblock.errors import ParameterError, ShapeError
-from fdblock.linalg import max_abs_diff
+from fdblock.linalg import max_abs_diff, unitarity_residual
 from fdblock.operators import (
     GridSpec,
     apply_scaled_laplacian,
@@ -98,6 +99,75 @@ def test_verify_pattern_all_builders():
     ):
         report = verify_pattern(enc, 1e-12)
         assert report.passed, report.summary()
+
+
+# Every builder at 9-10 qubits, the sizes where the dense route is cheap.
+ROUND_TRIP_ENCODINGS = [
+    encode_laplace_1d(8),
+    encode_laplace_dd(2, 3),
+    encode_laplace_dd(3, 2),
+    encode_laplace_1d_lcu(7),
+    encode_banded_lcu(7, 0.65, -0.4, 0.15),
+    encode_derivative_1d(9),
+    encode_gradient_2d(4),
+    encode_divergence_2d(4),
+    encode_wave_2d(3),
+]
+
+
+@pytest.mark.parametrize("enc", ROUND_TRIP_ENCODINGS, ids=lambda e: e.label)
+def test_round_trip_deviations_equal_extract_block_route(enc):
+    import fdblock.analysis as analysis_mod
+
+    assert enc.circuit.num_qubits <= 10
+    constraints = pattern_constraints(enc)
+    dense = []
+    for row, col, expected in constraints:
+        dense.append(max_abs_diff(extract_block(enc, row, col), expected))
+        single = analysis_mod._verify(enc, [(row, col, expected)], 1e-12)
+        assert single.max_deviation == dense[-1]
+    report = verify_pattern(enc, 1e-12)
+    assert report.passed, report.summary()
+    assert report.max_deviation == max(dense)
+
+
+@pytest.mark.parametrize(
+    "enc",
+    [encode_laplace_1d(4), encode_wave_2d(2), encode_laplace_1d_lcu(3)],
+    ids=lambda e: e.label,
+)
+def test_round_trip_residual_matches_dense_gram_for_a_non_unitary_h(enc, monkeypatch):
+    import fdblock.circuit as circuit_mod
+
+    monkeypatch.setattr(circuit_mod, "_RSQRT2", 0.7071)
+    report = verify_pattern(enc, 1e-12)
+    dense = unitarity_residual(unitary(enc.circuit))
+    assert dense > 1e-6
+    assert report.unitarity_residual == pytest.approx(dense, rel=1e-9)
+    assert not report.passed
+
+
+def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
+    import fdblock.analysis as analysis_mod
+    import fdblock.circuit as circuit_mod
+
+    columns = []
+    for module in (analysis_mod, circuit_mod):
+        original = module.apply_to_columns
+
+        def counting(circuit, mat, original=original):
+            columns.append(mat.shape[1])
+            return original(circuit, mat)
+
+        monkeypatch.setattr(module, "apply_to_columns", counting)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification built the full unitary")
+
+    monkeypatch.setattr(circuit_mod, "unitary", refuse)
+    enc = encode_wave_2d(3)
+    assert verify_pattern(enc, 1e-12).passed
+    assert sum(columns) == 2 * enc.circuit.dim
 
 
 def test_parse_label_round_trip():
@@ -317,9 +387,12 @@ def test_extract_block_chunking_is_transparent(monkeypatch):
 
     enc = encode_laplace_dd(2, 2)
     full = extract_block(enc, 0, 0)
+    report = verify_pattern(enc, 1e-12)
     monkeypatch.setattr(analysis_mod, "EXTRACT_CHUNK_ELEMENTS", enc.circuit.dim * 3)
     chunked = extract_block(enc, 0, 0)
     assert max_abs_diff(full, chunked) == 0.0
+    # verification reads its blocks and residual from the same panels
+    assert verify_pattern(enc, 1e-12) == report
 
 
 def test_route_agreement_general_banded_label():

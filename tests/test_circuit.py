@@ -5,6 +5,7 @@ from fdblock.circuit import (
     Circuit,
     Gate,
     RegisterLayout,
+    adjoint,
     apply,
     compose,
     controlled,
@@ -217,6 +218,21 @@ def test_export_text_format():
     assert export_text(c) == "H 0\nX 2 ctrl:+0 ctrl:-1\nRY 1 theta=0.5\n"
 
 
+def random_gates(rng, nq, count):
+    """count gates of random kind, target, controls and polarities on nq wires."""
+    gates = []
+    for _ in range(count):
+        kind = ("X", "Y", "Z", "H", "RY")[int(rng.integers(0, 5))]
+        target = int(rng.integers(0, nq))
+        others = [q for q in range(nq) if q != target]
+        rng.shuffle(others)
+        k = int(rng.integers(0, len(others) + 1))
+        controls = tuple((q, int(rng.integers(0, 2))) for q in others[:k])
+        theta = float(rng.normal()) if kind == "RY" else None
+        gates.append(Gate(kind, target, controls, theta))
+    return gates
+
+
 def test_simulator_matches_dense_oracle_on_random_circuits():
     # cross-check the reshape-based simulator against a loop-built
     # projector construction of every controlled gate
@@ -225,18 +241,36 @@ def test_simulator_matches_dense_oracle_on_random_circuits():
     rng = np.random.default_rng(77)
     for _ in range(12):
         nq = int(rng.integers(2, 6))
-        gates = []
-        for _ in range(int(rng.integers(3, 9))):
-            kind = ("X", "Y", "Z", "H", "RY")[int(rng.integers(0, 5))]
-            target = int(rng.integers(0, nq))
-            others = [q for q in range(nq) if q != target]
-            rng.shuffle(others)
-            k = int(rng.integers(0, len(others) + 1))
-            controls = tuple((q, int(rng.integers(0, 2))) for q in others[:k])
-            theta = float(rng.normal()) if kind == "RY" else None
-            gates.append(Gate(kind, target, controls, theta))
+        gates = random_gates(rng, nq, int(rng.integers(3, 9)))
         c = Circuit(nq, tuple(gates))
         assert max_abs_diff(unitary(c), dense_circuit_unitary(gates, nq)) < 1e-13
+
+
+def test_adjoint_matches_dense_oracle_conjugate_transpose():
+    # every list carries an RY, whose angle the adjoint negates, and a
+    # controlled H
+    from .oracles import dense_circuit_unitary
+
+    rng = np.random.default_rng(2429)
+    for _ in range(12):
+        nq = int(rng.integers(2, 6))
+        gates = random_gates(rng, nq, int(rng.integers(3, 9)))
+        gates.append(Gate("RY", int(rng.integers(0, nq)), theta=float(rng.normal())))
+        gates.append(Gate("H", 0, ((1, int(rng.integers(0, 2))),)))
+        rng.shuffle(gates)
+        c = Circuit(nq, tuple(gates))
+        expected = dense_circuit_unitary(gates, nq).conj().T
+        assert max_abs_diff(unitary(adjoint(c)), expected) < 1e-13
+        assert adjoint(adjoint(c)) == c
+
+
+def test_adjoint_keeps_layout_and_inverts_an_encoding():
+    from fdblock.encodings import encode_laplace_1d_lcu
+
+    c = encode_laplace_1d_lcu(2).circuit
+    inv = adjoint(c)
+    assert inv.layout == c.layout
+    assert max_abs_diff(unitary(inv) @ unitary(c), np.eye(c.dim)) < 1e-14
 
 
 def test_apply_statevector_cap():

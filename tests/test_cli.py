@@ -141,6 +141,27 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_usage_error(tol, capsys):
+    assert run("verify", "--op", "laplace", "--dim", "1", "--n", "3", f"--tol={tol}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be finite and positive" in captured.err
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    import fdblock.cli as cli
+
+    def crash(cfg):
+        raise RuntimeError("simulated\nfault")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", crash)
+    assert run("verify", "--op", "laplace", "--dim", "1", "--n", "3") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: simulated fault (at test_cli.py:")
+    assert err.count("\n") == 1
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     target = tmp_path / "missing" / "out.csv"
     code = run("sweep", "--op", "laplace", "--dim", "1", "--n", "3",
