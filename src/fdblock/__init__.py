@@ -14,7 +14,6 @@ from .analysis import (
     fd_error_max,
     success_probability,
     sweep_success_probability,
-    verify_encoding,
     verify_pattern,
 )
 from .circuit import (
@@ -103,6 +102,5 @@ __all__ = [
     "sweep_success_probability",
     "trapezoid_1d",
     "unitary",
-    "verify_encoding",
     "verify_pattern",
 ]

@@ -1,21 +1,25 @@
 """Block extraction, verification, success probabilities, and sweeps.
 
+Every expected block comes from the encoding itself: each builder
+declares its blocks as (row, col, reference) triples whose references
+are stencil appliers (``BlockEncoding.blocks``).
+
 Verification never builds the full unitary.  For each ancilla input
 block it runs the basis columns |col>|j> forward through the circuit in
-panels, reads every constrained block from that output, and runs the
-adjoint circuit on it; U^dagger U e_j - e_j is then one column of
-U^dagger U - I, and all columns together give the same max-entry
-unitarity residual as a dense Gram product.  That costs two statevector
-passes per column, so time grows as 4^q in the qubit count q, and the
-working set is one panel.  Verification is bounded only by the
-statevector cap (MAX_SIM_QUBITS) and by the dense reference blocks,
-whose dimension N is capped at linalg.MATRIX_DIM_CAP.
+panels, compares every declared block of that output with its reference
+applied to the same basis columns, and runs the adjoint circuit on the
+output; U^dagger U e_j - e_j is then one column of U^dagger U - I, and
+all columns together give the same max-entry unitarity residual as a
+dense Gram product.  That costs two statevector passes per column, so
+time grows as 4^q in the qubit count q, and the working set is one
+panel.  No N x N matrix is formed, so verification is bounded only by
+the statevector cap (MAX_SIM_QUBITS).
 
 Success probabilities are computed by two independent routes: applying
 the encoding circuit to |0>|v> and collecting the zero-ancilla mass, or
-applying the classical reference operator to the samples.  The routes
-agree to ~1e-15 and the sweep uses the reference route, which has no
-qubit cap.
+applying the declared (0,0) reference to the samples.  The routes agree
+to ~1e-15 and the sweep uses the reference route, which has no qubit
+cap.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
+from . import operators, resources
 from .circuit import MAX_SIM_QUBITS, adjoint, apply, apply_to_columns
 from .encodings import BlockEncoding, alpha_d, ancilla_axis_qubits
 from .errors import ParameterError, ShapeError, SizeError
-from .linalg import as_matrix, max_abs_diff
+from .linalg import max_abs_diff
 from .operators import GridFunction, GridSpec
 
 
@@ -116,94 +120,24 @@ def extract_block(enc: BlockEncoding, row: int, col: int) -> np.ndarray:
     return block
 
 
-def parse_label(label: str) -> tuple[str, dict[str, str]]:
-    """Split 'name key=value ...' into the name and a parameter dict."""
-    parts = label.split()
-    params = {}
-    for part in parts[1:]:
-        key, _, value = part.partition("=")
-        params[key] = value
-    return parts[0], params
-
-
-def reference_block_apply(enc: BlockEncoding, values: np.ndarray) -> np.ndarray:
-    """Action of the encoded (0,0) block on sample values, via stencils."""
-    name, params = parse_label(enc.label)
-    if name == "laplace_1d" or name == "laplace_dd":
-        dim = int(params.get("D", 1))
-        spec = GridSpec(dim, int(params["n"]))
-        return enc.alpha * operators.apply_scaled_laplacian(spec, values)
-    if name == "laplace_1d_lcu":
-        spec = GridSpec(1, int(params["n"]))
-        return enc.alpha * operators.apply_scaled_laplacian(spec, values)
-    if name == "banded_lcu":
-        a0, a1, am1 = (float(params[k]) for k in ("a0", "a1", "am1"))
-        return enc.alpha * operators.apply_banded(a0, a1, am1, values)
-    if name == "derivative_1d":
-        spec = GridSpec(1, int(params["n"]))
-        return enc.alpha * operators.apply_first_order(0, spec, values)
-    if name in ("gradient_2d", "divergence_2d"):
-        spec = GridSpec(2, int(params["n"]))
-        return enc.alpha * operators.apply_first_order(0, spec, values)
-    if name == "wave_2d":
-        return np.zeros_like(np.asarray(values, dtype=np.complex128))
-    raise ParameterError(f"no reference operator for label {enc.label!r}")
-
-
-def pattern_constraints(enc: BlockEncoding) -> list[tuple[int, int, np.ndarray]]:
-    """All (row, col, expected matrix) constraints an encoding must satisfy."""
-    name, params = parse_label(enc.label)
-    n = int(params["n"])
-    if name == "laplace_1d" or name == "laplace_dd":
-        dim = int(params.get("D", 1))
-        target = operators.scaled_laplacian_dd(dim, n)
-        return [(0, 0, enc.alpha * target)]
-    if name == "laplace_1d_lcu":
-        return [(0, 0, enc.alpha * operators.scaled_laplacian_1d(n))]
-    if name == "banded_lcu":
-        a0, a1, am1 = (float(params[k]) for k in ("a0", "a1", "am1"))
-        return [(0, 0, enc.alpha * operators.banded_circulant(n, a0, a1, am1))]
-    if name == "derivative_1d":
-        h = 1.0 / (1 << n)
-        return [(0, 0, h * operators.central_difference_1d(n))]
-    a = enc.alpha
-    d0 = operators.first_order_tensorized(0, 2, n)
-    d1 = operators.first_order_tensorized(1, 2, n)
-    if name == "gradient_2d":
-        return [(0, 0, a * d0), (1, 0, a * d1)]
-    if name == "divergence_2d":
-        return [(0, 0, a * d0), (0, 1, a * d1)]
-    if name == "wave_2d":
-        zero = np.zeros_like(d0)
-        return [
-            (0, 2, a * d0),
-            (2, 0, a * d0),
-            (1, 2, a * d1),
-            (2, 1, a * d1),
-            (0, 0, zero),
-            (0, 1, zero),
-            (1, 0, zero),
-            (1, 1, zero),
-            (2, 2, zero),
-        ]
-    raise ParameterError(f"no block pattern for label {enc.label!r}")
-
-
-def _verify(enc: BlockEncoding, constraints, tol: float) -> VerificationReport:
-    """Check (row, col, expected) blocks and U^dagger U = I by a round trip.
+def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
+    """Check every declared block and U^dagger U = I by a round trip.
 
     Every column of U runs forward once and back once through the
-    adjoint circuit; the blocks are read from the forward panels.
+    adjoint circuit; each declared block is read from the forward panels
+    and compared with its reference applied to the same basis columns.
     """
+    if not enc.blocks:
+        raise ParameterError(f"{enc.label} declares no blocks to verify")
     N = enc.system_dim
     inverse = adjoint(enc.circuit)
     deviations, residuals = [0.0], [0.0]
     for col in range(1 << enc.m):
-        wanted = [(row, expected) for row, c, expected in constraints if c == col]
+        wanted = [(row, reference) for row, c, reference in enc.blocks if c == col]
         for start, stop, out in _forward_panels(enc, col):
-            for row, expected in wanted:
-                block = out[row * N : (row + 1) * N]
-                deviations.append(max_abs_diff(block, expected[:, start:stop]))
+            for row, reference in wanted:
+                expected = reference(_identity_columns(N, start, stop - start))
+                deviations.append(max_abs_diff(out[row * N : (row + 1) * N], expected))
             back = apply_to_columns(inverse, out)
             offsets = np.arange(stop - start)
             back[col * N + start + offsets, offsets] -= 1.0
@@ -216,30 +150,20 @@ def _verify(enc: BlockEncoding, constraints, tol: float) -> VerificationReport:
     return VerificationReport(enc.label, deviation, residual, tol, passed)
 
 
-def verify_encoding(enc: BlockEncoding, target, tol: float) -> VerificationReport:
-    """Compare the (0,0) block against alpha * target and check unitarity."""
-    target = as_matrix(target)
-    if target.shape != (enc.system_dim, enc.system_dim):
-        raise ShapeError(f"target shape {target.shape} != system dim {enc.system_dim}")
-    return _verify(enc, [(0, 0, enc.alpha * target)], tol)
-
-
-def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
-    """Check every constrained block of the encoding at the tolerance."""
-    return _verify(enc, pattern_constraints(enc), tol)
-
-
 def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circuit") -> float:
     """Probability of measuring all ancillas in |0> after applying the encoding.
 
     route="circuit" simulates the encoding on |0>|v|; route="matrix"
-    evaluates the squared norm of the reference block action.
+    evaluates the squared norm of the declared (0,0) block's reference.
     """
     N = enc.system_dim
     if v.spec.npoints != N:
         raise ShapeError(f"grid has {v.spec.npoints} points, encoding expects {N}")
     if route == "matrix":
-        return float(np.sum(np.abs(reference_block_apply(enc, v.values)) ** 2))
+        reference = next((ref for row, col, ref in enc.blocks if row == col == 0), None)
+        if reference is None:
+            raise ParameterError(f"{enc.label} declares no (0,0) block")
+        return float(np.sum(np.abs(reference(v.values)) ** 2))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
     state = np.zeros(enc.circuit.dim, dtype=np.complex128)
@@ -336,42 +260,35 @@ def sweep_success_probability(
     """Success probability and discretization error over grid refinements.
 
     op="laplace" sweeps the Laplacian encoding; op="lcu" the banded
-    comparison instance (dim 1 only), whose probabilities and predicted
-    constants are 16 times smaller.
+    comparison instance (dim 1 only).  p_success comes from the encoding's
+    declared (0,0) block, and the predicted constant, made for the
+    Laplacian encoding's alpha_d(dim), is scaled by (alpha / alpha_d)**2.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     fam = FAMILIES[family]
     fam.check_dim(dim)
-    if op == "laplace":
-        alpha = alpha_d(dim)
-        scale = 1.0
-    elif op == "lcu":
-        if dim != 1:
-            raise ParameterError("op 'lcu' is one-dimensional")
-        alpha = -0.25
-        scale = 1.0 / 16.0
-    else:
-        raise ParameterError(f"unknown sweep op {op!r}")
+    if op not in ("laplace", "lcu"):
+        raise ParameterError(f"sweep supports ops 'laplace' and 'lcu', not {op!r}")
 
     rows = []
     for n in n_range:
         start = time.monotonic()
+        enc = resources.build_encoding(op, dim, n)
         spec = GridSpec(dim, n)
         gf = operators.sample_function(fam.field(dim), spec)
-        action = alpha * operators.apply_scaled_laplacian(spec, gf.values)
-        p = float(np.sum(np.abs(action) ** 2))
         e_max = fd_error_max(fam.field(dim), fam.exact_laplacian(dim), spec)
+        scale = (enc.alpha / alpha_d(dim)) ** 2
         rows.append(
             SweepRow(
                 D=dim,
                 n=n,
                 h=spec.h,
                 N_D=spec.npoints,
-                p_success=p,
+                p_success=success_probability(enc, gf, "matrix"),
                 p_predicted=scale * fam.constant(dim) * spec.h**4,
                 e_max=e_max,
-                alpha=alpha,
+                alpha=enc.alpha,
                 runtime=time.monotonic() - start,
             )
         )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import LayoutError, QubitIndexError, ShapeError, SizeError
 
-GATE_KINDS = ("X", "Y", "Z", "H", "RY")
+GATE_KINDS = ("X", "Z", "H", "RY")
 
 # Simulation caps: statevectors up to 18 qubits, full unitaries up to 12.
 MAX_SIM_QUBITS = 18
@@ -143,10 +143,6 @@ def _run_gates(gates, psi: np.ndarray, num_qubits: int) -> np.ndarray:
             psi[i1] = a
         elif g.kind == "Z":
             psi[i1] = -psi[i1]
-        elif g.kind == "Y":
-            a = psi[i0].copy()
-            psi[i0] = -1j * psi[i1]
-            psi[i1] = 1j * a
         elif g.kind == "H":
             a = psi[i0].copy()
             b = psi[i1].copy()
@@ -206,7 +202,7 @@ def unitary(circuit: Circuit) -> np.ndarray:
 def adjoint(circuit: Circuit) -> Circuit:
     """Circuit of U^dagger: the gates reversed, each RY angle negated.
 
-    X, Y, Z and H are self-adjoint, and the adjoint of a controlled gate
+    X, Z and H are self-adjoint, and the adjoint of a controlled gate
     is the controlled adjoint, so only RY changes.
     """
     gates = tuple(

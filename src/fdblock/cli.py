@@ -25,11 +25,9 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-from . import analysis, resources
-from .circuit import MAX_SIM_QUBITS, export_text
+from . import analysis, encodings, resources
+from .circuit import export_text
 from .errors import FdblockError
-
-OPS = ("laplace", "derivative", "gradient", "divergence", "wave", "lcu")
 
 
 class UsageError(Exception):
@@ -64,7 +62,6 @@ class RunConfig:
     family: str | None
     tol: float
     out: str | None
-    fmt: str | None
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -80,7 +77,6 @@ class RunConfig:
             family=getattr(args, "family", None),
             tol=args.tol,
             out=args.out,
-            fmt=getattr(args, "format", None),
         )
 
     def single_dim(self) -> int:
@@ -103,21 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_family=False, with_format=False):
-        p.add_argument("--op", required=True, choices=OPS)
+    def add_common(p, with_family=False):
+        p.add_argument("--op", required=True, choices=list(encodings.OPS))
         p.add_argument("--dim", default=None, help="dimension (int or a..b)")
         p.add_argument("--n", required=True, help="qubits per axis (int or a..b)")
         p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if with_family:
             p.add_argument("--family", default=None, choices=sorted(analysis.FAMILIES))
-        if with_format:
-            p.add_argument("--format", default=None, choices=("csv", "txt"))
 
     add_common(sub.add_parser("verify", help="check encoded blocks"))
-    add_common(sub.add_parser("sweep", help="success-probability sweep"), with_family=True, with_format=True)
-    add_common(sub.add_parser("resources", help="Clifford+T counts"), with_format=True)
-    add_common(sub.add_parser("export", help="circuit text listing"), with_format=True)
+    add_common(sub.add_parser("sweep", help="success-probability sweep"), with_family=True)
+    add_common(sub.add_parser("resources", help="Clifford+T counts"))
+    add_common(sub.add_parser("export", help="circuit text listing"))
     return parser
 
 
@@ -137,27 +131,14 @@ def _write_output(path: str | None, text: str):
         raise
 
 
-def _check_sim_cap(num_qubits: int):
-    if num_qubits > MAX_SIM_QUBITS:
-        raise UsageError(
-            f"{num_qubits} qubits exceeds the statevector cap of {MAX_SIM_QUBITS};"
-            " choose a smaller --dim/--n"
-        )
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     enc = resources.build_encoding(cfg.op, cfg.single_dim(), cfg.single_n())
-    _check_sim_cap(enc.circuit.num_qubits)
     report = analysis.verify_pattern(enc, cfg.tol)
     _write_output(cfg.out, report.summary() + "\n")
     return 0 if report.passed else 1
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.fmt not in (None, "csv"):
-        raise UsageError("sweep only writes csv")
-    if cfg.op not in ("laplace", "lcu"):
-        raise UsageError(f"sweep supports ops 'laplace' and 'lcu', not {cfg.op!r}")
     dim = cfg.single_dim()
     family = cfg.family or ("sinprod" if dim > 1 else "sin1")
     rows = analysis.sweep_success_probability(dim, cfg.n_values, family, op=cfg.op)
@@ -166,16 +147,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_resources(cfg: RunConfig) -> int:
-    if cfg.fmt not in (None, "csv"):
-        raise UsageError("resources only writes csv")
     rows = resources.resource_sweep(cfg.op, cfg.dims, cfg.n_values)
     _write_output(cfg.out, resources.resources_csv(rows))
     return 0
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    if cfg.fmt not in (None, "txt"):
-        raise UsageError("export only writes txt")
     enc = resources.build_encoding(cfg.op, cfg.single_dim(), cfg.single_n())
     _write_output(cfg.out, export_text(enc.circuit))
     return 0

@@ -10,28 +10,46 @@ Controls of each cascade gate are stored innermost-last (least
 significant cascade control appended last); builders prepend their own
 selection controls, which keeps control tuples of consecutive cascade
 gates prefix-nested.  The resource model exploits that nesting.
+
+Each builder also declares the blocks it encodes, as stencil appliers
+from :mod:`fdblock.operators`; verification and success probabilities
+read those declarations, and :data:`OPS` names the builders for the
+command line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
+import numpy as np
+
+from . import operators
 from .circuit import Circuit, Gate, RegisterLayout
 from .errors import ParameterError, SizeError
+from .operators import GridSpec
 
 Control = tuple[int, int]
+Reference = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """Circuit plus its declared (m, alpha, system size) contract."""
+    """Circuit plus its declared (m, alpha, system size) contract.
+
+    ``blocks`` holds (row, col, reference) triples: the block
+    U[row*N:(row+1)*N, col*N:(col+1)*N] must map an (N, k) array of
+    system columns to ``reference`` of it, alpha included.  Blocks not
+    listed are unconstrained.
+    """
 
     circuit: Circuit
     m: int
     alpha: float
     system_dim: int
     label: str
+    blocks: tuple[tuple[int, int, Reference], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         system_qubits = self.system_dim.bit_length() - 1
@@ -43,6 +61,10 @@ class BlockEncoding:
             )
         if abs(self.alpha) > 1.0:
             raise ParameterError(f"|alpha| = {abs(self.alpha)} exceeds 1")
+        size = 1 << self.m
+        for row, col, _ in self.blocks:
+            if not (0 <= row < size and 0 <= col < size):
+                raise ParameterError(f"block ({row}, {col}) is outside the 2**m = {size} blocks")
 
 
 def alpha_d(dim: int) -> float:
@@ -57,6 +79,18 @@ def ancilla_axis_qubits(dim: int) -> int:
     if dim < 1:
         raise ParameterError("dim must be >= 1")
     return (dim - 1).bit_length()
+
+
+def _scaled_laplacian(alpha: float, spec: GridSpec) -> Reference:
+    return lambda cols: alpha * operators.apply_scaled_laplacian(spec, cols)
+
+
+def _first_order(alpha: float, axis: int, spec: GridSpec) -> Reference:
+    return lambda cols: alpha * operators.apply_first_order(axis, spec, cols)
+
+
+def _zero(cols: np.ndarray) -> np.ndarray:
+    return np.zeros(cols.shape, dtype=np.complex128)
 
 
 def _shift_gates(direction: int, n: int, offset: int, prefix: tuple[Control, ...]):
@@ -112,7 +146,8 @@ def encode_laplace_1d(n: int) -> BlockEncoding:
     gates += [Gate("H", l0), Gate("H", l1)]
     layout = RegisterLayout((("l", 2), ("j", n)))
     circuit = Circuit(n + 2, tuple(gates), layout)
-    return BlockEncoding(circuit, 2, 1.0, 1 << n, f"laplace_1d n={n}")
+    blocks = ((0, 0, _scaled_laplacian(1.0, GridSpec(1, n))),)
+    return BlockEncoding(circuit, 2, 1.0, 1 << n, f"laplace_1d n={n}", blocks)
 
 
 def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
@@ -149,13 +184,17 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     registers = [("k", dhat), ("l", 2)]
     registers += [(f"j{d}", n) for d in range(dim - 1, -1, -1)]
     circuit = Circuit(m + n * dim, tuple(gates), RegisterLayout(tuple(registers)))
-    system_dim = 1 << (n * dim)
-    return BlockEncoding(circuit, m, alpha_d(dim), system_dim, f"laplace_dd D={dim} n={n}")
+    alpha = alpha_d(dim)
+    blocks = ((0, 0, _scaled_laplacian(alpha, GridSpec(dim, n))),)
+    return BlockEncoding(circuit, m, alpha, 1 << (n * dim), f"laplace_dd D={dim} n={n}", blocks)
 
 
 def _banded_circuit(n: int, a0: float, a1: float, am1: float) -> Circuit:
     if n < 1:
         raise ParameterError("n must be >= 1")
+    for name, val in (("a0", a0), ("a1", a1), ("am1", am1)):
+        if not math.isfinite(val):
+            raise ParameterError(f"{name} = {val} is not finite")
     if a0 <= 0.0:
         raise ParameterError("a0 must be positive")
     for name, val in (("a0-1", a0 - 1.0), ("a1", a1), ("am1", am1)):
@@ -187,7 +226,8 @@ def encode_banded_lcu(n: int, a0: float, a1: float, am1: float) -> BlockEncoding
     """
     circuit = _banded_circuit(n, a0, a1, am1)
     label = f"banded_lcu n={n} a0={a0!r} a1={a1!r} am1={am1!r}"
-    return BlockEncoding(circuit, 3, 0.25, 1 << n, label)
+    blocks = ((0, 0, lambda cols: 0.25 * operators.apply_banded(a0, a1, am1, cols)),)
+    return BlockEncoding(circuit, 3, 0.25, 1 << n, label, blocks)
 
 
 def encode_laplace_1d_lcu(n: int) -> BlockEncoding:
@@ -197,7 +237,8 @@ def encode_laplace_1d_lcu(n: int) -> BlockEncoding:
     so the (0,0) block equals alpha = -1/4 times the scaled Laplacian.
     """
     circuit = _banded_circuit(n, 0.5, -0.25, -0.25)
-    return BlockEncoding(circuit, 3, -0.25, 1 << n, f"laplace_1d_lcu n={n}")
+    blocks = ((0, 0, _scaled_laplacian(-0.25, GridSpec(1, n))),)
+    return BlockEncoding(circuit, 3, -0.25, 1 << n, f"laplace_1d_lcu n={n}", blocks)
 
 
 def encode_derivative_1d(n: int) -> BlockEncoding:
@@ -214,7 +255,8 @@ def encode_derivative_1d(n: int) -> BlockEncoding:
     gates += [Gate("H", 0)]
     layout = RegisterLayout((("l", 1), ("j", n)))
     circuit = Circuit(n + 1, tuple(gates), layout)
-    return BlockEncoding(circuit, 1, 1.0, 1 << n, f"derivative_1d n={n}")
+    blocks = ((0, 0, _first_order(1.0, 0, GridSpec(1, n))),)
+    return BlockEncoding(circuit, 1, 1.0, 1 << n, f"derivative_1d n={n}", blocks)
 
 
 def _axis_shifts_2d(n: int, k: int, l: int, offset1: int, offset0: int):
@@ -244,7 +286,9 @@ def encode_gradient_2d(n: int) -> BlockEncoding:
     gates += [Gate("H", l)]
     layout = RegisterLayout((("l", 1), ("k", 1), ("j1", n), ("j0", n)))
     circuit = Circuit(2 * n + 2, tuple(gates), layout)
-    return BlockEncoding(circuit, 2, 1.0 / math.sqrt(2.0), 1 << (2 * n), f"gradient_2d n={n}")
+    a, spec = 1.0 / math.sqrt(2.0), GridSpec(2, n)
+    blocks = ((0, 0, _first_order(a, 0, spec)), (1, 0, _first_order(a, 1, spec)))
+    return BlockEncoding(circuit, 2, a, 1 << (2 * n), f"gradient_2d n={n}", blocks)
 
 
 def encode_divergence_2d(n: int) -> BlockEncoding:
@@ -263,7 +307,9 @@ def encode_divergence_2d(n: int) -> BlockEncoding:
     gates += [Gate("H", l), Gate("H", k)]
     layout = RegisterLayout((("l", 1), ("k", 1), ("j1", n), ("j0", n)))
     circuit = Circuit(2 * n + 2, tuple(gates), layout)
-    return BlockEncoding(circuit, 2, 1.0 / math.sqrt(2.0), 1 << (2 * n), f"divergence_2d n={n}")
+    a, spec = 1.0 / math.sqrt(2.0), GridSpec(2, n)
+    blocks = ((0, 0, _first_order(a, 0, spec)), (0, 1, _first_order(a, 1, spec)))
+    return BlockEncoding(circuit, 2, a, 1 << (2 * n), f"divergence_2d n={n}", blocks)
 
 
 def encode_wave_2d(n: int) -> BlockEncoding:
@@ -294,4 +340,28 @@ def encode_wave_2d(n: int) -> BlockEncoding:
     gates += [Gate("H", l), Gate("H", k1, ((k0, 0),)), Gate("X", k0)]
     layout = RegisterLayout((("l", 1), ("k0", 1), ("k1", 1), ("j1", n), ("j0", n)))
     circuit = Circuit(2 * n + 3, tuple(gates), layout)
-    return BlockEncoding(circuit, 3, 1.0 / math.sqrt(2.0), 1 << (2 * n), f"wave_2d n={n}")
+    a, spec = 1.0 / math.sqrt(2.0), GridSpec(2, n)
+    d0, d1 = _first_order(a, 0, spec), _first_order(a, 1, spec)
+    blocks = ((0, 2, d0), (2, 0, d0), (1, 2, d1), (2, 1, d1))
+    blocks += tuple((r, c, _zero) for r, c in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)))
+    return BlockEncoding(circuit, 3, a, 1 << (2 * n), f"wave_2d n={n}", blocks)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Command-line operator: build(dim, n) and its fixed dim (None: any dim)."""
+
+    build: Callable[[int, int], BlockEncoding]
+    dim: int | None
+
+
+# The lambdas look the builders up when called, so a wrapper installed on
+# this module's attribute (a profiler's, say) sees every build.
+OPS = {
+    "laplace": OpSpec(lambda dim, n: encode_laplace_dd(dim, n), None),
+    "derivative": OpSpec(lambda dim, n: encode_derivative_1d(n), 1),
+    "gradient": OpSpec(lambda dim, n: encode_gradient_2d(n), 2),
+    "divergence": OpSpec(lambda dim, n: encode_divergence_2d(n), 2),
+    "wave": OpSpec(lambda dim, n: encode_wave_2d(n), 2),
+    "lcu": OpSpec(lambda dim, n: encode_laplace_1d_lcu(n), 1),
+}

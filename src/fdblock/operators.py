@@ -9,7 +9,9 @@ point (j0*h, j1*h, ..., j_{D-1}*h) is
 
 Matrices are built dense and literal; circulant structure is only
 exploited by the roll-based appliers, which evaluate the same stencils
-without forming matrices and therefore work beyond the dense cap.
+without forming matrices and therefore work beyond the dense cap.  The
+encoding builders declare their blocks through the appliers, and the
+matrices stay as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -188,20 +190,29 @@ def sample_function(f, spec: GridSpec) -> GridFunction:
 
 
 def _as_grid_tensor(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Grid tensor of shape (N,)*dim + batch from values of shape (npoints, *batch)."""
     v = np.asarray(values, dtype=np.complex128)
-    if v.size != spec.npoints:
-        raise ShapeError(f"expected {spec.npoints} values, got {v.size}")
-    return v.reshape((spec.N,) * spec.dim)
+    if v.ndim == 0 or v.shape[0] != spec.npoints:
+        raise ShapeError(f"expected {spec.npoints} values along axis 0, got shape {v.shape}")
+    return v.reshape((spec.N,) * spec.dim + v.shape[1:])
+
+
+def _flatten_grid(spec: GridSpec, tensor: np.ndarray) -> np.ndarray:
+    return tensor.reshape((spec.npoints,) + tensor.shape[spec.dim :])
 
 
 def apply_laplacian(spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Second-difference stencil applied via rolls; same result as the matrix."""
+    """Second-difference stencil applied via rolls; same result as the matrix.
+
+    Like every applier here, it acts on axis 0 of ``values`` and treats
+    any trailing axes as a batch of columns.
+    """
     v = _as_grid_tensor(spec, values)
     out = np.zeros_like(v)
     for d in range(spec.dim):
         ax = spec.dim - 1 - d
         out += np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax) - 2.0 * v
-    return (out / spec.h**2).reshape(-1)
+    return _flatten_grid(spec, out / spec.h**2)
 
 
 def apply_scaled_laplacian(spec: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -212,7 +223,7 @@ def apply_scaled_laplacian(spec: GridSpec, values: np.ndarray) -> np.ndarray:
 def apply_banded(a0: float, a1: float, am1: float, values: np.ndarray) -> np.ndarray:
     """1-d circulant with diagonal a0, superdiagonal am1, subdiagonal a1."""
     v = np.asarray(values, dtype=np.complex128)
-    return a0 * v + am1 * np.roll(v, -1) + a1 * np.roll(v, 1)
+    return a0 * v + am1 * np.roll(v, -1, axis=0) + a1 * np.roll(v, 1, axis=0)
 
 
 def apply_first_order(axis: int, spec: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -221,4 +232,4 @@ def apply_first_order(axis: int, spec: GridSpec, values: np.ndarray) -> np.ndarr
         raise ParameterError(f"axis {axis} out of range for dim {spec.dim}")
     v = _as_grid_tensor(spec, values)
     ax = spec.dim - 1 - axis
-    return (0.5 * (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax))).reshape(-1)
+    return _flatten_grid(spec, 0.5 * (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)))

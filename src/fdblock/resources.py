@@ -5,7 +5,7 @@ Lowering model
 Every circuit is first lowered to a stream containing only
 
 * X with at most two controls (CNOT / Toffoli),
-* Y, Z, H, RY with at most one control,
+* Z, H, RY with at most one control,
 
 by folding control conjunctions into clean ancillas.  A k-controlled X
 (k >= 3) keeps its last control and computes the AND of the first k-1
@@ -20,8 +20,8 @@ linearly with the register width.
 
 The lowered stream is then charged per gate:
 
-* single-qubit X/Y/Z/H: 1 Clifford,
-* CNOT, CZ, CY: 1 Clifford,
+* single-qubit X/Z/H: 1 Clifford,
+* CNOT, CZ: 1 Clifford,
 * Toffoli: 7 T + 8 Cliffords (the textbook 6 CNOT + 2 H network),
 * controlled H: 2 rotations + 1 Clifford  (RY(pi/4) . CZ . RY(-pi/4)),
 * RY: 1 rotation; controlled RY: 2 rotations + 2 Cliffords,
@@ -119,7 +119,7 @@ class _Lowering:
                 else:
                     anc = self._ensure_prefix(g.controls[:-1])
                     self.out.append(Gate("X", g.target, ((anc, 1), g.controls[-1])))
-            elif g.kind in ("Y", "Z", "H", "RY"):
+            elif g.kind in ("Z", "H", "RY"):
                 if k <= 1:
                     self.out.append(g)
                 else:
@@ -136,7 +136,7 @@ class _Lowering:
 def lower_to_toffoli(circuit: Circuit) -> Circuit:
     """Lowered circuit on original wires plus clean ancillas.
 
-    The result contains only X (<= 2 controls) and Y/Z/H/RY (<= 1
+    The result contains only X (<= 2 controls) and Z/H/RY (<= 1
     control); ancillas occupy the trailing wires, start in |0>, and are
     returned to |0>.
     """
@@ -157,7 +157,7 @@ def count_resources(circuit: Circuit) -> GateCounts:
             else:
                 t += 7
                 clifford += 8 + open_penalty
-        elif g.kind in ("Y", "Z"):
+        elif g.kind == "Z":
             clifford += 1 + open_penalty
         elif g.kind == "H":
             if k == 0:
@@ -195,42 +195,22 @@ class ResourceRow:
     ancillas: int
 
 
-_FIXED_DIM_OPS = {
-    "lcu": 1,
-    "derivative": 1,
-    "gradient": 2,
-    "divergence": 2,
-    "wave": 2,
-}
+def op_dims(op: str, dims) -> list[int]:
+    """Dimension list for an op; fixed-dim ops default to their dimension."""
+    if op not in encodings.OPS:
+        raise ParameterError(f"unknown op {op!r}")
+    fixed = encodings.OPS[op].dim
+    if fixed is None:
+        return [1] if dims in (None, []) else list(dims)
+    if dims not in (None, []) and list(dims) != [fixed]:
+        raise ParameterError(f"op {op!r} is fixed at dim {fixed}")
+    return [fixed]
 
 
 def build_encoding(op: str, dim: int, n: int) -> encodings.BlockEncoding:
     """Construct the named encoding; dim must match fixed-dimension ops."""
-    if op == "laplace":
-        return encodings.encode_laplace_dd(dim, n)
-    if op in _FIXED_DIM_OPS:
-        if dim != _FIXED_DIM_OPS[op]:
-            raise ParameterError(f"op {op!r} is fixed at dim {_FIXED_DIM_OPS[op]}")
-        return {
-            "lcu": encodings.encode_laplace_1d_lcu,
-            "derivative": encodings.encode_derivative_1d,
-            "gradient": encodings.encode_gradient_2d,
-            "divergence": encodings.encode_divergence_2d,
-            "wave": encodings.encode_wave_2d,
-        }[op](n)
-    raise ParameterError(f"unknown op {op!r}")
-
-
-def op_dims(op: str, dims) -> list[int]:
-    """Dimension list for an op; fixed-dim ops default to their dimension."""
-    if op in _FIXED_DIM_OPS:
-        fixed = _FIXED_DIM_OPS[op]
-        if dims in (None, []):
-            return [fixed]
-        if list(dims) != [fixed]:
-            raise ParameterError(f"op {op!r} is fixed at dim {fixed}")
-        return [fixed]
-    return [1] if dims in (None, []) else list(dims)
+    (dim,) = op_dims(op, [dim])
+    return encodings.OPS[op].build(dim, n)
 
 
 def resource_sweep(op: str, dims, n_range) -> list[ResourceRow]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,9 @@ from fdblock.analysis import (
     SWEEP_CSV_HEADER,
     extract_block,
     fd_error_max,
-    parse_label,
-    pattern_constraints,
     success_probability,
     sweep_csv,
     sweep_success_probability,
-    verify_encoding,
     verify_pattern,
 )
 from fdblock.circuit import Circuit, apply, unitary
@@ -29,10 +27,14 @@ from fdblock.encodings import (
     encode_wave_2d,
 )
 from fdblock.errors import ParameterError, ShapeError
-from fdblock.linalg import max_abs_diff, unitarity_residual
+from fdblock.linalg import MATRIX_DIM_CAP, max_abs_diff, unitarity_residual
 from fdblock.operators import (
+    GridFunction,
     GridSpec,
     apply_scaled_laplacian,
+    banded_circulant,
+    central_difference_1d,
+    first_order_tensorized,
     sample_function,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
@@ -67,26 +69,19 @@ def test_extract_block_index_bounds():
         extract_block(encode_laplace_1d(2), 4, 0)
 
 
-def test_verify_encoding_passes_and_fails():
+def test_verify_pattern_fails_on_a_perturbed_reference():
     enc = encode_laplace_1d(3)
-    target = scaled_laplacian_1d(3)
-    assert verify_encoding(enc, target, 1e-12).passed
-    perturbed = target.copy()
-    perturbed[0, 0] += 1e-6
-    report = verify_encoding(enc, perturbed, 1e-12)
+    assert verify_pattern(enc, 1e-12).passed
+    ((row, col, reference),) = enc.blocks
+
+    def perturbed(cols):
+        out = reference(cols)
+        out[0] += 1e-6 * cols[0]  # entry (0, 0) of the expected block
+        return out
+
+    report = verify_pattern(replace(enc, blocks=((row, col, perturbed),)), 1e-12)
     assert not report.passed
     assert report.max_deviation == pytest.approx(1e-6, rel=1e-6)
-
-
-def test_verify_encoding_lcu_instance():
-    enc = encode_laplace_1d_lcu(3)
-    # alpha = -1/4 against the plain scaled Laplacian target
-    assert verify_encoding(enc, scaled_laplacian_1d(3), 1e-12).passed
-
-
-def test_verify_encoding_shape_mismatch():
-    with pytest.raises(ShapeError):
-        verify_encoding(encode_laplace_1d(3), np.eye(4), 1e-12)
 
 
 def test_verify_pattern_all_builders():
@@ -101,34 +96,73 @@ def test_verify_pattern_all_builders():
         assert report.passed, report.summary()
 
 
-# Every builder at 9-10 qubits, the sizes where the dense route is cheap.
-ROUND_TRIP_ENCODINGS = [
-    encode_laplace_1d(8),
-    encode_laplace_dd(2, 3),
-    encode_laplace_dd(3, 2),
-    encode_laplace_1d_lcu(7),
-    encode_banded_lcu(7, 0.65, -0.4, 0.15),
-    encode_derivative_1d(9),
-    encode_gradient_2d(4),
-    encode_divergence_2d(4),
-    encode_wave_2d(3),
+def _first_order_2d(n):
+    a = 1.0 / math.sqrt(2.0)
+    return a * first_order_tensorized(0, 2, n), a * first_order_tensorized(1, 2, n)
+
+
+def _wave_blocks(n):
+    d0, d1 = _first_order_2d(n)
+    zero = np.zeros_like(d0)
+    blocks = {(0, 2): d0, (2, 0): d0, (1, 2): d1, (2, 1): d1}
+    blocks.update({rc: zero for rc in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))})
+    return blocks
+
+
+# Every builder at 9-10 qubits, the sizes where the dense route is cheap,
+# with its blocks written out as dense operator matrices.
+ROUND_TRIP_CASES = [
+    (encode_laplace_1d(8), lambda: {(0, 0): scaled_laplacian_1d(8)}),
+    (encode_laplace_dd(2, 3), lambda: {(0, 0): scaled_laplacian_dd(2, 3)}),
+    (encode_laplace_dd(3, 2), lambda: {(0, 0): 0.75 * scaled_laplacian_dd(3, 2)}),
+    (encode_laplace_1d_lcu(7), lambda: {(0, 0): -0.25 * scaled_laplacian_1d(7)}),
+    (
+        encode_banded_lcu(7, 0.65, -0.4, 0.15),
+        lambda: {(0, 0): 0.25 * banded_circulant(7, 0.65, -0.4, 0.15)},
+    ),
+    (encode_derivative_1d(9), lambda: {(0, 0): central_difference_1d(9) / 512}),
+    (encode_gradient_2d(4), lambda: dict(zip(((0, 0), (1, 0)), _first_order_2d(4)))),
+    (encode_divergence_2d(4), lambda: dict(zip(((0, 0), (0, 1)), _first_order_2d(4)))),
+    (encode_wave_2d(3), lambda: _wave_blocks(3)),
 ]
 
 
-@pytest.mark.parametrize("enc", ROUND_TRIP_ENCODINGS, ids=lambda e: e.label)
-def test_round_trip_deviations_equal_extract_block_route(enc):
-    import fdblock.analysis as analysis_mod
-
+@pytest.mark.parametrize(
+    "enc,dense_blocks", ROUND_TRIP_CASES, ids=[enc.label for enc, _ in ROUND_TRIP_CASES]
+)
+def test_round_trip_deviations_equal_extract_block_route(enc, dense_blocks):
     assert enc.circuit.num_qubits <= 10
-    constraints = pattern_constraints(enc)
-    dense = []
-    for row, col, expected in constraints:
-        dense.append(max_abs_diff(extract_block(enc, row, col), expected))
-        single = analysis_mod._verify(enc, [(row, col, expected)], 1e-12)
-        assert single.max_deviation == dense[-1]
+    dense = dense_blocks()
+    assert sorted((row, col) for row, col, _ in enc.blocks) == sorted(dense)
+    identity = np.eye(enc.system_dim, dtype=complex)
+    deviations = []
+    for block in enc.blocks:
+        row, col, reference = block
+        extracted = extract_block(enc, row, col)
+        assert max_abs_diff(extracted, dense[row, col]) <= 1e-12
+        deviations.append(max_abs_diff(extracted, reference(identity)))
+        single = verify_pattern(replace(enc, blocks=(block,)), 1e-12)
+        assert single.max_deviation == deviations[-1]
     report = verify_pattern(enc, 1e-12)
     assert report.passed, report.summary()
-    assert report.max_deviation == max(dense)
+    assert report.max_deviation == max(deviations)
+
+
+def test_references_evaluate_beyond_the_dense_cap():
+    # 15 qubits: N = 8192 is past the dense cap, and the declared
+    # references act on a panel of basis columns without forming a matrix
+    enc = encode_laplace_dd(1, 13)
+    N = enc.system_dim
+    assert N == 8192 > MATRIX_DIM_CAP
+    panel = np.zeros((N, 4), dtype=complex)
+    panel[100 + np.arange(4), np.arange(4)] = 1.0
+    ((row, col, reference),) = enc.blocks
+    out = reference(panel)
+    assert out.shape == (N, 4)
+    for k in range(4):
+        expected = np.zeros(N)
+        expected[[99 + k, 100 + k, 101 + k]] = (0.25, -0.5, 0.25)
+        assert np.array_equal(out[:, k], expected)
 
 
 @pytest.mark.parametrize(
@@ -170,12 +204,13 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
     assert sum(columns) == 2 * enc.circuit.dim
 
 
-def test_parse_label_round_trip():
-    name, params = parse_label("banded_lcu n=2 a0=0.7 a1=0.2 am1=-0.6")
-    assert name == "banded_lcu"
-    assert float(params["am1"]) == -0.6
+def test_verify_pattern_needs_declared_blocks():
+    enc = BlockEncoding(Circuit(2), 1, 1.0, 2, "mystery n=1")
     with pytest.raises(ParameterError):
-        pattern_constraints(BlockEncoding(Circuit(2), 1, 1.0, 2, "mystery n=1"))
+        verify_pattern(enc, 1e-12)
+    gf = GridFunction(GridSpec(1, 1), np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ParameterError):
+        success_probability(enc, gf, "matrix")
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -396,11 +431,10 @@ def test_extract_block_chunking_is_transparent(monkeypatch):
 
 
 def test_route_agreement_general_banded_label():
-    # the reference route reparses coefficients from the label text
-    from fdblock.encodings import encode_banded_lcu
-
-    enc = encode_banded_lcu(3, 0.65, -0.4, 0.15)
-    gf = grid_fn("sin1", 1, 3)
-    p_c = success_probability(enc, gf, "circuit")
-    p_m = success_probability(enc, gf, "matrix")
-    assert abs(p_c - p_m) < 1e-14
+    # the reference route applies the banded stencil the builder declared
+    for n in (3, 5):
+        enc = encode_banded_lcu(n, 0.65, -0.4, 0.15)
+        gf = grid_fn("sin1", 1, n)
+        p_c = success_probability(enc, gf, "circuit")
+        p_m = success_probability(enc, gf, "matrix")
+        assert abs(p_c - p_m) < 1e-14

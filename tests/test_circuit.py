@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fdblock.circuit import (
+    GATE_KINDS,
     Circuit,
     Gate,
     RegisterLayout,
@@ -20,7 +21,6 @@ from fdblock.operators import central_difference_1d, scaled_laplacian_1d, trapez
 SQ2 = 1.0 / np.sqrt(2.0)
 GATE_MATRICES = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) * SQ2,
 }
@@ -195,6 +195,8 @@ def test_gate_validation():
     with pytest.raises(QubitIndexError):
         Gate("Q", 0)
     with pytest.raises(QubitIndexError):
+        Gate("Y", 0)
+    with pytest.raises(QubitIndexError):
         Gate("X", 0, ((0, 1),))
     with pytest.raises(QubitIndexError):
         Gate("X", 0, ((1, 2),))
@@ -222,7 +224,7 @@ def random_gates(rng, nq, count):
     """count gates of random kind, target, controls and polarities on nq wires."""
     gates = []
     for _ in range(count):
-        kind = ("X", "Y", "Z", "H", "RY")[int(rng.integers(0, 5))]
+        kind = GATE_KINDS[int(rng.integers(0, len(GATE_KINDS)))]
         target = int(rng.integers(0, nq))
         others = [q for q in range(nq) if q != target]
         rng.shuffle(others)

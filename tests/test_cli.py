@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from fdblock.cli import main
+from fdblock.cli import _build_parser, main
+from fdblock.encodings import OPS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,7 +40,11 @@ def test_verify_unattainable_tolerance(capsys):
 
 
 def test_verify_every_op(capsys):
-    for op in ("laplace", "derivative", "gradient", "divergence", "wave", "lcu"):
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    for command in commands.values():
+        op_action = next(a for a in command._actions if a.dest == "op")
+        assert list(op_action.choices) == list(OPS)
+    for op in OPS:
         assert run("verify", "--op", op, "--n", "2") == 0
     capsys.readouterr()
 
@@ -134,8 +139,9 @@ def test_usage_errors(capsys):
     assert run("resources", "--op", "lcu", "--dim", "2", "--n", "3") == 2
     assert run("export", "--op", "laplace", "--dim", "1", "--n", "2..3") == 2
     assert run("sweep", "--op", "laplace", "--dim", "1", "--n", "x") == 2
-    assert run("export", "--op", "laplace", "--dim", "1", "--n", "2",
-               "--format", "csv") == 2
+    with pytest.raises(SystemExit) as rejected:
+        run("export", "--op", "laplace", "--dim", "1", "--n", "2", "--format", "csv")
+    assert rejected.value.code == 2
     assert run("verify", "--op", "laplace", "--dim", "1", "--n", "3",
                "--tol", "-1") == 2
     capsys.readouterr()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,14 @@ def test_banded_lcu_rejects_bad_angles():
         encode_banded_lcu(2, -0.5, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("name", ["a0", "a1", "am1"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_banded_lcu_rejects_non_finite_coefficients(name, bad):
+    coeffs = {"a0": 0.5, "a1": 0.2, "am1": 0.1, name: bad}
+    with pytest.raises(ParameterError, match=f"^{name} = "):
+        encode_banded_lcu(3, coeffs["a0"], coeffs["a1"], coeffs["am1"])
+
+
 def test_derivative_block_and_properties():
     n = 3
     h = 1.0 / (1 << n)
@@ -271,6 +281,14 @@ def test_encoding_contract_consistency(enc):
     system_qubits = enc.system_dim.bit_length() - 1
     assert enc.circuit.num_qubits == enc.m + system_qubits
     assert abs(enc.alpha) <= 1.0
+
+
+@pytest.mark.parametrize("row,col", [(5, 7), (2, 0), (0, 2), (-1, 0)])
+def test_declared_blocks_must_lie_inside_the_ancilla_grid(row, col):
+    # derivative_1d has m = 1, so only rows and columns 0 and 1 exist
+    enc = encode_derivative_1d(2)
+    with pytest.raises(ParameterError, match="outside"):
+        replace(enc, blocks=((row, col, enc.blocks[0][2]),))
 
 
 def test_divergence_is_gradient_with_axis_mixing_moved():

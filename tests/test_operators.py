@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdblock.errors import DegenerateInputError, ParameterError, SizeError
+from fdblock.errors import DegenerateInputError, ParameterError, ShapeError, SizeError
 from fdblock.linalg import max_abs_diff
 from fdblock.operators import (
     GridSpec,
@@ -221,6 +221,26 @@ def test_stencil_appliers_match_dense():
     v = rng.normal(size=8)
     dense = banded_circulant(3, 0.3, -0.2, 0.1)
     assert max_abs_diff(apply_banded(0.3, -0.2, 0.1, v), dense @ v) < 1e-14
+
+
+@pytest.mark.parametrize("dim,n", [(1, 4), (2, 2), (3, 2)])
+def test_batched_stencil_appliers_equal_their_columns(dim, n):
+    spec = GridSpec(dim, n)
+    rng = np.random.default_rng(31)
+    cols = rng.normal(size=(spec.npoints, 5)) + 1j * rng.normal(size=(spec.npoints, 5))
+    appliers = [
+        lambda v: apply_laplacian(spec, v),
+        lambda v: apply_scaled_laplacian(spec, v),
+        lambda v: apply_banded(0.3, -0.2, 0.1, v),
+    ]
+    appliers += [lambda v, axis=axis: apply_first_order(axis, spec, v) for axis in range(dim)]
+    for applier in appliers:
+        batched = applier(cols)
+        assert batched.shape == cols.shape
+        for k in range(cols.shape[1]):
+            assert np.array_equal(batched[:, k], applier(cols[:, k]))
+    with pytest.raises(ShapeError):
+        apply_laplacian(spec, cols.T)
 
 
 def test_lambda_max_value():
