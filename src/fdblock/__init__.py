@@ -19,7 +19,6 @@ from .analysis import (
 from .circuit import (
     Circuit,
     Gate,
-    RegisterLayout,
     adjoint,
     apply,
     compose,
@@ -64,7 +63,6 @@ __all__ = [
     "GateCounts",
     "GridFunction",
     "GridSpec",
-    "RegisterLayout",
     "SweepRow",
     "VerificationReport",
     "adjoint",

@@ -11,15 +11,15 @@ Gates are listed in application order (first gate acts first).  A
 controlled gate acts as the identity unless every control qubit matches
 its polarity (1 = filled control, 0 = open control).
 
-Register layouts name contiguous qubit groups from most significant to
-least significant; for a layout [anc: m][sys: k] the composite basis
-index of |a>|s> is a*2^k + s.
+Circuits carry no register names: a builder documents which wires form
+which register.  For ancillas on the first m wires and a k-qubit system
+register after them, the composite basis index of |a>|s> is a*2^k + s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,46 +66,11 @@ class Gate:
 
 
 @dataclass(frozen=True)
-class RegisterLayout:
-    """Named registers, most significant first, e.g. (("l", 2), ("j", 3))."""
-
-    registers: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        names = [name for name, _ in self.registers]
-        if len(set(names)) != len(names):
-            raise LayoutError("duplicate register names")
-        for name, width in self.registers:
-            if width < 1:
-                raise LayoutError(f"register {name!r} must have width >= 1")
-
-    @property
-    def num_qubits(self) -> int:
-        return sum(width for _, width in self.registers)
-
-    def offset(self, name: str) -> int:
-        """Index of the register's most significant qubit."""
-        pos = 0
-        for reg, width in self.registers:
-            if reg == name:
-                return pos
-            pos += width
-        raise LayoutError(f"no register named {name!r}")
-
-    def width(self, name: str) -> int:
-        for reg, width in self.registers:
-            if reg == name:
-                return width
-        raise LayoutError(f"no register named {name!r}")
-
-
-@dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on num_qubits wires, with an optional layout."""
+    """Ordered gate list on num_qubits wires."""
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
-    layout: RegisterLayout | None = field(default=None)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -117,10 +82,6 @@ class Circuit:
                 raise QubitIndexError(
                     f"gate touches qubit {max(used)} on a {self.num_qubits}-qubit circuit"
                 )
-        if self.layout is not None and self.layout.num_qubits != self.num_qubits:
-            raise LayoutError(
-                f"layout covers {self.layout.num_qubits} qubits, circuit has {self.num_qubits}"
-            )
 
     @property
     def dim(self) -> int:
@@ -164,17 +125,12 @@ def apply(circuit: Circuit, vec) -> np.ndarray:
     Statevectors are capped at MAX_SIM_QUBITS wires (larger than the
     grid-vector cap in linalg, which governs sampled functions).
     """
-    if circuit.num_qubits > MAX_SIM_QUBITS:
-        raise SizeError(
-            f"{circuit.num_qubits} qubits exceeds the statevector cap {MAX_SIM_QUBITS}"
-        )
     v = np.asarray(vec, dtype=np.complex128)
-    if v.ndim != 1 or v.size != circuit.dim:
+    if v.ndim != 1:
         raise ShapeError(f"vector shape {v.shape} != (2**{circuit.num_qubits},)")
     if not np.all(np.isfinite(v.view(np.float64))):
         raise ShapeError("vector entries must be finite")
-    psi = v.copy().reshape((2,) * circuit.num_qubits)
-    return _run_gates(circuit.gates, psi, circuit.num_qubits).reshape(-1)
+    return apply_to_columns(circuit, v[:, None])[:, 0]
 
 
 def apply_to_columns(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
@@ -209,7 +165,7 @@ def adjoint(circuit: Circuit) -> Circuit:
         Gate(g.kind, g.target, g.controls, -g.theta) if g.kind == "RY" else g
         for g in reversed(circuit.gates)
     )
-    return Circuit(circuit.num_qubits, gates, circuit.layout)
+    return Circuit(circuit.num_qubits, gates)
 
 
 def controlled(circuit: Circuit, controls) -> Circuit:
@@ -230,16 +186,14 @@ def controlled(circuit: Circuit, controls) -> Circuit:
     gates = tuple(
         Gate(g.kind, g.target, controls + g.controls, g.theta) for g in circuit.gates
     )
-    return Circuit(circuit.num_qubits, gates, circuit.layout)
+    return Circuit(circuit.num_qubits, gates)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
     """Gates of a followed by gates of b."""
     if a.num_qubits != b.num_qubits:
         raise LayoutError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
-    if a.layout != b.layout:
-        raise LayoutError("register layouts differ")
-    return Circuit(a.num_qubits, a.gates + b.gates, a.layout)
+    return Circuit(a.num_qubits, a.gates + b.gates)
 
 
 def export_text(circuit: Circuit) -> str:

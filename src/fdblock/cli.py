@@ -30,8 +30,8 @@ from .circuit import export_text
 from .errors import FdblockError
 
 
-class UsageError(Exception):
-    pass
+class UsageError(FdblockError):
+    """A command-line argument is malformed or inconsistent."""
 
 
 def _parse_range(text: str) -> list[int]:
@@ -60,13 +60,14 @@ class RunConfig:
     dims: list[int] | None
     n_values: list[int]
     family: str | None
-    tol: float
+    tol: float | None
     out: str | None
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise UsageError(f"--tol must be finite and positive, got {tol}")
         n_values = _parse_range(args.n)
         dims = _parse_range(args.dim) if args.dim else None
         return cls(
@@ -75,7 +76,7 @@ class RunConfig:
             dims=dims,
             n_values=n_values,
             family=getattr(args, "family", None),
-            tol=args.tol,
+            tol=tol,
             out=args.out,
         )
 
@@ -99,17 +100,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_family=False):
+    def add_common(p):
         p.add_argument("--op", required=True, choices=list(encodings.OPS))
         p.add_argument("--dim", default=None, help="dimension (int or a..b)")
         p.add_argument("--n", required=True, help="qubits per axis (int or a..b)")
-        p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if with_family:
-            p.add_argument("--family", default=None, choices=sorted(analysis.FAMILIES))
+        return p
 
-    add_common(sub.add_parser("verify", help="check encoded blocks"))
-    add_common(sub.add_parser("sweep", help="success-probability sweep"), with_family=True)
+    verify = add_common(sub.add_parser("verify", help="check encoded blocks"))
+    sweep = add_common(sub.add_parser("sweep", help="success-probability sweep"))
+    sweep.add_argument("--family", default=None, choices=sorted(analysis.FAMILIES))
+    for p in (verify, sweep):
+        p.add_argument("--tol", type=float, default=1e-12)
     add_common(sub.add_parser("resources", help="Clifford+T counts"))
     add_common(sub.add_parser("export", help="circuit text listing"))
     return parser
@@ -172,9 +174,6 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FdblockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

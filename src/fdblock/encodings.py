@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import operators
-from .circuit import Circuit, Gate, RegisterLayout
+from .circuit import Circuit, Gate
 from .errors import ParameterError, SizeError
 from .operators import GridSpec
 
@@ -36,8 +36,10 @@ Reference = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """Circuit plus its declared (m, alpha, system size) contract.
+    """Circuit plus its declared (m, alpha) contract.
 
+    The ancillas are the first m wires and the system register holds
+    the rest, so ``system_dim`` N is derived from the circuit.
     ``blocks`` holds (row, col, reference) triples: the block
     U[row*N:(row+1)*N, col*N:(col+1)*N] must map an (N, k) array of
     system columns to ``reference`` of it, alpha included.  Blocks not
@@ -47,17 +49,14 @@ class BlockEncoding:
     circuit: Circuit
     m: int
     alpha: float
-    system_dim: int
     label: str
     blocks: tuple[tuple[int, int, Reference], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        system_qubits = self.system_dim.bit_length() - 1
-        if 1 << system_qubits != self.system_dim:
-            raise ParameterError(f"system_dim {self.system_dim} is not a power of two")
-        if self.circuit.num_qubits != self.m + system_qubits:
+        num_qubits = self.circuit.num_qubits
+        if not 0 <= self.m < num_qubits:
             raise ParameterError(
-                f"{self.circuit.num_qubits} qubits != m={self.m} + {system_qubits} system qubits"
+                f"m = {self.m} must lie in 0..{num_qubits - 1} to leave system qubits"
             )
         if abs(self.alpha) > 1.0:
             raise ParameterError(f"|alpha| = {abs(self.alpha)} exceeds 1")
@@ -66,11 +65,13 @@ class BlockEncoding:
             if not (0 <= row < size and 0 <= col < size):
                 raise ParameterError(f"block ({row}, {col}) is outside the 2**m = {size} blocks")
 
+    @property
+    def system_dim(self) -> int:
+        return 1 << (self.circuit.num_qubits - self.m)
+
 
 def alpha_d(dim: int) -> float:
     """Sub-normalization dim / 2**ceil(log2 dim); 1 when dim is a power of two."""
-    if dim < 1:
-        raise ParameterError("dim must be >= 1")
     return dim / (1 << ancilla_axis_qubits(dim))
 
 
@@ -116,8 +117,7 @@ def shift_circuit(direction: int, n: int) -> Circuit:
         raise ParameterError(f"direction must be +1 or -1, got {direction}")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    layout = RegisterLayout((("j", n),))
-    return Circuit(n, tuple(_shift_gates(direction, n, 0, ())), layout)
+    return Circuit(n, tuple(_shift_gates(direction, n, 0, ())))
 
 
 # Builders only assemble gate lists, so they allow circuits beyond the
@@ -136,18 +136,7 @@ def encode_laplace_1d(n: int) -> BlockEncoding:
     Layout [l:2][j:n]; m = 2, alpha = 1.  The (0,0) block is the
     circulant with diagonal -1/2 and neighbor entries 1/4.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    _check_build_size(n + 2)
-    l0, l1 = 0, 1
-    gates = [Gate("H", l0), Gate("H", l1), Gate("Z", l0), Gate("Z", l1)]
-    gates += _shift_gates(-1, n, 2, ((l1, 0),))
-    gates += _shift_gates(+1, n, 2, ((l0, 1),))
-    gates += [Gate("H", l0), Gate("H", l1)]
-    layout = RegisterLayout((("l", 2), ("j", n)))
-    circuit = Circuit(n + 2, tuple(gates), layout)
-    blocks = ((0, 0, _scaled_laplacian(1.0, GridSpec(1, n))),)
-    return BlockEncoding(circuit, 2, 1.0, 1 << n, f"laplace_1d n={n}", blocks)
+    return encode_laplace_dd(1, n)
 
 
 def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
@@ -156,17 +145,13 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     Layout [k:dhat][l:2][j(D-1):n]...[j(0):n].  A uniform superposition
     over the axis register k selects which axis register is shifted;
     axis patterns k >= dim leave the grid registers untouched, which is
-    what makes alpha = dim/2**dhat when dim is not a power of two.
+    what makes alpha = dim/2**dhat when dim is not a power of two.  For
+    D = 1 the axis register is empty and this is :func:`encode_laplace_1d`.
     """
-    if dim < 1:
-        raise ParameterError("dim must be >= 1")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if dim == 1:
-        return encode_laplace_1d(n)
+    spec = GridSpec(dim, n)
     dhat = ancilla_axis_qubits(dim)
     m = 2 + dhat
-    _check_build_size(m + n * dim)
+    _check_build_size(m + spec.num_qubits)
     l0, l1 = dhat, dhat + 1
 
     def axis_offset(d: int) -> int:
@@ -181,17 +166,15 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     gates += [Gate("H", l0), Gate("H", l1)]
     gates += [Gate("H", k) for k in range(dhat)]
 
-    registers = [("k", dhat), ("l", 2)]
-    registers += [(f"j{d}", n) for d in range(dim - 1, -1, -1)]
-    circuit = Circuit(m + n * dim, tuple(gates), RegisterLayout(tuple(registers)))
+    circuit = Circuit(m + spec.num_qubits, tuple(gates))
     alpha = alpha_d(dim)
-    blocks = ((0, 0, _scaled_laplacian(alpha, GridSpec(dim, n))),)
-    return BlockEncoding(circuit, m, alpha, 1 << (n * dim), f"laplace_dd D={dim} n={n}", blocks)
+    blocks = ((0, 0, _scaled_laplacian(alpha, spec)),)
+    label = f"laplace_1d n={n}" if dim == 1 else f"laplace_dd D={dim} n={n}"
+    return BlockEncoding(circuit, m, alpha, label, blocks)
 
 
-def _banded_circuit(n: int, a0: float, a1: float, am1: float) -> Circuit:
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+def _banded_circuit(spec: GridSpec, a0: float, a1: float, am1: float) -> Circuit:
+    n = spec.n
     for name, val in (("a0", a0), ("a1", a1), ("am1", am1)):
         if not math.isfinite(val):
             raise ParameterError(f"{name} = {val} is not finite")
@@ -214,8 +197,7 @@ def _banded_circuit(n: int, a0: float, a1: float, am1: float) -> Circuit:
     gates += _shift_gates(-1, n, 3, ((l1, 1),))
     gates += _shift_gates(+1, n, 3, ((l0, 1),))
     gates += [Gate("H", l0), Gate("H", l1)]
-    layout = RegisterLayout((("l", 2), ("a", 1), ("j", n)))
-    return Circuit(n + 3, tuple(gates), layout)
+    return Circuit(n + 3, tuple(gates))
 
 
 def encode_banded_lcu(n: int, a0: float, a1: float, am1: float) -> BlockEncoding:
@@ -224,10 +206,10 @@ def encode_banded_lcu(n: int, a0: float, a1: float, am1: float) -> BlockEncoding
     Layout [l:2][a:1][j:n]; m = 3.  The (0,0) block is A/4, so alpha is
     1/4 with the banded matrix itself as the target.
     """
-    circuit = _banded_circuit(n, a0, a1, am1)
+    circuit = _banded_circuit(GridSpec(1, n), a0, a1, am1)
     label = f"banded_lcu n={n} a0={a0!r} a1={a1!r} am1={am1!r}"
     blocks = ((0, 0, lambda cols: 0.25 * operators.apply_banded(a0, a1, am1, cols)),)
-    return BlockEncoding(circuit, 3, 0.25, 1 << n, label, blocks)
+    return BlockEncoding(circuit, 3, 0.25, label, blocks)
 
 
 def encode_laplace_1d_lcu(n: int) -> BlockEncoding:
@@ -236,9 +218,10 @@ def encode_laplace_1d_lcu(n: int) -> BlockEncoding:
     Coefficients (1/2, -1/4, -1/4) make A the negated scaled Laplacian,
     so the (0,0) block equals alpha = -1/4 times the scaled Laplacian.
     """
-    circuit = _banded_circuit(n, 0.5, -0.25, -0.25)
-    blocks = ((0, 0, _scaled_laplacian(-0.25, GridSpec(1, n))),)
-    return BlockEncoding(circuit, 3, -0.25, 1 << n, f"laplace_1d_lcu n={n}", blocks)
+    spec = GridSpec(1, n)
+    circuit = _banded_circuit(spec, 0.5, -0.25, -0.25)
+    blocks = ((0, 0, _scaled_laplacian(-0.25, spec)),)
+    return BlockEncoding(circuit, 3, -0.25, f"laplace_1d_lcu n={n}", blocks)
 
 
 def encode_derivative_1d(n: int) -> BlockEncoding:
@@ -246,17 +229,15 @@ def encode_derivative_1d(n: int) -> BlockEncoding:
 
     Layout [l:1][j:n]; m = 1, alpha = 1.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    spec = GridSpec(1, n)
     _check_build_size(n + 1)
     gates = [Gate("H", 0), Gate("Z", 0)]
     gates += _shift_gates(-1, n, 1, ((0, 0),))
     gates += _shift_gates(+1, n, 1, ((0, 1),))
     gates += [Gate("H", 0)]
-    layout = RegisterLayout((("l", 1), ("j", n)))
-    circuit = Circuit(n + 1, tuple(gates), layout)
-    blocks = ((0, 0, _first_order(1.0, 0, GridSpec(1, n))),)
-    return BlockEncoding(circuit, 1, 1.0, 1 << n, f"derivative_1d n={n}", blocks)
+    circuit = Circuit(n + 1, tuple(gates))
+    blocks = ((0, 0, _first_order(1.0, 0, spec)),)
+    return BlockEncoding(circuit, 1, 1.0, f"derivative_1d n={n}", blocks)
 
 
 def _axis_shifts_2d(n: int, k: int, l: int, offset1: int, offset0: int):
@@ -276,19 +257,17 @@ def encode_gradient_2d(n: int) -> BlockEncoding:
     is the axis-0 derivative, block (1,0) the axis-1 derivative, each
     times 1/sqrt(2).
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    spec = GridSpec(2, n)
     _check_build_size(2 * n + 2)
     l, k = 0, 1
     off1, off0 = 2, 2 + n
     gates = [Gate("H", k), Gate("H", l), Gate("Z", l)]
     gates += _axis_shifts_2d(n, k, l, off1, off0)
     gates += [Gate("H", l)]
-    layout = RegisterLayout((("l", 1), ("k", 1), ("j1", n), ("j0", n)))
-    circuit = Circuit(2 * n + 2, tuple(gates), layout)
-    a, spec = 1.0 / math.sqrt(2.0), GridSpec(2, n)
+    circuit = Circuit(2 * n + 2, tuple(gates))
+    a = 1.0 / math.sqrt(2.0)
     blocks = ((0, 0, _first_order(a, 0, spec)), (1, 0, _first_order(a, 1, spec)))
-    return BlockEncoding(circuit, 2, a, 1 << (2 * n), f"gradient_2d n={n}", blocks)
+    return BlockEncoding(circuit, 2, a, f"gradient_2d n={n}", blocks)
 
 
 def encode_divergence_2d(n: int) -> BlockEncoding:
@@ -297,19 +276,17 @@ def encode_divergence_2d(n: int) -> BlockEncoding:
     Same layout and contract as the gradient; the axis register is mixed
     after the shifts instead of before.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    spec = GridSpec(2, n)
     _check_build_size(2 * n + 2)
     l, k = 0, 1
     off1, off0 = 2, 2 + n
     gates = [Gate("H", l), Gate("Z", l)]
     gates += _axis_shifts_2d(n, k, l, off1, off0)
     gates += [Gate("H", l), Gate("H", k)]
-    layout = RegisterLayout((("l", 1), ("k", 1), ("j1", n), ("j0", n)))
-    circuit = Circuit(2 * n + 2, tuple(gates), layout)
-    a, spec = 1.0 / math.sqrt(2.0), GridSpec(2, n)
+    circuit = Circuit(2 * n + 2, tuple(gates))
+    a = 1.0 / math.sqrt(2.0)
     blocks = ((0, 0, _first_order(a, 0, spec)), (0, 1, _first_order(a, 1, spec)))
-    return BlockEncoding(circuit, 2, a, 1 << (2 * n), f"divergence_2d n={n}", blocks)
+    return BlockEncoding(circuit, 2, a, f"divergence_2d n={n}", blocks)
 
 
 def encode_wave_2d(n: int) -> BlockEncoding:
@@ -330,21 +307,19 @@ def encode_wave_2d(n: int) -> BlockEncoding:
     velocity and pressure halves so that input and output components are
     indexed identically.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    spec = GridSpec(2, n)
     _check_build_size(2 * n + 3)
     l, k0, k1 = 0, 1, 2
     off1, off0 = 3, 3 + n
     gates = [Gate("H", k1, ((k0, 1),)), Gate("H", l), Gate("Z", l)]
     gates += _axis_shifts_2d(n, k1, l, off1, off0)
     gates += [Gate("H", l), Gate("H", k1, ((k0, 0),)), Gate("X", k0)]
-    layout = RegisterLayout((("l", 1), ("k0", 1), ("k1", 1), ("j1", n), ("j0", n)))
-    circuit = Circuit(2 * n + 3, tuple(gates), layout)
-    a, spec = 1.0 / math.sqrt(2.0), GridSpec(2, n)
+    circuit = Circuit(2 * n + 3, tuple(gates))
+    a = 1.0 / math.sqrt(2.0)
     d0, d1 = _first_order(a, 0, spec), _first_order(a, 1, spec)
     blocks = ((0, 2, d0), (2, 0, d0), (1, 2, d1), (2, 1, d1))
     blocks += tuple((r, c, _zero) for r, c in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)))
-    return BlockEncoding(circuit, 3, a, 1 << (2 * n), f"wave_2d n={n}", blocks)
+    return BlockEncoding(circuit, 3, a, f"wave_2d n={n}", blocks)
 
 
 @dataclass(frozen=True)

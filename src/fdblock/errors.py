@@ -18,7 +18,7 @@ class QubitIndexError(FdblockError, ValueError):
 
 
 class LayoutError(FdblockError, ValueError):
-    """Register layouts of two circuits do not match."""
+    """Two circuits to be combined have different widths."""
 
 
 class ParameterError(FdblockError, ValueError):

@@ -130,7 +130,7 @@ class _Lowering:
         while self.stack:
             self._pop()
         total = self.base + self.high_water
-        return Circuit(max(total, 1), tuple(self.out), None)
+        return Circuit(max(total, 1), tuple(self.out))
 
 
 def lower_to_toffoli(circuit: Circuit) -> Circuit:

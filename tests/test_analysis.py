@@ -48,7 +48,7 @@ def grid_fn(family, dim, n):
 
 
 def test_extract_block_of_bare_ancilla_is_identity():
-    enc = BlockEncoding(Circuit(3), 1, 1.0, 4, "laplace_1d n=2")
+    enc = BlockEncoding(Circuit(3), 1, 1.0, "laplace_1d n=2")
     assert max_abs_diff(extract_block(enc, 0, 0), np.eye(4)) == 0.0
     assert max_abs_diff(extract_block(enc, 1, 0), np.zeros((4, 4))) == 0.0
 
@@ -205,7 +205,7 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
 
 
 def test_verify_pattern_needs_declared_blocks():
-    enc = BlockEncoding(Circuit(2), 1, 1.0, 2, "mystery n=1")
+    enc = BlockEncoding(Circuit(2), 1, 1.0, "mystery n=1")
     with pytest.raises(ParameterError):
         verify_pattern(enc, 1e-12)
     gf = GridFunction(GridSpec(1, 1), np.array([1.0, 0.0]), 1.0)

@@ -5,7 +5,6 @@ from fdblock.circuit import (
     GATE_KINDS,
     Circuit,
     Gate,
-    RegisterLayout,
     adjoint,
     apply,
     compose,
@@ -118,6 +117,12 @@ def test_apply_dim_mismatch():
         apply(Circuit(2), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apply_rejects_non_finite_entries(bad):
+    with pytest.raises(ShapeError, match="finite"):
+        apply(Circuit(2), np.array([1.0, bad, 0.0, 0.0]))
+
+
 def test_controlled_single_x_is_cnot():
     cnot = controlled(Circuit(2, (Gate("X", 1),)), [(0, 1)])
     assert np.array_equal(apply(cnot, basis(2, 2)), basis(2, 3))
@@ -160,18 +165,16 @@ def test_compose_shift_inverse_is_identity():
 def test_compose_with_empty_and_associativity():
     n = 2
     a = shift_circuit(-1, n)
-    empty = Circuit(n, (), a.layout)
+    empty = Circuit(n, ())
     assert compose(a, empty).gates == a.gates
     b = shift_circuit(+1, n)
-    c = Circuit(n, (Gate("H", 0),), a.layout)
+    c = Circuit(n, (Gate("H", 0),))
     assert compose(compose(a, b), c).gates == compose(a, compose(b, c)).gates
 
 
-def test_compose_layout_mismatch():
-    a = Circuit(2, (), RegisterLayout((("p", 2),)))
-    b = Circuit(2, (), RegisterLayout((("q", 2),)))
-    with pytest.raises(LayoutError):
-        compose(a, b)
+def test_compose_rejects_different_widths():
+    with pytest.raises(LayoutError, match="qubit counts differ"):
+        compose(Circuit(2), Circuit(3))
 
 
 def test_unitary_of_compose_is_reversed_product():
@@ -204,15 +207,6 @@ def test_gate_validation():
         Gate("RY", 0, theta=float("inf"))
     with pytest.raises(QubitIndexError):
         Circuit(1, (Gate("X", 3),))
-
-
-def test_layout_offsets():
-    layout = RegisterLayout((("k", 2), ("l", 2), ("j", 3)))
-    assert layout.num_qubits == 7
-    assert layout.offset("k") == 0
-    assert layout.offset("l") == 2
-    assert layout.offset("j") == 4
-    assert layout.width("j") == 3
 
 
 def test_export_text_format():
@@ -266,12 +260,11 @@ def test_adjoint_matches_dense_oracle_conjugate_transpose():
         assert adjoint(adjoint(c)) == c
 
 
-def test_adjoint_keeps_layout_and_inverts_an_encoding():
+def test_adjoint_inverts_an_encoding():
     from fdblock.encodings import encode_laplace_1d_lcu
 
     c = encode_laplace_1d_lcu(2).circuit
     inv = adjoint(c)
-    assert inv.layout == c.layout
     assert max_abs_diff(unitary(inv) @ unitary(c), np.eye(c.dim)) < 1e-14
 
 

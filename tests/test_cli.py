@@ -29,6 +29,11 @@ def test_verify_pass(capsys):
     assert capsys.readouterr().out.startswith("PASS")
 
 
+def test_verify_laplace_dim1_reports_the_1d_label(capsys):
+    assert run("verify", "--op", "laplace", "--dim", "1", "--n", "3") == 0
+    assert capsys.readouterr().out.startswith("PASS laplace_1d n=3: ")
+
+
 def test_verify_wave_pass(capsys):
     assert run("verify", "--op", "wave", "--n", "2") == 0
     assert "wave_2d" in capsys.readouterr().out
@@ -144,6 +149,14 @@ def test_usage_errors(capsys):
     assert rejected.value.code == 2
     assert run("verify", "--op", "laplace", "--dim", "1", "--n", "3",
                "--tol", "-1") == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["resources", "export"])
+def test_tolerance_only_on_commands_that_read_it(command, capsys):
+    with pytest.raises(SystemExit) as rejected:
+        run(command, "--op", "laplace", "--dim", "1", "--n", "2", "--tol", "1e-9")
+    assert rejected.value.code == 2
     capsys.readouterr()
 
 

@@ -6,6 +6,8 @@ import pytest
 from fdblock.analysis import extract_block
 from fdblock.circuit import Circuit, Gate, apply, unitary
 from fdblock.encodings import (
+    OPS,
+    BlockEncoding,
     alpha_d,
     ancilla_axis_qubits,
     encode_banded_lcu,
@@ -21,6 +23,7 @@ from fdblock.encodings import (
 from fdblock.errors import ParameterError
 from fdblock.linalg import max_abs_diff, unitarity_residual
 from fdblock.operators import (
+    GridSpec,
     banded_circulant,
     central_difference_1d,
     first_order_tensorized,
@@ -145,10 +148,11 @@ def test_laplace_dd_zero_block(dim, n):
 
 
 def test_laplace_dd_dim1_is_the_1d_encoding():
-    a = encode_laplace_dd(1, 3)
-    b = encode_laplace_1d(3)
-    assert a.circuit.gates == b.circuit.gates
-    assert (a.m, a.alpha, a.system_dim) == (b.m, b.alpha, b.system_dim)
+    for n in (1, 3, 6):
+        enc = encode_laplace_1d(n)
+        assert enc == encode_laplace_dd(1, n)
+        assert enc.label == f"laplace_1d n={n}"
+        assert (enc.m, enc.alpha) == (2, 1.0)
 
 
 def test_laplace_dd_unused_axis_patterns_leave_grid_fixed():
@@ -281,6 +285,21 @@ def test_encoding_contract_consistency(enc):
     system_qubits = enc.system_dim.bit_length() - 1
     assert enc.circuit.num_qubits == enc.m + system_qubits
     assert abs(enc.alpha) <= 1.0
+
+
+@pytest.mark.parametrize("op", list(OPS))
+def test_system_dim_is_the_grid_size(op):
+    dims = (1, 3) if OPS[op].dim is None else (OPS[op].dim,)
+    for dim in dims:
+        for n in (1, 3):
+            enc = OPS[op].build(dim, n)
+            assert enc.system_dim == GridSpec(dim, n).npoints
+
+
+@pytest.mark.parametrize("m", [-1, 4])
+def test_block_encoding_needs_system_qubits(m):
+    with pytest.raises(ParameterError, match="system qubits"):
+        BlockEncoding(Circuit(4), m, 1.0, "bare")
 
 
 @pytest.mark.parametrize("row,col", [(5, 7), (2, 0), (0, 2), (-1, 0)])
