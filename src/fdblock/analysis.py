@@ -32,7 +32,7 @@ import numpy as np
 
 from . import operators, resources
 from .circuit import MAX_SIM_QUBITS, adjoint, apply, apply_to_columns
-from .encodings import BlockEncoding, alpha_d, ancilla_axis_qubits
+from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError, SizeError
 from .linalg import max_abs_diff
 from .operators import GridFunction, GridSpec
@@ -179,19 +179,19 @@ def fd_error_max(v_field, exact_laplacian_field, spec: GridSpec) -> float:
     return float(np.max(np.abs(operators.apply_laplacian(spec, raw) - exact)))
 
 
+@dataclass(frozen=True)
 class FunctionFamily:
-    """Named test function on [0,1]^D with its exact Laplacian and constant.
+    """Probe prod_d trig(2 k pi x_d) on [0,1]^D, its exact Laplacian and constant.
 
     ``constant(D) * h**4`` predicts the zero-ancilla success probability
-    of the Laplacian encoding as h -> 0.
+    of the Laplacian encoding as h -> 0.  ``dims`` lists the admitted
+    dimensions (None: any).
     """
 
-    def __init__(self, name, dims, field_factory, laplacian_factory, constant_factory):
-        self.name = name
-        self.dims = dims
-        self._field = field_factory
-        self._laplacian = laplacian_factory
-        self._constant = constant_factory
+    name: str
+    trig: np.ufunc
+    k: int
+    dims: tuple[int, ...] | None
 
     def check_dim(self, dim: int):
         if self.dims is not None and dim not in self.dims:
@@ -199,58 +199,28 @@ class FunctionFamily:
 
     def field(self, dim: int):
         self.check_dim(dim)
-        return self._field(dim)
+
+        def f(*axes):
+            out = self.trig(2.0 * self.k * np.pi * axes[0])
+            for x in axes[1:]:
+                out = out * self.trig(2.0 * self.k * np.pi * x)
+            return out
+
+        return f
 
     def exact_laplacian(self, dim: int):
-        self.check_dim(dim)
-        return self._laplacian(dim)
+        field = self.field(dim)
+        return lambda *axes: -dim * (2.0 * self.k * np.pi) ** 2 * field(*axes)
 
     def constant(self, dim: int) -> float:
         self.check_dim(dim)
-        return self._constant(dim)
-
-
-def _sinprod_field(dim):
-    def f(*axes):
-        out = np.sin(2.0 * np.pi * axes[0])
-        for x in axes[1:]:
-            out = out * np.sin(2.0 * np.pi * x)
-        return out
-
-    return f
-
-
-def _sinprod_laplacian(dim):
-    base = _sinprod_field(dim)
-
-    def f(*axes):
-        return -dim * (2.0 * np.pi) ** 2 * base(*axes)
-
-    return f
+        return self.k**4 * math.pi**4 * alpha_d(dim) ** 2
 
 
 FAMILIES = {
-    "sin1": FunctionFamily(
-        "sin1",
-        (1,),
-        lambda dim: (lambda x: np.sin(2.0 * np.pi * x)),
-        lambda dim: (lambda x: -((2.0 * np.pi) ** 2) * np.sin(2.0 * np.pi * x)),
-        lambda dim: math.pi**4,
-    ),
-    "cos3": FunctionFamily(
-        "cos3",
-        (1,),
-        lambda dim: (lambda x: np.cos(6.0 * np.pi * x)),
-        lambda dim: (lambda x: -((6.0 * np.pi) ** 2) * np.cos(6.0 * np.pi * x)),
-        lambda dim: 81.0 * math.pi**4,
-    ),
-    "sinprod": FunctionFamily(
-        "sinprod",
-        None,
-        _sinprod_field,
-        _sinprod_laplacian,
-        lambda dim: math.pi**4 * dim**2 / (1 << ancilla_axis_qubits(dim)) ** 2,
-    ),
+    "sin1": FunctionFamily("sin1", np.sin, 1, (1,)),
+    "cos3": FunctionFamily("cos3", np.cos, 3, (1,)),
+    "sinprod": FunctionFamily("sinprod", np.sin, 1, None),
 }
 
 

@@ -109,9 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = add_common(sub.add_parser("verify", help="check encoded blocks"))
     sweep = add_common(sub.add_parser("sweep", help="success-probability sweep"))
-    sweep.add_argument("--family", default=None, choices=sorted(analysis.FAMILIES))
-    for p in (verify, sweep):
-        p.add_argument("--tol", type=float, default=1e-12)
+    verify.add_argument("--tol", type=float, default=1e-12)
+    sweep.add_argument("--family", default="sinprod", choices=sorted(analysis.FAMILIES))
     add_common(sub.add_parser("resources", help="Clifford+T counts"))
     add_common(sub.add_parser("export", help="circuit text listing"))
     return parser
@@ -142,8 +141,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     dim = cfg.single_dim()
-    family = cfg.family or ("sinprod" if dim > 1 else "sin1")
-    rows = analysis.sweep_success_probability(dim, cfg.n_values, family, op=cfg.op)
+    rows = analysis.sweep_success_probability(dim, cfg.n_values, cfg.family, op=cfg.op)
     _write_output(cfg.out, analysis.sweep_csv(rows))
     return 0
 

@@ -5,6 +5,18 @@ the most significant qubits, so the encoded operator sits in the block
 U[row*N : (row+1)*N, col*N : (col+1)*N] with row = col = 0 selecting the
 all-zero ancilla state.
 
+Every circuit has the linear-combination-of-unitaries form
+
+    w_out . (sum_a |a><a| (x) P_a) . w_in,
+
+where w_in and w_out act on the ancillas only and each P_a is the
+identity or a cyclic shift S+ or S- of one grid axis register.
+:func:`_shift_lcu` emits the selected shifts of every builder: for each
+axis d it places S- and S+ on that axis register, controlled by d
+written on the builder's selection wires plus one ancilla control per
+direction.  It is the only code that puts shift cascades on grid
+registers, and it checks the width against MAX_BUILD_QUBITS.
+
 The cyclic shifts S+ and S- are cascades of multi-controlled X gates.
 Controls of each cascade gate are stored innermost-last (least
 significant cascade control appended last); builders prepend their own
@@ -125,9 +137,28 @@ def shift_circuit(direction: int, n: int) -> Circuit:
 MAX_BUILD_QUBITS = 64
 
 
-def _check_build_size(num_qubits: int):
+def _shift_lcu(
+    spec: GridSpec, m: int, w_in, select, minus: Control, plus: Control, w_out
+) -> Circuit:
+    """Circuit w_out . (selected shifts) . w_in on m ancillas and the grid.
+
+    Axis register d sits at wire m + (D-1-d)*n.  Its S- carries the
+    controls pattern(d) + (minus,) and its S+ pattern(d) + (plus,), where
+    pattern(d) writes d big-endian on the ``select`` wires.  The width
+    is checked against MAX_BUILD_QUBITS before any cascade is built.
+    """
+    num_qubits = m + spec.num_qubits
     if num_qubits > MAX_BUILD_QUBITS:
         raise SizeError(f"{num_qubits} qubits is beyond the supported range")
+    n, width = spec.n, len(select)
+    gates = list(w_in)
+    for d in range(spec.dim):
+        pattern = tuple((w, (d >> (width - 1 - b)) & 1) for b, w in enumerate(select))
+        offset = m + (spec.dim - 1 - d) * n
+        gates += _shift_gates(-1, n, offset, pattern + (minus,))
+        gates += _shift_gates(+1, n, offset, pattern + (plus,))
+    gates += w_out
+    return Circuit(num_qubits, tuple(gates))
 
 
 def encode_laplace_1d(n: int) -> BlockEncoding:
@@ -151,22 +182,11 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     spec = GridSpec(dim, n)
     dhat = ancilla_axis_qubits(dim)
     m = 2 + dhat
-    _check_build_size(m + spec.num_qubits)
     l0, l1 = dhat, dhat + 1
-
-    def axis_offset(d: int) -> int:
-        return m + (dim - 1 - d) * n
-
-    gates = [Gate("H", k) for k in range(dhat)]
-    gates += [Gate("H", l0), Gate("H", l1), Gate("Z", l0), Gate("Z", l1)]
-    for d in range(dim):
-        pattern = tuple((b, (d >> (dhat - 1 - b)) & 1) for b in range(dhat))
-        gates += _shift_gates(-1, n, axis_offset(d), pattern + ((l1, 0),))
-        gates += _shift_gates(+1, n, axis_offset(d), pattern + ((l0, 1),))
-    gates += [Gate("H", l0), Gate("H", l1)]
-    gates += [Gate("H", k) for k in range(dhat)]
-
-    circuit = Circuit(m + spec.num_qubits, tuple(gates))
+    axis = [Gate("H", k) for k in range(dhat)]
+    w_in = axis + [Gate("H", l0), Gate("H", l1), Gate("Z", l0), Gate("Z", l1)]
+    w_out = [Gate("H", l0), Gate("H", l1)] + axis
+    circuit = _shift_lcu(spec, m, w_in, range(dhat), (l1, 0), (l0, 1), w_out)
     alpha = alpha_d(dim)
     blocks = ((0, 0, _scaled_laplacian(alpha, spec)),)
     label = f"laplace_1d n={n}" if dim == 1 else f"laplace_dd D={dim} n={n}"
@@ -174,7 +194,6 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
 
 
 def _banded_circuit(spec: GridSpec, a0: float, a1: float, am1: float) -> Circuit:
-    n = spec.n
     for name, val in (("a0", a0), ("a1", a1), ("am1", am1)):
         if not math.isfinite(val):
             raise ParameterError(f"{name} = {val} is not finite")
@@ -183,21 +202,15 @@ def _banded_circuit(spec: GridSpec, a0: float, a1: float, am1: float) -> Circuit
     for name, val in (("a0-1", a0 - 1.0), ("a1", a1), ("am1", am1)):
         if abs(val) > 1.0:
             raise ParameterError(f"|{name}| = {abs(val)} > 1: arccos undefined")
-    _check_build_size(n + 3)
     l0, l1, anc = 0, 1, 2
-    theta0 = 2.0 * math.acos(a0 - 1.0)
-    theta1 = 2.0 * math.acos(a1)
-    theta2 = 2.0 * math.acos(am1)
-    gates = [Gate("H", l0), Gate("H", l1)]
-    gates += [
-        Gate("RY", anc, ((l0, 0), (l1, 0)), theta0),
-        Gate("RY", anc, ((l0, 1), (l1, 0)), theta1),
-        Gate("RY", anc, ((l0, 0), (l1, 1)), theta2),
+    w_in = [
+        Gate("H", l0),
+        Gate("H", l1),
+        Gate("RY", anc, ((l0, 0), (l1, 0)), 2.0 * math.acos(a0 - 1.0)),
+        Gate("RY", anc, ((l0, 1), (l1, 0)), 2.0 * math.acos(a1)),
+        Gate("RY", anc, ((l0, 0), (l1, 1)), 2.0 * math.acos(am1)),
     ]
-    gates += _shift_gates(-1, n, 3, ((l1, 1),))
-    gates += _shift_gates(+1, n, 3, ((l0, 1),))
-    gates += [Gate("H", l0), Gate("H", l1)]
-    return Circuit(n + 3, tuple(gates))
+    return _shift_lcu(spec, 3, w_in, (), (l1, 1), (l0, 1), [Gate("H", l0), Gate("H", l1)])
 
 
 def encode_banded_lcu(n: int, a0: float, a1: float, am1: float) -> BlockEncoding:
@@ -224,30 +237,24 @@ def encode_laplace_1d_lcu(n: int) -> BlockEncoding:
     return BlockEncoding(circuit, 3, -0.25, f"laplace_1d_lcu n={n}", blocks)
 
 
+# The first-order encodings difference through one ancilla l on wire 0:
+# H then Z on it before the shifts and H after leave the central
+# difference in its zero block.
+_L_IN = (Gate("H", 0), Gate("Z", 0))
+_L_OUT = (Gate("H", 0),)
+_MINUS, _PLUS = (0, 0), (0, 1)
+_RSQRT2 = 1.0 / math.sqrt(2.0)
+
+
 def encode_derivative_1d(n: int) -> BlockEncoding:
     """Single-ancilla encoding of the scaled central difference h*D.
 
     Layout [l:1][j:n]; m = 1, alpha = 1.
     """
     spec = GridSpec(1, n)
-    _check_build_size(n + 1)
-    gates = [Gate("H", 0), Gate("Z", 0)]
-    gates += _shift_gates(-1, n, 1, ((0, 0),))
-    gates += _shift_gates(+1, n, 1, ((0, 1),))
-    gates += [Gate("H", 0)]
-    circuit = Circuit(n + 1, tuple(gates))
+    circuit = _shift_lcu(spec, 1, _L_IN, (), _MINUS, _PLUS, _L_OUT)
     blocks = ((0, 0, _first_order(1.0, 0, spec)),)
     return BlockEncoding(circuit, 1, 1.0, f"derivative_1d n={n}", blocks)
-
-
-def _axis_shifts_2d(n: int, k: int, l: int, offset1: int, offset0: int):
-    """Axis-selected shifts shared by the 2-d first-order encodings."""
-    gates = []
-    gates += _shift_gates(-1, n, offset0, ((k, 0), (l, 0)))
-    gates += _shift_gates(+1, n, offset0, ((k, 0), (l, 1)))
-    gates += _shift_gates(-1, n, offset1, ((k, 1), (l, 0)))
-    gates += _shift_gates(+1, n, offset1, ((k, 1), (l, 1)))
-    return gates
 
 
 def encode_gradient_2d(n: int) -> BlockEncoding:
@@ -258,16 +265,10 @@ def encode_gradient_2d(n: int) -> BlockEncoding:
     times 1/sqrt(2).
     """
     spec = GridSpec(2, n)
-    _check_build_size(2 * n + 2)
-    l, k = 0, 1
-    off1, off0 = 2, 2 + n
-    gates = [Gate("H", k), Gate("H", l), Gate("Z", l)]
-    gates += _axis_shifts_2d(n, k, l, off1, off0)
-    gates += [Gate("H", l)]
-    circuit = Circuit(2 * n + 2, tuple(gates))
-    a = 1.0 / math.sqrt(2.0)
-    blocks = ((0, 0, _first_order(a, 0, spec)), (1, 0, _first_order(a, 1, spec)))
-    return BlockEncoding(circuit, 2, a, f"gradient_2d n={n}", blocks)
+    k = 1
+    circuit = _shift_lcu(spec, 2, (Gate("H", k), *_L_IN), (k,), _MINUS, _PLUS, _L_OUT)
+    blocks = ((0, 0, _first_order(_RSQRT2, 0, spec)), (1, 0, _first_order(_RSQRT2, 1, spec)))
+    return BlockEncoding(circuit, 2, _RSQRT2, f"gradient_2d n={n}", blocks)
 
 
 def encode_divergence_2d(n: int) -> BlockEncoding:
@@ -277,16 +278,10 @@ def encode_divergence_2d(n: int) -> BlockEncoding:
     after the shifts instead of before.
     """
     spec = GridSpec(2, n)
-    _check_build_size(2 * n + 2)
-    l, k = 0, 1
-    off1, off0 = 2, 2 + n
-    gates = [Gate("H", l), Gate("Z", l)]
-    gates += _axis_shifts_2d(n, k, l, off1, off0)
-    gates += [Gate("H", l), Gate("H", k)]
-    circuit = Circuit(2 * n + 2, tuple(gates))
-    a = 1.0 / math.sqrt(2.0)
-    blocks = ((0, 0, _first_order(a, 0, spec)), (0, 1, _first_order(a, 1, spec)))
-    return BlockEncoding(circuit, 2, a, f"divergence_2d n={n}", blocks)
+    k = 1
+    circuit = _shift_lcu(spec, 2, _L_IN, (k,), _MINUS, _PLUS, (*_L_OUT, Gate("H", k)))
+    blocks = ((0, 0, _first_order(_RSQRT2, 0, spec)), (0, 1, _first_order(_RSQRT2, 1, spec)))
+    return BlockEncoding(circuit, 2, _RSQRT2, f"divergence_2d n={n}", blocks)
 
 
 def encode_wave_2d(n: int) -> BlockEncoding:
@@ -308,18 +303,14 @@ def encode_wave_2d(n: int) -> BlockEncoding:
     indexed identically.
     """
     spec = GridSpec(2, n)
-    _check_build_size(2 * n + 3)
-    l, k0, k1 = 0, 1, 2
-    off1, off0 = 3, 3 + n
-    gates = [Gate("H", k1, ((k0, 1),)), Gate("H", l), Gate("Z", l)]
-    gates += _axis_shifts_2d(n, k1, l, off1, off0)
-    gates += [Gate("H", l), Gate("H", k1, ((k0, 0),)), Gate("X", k0)]
-    circuit = Circuit(2 * n + 3, tuple(gates))
-    a = 1.0 / math.sqrt(2.0)
-    d0, d1 = _first_order(a, 0, spec), _first_order(a, 1, spec)
+    k0, k1 = 1, 2
+    w_in = (Gate("H", k1, ((k0, 1),)), *_L_IN)
+    w_out = (*_L_OUT, Gate("H", k1, ((k0, 0),)), Gate("X", k0))
+    circuit = _shift_lcu(spec, 3, w_in, (k1,), _MINUS, _PLUS, w_out)
+    d0, d1 = _first_order(_RSQRT2, 0, spec), _first_order(_RSQRT2, 1, spec)
     blocks = ((0, 2, d0), (2, 0, d0), (1, 2, d1), (2, 1, d1))
     blocks += tuple((r, c, _zero) for r, c in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)))
-    return BlockEncoding(circuit, 3, a, f"wave_2d n={n}", blocks)
+    return BlockEncoding(circuit, 3, _RSQRT2, f"wave_2d n={n}", blocks)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,3 @@ class ParameterError(FdblockError, ValueError):
 
 class DegenerateInputError(FdblockError, ValueError):
     """Input data is degenerate (e.g. all-zero samples cannot be normalized)."""
-
-
-class ModelError(FdblockError, ValueError):
-    """The resource model does not cover the requested gate."""

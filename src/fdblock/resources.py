@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import encodings
 from .circuit import Circuit, Gate
-from .errors import ModelError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,11 @@ class _Lowering:
                 else:
                     anc = self._ensure_prefix(g.controls[:-1])
                     self.out.append(Gate("X", g.target, ((anc, 1), g.controls[-1])))
-            elif g.kind in ("Z", "H", "RY"):
-                if k <= 1:
-                    self.out.append(g)
-                else:
-                    anc = self._ensure_prefix(g.controls)
-                    self.out.append(Gate(g.kind, g.target, ((anc, 1),), g.theta))
-            else:
-                raise ModelError(f"no decomposition rule for gate kind {g.kind!r}")
+            elif k <= 1:  # Z, H or RY with at most one control
+                self.out.append(g)
+            else:  # Z, H or RY: fold every control into one ancilla
+                anc = self._ensure_prefix(g.controls)
+                self.out.append(Gate(g.kind, g.target, ((anc, 1),), g.theta))
         while self.stack:
             self._pop()
         total = self.base + self.high_water
@@ -165,14 +162,11 @@ def count_resources(circuit: Circuit) -> GateCounts:
             else:
                 rot += 2
                 clifford += 1 + open_penalty
-        elif g.kind == "RY":
-            if k == 0:
-                rot += 1
-            else:
-                rot += 2
-                clifford += 2 + open_penalty
-        else:
-            raise ModelError(f"no cost rule for gate kind {g.kind!r}")
+        elif k == 0:  # RY
+            rot += 1
+        else:  # controlled RY
+            rot += 2
+            clifford += 2 + open_penalty
     return GateCounts(
         t_count=t,
         clifford_count=clifford,

@@ -301,6 +301,14 @@ def test_fd_error_bounds(n):
     assert e2 <= 108.0 * math.pi**4 * spec.h**2
 
 
+def test_sin1_is_sinprod_in_one_dimension():
+    sin1, sinprod = FAMILIES["sin1"], FAMILIES["sinprod"]
+    x = np.concatenate([np.arange(64) / 64, np.random.default_rng(5).random(16)])
+    assert np.array_equal(sin1.field(1)(x), sinprod.field(1)(x))
+    assert np.array_equal(sin1.exact_laplacian(1)(x), sinprod.exact_laplacian(1)(x))
+    assert sin1.constant(1) == sinprod.constant(1)
+
+
 def test_fd_error_halving_ratio_near_four():
     for family in ("sin1", "cos3"):
         fam = FAMILIES[family]

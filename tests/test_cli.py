@@ -97,6 +97,17 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("op_args", [["laplace", "--dim", "1"], ["lcu"]])
+def test_sweep_family_defaults_to_sinprod(op_args, tmp_path):
+    # in one dimension sinprod is sin1, so the default keeps the bytes
+    assert _build_parser().parse_args(["sweep", "--op", *op_args, "--n", "3"]).family == "sinprod"
+    default, sin1 = tmp_path / "default.csv", tmp_path / "sin1.csv"
+    args = ["sweep", "--op", *op_args, "--n", "3..10"]
+    assert run(*args, "--out", str(default)) == 0
+    assert run(*args, "--family", "sin1", "--out", str(sin1)) == 0
+    assert default.read_bytes() == sin1.read_bytes()
+
+
 def test_sweep_empty_range_is_usage_error(capsys):
     assert run("sweep", "--op", "laplace", "--dim", "1", "--n", "5..3",
                "--family", "sin1") == 2
@@ -152,7 +163,7 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["resources", "export"])
+@pytest.mark.parametrize("command", ["sweep", "resources", "export"])
 def test_tolerance_only_on_commands_that_read_it(command, capsys):
     with pytest.raises(SystemExit) as rejected:
         run(command, "--op", "laplace", "--dim", "1", "--n", "2", "--tol", "1e-9")

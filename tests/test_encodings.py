@@ -6,6 +6,7 @@ import pytest
 from fdblock.analysis import extract_block
 from fdblock.circuit import Circuit, Gate, apply, unitary
 from fdblock.encodings import (
+    MAX_BUILD_QUBITS,
     OPS,
     BlockEncoding,
     alpha_d,
@@ -20,7 +21,7 @@ from fdblock.encodings import (
     encode_wave_2d,
     shift_circuit,
 )
-from fdblock.errors import ParameterError
+from fdblock.errors import ParameterError, SizeError
 from fdblock.linalg import max_abs_diff, unitarity_residual
 from fdblock.operators import (
     GridSpec,
@@ -294,6 +295,30 @@ def test_system_dim_is_the_grid_size(op):
         for n in (1, 3):
             enc = OPS[op].build(dim, n)
             assert enc.system_dim == GridSpec(dim, n).npoints
+
+
+BUILDERS_AT_THE_CAP = [
+    *(
+        pytest.param(dim, spec.build, id=f"{op} D={dim}")
+        for op, spec in OPS.items()
+        for dim in ((1, 2, 3, 4) if spec.dim is None else (spec.dim,))
+    ),
+    pytest.param(1, lambda dim, n: encode_banded_lcu(n, 0.65, 0.2, -0.3), id="banded_lcu"),
+]
+
+
+@pytest.mark.parametrize("dim,build", BUILDERS_AT_THE_CAP)
+def test_builds_stop_at_the_qubit_cap(dim, build):
+    # widths are m + dim*n: the widest grid that fits builds, the next
+    # one raises; that is exactly 64 and 65 qubits wherever m + dim*n
+    # can take those values
+    m = build(dim, 1).m
+    n = (MAX_BUILD_QUBITS - m) // dim
+    assert MAX_BUILD_QUBITS == 64
+    assert MAX_BUILD_QUBITS - dim < build(dim, n).circuit.num_qubits <= MAX_BUILD_QUBITS
+    too_wide = f"^{m + dim * (n + 1)} qubits is beyond the supported range$"
+    with pytest.raises(SizeError, match=too_wide):
+        build(dim, n + 1)
 
 
 @pytest.mark.parametrize("m", [-1, 4])
