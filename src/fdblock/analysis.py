@@ -10,10 +10,16 @@ panels, compares every declared block of that output with its reference
 applied to the same basis columns, and runs the adjoint circuit on the
 output; U^dagger U e_j - e_j is then one column of U^dagger U - I, and
 all columns together give the same max-entry unitarity residual as a
-dense Gram product.  That costs two statevector passes per column, so
-time grows as 4^q in the qubit count q, and the working set is one
-panel.  No N x N matrix is formed, so verification is bounded only by
-the statevector cap (MAX_SIM_QUBITS).
+dense Gram product.  Both passes run on the sparse simulator
+(``circuit.apply_sparse``), whose columns are bit-identical to dense
+statevector passes.  Every encoding is an LCU of shifts, so a basis
+column stays on at most 4^m basis states going forward, and the forward
+pass costs at most gates * 2^q * 4^m entry updates instead of the dense
+gates * 4^q; the adjoint pass brings each column back to e_j, up to
+rounding residue.  The declared references still act on dense
+(N, width) panels of basis columns, which costs O(N^2) per declared
+block.  No N x N matrix is formed, and verification stops at the
+statevector cap (MAX_SIM_QUBITS).
 
 Success probabilities are computed by two independent routes: applying
 the encoding circuit to |0>|v> and collecting the zero-ancilla mass, or
@@ -31,15 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators, resources
-from .circuit import MAX_SIM_QUBITS, adjoint, apply, apply_to_columns
+from .circuit import MAX_SIM_QUBITS, adjoint, apply, apply_sparse
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError, SizeError
 from .linalg import max_abs_diff
 from .operators import GridFunction, GridSpec
 
 
-# Working-set bound for one panel of simulated columns (complex entries).
-EXTRACT_CHUNK_ELEMENTS = 1 << 23
+# Entry budget of one verification panel (dense or sparse entries).
+PANEL_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,24 +81,36 @@ class SweepRow:
     runtime: float
 
 
-def _forward_panels(enc: BlockEncoding, col: int):
-    """Yield (start, stop, U[:, col*N+start : col*N+stop]) over j in 0..N-1.
+def _sparse_panels(enc: BlockEncoding, col: int):
+    """Yield (start, width, entries) over panels of the columns |col>|j>.
 
-    The circuit acts on the basis columns |col>|j>, batched in panels so
-    the working set stays below ~128 MB even at the statevector cap,
-    where the full unitary could never be built.
+    ``entries`` is the :func:`apply_sparse` output of U on the basis
+    columns j = start .. start+width-1, column c of the panel being
+    j = start + c.  The width keeps both the dense (N, width) block
+    panels and the sparse columns, at up to 4**m entries each, within
+    PANEL_ENTRIES.
     """
     nq = enc.circuit.num_qubits
     if nq > MAX_SIM_QUBITS:
         raise SizeError(f"{nq} qubits exceeds the statevector cap {MAX_SIM_QUBITS}")
     N = enc.system_dim
-    dim = 1 << nq
-    chunk = max(1, EXTRACT_CHUNK_ELEMENTS // dim)
-    for start in range(0, N, chunk):
-        stop = min(start + chunk, N)
+    width = max(1, PANEL_ENTRIES // max(N, 1 << min(2 * enc.m, nq)))
+    for start in range(0, N, width):
+        stop = min(start + width, N)
+        offsets = np.arange(stop - start)
         first = col * N + start
-        # The input panel is a temporary, so only the output outlives the call.
-        yield start, stop, apply_to_columns(enc.circuit, _identity_columns(dim, first, stop - start))
+        basis = (offsets, (first + offsets).astype(np.uint64), np.ones(stop - start))
+        yield start, stop - start, apply_sparse(enc.circuit, *basis)
+
+
+def _block_rows(entries, row: int, N: int, width: int) -> np.ndarray:
+    """Dense rows row*N .. (row+1)*N - 1 of a sparse panel of width columns."""
+    cols, idx, amp = entries
+    lo = np.uint64(row * N)
+    inside = (idx >= lo) & (idx < lo + np.uint64(N))
+    block = np.zeros((N, width), dtype=np.complex128)
+    block[idx[inside] - lo, cols[inside]] = amp[inside]
+    return block
 
 
 def _identity_columns(dim: int, first: int, width: int) -> np.ndarray:
@@ -106,17 +124,16 @@ def _identity_columns(dim: int, first: int, width: int) -> np.ndarray:
 def extract_block(enc: BlockEncoding, row: int, col: int) -> np.ndarray:
     """Dense block U[row*N:(row+1)*N, col*N:(col+1)*N] of the encoding.
 
-    Only N circuit applications are needed: the circuit acts on |col>|j>
-    for each system basis state j and the result is projected onto
-    ancilla state |row>.
+    The circuit acts sparsely on |col>|j> for each system basis state j
+    and the result is projected onto ancilla state |row>.
     """
     blocks = 1 << enc.m
     if not (0 <= row < blocks and 0 <= col < blocks):
         raise ParameterError(f"block indices must be below 2**m = {blocks}")
     N = enc.system_dim
     block = np.empty((N, N), dtype=np.complex128)
-    for start, stop, out in _forward_panels(enc, col):
-        block[:, start:stop] = out[row * N : (row + 1) * N]
+    for start, width, entries in _sparse_panels(enc, col):
+        block[:, start : start + width] = _block_rows(entries, row, N, width)
     return block
 
 
@@ -124,8 +141,9 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     """Check every declared block and U^dagger U = I by a round trip.
 
     Every column of U runs forward once and back once through the
-    adjoint circuit; each declared block is read from the forward panels
-    and compared with its reference applied to the same basis columns.
+    adjoint circuit, both sparsely; each declared block is read from the
+    forward panels and compared with its reference applied to the same
+    basis columns.
     """
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
@@ -134,15 +152,16 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     deviations, residuals = [0.0], [0.0]
     for col in range(1 << enc.m):
         wanted = [(row, reference) for row, c, reference in enc.blocks if c == col]
-        for start, stop, out in _forward_panels(enc, col):
+        for start, width, out in _sparse_panels(enc, col):
             for row, reference in wanted:
-                expected = reference(_identity_columns(N, start, stop - start))
-                deviations.append(max_abs_diff(out[row * N : (row + 1) * N], expected))
-            back = apply_to_columns(inverse, out)
-            offsets = np.arange(stop - start)
-            back[col * N + start + offsets, offsets] -= 1.0
-            residuals.append(float(np.max(np.abs(back))))
-            del out, back  # free this panel before the next one is simulated
+                expected = reference(_identity_columns(N, start, width))
+                deviations.append(max_abs_diff(_block_rows(out, row, N, width), expected))
+            cols, idx, amp = apply_sparse(inverse, *out)
+            diagonal = idx == (col * N + start + cols).astype(np.uint64)
+            amp[diagonal] -= 1.0
+            residuals.append(float(np.max(np.abs(amp), initial=0.0)))
+            if np.count_nonzero(diagonal) < width:
+                residuals.append(1.0)  # an absent diagonal entry is 0, off by 1
     # np.max, unlike the builtin, propagates a NaN into a FAIL.
     deviation = float(np.max(deviations))
     residual = float(np.max(residuals))
@@ -175,7 +194,11 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
 def fd_error_max(v_field, exact_laplacian_field, spec: GridSpec) -> float:
     """Max-norm error of the discrete Laplacian against exact samples."""
     raw = operators.sample_grid(v_field, spec)
-    exact = operators.sample_grid(exact_laplacian_field, spec)
+    return _fd_error(spec, raw, operators.sample_grid(exact_laplacian_field, spec))
+
+
+def _fd_error(spec: GridSpec, raw: np.ndarray, exact: np.ndarray) -> float:
+    """Max-norm error of the discrete Laplacian of raw samples against exact ones."""
     return float(np.max(np.abs(operators.apply_laplacian(spec, raw) - exact)))
 
 
@@ -208,9 +231,14 @@ class FunctionFamily:
 
         return f
 
+    def laplacian_factor(self, dim: int) -> float:
+        """The eigenvalue -dim (2 k pi)**2 that maps the field to its Laplacian."""
+        self.check_dim(dim)
+        return -dim * (2.0 * self.k * np.pi) ** 2
+
     def exact_laplacian(self, dim: int):
-        field = self.field(dim)
-        return lambda *axes: -dim * (2.0 * self.k * np.pi) ** 2 * field(*axes)
+        field, factor = self.field(dim), self.laplacian_factor(dim)
+        return lambda *axes: factor * field(*axes)
 
     def constant(self, dim: int) -> float:
         self.check_dim(dim)
@@ -246,8 +274,9 @@ def sweep_success_probability(
         start = time.monotonic()
         enc = resources.build_encoding(op, dim, n)
         spec = GridSpec(dim, n)
-        gf = operators.sample_function(fam.field(dim), spec)
-        e_max = fd_error_max(fam.field(dim), fam.exact_laplacian(dim), spec)
+        raw = operators.sample_grid(fam.field(dim), spec)
+        gf = GridFunction.from_samples(spec, raw)
+        e_max = _fd_error(spec, raw, fam.laplacian_factor(dim) * raw)
         scale = (enc.alpha / alpha_d(dim)) ** 2
         rows.append(
             SweepRow(

@@ -1,4 +1,4 @@
-"""Gate-level circuit IR and dense statevector simulation.
+"""Gate-level circuit IR, dense statevector and sparse column simulation.
 
 Conventions
 -----------
@@ -14,6 +14,15 @@ its polarity (1 = filled control, 0 = open control).
 Circuits carry no register names: a builder documents which wires form
 which register.  For ancillas on the first m wires and a k-qubit system
 register after them, the composite basis index of |a>|s> is a*2^k + s.
+
+Two simulators compute the same columns bit for bit.  ``apply`` and
+``apply_to_columns`` run dense statevectors, so each column costs
+gates * 2^q amplitude updates.  ``apply_sparse`` keeps only a column's
+nonzero entries, so it costs gates * (support) updates plus one sort
+per H or RY gate.  Run through an LCU circuit
+W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out on the m
+ancillas and each P_a a permutation of system basis states, a basis
+column keeps at most 4^m entries.
 """
 
 from __future__ import annotations
@@ -144,6 +153,80 @@ def apply_to_columns(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected shape ({circuit.dim}, k), got {m.shape}")
     psi = m.copy().reshape((2,) * circuit.num_qubits + (m.shape[1],))
     return _run_gates(circuit.gates, psi, circuit.num_qubits).reshape(circuit.dim, m.shape[1])
+
+
+def apply_sparse(circuit: Circuit, cols, idx, amp):
+    """Apply the circuit to a panel of columns held as sparse entries.
+
+    Entry e is amplitude ``amp[e]`` on basis state ``idx[e]`` (uint64)
+    of column ``cols[e]`` (non-negative int64).  A column's absent basis
+    states are zero, and no (column, index) pair may appear twice.
+    X permutes indices and Z negates amplitudes.  H and RY pair each
+    entry with its partner across the target bit, a missing partner
+    counting as zero, and evaluate the pair with the expressions of the
+    dense simulator, so every column is bit-identical to
+    :func:`apply_to_columns` on it.  Exact zeros are dropped and nothing
+    else is, so the cost follows the columns' support (at most 4**m
+    entries for a basis column of an LCU circuit, see the module
+    docstring).
+
+    Returns new (cols, idx, amp) arrays; entries come in no fixed order.
+    """
+    nq = circuit.num_qubits
+    cols = np.array(cols, dtype=np.int64)
+    idx = np.array(idx, dtype=np.uint64)
+    amp = np.array(amp, dtype=np.complex128)
+    if not cols.shape == idx.shape == amp.shape or cols.ndim != 1:
+        raise ShapeError(f"entry arrays differ in shape: {cols.shape}, {idx.shape}, {amp.shape}")
+    if idx.size and (int(idx.max()) >> nq or cols.min() < 0):
+        raise ShapeError(f"entries must have column ids >= 0 and indices below 2**{nq}")
+    # Column and cleared index share one 64-bit sort key while they fit.
+    one_key = idx.size == 0 or int(cols.max()).bit_length() + nq < 64
+    for g in circuit.gates:
+        bit = np.uint64(1 << (nq - 1 - g.target))
+        mask = value = 0
+        for q, pol in g.controls:
+            mask |= 1 << (nq - 1 - q)
+            value |= pol << (nq - 1 - q)
+        mask, value = np.uint64(mask), np.uint64(value)
+        if g.kind == "X":
+            idx = idx ^ (((idx & mask) == value) * bit)
+            continue
+        if g.kind == "Z":
+            amp = np.where((idx & (mask | bit)) == (value | bit), -amp, amp)
+            continue
+        sel = (idx & mask) == value
+        rest = ~sel
+        c, i, a = cols[sel], idx[sel], amp[sel]
+        cleared = i & ~bit
+        if one_key:
+            order = np.argsort((c.astype(np.uint64) << np.uint64(nq)) | cleared)
+        else:
+            order = np.lexsort((cleared, c))
+        c, i, a, cleared = c[order], i[order], a[order], cleared[order]
+        first = np.ones(c.size, dtype=bool)
+        first[1:] = (cleared[1:] != cleared[:-1]) | (c[1:] != c[:-1])
+        pair = np.cumsum(first) - 1
+        high = (i & bit) != 0
+        lo = np.zeros(int(first.sum()), dtype=np.complex128)
+        hi = np.zeros_like(lo)
+        lo[pair[~high]] = a[~high]
+        hi[pair[high]] = a[high]
+        if g.kind == "H":
+            new0 = (lo + hi) * _RSQRT2
+            new1 = (lo - hi) * _RSQRT2
+        else:  # RY
+            cs = math.cos(g.theta / 2.0)
+            sn = math.sin(g.theta / 2.0)
+            new0 = cs * lo - sn * hi
+            new1 = sn * lo + cs * hi
+        c, cleared = c[first], cleared[first]
+        cols = np.concatenate((cols[rest], c, c))
+        idx = np.concatenate((idx[rest], cleared, cleared | bit))
+        amp = np.concatenate((amp[rest], new0, new1))
+        keep = amp != 0
+        cols, idx, amp = cols[keep], idx[keep], amp[keep]
+    return cols, idx, amp
 
 
 def unitary(circuit: Circuit) -> np.ndarray:

@@ -133,7 +133,8 @@ def shift_circuit(direction: int, n: int) -> Circuit:
 
 
 # Builders only assemble gate lists, so they allow circuits beyond the
-# statevector cap; apply/unitary/extract enforce the simulation limits.
+# statevector cap; the dense simulators and verification enforce their
+# own qubit caps.
 MAX_BUILD_QUBITS = 64
 
 

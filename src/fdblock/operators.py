@@ -70,6 +70,14 @@ class GridFunction:
         if abs(norm2(self.values) - 1.0) > 1e-12:
             raise DegenerateInputError("grid function values must have unit norm")
 
+    @classmethod
+    def from_samples(cls, spec: GridSpec, raw: np.ndarray) -> "GridFunction":
+        """Normalize raw samples to unit 2-norm, and keep the raw norm."""
+        norm = norm2(raw)
+        if norm == 0.0:
+            raise DegenerateInputError("all samples are zero; cannot normalize")
+        return cls(spec, raw / norm, norm)
+
 
 def lambda_max(dim: int, n: int) -> float:
     """Largest-magnitude eigenvalue 4*dim/h**2 of the discrete Laplacian."""
@@ -182,11 +190,7 @@ def sample_grid(f, spec: GridSpec) -> np.ndarray:
 
 def sample_function(f, spec: GridSpec) -> GridFunction:
     """Sample f, normalize to unit 2-norm, and keep the raw norm."""
-    vals = sample_grid(f, spec)
-    raw = norm2(vals)
-    if raw == 0.0:
-        raise DegenerateInputError("all samples are zero; cannot normalize")
-    return GridFunction(spec, vals / raw, raw)
+    return GridFunction.from_samples(spec, sample_grid(f, spec))
 
 
 def _as_grid_tensor(spec: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -181,27 +181,48 @@ def test_round_trip_residual_matches_dense_gram_for_a_non_unitary_h(enc, monkeyp
     assert not report.passed
 
 
+def test_round_trip_counts_an_absent_diagonal_entry_as_zero(monkeypatch):
+    # with H scaled to 0 every sparse column empties out, so U^dagger U
+    # has no diagonal entries at all, like the dense Gram of a zero block
+    import fdblock.circuit as circuit_mod
+
+    enc = encode_laplace_1d(2)
+    monkeypatch.setattr(circuit_mod, "_RSQRT2", 0.0)
+    report = verify_pattern(enc, 1e-12)
+    assert report.unitarity_residual == unitarity_residual(unitary(enc.circuit)) == 1.0
+    assert not report.passed
+
+
 def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
     import fdblock.analysis as analysis_mod
     import fdblock.circuit as circuit_mod
 
     columns = []
-    for module in (analysis_mod, circuit_mod):
-        original = module.apply_to_columns
+    original = analysis_mod.apply_sparse
 
-        def counting(circuit, mat, original=original):
-            columns.append(mat.shape[1])
-            return original(circuit, mat)
+    def counting(circuit, cols, idx, amp):
+        columns.append(np.unique(cols).size)
+        return original(circuit, cols, idx, amp)
 
-        monkeypatch.setattr(module, "apply_to_columns", counting)
+    monkeypatch.setattr(analysis_mod, "apply_sparse", counting)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verification built the full unitary")
+        raise AssertionError("verification ran the dense simulator")
 
-    monkeypatch.setattr(circuit_mod, "unitary", refuse)
+    for name in ("unitary", "apply_to_columns", "apply"):
+        monkeypatch.setattr(circuit_mod, name, refuse)
+        if hasattr(analysis_mod, name):
+            monkeypatch.setattr(analysis_mod, name, refuse)
     enc = encode_wave_2d(3)
     assert verify_pattern(enc, 1e-12).passed
     assert sum(columns) == 2 * enc.circuit.dim
+
+
+def test_verify_passes_at_fifteen_qubits():
+    enc = encode_laplace_dd(1, 13)
+    assert enc.circuit.num_qubits == 15
+    report = verify_pattern(enc, 1e-12)
+    assert report.passed, report.summary()
 
 
 def test_verify_pattern_needs_declared_blocks():
@@ -362,6 +383,32 @@ def test_sweep_rejects_bad_requests():
         sweep_success_probability(1, [2], "nope")
 
 
+def test_sweep_samples_each_field_once_and_matches_the_public_routes(monkeypatch):
+    import fdblock.operators as operators_mod
+
+    calls = []
+    original = operators_mod.sample_grid
+
+    def counting(f, spec):
+        calls.append(spec)
+        return original(f, spec)
+
+    monkeypatch.setattr(operators_mod, "sample_grid", counting)
+    for name, fam in FAMILIES.items():
+        for dim in fam.dims or (1, 2, 3):
+            ns = [1, 2, 3] if dim > 1 else [1, 4, 7]
+            calls.clear()
+            rows = sweep_success_probability(dim, ns, name)
+            assert len(calls) == len(ns)
+            for row in rows:
+                spec = GridSpec(dim, row.n)
+                expected = fd_error_max(fam.field(dim), fam.exact_laplacian(dim), spec)
+                assert row.e_max == expected
+                gf = sample_function(fam.field(dim), spec)
+                enc = encode_laplace_dd(dim, row.n)
+                assert row.p_success == success_probability(enc, gf, "matrix")
+
+
 def test_sweep_csv_schema_and_determinism():
     rows = sweep_success_probability(1, [3, 4], "sin1")
     text = sweep_csv(rows)
@@ -431,7 +478,8 @@ def test_extract_block_chunking_is_transparent(monkeypatch):
     enc = encode_laplace_dd(2, 2)
     full = extract_block(enc, 0, 0)
     report = verify_pattern(enc, 1e-12)
-    monkeypatch.setattr(analysis_mod, "EXTRACT_CHUNK_ELEMENTS", enc.circuit.dim * 3)
+    # three columns a panel (4**m entries each), the last panel short
+    monkeypatch.setattr(analysis_mod, "PANEL_ENTRIES", 3 << 2 * enc.m)
     chunked = extract_block(enc, 0, 0)
     assert max_abs_diff(full, chunked) == 0.0
     # verification reads its blocks and residual from the same panels

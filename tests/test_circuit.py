@@ -7,6 +7,8 @@ from fdblock.circuit import (
     Gate,
     adjoint,
     apply,
+    apply_sparse,
+    apply_to_columns,
     compose,
     controlled,
     export_text,
@@ -292,3 +294,77 @@ def test_apply_supports_seventeen_qubit_statevectors():
     state[5] = 1.0
     out = apply(enc.circuit, state)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def sparse_columns(circuit, columns):
+    """Dense (2**q, k) result of apply_sparse on the basis columns listed."""
+    k = len(columns)
+    start = np.asarray(columns, dtype=np.uint64)
+    cols, idx, amp = apply_sparse(circuit, np.arange(k), start, np.ones(k))
+    out = np.zeros((circuit.dim, k), dtype=complex)
+    out[idx.astype(np.int64), cols] = amp
+    return out
+
+
+def test_sparse_simulator_is_bit_identical_on_every_builder():
+    from fdblock.encodings import OPS
+
+    checked = 0
+    for spec in OPS.values():
+        for dim in (spec.dim,) if spec.dim else (1, 2, 3, 4):
+            for n in range(1, 9):
+                circuit = spec.build(dim, n).circuit
+                if circuit.num_qubits > 10:
+                    break
+                dense = apply_to_columns(circuit, np.eye(circuit.dim))
+                assert max_abs_diff(sparse_columns(circuit, range(circuit.dim)), dense) == 0.0
+                checked += 1
+    assert checked == 40
+
+
+def test_sparse_simulator_matches_dense_routes_on_random_circuits():
+    # H and RY land on any wire, so supports grow toward 2**q; the
+    # random panels hold several entries per column
+    from .oracles import dense_circuit_unitary
+
+    rng = np.random.default_rng(2509)
+    for _ in range(20):
+        nq = int(rng.integers(2, 7))
+        gates = random_gates(rng, nq, int(rng.integers(3, 12)))
+        c = Circuit(nq, tuple(gates))
+        sparse = sparse_columns(c, range(c.dim))
+        assert max_abs_diff(sparse, apply_to_columns(c, np.eye(c.dim))) == 0.0
+        assert max_abs_diff(sparse, dense_circuit_unitary(gates, nq)) < 1e-13
+
+        panel = rng.normal(size=(c.dim, 3)) + 1j * rng.normal(size=(c.dim, 3))
+        panel[rng.random(panel.shape) < 0.6] = 0.0
+        idx, cols = np.nonzero(panel)
+        cols, idx, amp = apply_sparse(c, cols, idx.astype(np.uint64), panel[idx, cols])
+        out = np.zeros_like(panel)
+        out[idx.astype(np.int64), cols] = amp
+        assert max_abs_diff(out, apply_to_columns(c, panel)) == 0.0
+
+
+def test_sparse_simulator_handles_indices_of_sixty_four_qubits():
+    # 60 idle low wires push indices past 2**53 and leave no room for
+    # the column id in a shared 64-bit sort key
+    rng = np.random.default_rng(64)
+    for _ in range(5):
+        gates = tuple(random_gates(rng, 4, 10))
+        columns = np.arange(16)
+        narrow = apply_sparse(Circuit(4, gates), columns, columns.astype(np.uint64), np.ones(16))
+        wide = apply_sparse(
+            Circuit(64, gates), columns, columns.astype(np.uint64) << np.uint64(60), np.ones(16)
+        )
+        cols, idx, amp = narrow
+        assert sorted(zip(cols, idx << np.uint64(60), amp)) == sorted(zip(*wide))
+
+
+def test_sparse_simulator_rejects_malformed_entries():
+    c = Circuit(2, (Gate("H", 0),))
+    with pytest.raises(ShapeError):
+        apply_sparse(c, [0, 1], np.array([0], dtype=np.uint64), [1.0])
+    with pytest.raises(ShapeError):
+        apply_sparse(c, [0], np.array([4], dtype=np.uint64), [1.0])
+    with pytest.raises(ShapeError):
+        apply_sparse(c, [-1], np.array([0], dtype=np.uint64), [1.0])
