@@ -171,6 +171,8 @@ def apply_sparse(circuit: Circuit, cols, idx, amp):
     docstring).
 
     Returns new (cols, idx, amp) arrays; entries come in no fixed order.
+    Raises SizeError when a column id and a basis index do not fit one
+    64-bit sort key together.
     """
     nq = circuit.num_qubits
     cols = np.array(cols, dtype=np.int64)
@@ -180,8 +182,9 @@ def apply_sparse(circuit: Circuit, cols, idx, amp):
         raise ShapeError(f"entry arrays differ in shape: {cols.shape}, {idx.shape}, {amp.shape}")
     if idx.size and (int(idx.max()) >> nq or cols.min() < 0):
         raise ShapeError(f"entries must have column ids >= 0 and indices below 2**{nq}")
-    # Column and cleared index share one 64-bit sort key while they fit.
-    one_key = idx.size == 0 or int(cols.max()).bit_length() + nq < 64
+    # H and RY sort on one 64-bit key: column id above the cleared index.
+    if idx.size and int(cols.max()).bit_length() + nq > 64:
+        raise SizeError(f"column id {int(cols.max())} and {nq} qubits exceed a 64-bit sort key")
     for g in circuit.gates:
         bit = np.uint64(1 << (nq - 1 - g.target))
         mask = value = 0
@@ -199,10 +202,7 @@ def apply_sparse(circuit: Circuit, cols, idx, amp):
         rest = ~sel
         c, i, a = cols[sel], idx[sel], amp[sel]
         cleared = i & ~bit
-        if one_key:
-            order = np.argsort((c.astype(np.uint64) << np.uint64(nq)) | cleared)
-        else:
-            order = np.lexsort((cleared, c))
+        order = np.argsort((c.astype(np.uint64) << np.uint64(nq)) | cleared)
         c, i, a, cleared = c[order], i[order], a[order], cleared[order]
         first = np.ones(c.size, dtype=bool)
         first[1:] = (cleared[1:] != cleared[:-1]) | (c[1:] != c[:-1])
