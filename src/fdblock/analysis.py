@@ -1,31 +1,33 @@
 """Block extraction, verification, success probabilities, and sweeps.
 
 Every expected block comes from the encoding itself: each builder
-declares its blocks as (row, col, reference) triples whose references
-are stencil appliers (``BlockEncoding.blocks``).
+declares its blocks as (row, col, stencil) triples, each block being
+alpha times its :class:`~fdblock.operators.Stencil`
+(``BlockEncoding.blocks``).
 
 Verification never builds the full unitary.  For each ancilla input
 block it runs the basis columns |col>|j> forward through the circuit in
-panels, compares every declared block of that output with its reference
-applied to the same basis columns, and runs the adjoint circuit on the
-output; U^dagger U e_j - e_j is then one column of U^dagger U - I, and
-all columns together give the same max-entry unitarity residual as a
-dense Gram product.  Both passes run on the sparse simulator
-(``circuit.apply_sparse``), whose columns are bit-identical to dense
-statevector passes.  Every encoding is an LCU of shifts, so a basis
-column stays on at most 4^m basis states going forward, and the forward
-pass costs at most gates * 2^q * 4^m entry updates instead of the dense
-gates * 4^q; the adjoint pass brings each column back to e_j, up to
-rounding residue.  The declared references still act on dense
-(N, width) panels of basis columns, which costs O(N^2) per declared
-block.  No N x N matrix is formed, and verification stops at the
+panels, compares every declared block of that output with alpha times
+its stencil's sparse columns at the same basis states, and runs the
+adjoint circuit on the output; U^dagger U e_j - e_j is then one column
+of U^dagger U - I, and all columns together give the same max-entry
+unitarity residual as a dense Gram product.  Both passes run on the
+sparse simulator (``circuit.apply_sparse``), whose columns are
+bit-identical to dense statevector passes.  Every encoding is an LCU of
+shifts, so a basis column stays on at most 4^m basis states going
+forward, and the forward pass costs at most gates * 2^q * 4^m entry
+updates instead of the dense gates * 4^q; the adjoint pass brings each
+column back to e_j, up to rounding residue.  Each declared block then
+costs O(terms) per column and one sort of the panel's entries in its
+block row, so no step grows as N^2.  A panel holds PANEL_ENTRIES >> 2m
+columns.  No N-row array is formed, and verification stops at the
 statevector cap (MAX_SIM_QUBITS).
 
 Success probabilities are computed by two independent routes: applying
 the encoding circuit to |0>|v> and collecting the zero-ancilla mass, or
-applying the declared (0,0) reference to the samples.  The routes agree
-to ~1e-15 and the sweep uses the reference route, which has no qubit
-cap.
+applying alpha times the declared (0,0) stencil to the samples.  The
+routes agree to ~1e-15 and the sweep uses the stencil route, which has
+no qubit cap.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from . import operators, resources
 from .circuit import MAX_SIM_QUBITS, adjoint, apply, apply_sparse
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError, SizeError
-from .linalg import max_abs_diff
 from .operators import GridFunction, GridSpec
 
 
@@ -50,7 +51,7 @@ PANEL_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of comparing an encoding against its reference blocks."""
+    """Outcome of comparing an encoding against its declared blocks."""
 
     label: str
     max_deviation: float
@@ -86,15 +87,14 @@ def _sparse_panels(enc: BlockEncoding, col: int):
 
     ``entries`` is the :func:`apply_sparse` output of U on the basis
     columns j = start .. start+width-1, column c of the panel being
-    j = start + c.  The width keeps both the dense (N, width) block
-    panels and the sparse columns, at up to 4**m entries each, within
-    PANEL_ENTRIES.
+    j = start + c.  The width keeps the sparse columns, at up to 4**m
+    entries each, within PANEL_ENTRIES.
     """
     nq = enc.circuit.num_qubits
     if nq > MAX_SIM_QUBITS:
         raise SizeError(f"{nq} qubits exceeds the statevector cap {MAX_SIM_QUBITS}")
     N = enc.system_dim
-    width = max(1, PANEL_ENTRIES // max(N, 1 << min(2 * enc.m, nq)))
+    width = PANEL_ENTRIES >> min(2 * enc.m, nq)
     for start in range(0, N, width):
         stop = min(start + width, N)
         offsets = np.arange(stop - start)
@@ -113,12 +113,30 @@ def _block_rows(entries, row: int, N: int, width: int) -> np.ndarray:
     return block
 
 
-def _identity_columns(dim: int, first: int, width: int) -> np.ndarray:
-    """Columns first .. first+width-1 of the dim x dim identity."""
-    cols = np.zeros((dim, width), dtype=np.complex128)
-    offsets = np.arange(width)
-    cols[first + offsets, offsets] = 1.0
-    return cols
+def _block_deviation(entries, row: int, N: int, alpha: float, expected) -> float:
+    """Max |block - alpha * expected| over a panel held as sparse entries.
+
+    ``entries`` are :func:`apply_sparse` output and ``expected`` the
+    :meth:`~fdblock.operators.Stencil.columns` of the same panel, to be
+    matched against block row ``row``.  One sort puts the entries of
+    each (column, row) pair side by side, and a segment sum takes their
+    difference.
+    """
+    cols, idx, amp = entries
+    lo = np.uint64(row * N)
+    inside = (idx >= lo) & (idx < lo + np.uint64(N))
+    k, rows, values = expected
+    bits = np.uint64(N.bit_length() - 1)
+    found = (cols[inside].astype(np.uint64) << bits) | (idx[inside] - lo)
+    keys = np.concatenate((found, (k.astype(np.uint64) << bits) | rows))
+    order = np.argsort(keys)
+    keys = keys[order]
+    diffs = np.concatenate((amp[inside], -(alpha * values)))[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    sums = np.add.reduceat(diffs, np.flatnonzero(first))
+    # np.max, unlike the builtin, propagates a NaN into a FAIL.
+    return float(np.max(np.abs(sums), initial=0.0))
 
 
 def extract_block(enc: BlockEncoding, row: int, col: int) -> np.ndarray:
@@ -142,8 +160,8 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
 
     Every column of U runs forward once and back once through the
     adjoint circuit, both sparsely; each declared block is read from the
-    forward panels and compared with its reference applied to the same
-    basis columns.
+    forward panels and compared with alpha times its stencil's columns
+    at the same basis states.
     """
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
@@ -151,11 +169,12 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     inverse = adjoint(enc.circuit)
     deviations, residuals = [0.0], [0.0]
     for col in range(1 << enc.m):
-        wanted = [(row, reference) for row, c, reference in enc.blocks if c == col]
+        wanted = [(row, stencil) for row, c, stencil in enc.blocks if c == col]
         for start, width, out in _sparse_panels(enc, col):
-            for row, reference in wanted:
-                expected = reference(_identity_columns(N, start, width))
-                deviations.append(max_abs_diff(_block_rows(out, row, N, width), expected))
+            js = np.arange(start, start + width, dtype=np.uint64)
+            for row, stencil in wanted:
+                expected = stencil.columns(js)
+                deviations.append(_block_deviation(out, row, N, enc.alpha, expected))
             cols, idx, amp = apply_sparse(inverse, *out)
             diagonal = idx == (col * N + start + cols).astype(np.uint64)
             amp[diagonal] -= 1.0
@@ -173,16 +192,17 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     """Probability of measuring all ancillas in |0> after applying the encoding.
 
     route="circuit" simulates the encoding on |0>|v|; route="matrix"
-    evaluates the squared norm of the declared (0,0) block's reference.
+    evaluates the squared norm of alpha times the declared (0,0) block's
+    stencil applied to v.
     """
     N = enc.system_dim
     if v.spec.npoints != N:
         raise ShapeError(f"grid has {v.spec.npoints} points, encoding expects {N}")
     if route == "matrix":
-        reference = next((ref for row, col, ref in enc.blocks if row == col == 0), None)
-        if reference is None:
+        stencil = next((s for row, col, s in enc.blocks if row == col == 0), None)
+        if stencil is None:
             raise ParameterError(f"{enc.label} declares no (0,0) block")
-        return float(np.sum(np.abs(reference(v.values)) ** 2))
+        return float(np.sum(np.abs(enc.alpha * stencil.apply(v.values)) ** 2))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
     state = np.zeros(enc.circuit.dim, dtype=np.complex128)
@@ -199,7 +219,7 @@ def fd_error_max(v_field, exact_laplacian_field, spec: GridSpec) -> float:
 
 def _fd_error(spec: GridSpec, raw: np.ndarray, exact: np.ndarray) -> float:
     """Max-norm error of the discrete Laplacian of raw samples against exact ones."""
-    return float(np.max(np.abs(operators.apply_laplacian(spec, raw) - exact)))
+    return float(np.max(np.abs(operators.laplacian_stencil(spec).apply(raw) - exact)))
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,9 @@ def unitary(circuit: Circuit) -> np.ndarray:
         raise SizeError(
             f"{circuit.num_qubits} qubits exceeds the full-unitary cap {MAX_UNITARY_QUBITS}"
         )
-    return apply_to_columns(circuit, np.eye(circuit.dim, dtype=np.complex128))
+    # The gates run in place on a fresh identity, so the matrix is not copied.
+    psi = np.eye(circuit.dim, dtype=np.complex128).reshape((2,) * circuit.num_qubits + (-1,))
+    return _run_gates(circuit.gates, psi, circuit.num_qubits).reshape(circuit.dim, circuit.dim)
 
 
 def adjoint(circuit: Circuit) -> Circuit:

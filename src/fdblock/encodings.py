@@ -23,10 +23,10 @@ significant cascade control appended last); builders prepend their own
 selection controls, which keeps control tuples of consecutive cascade
 gates prefix-nested.  The resource model exploits that nesting.
 
-Each builder also declares the blocks it encodes, as stencil appliers
-from :mod:`fdblock.operators`; verification and success probabilities
-read those declarations, and :data:`OPS` names the builders for the
-command line.
+Each builder also declares the blocks it encodes, as (row, col,
+:class:`~fdblock.operators.Stencil`) data, each block being alpha times
+its stencil; verification and success probabilities read those
+declarations, and :data:`OPS` names the builders for the command line.
 """
 
 from __future__ import annotations
@@ -35,15 +35,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import operators
 from .circuit import Circuit, Gate
 from .errors import ParameterError, SizeError
-from .operators import GridSpec
+from .operators import GridSpec, Stencil
 
 Control = tuple[int, int]
-Reference = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -52,17 +49,17 @@ class BlockEncoding:
 
     The ancillas are the first m wires and the system register holds
     the rest, so ``system_dim`` N is derived from the circuit.
-    ``blocks`` holds (row, col, reference) triples: the block
-    U[row*N:(row+1)*N, col*N:(col+1)*N] must map an (N, k) array of
-    system columns to ``reference`` of it, alpha included.  Blocks not
-    listed are unconstrained.
+    ``blocks`` holds (row, col, stencil) triples: the block
+    U[row*N:(row+1)*N, col*N:(col+1)*N] must equal alpha times the
+    stencil, whose grid has the N system points.  Blocks not listed are
+    unconstrained.
     """
 
     circuit: Circuit
     m: int
     alpha: float
     label: str
-    blocks: tuple[tuple[int, int, Reference], ...] = field(default=(), compare=False, repr=False)
+    blocks: tuple[tuple[int, int, Stencil], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         num_qubits = self.circuit.num_qubits
@@ -92,18 +89,6 @@ def ancilla_axis_qubits(dim: int) -> int:
     if dim < 1:
         raise ParameterError("dim must be >= 1")
     return (dim - 1).bit_length()
-
-
-def _scaled_laplacian(alpha: float, spec: GridSpec) -> Reference:
-    return lambda cols: alpha * operators.apply_scaled_laplacian(spec, cols)
-
-
-def _first_order(alpha: float, axis: int, spec: GridSpec) -> Reference:
-    return lambda cols: alpha * operators.apply_first_order(axis, spec, cols)
-
-
-def _zero(cols: np.ndarray) -> np.ndarray:
-    return np.zeros(cols.shape, dtype=np.complex128)
 
 
 def _shift_gates(direction: int, n: int, offset: int, prefix: tuple[Control, ...]):
@@ -166,7 +151,10 @@ def encode_laplace_1d(n: int) -> BlockEncoding:
     """Two-ancilla encoding of the scaled 1-d periodic second difference.
 
     Layout [l:2][j:n]; m = 2, alpha = 1.  The (0,0) block is the
-    circulant with diagonal -1/2 and neighbor entries 1/4.
+    circulant with diagonal -1/2 and neighbor entries 1/4.  All 16
+    blocks are declared: the diagonal ones are that circulant, those
+    with row + col = 3 are (1, 2, 1)/4 and the other eight are the
+    halved central difference (-1, 0, +1)/4.
     """
     return encode_laplace_dd(1, n)
 
@@ -188,10 +176,20 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     w_in = axis + [Gate("H", l0), Gate("H", l1), Gate("Z", l0), Gate("Z", l1)]
     w_out = [Gate("H", l0), Gate("H", l1)] + axis
     circuit = _shift_lcu(spec, m, w_in, range(dhat), (l1, 0), (l0, 1), w_out)
-    alpha = alpha_d(dim)
-    blocks = ((0, 0, _scaled_laplacian(alpha, spec)),)
+    lap = operators.scaled_laplacian_stencil(spec)
+    blocks = _laplace_1d_blocks(lap) if dim == 1 else ((0, 0, lap),)
     label = f"laplace_1d n={n}" if dim == 1 else f"laplace_dd D={dim} n={n}"
-    return BlockEncoding(circuit, m, alpha, label, blocks)
+    return BlockEncoding(circuit, m, alpha_d(dim), label, blocks)
+
+
+def _laplace_1d_blocks(lap: Stencil) -> tuple[tuple[int, int, Stencil], ...]:
+    """The full 4 x 4 block grid of the 1-d Laplacian encoding, lap on the diagonal."""
+    spec = lap.spec
+    mean = Stencil(spec, ((0, -1, 1.0), (0, 0, 2.0), (0, 1, 1.0)), 4.0)
+    diff = Stencil(spec, ((0, 1, 1.0), (0, -1, -1.0)), 4.0)
+    return tuple(
+        (r, c, lap if r == c else mean if r + c == 3 else diff) for r in range(4) for c in range(4)
+    )
 
 
 def _banded_circuit(spec: GridSpec, a0: float, a1: float, am1: float) -> Circuit:
@@ -220,9 +218,10 @@ def encode_banded_lcu(n: int, a0: float, a1: float, am1: float) -> BlockEncoding
     Layout [l:2][a:1][j:n]; m = 3.  The (0,0) block is A/4, so alpha is
     1/4 with the banded matrix itself as the target.
     """
-    circuit = _banded_circuit(GridSpec(1, n), a0, a1, am1)
+    spec = GridSpec(1, n)
+    circuit = _banded_circuit(spec, a0, a1, am1)
     label = f"banded_lcu n={n} a0={a0!r} a1={a1!r} am1={am1!r}"
-    blocks = ((0, 0, lambda cols: 0.25 * operators.apply_banded(a0, a1, am1, cols)),)
+    blocks = ((0, 0, Stencil(spec, ((0, 0, a0), (0, 1, am1), (0, -1, a1)))),)
     return BlockEncoding(circuit, 3, 0.25, label, blocks)
 
 
@@ -234,7 +233,7 @@ def encode_laplace_1d_lcu(n: int) -> BlockEncoding:
     """
     spec = GridSpec(1, n)
     circuit = _banded_circuit(spec, 0.5, -0.25, -0.25)
-    blocks = ((0, 0, _scaled_laplacian(-0.25, spec)),)
+    blocks = ((0, 0, operators.scaled_laplacian_stencil(spec)),)
     return BlockEncoding(circuit, 3, -0.25, f"laplace_1d_lcu n={n}", blocks)
 
 
@@ -247,6 +246,10 @@ _MINUS, _PLUS = (0, 0), (0, 1)
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _axis_derivatives(spec: GridSpec) -> tuple[Stencil, Stencil]:
+    return operators.first_order_stencil(spec, 0), operators.first_order_stencil(spec, 1)
+
+
 def encode_derivative_1d(n: int) -> BlockEncoding:
     """Single-ancilla encoding of the scaled central difference h*D.
 
@@ -254,7 +257,7 @@ def encode_derivative_1d(n: int) -> BlockEncoding:
     """
     spec = GridSpec(1, n)
     circuit = _shift_lcu(spec, 1, _L_IN, (), _MINUS, _PLUS, _L_OUT)
-    blocks = ((0, 0, _first_order(1.0, 0, spec)),)
+    blocks = ((0, 0, operators.first_order_stencil(spec, 0)),)
     return BlockEncoding(circuit, 1, 1.0, f"derivative_1d n={n}", blocks)
 
 
@@ -268,7 +271,8 @@ def encode_gradient_2d(n: int) -> BlockEncoding:
     spec = GridSpec(2, n)
     k = 1
     circuit = _shift_lcu(spec, 2, (Gate("H", k), *_L_IN), (k,), _MINUS, _PLUS, _L_OUT)
-    blocks = ((0, 0, _first_order(_RSQRT2, 0, spec)), (1, 0, _first_order(_RSQRT2, 1, spec)))
+    d0, d1 = _axis_derivatives(spec)
+    blocks = ((0, 0, d0), (1, 0, d1))
     return BlockEncoding(circuit, 2, _RSQRT2, f"gradient_2d n={n}", blocks)
 
 
@@ -281,7 +285,8 @@ def encode_divergence_2d(n: int) -> BlockEncoding:
     spec = GridSpec(2, n)
     k = 1
     circuit = _shift_lcu(spec, 2, _L_IN, (k,), _MINUS, _PLUS, (*_L_OUT, Gate("H", k)))
-    blocks = ((0, 0, _first_order(_RSQRT2, 0, spec)), (0, 1, _first_order(_RSQRT2, 1, spec)))
+    d0, d1 = _axis_derivatives(spec)
+    blocks = ((0, 0, d0), (0, 1, d1))
     return BlockEncoding(circuit, 2, _RSQRT2, f"divergence_2d n={n}", blocks)
 
 
@@ -308,9 +313,9 @@ def encode_wave_2d(n: int) -> BlockEncoding:
     w_in = (Gate("H", k1, ((k0, 1),)), *_L_IN)
     w_out = (*_L_OUT, Gate("H", k1, ((k0, 0),)), Gate("X", k0))
     circuit = _shift_lcu(spec, 3, w_in, (k1,), _MINUS, _PLUS, w_out)
-    d0, d1 = _first_order(_RSQRT2, 0, spec), _first_order(_RSQRT2, 1, spec)
+    d0, d1 = _axis_derivatives(spec)
     blocks = ((0, 2, d0), (2, 0, d0), (1, 2, d1), (2, 1, d1))
-    blocks += tuple((r, c, _zero) for r, c in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)))
+    blocks += tuple((r, c, Stencil(spec)) for r, c in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)))
     return BlockEncoding(circuit, 3, _RSQRT2, f"wave_2d n={n}", blocks)
 
 

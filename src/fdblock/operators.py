@@ -7,15 +7,19 @@ point (j0*h, j1*h, ..., j_{D-1}*h) is
 
     j_{D-1} * N^(D-1) + ... + j_1 * N + j0 .
 
-Matrices are built dense and literal; circulant structure is only
-exploited by the roll-based appliers, which evaluate the same stencils
-without forming matrices and therefore work beyond the dense cap.  The
-encoding builders declare their blocks through the appliers, and the
-matrices stay as the independent reference the tests compare against.
+Matrices are built dense and literal, and stay the independent
+reference the tests compare against; nothing derives them from a
+:class:`Stencil`.  A Stencil holds an operator as data, (axis, offset,
+coeff) terms over a divisor.  Its ``apply`` evaluates it on grid values
+by rolls, and its ``columns`` gives the sparse basis columns A e_j at any
+grid indices; neither forms a matrix, and ``columns`` works on grids of
+up to 2**64 points.  The encoding builders declare their blocks as
+Stencils.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,47 +197,102 @@ def sample_function(f, spec: GridSpec) -> GridFunction:
     return GridFunction.from_samples(spec, sample_grid(f, spec))
 
 
-def _as_grid_tensor(spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Grid tensor of shape (N,)*dim + batch from values of shape (npoints, *batch)."""
-    v = np.asarray(values, dtype=np.complex128)
-    if v.ndim == 0 or v.shape[0] != spec.npoints:
-        raise ShapeError(f"expected {spec.npoints} values along axis 0, got shape {v.shape}")
-    return v.reshape((spec.N,) * spec.dim + v.shape[1:])
+@dataclass(frozen=True)
+class Stencil:
+    """Periodic stencil: sum of coeff * (shift by offset on axis), over divisor.
 
-
-def _flatten_grid(spec: GridSpec, tensor: np.ndarray) -> np.ndarray:
-    return tensor.reshape((spec.npoints,) + tensor.shape[spec.dim :])
-
-
-def apply_laplacian(spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Second-difference stencil applied via rolls; same result as the matrix.
-
-    Like every applier here, it acts on axis 0 of ``values`` and treats
-    any trailing axes as a batch of columns.
+    Row i of the operator holds ``coeff / divisor`` at the grid point
+    i + offset along ``axis`` (mod N) for each term (axis, offset,
+    coeff); terms landing on one point add up.  Both :meth:`apply` and
+    :meth:`columns` add each axis's terms in declared order, then the
+    axis sums in order of first appearance, and apply the divisor last,
+    so their values agree bit for bit.  No terms is the zero operator.
     """
-    v = _as_grid_tensor(spec, values)
-    out = np.zeros_like(v)
-    for d in range(spec.dim):
-        ax = spec.dim - 1 - d
-        out += np.roll(v, 1, axis=ax) + np.roll(v, -1, axis=ax) - 2.0 * v
-    return _flatten_grid(spec, out / spec.h**2)
+
+    spec: GridSpec
+    terms: tuple[tuple[int, int, float], ...] = ()
+    divisor: float = 1.0
+
+    def __post_init__(self):
+        for axis, _, _ in self.terms:
+            if not 0 <= axis < self.spec.dim:
+                raise ParameterError(f"axis {axis} out of range for dim {self.spec.dim}")
+        if not (math.isfinite(self.divisor) and self.divisor != 0.0):
+            raise ParameterError(f"divisor {self.divisor} must be finite and nonzero")
+
+    def _by_axis(self) -> list[list[tuple[int, int, float]]]:
+        """The terms grouped by axis, axes in order of their first term."""
+        groups: dict[int, list] = {}
+        for term in self.terms:
+            groups.setdefault(term[0], []).append(term)
+        return list(groups.values())
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """The stencil applied via rolls to axis 0 of ``values``.
+
+        Trailing axes of ``values`` are a batch of columns.
+        """
+        spec = self.spec
+        v = np.asarray(values, dtype=np.complex128)
+        if v.ndim == 0 or v.shape[0] != spec.npoints:
+            raise ShapeError(f"expected {spec.npoints} values along axis 0, got shape {v.shape}")
+        v = v.reshape((spec.N,) * spec.dim + v.shape[1:])
+        out = np.zeros_like(v)
+        for terms in self._by_axis():
+            axis_sum = np.zeros_like(v)
+            for axis, offset, coeff in terms:
+                # np.roll copies even at offset 0
+                axis_sum += coeff * (np.roll(v, -offset, spec.dim - 1 - axis) if offset else v)
+            out += axis_sum
+        # numpy divides complex values by a real scalar as a product with
+        # its reciprocal; the product gives those bits without the division.
+        out *= 1.0 / self.divisor
+        return out.reshape((spec.npoints,) + out.shape[spec.dim :])
+
+    def columns(self, js) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse columns A e_j for the uint64 grid indices ``js``.
+
+        Returns (k, rows, values): entry e is A[rows[e], js[k[e]]], one
+        entry per distinct row, and the first len(js) entries are the
+        diagonal A[j, j], zero if no term lands there.  Costs O(terms)
+        per column, on grids of up to 2**64 points.
+        """
+        spec = self.spec
+        js = np.asarray(js, dtype=np.uint64).reshape(-1)
+        # A term moves j's axis coordinate by -offset mod N, whatever j
+        # is, so which terms collide is fixed: those with equal (axis,
+        # move) add up in declared order, and every move-0 term lands on
+        # j itself, where the axis sums add up as in apply.
+        sums: dict[tuple[int, int], float] = {}
+        for axis, offset, coeff in self.terms:
+            key = (axis, -offset % spec.N)
+            sums[key] = sums.get(key, 0.0) + coeff
+        centre = sum(sums.pop((terms[0][0], 0), 0.0) for terms in self._by_axis())
+        mask = np.uint64(spec.N - 1)
+        rows = [js]
+        for axis, move in sums:
+            shift = np.uint64(axis * spec.n)
+            coord = (js >> shift) & mask
+            rows.append(js ^ ((coord ^ ((coord + np.uint64(move)) & mask)) << shift))
+        values = np.array([centre, *sums.values()], dtype=np.complex128) * (1.0 / self.divisor)
+        k = np.tile(np.arange(js.size), len(rows))
+        return k, np.concatenate(rows), np.repeat(values, js.size)
 
 
-def apply_scaled_laplacian(spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    """apply_laplacian divided by 4*dim/h^2."""
-    return apply_laplacian(spec, values) / lambda_max(spec.dim, spec.n)
+def laplacian_stencil(spec: GridSpec) -> Stencil:
+    """Second-difference stencil (1, -2, 1)/h^2 summed over the axes."""
+    return _second_difference(spec, spec.h**2)
 
 
-def apply_banded(a0: float, a1: float, am1: float, values: np.ndarray) -> np.ndarray:
-    """1-d circulant with diagonal a0, superdiagonal am1, subdiagonal a1."""
-    v = np.asarray(values, dtype=np.complex128)
-    return a0 * v + am1 * np.roll(v, -1, axis=0) + a1 * np.roll(v, 1, axis=0)
+def scaled_laplacian_stencil(spec: GridSpec) -> Stencil:
+    """laplacian_stencil divided by 4*dim/h^2, i.e. (1, -2, 1)/(4 dim)."""
+    return _second_difference(spec, 4.0 * spec.dim)
 
 
-def apply_first_order(axis: int, spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Scaled central difference h*D along one axis, via rolls."""
-    if not 0 <= axis < spec.dim:
-        raise ParameterError(f"axis {axis} out of range for dim {spec.dim}")
-    v = _as_grid_tensor(spec, values)
-    ax = spec.dim - 1 - axis
-    return _flatten_grid(spec, 0.5 * (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)))
+def _second_difference(spec: GridSpec, divisor: float) -> Stencil:
+    terms = ((-1, 1.0), (1, 1.0), (0, -2.0))
+    return Stencil(spec, tuple((a, off, c) for a in range(spec.dim) for off, c in terms), divisor)
+
+
+def first_order_stencil(spec: GridSpec, axis: int) -> Stencil:
+    """Scaled central difference h*D = (-1, 0, +1)/2 along one axis."""
+    return Stencil(spec, ((axis, 1, 1.0), (axis, -1, -1.0)), 2.0)

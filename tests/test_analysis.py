@@ -31,13 +31,15 @@ from fdblock.linalg import MATRIX_DIM_CAP, max_abs_diff, unitarity_residual
 from fdblock.operators import (
     GridFunction,
     GridSpec,
-    apply_scaled_laplacian,
+    Stencil,
     banded_circulant,
     central_difference_1d,
     first_order_tensorized,
     sample_function,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
+    scaled_laplacian_stencil,
+    trapezoid_1d,
 )
 
 from .oracles import separable_trapezoid_l2_norm, trapezoid_l2_norm
@@ -72,16 +74,26 @@ def test_extract_block_index_bounds():
 def test_verify_pattern_fails_on_a_perturbed_reference():
     enc = encode_laplace_1d(3)
     assert verify_pattern(enc, 1e-12).passed
-    ((row, col, reference),) = enc.blocks
-
-    def perturbed(cols):
-        out = reference(cols)
-        out[0] += 1e-6 * cols[0]  # entry (0, 0) of the expected block
-        return out
-
-    report = verify_pattern(replace(enc, blocks=((row, col, perturbed),)), 1e-12)
+    row, col, stencil = enc.blocks[0]
+    # the centre coefficient, so every diagonal entry of block (0, 0) moves by 1e-6
+    i = next(i for i, (_, offset, _) in enumerate(stencil.terms) if offset == 0)
+    axis, offset, coeff = stencil.terms[i]
+    bumped = (axis, offset, coeff + 1e-6 * stencil.divisor)
+    perturbed = replace(stencil, terms=(*stencil.terms[:i], bumped, *stencil.terms[i + 1 :]))
+    report = verify_pattern(replace(enc, blocks=((row, col, perturbed), *enc.blocks[1:])), 1e-12)
     assert not report.passed
     assert report.max_deviation == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_verify_pattern_fails_on_a_flipped_off_diagonal_block():
+    enc = encode_laplace_1d(3)
+    row, col, stencil = enc.blocks[1]
+    assert (row, col) == (0, 1)
+    flipped = replace(stencil, terms=tuple((a, o, -c) for a, o, c in stencil.terms))
+    blocks = (enc.blocks[0], (row, col, flipped), *enc.blocks[2:])
+    report = verify_pattern(replace(enc, blocks=blocks), 1e-12)
+    assert not report.passed
+    assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
 
 
 def test_verify_pattern_all_builders():
@@ -109,10 +121,20 @@ def _wave_blocks(n):
     return blocks
 
 
+def _laplace_1d_blocks(n):
+    lap = scaled_laplacian_1d(n)
+    h = 1.0 / (1 << n)
+    mean = (1.0 / (2.0 * h)) * trapezoid_1d(n)
+    diff = (h / 2.0) * central_difference_1d(n)
+    return {
+        (r, c): lap if r == c else mean if r + c == 3 else diff for r in range(4) for c in range(4)
+    }
+
+
 # Every builder at 9-10 qubits, the sizes where the dense route is cheap,
 # with its blocks written out as dense operator matrices.
 ROUND_TRIP_CASES = [
-    (encode_laplace_1d(8), lambda: {(0, 0): scaled_laplacian_1d(8)}),
+    (encode_laplace_1d(8), lambda: _laplace_1d_blocks(8)),
     (encode_laplace_dd(2, 3), lambda: {(0, 0): scaled_laplacian_dd(2, 3)}),
     (encode_laplace_dd(3, 2), lambda: {(0, 0): 0.75 * scaled_laplacian_dd(3, 2)}),
     (encode_laplace_1d_lcu(7), lambda: {(0, 0): -0.25 * scaled_laplacian_1d(7)}),
@@ -137,10 +159,10 @@ def test_round_trip_deviations_equal_extract_block_route(enc, dense_blocks):
     identity = np.eye(enc.system_dim, dtype=complex)
     deviations = []
     for block in enc.blocks:
-        row, col, reference = block
+        row, col, stencil = block
         extracted = extract_block(enc, row, col)
         assert max_abs_diff(extracted, dense[row, col]) <= 1e-12
-        deviations.append(max_abs_diff(extracted, reference(identity)))
+        deviations.append(max_abs_diff(extracted, enc.alpha * stencil.apply(identity)))
         single = verify_pattern(replace(enc, blocks=(block,)), 1e-12)
         assert single.max_deviation == deviations[-1]
     report = verify_pattern(enc, 1e-12)
@@ -150,19 +172,16 @@ def test_round_trip_deviations_equal_extract_block_route(enc, dense_blocks):
 
 def test_references_evaluate_beyond_the_dense_cap():
     # 15 qubits: N = 8192 is past the dense cap, and the declared
-    # references act on a panel of basis columns without forming a matrix
+    # stencils give sparse basis columns without forming any N-row array
     enc = encode_laplace_dd(1, 13)
     N = enc.system_dim
     assert N == 8192 > MATRIX_DIM_CAP
-    panel = np.zeros((N, 4), dtype=complex)
-    panel[100 + np.arange(4), np.arange(4)] = 1.0
-    ((row, col, reference),) = enc.blocks
-    out = reference(panel)
-    assert out.shape == (N, 4)
-    for k in range(4):
-        expected = np.zeros(N)
-        expected[[99 + k, 100 + k, 101 + k]] = (0.25, -0.5, 0.25)
-        assert np.array_equal(out[:, k], expected)
+    row, col, stencil = enc.blocks[0]
+    assert (row, col) == (0, 0)
+    k, rows, values = stencil.columns(np.arange(100, 104, dtype=np.uint64))
+    for pos in range(4):
+        got = {int(r): v for kk, r, v in zip(k, rows, values) if kk == pos}
+        assert got == {99 + pos: 0.25, 100 + pos: -0.5, 101 + pos: 0.25}
 
 
 @pytest.mark.parametrize(
@@ -218,11 +237,31 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
     assert sum(columns) == 2 * enc.circuit.dim
 
 
-def test_verify_passes_at_fifteen_qubits():
-    enc = encode_laplace_dd(1, 13)
-    assert enc.circuit.num_qubits == 15
+def test_verify_passes_at_seventeen_qubits():
+    # N = 2**16 grid points: comparing dense (N, width) panels took 90 s here
+    enc = encode_derivative_1d(16)
+    assert enc.circuit.num_qubits == 17
     report = verify_pattern(enc, 1e-12)
     assert report.passed, report.summary()
+
+
+def test_verify_never_applies_a_stencil_densely(monkeypatch):
+    from fdblock.encodings import OPS
+
+    def refuse(self, values):
+        raise AssertionError("verification applied a stencil to a dense panel")
+
+    monkeypatch.setattr(Stencil, "apply", refuse)
+    checked = 0
+    for op in OPS.values():
+        for dim in (op.dim,) if op.dim else (1, 2, 3, 4):
+            for n in range(1, 9):
+                enc = op.build(dim, n)
+                if enc.circuit.num_qubits > 10:
+                    break
+                assert verify_pattern(enc, 1e-12).passed, enc.label
+                checked += 1
+    assert checked == 40
 
 
 def test_verify_pattern_needs_declared_blocks():
@@ -431,7 +470,7 @@ def test_scaled_action_asymptote_matches_quadrature_oracle():
         spec = GridSpec(dim, n)
         gf = sample_function(fam.field(dim), spec)
         measured = float(
-            np.linalg.norm(apply_scaled_laplacian(spec, gf.values))
+            np.linalg.norm(scaled_laplacian_stencil(spec).apply(gf.values))
         ) / spec.h**2
         num = trapezoid_l2_norm(fam.exact_laplacian(dim), dim, 10 * spec.N)
         den = trapezoid_l2_norm(fam.field(dim), dim, 10 * spec.N)
@@ -446,7 +485,7 @@ def test_scaled_action_asymptote_3d_separable_quadrature():
     fam = FAMILIES["sinprod"]
     spec = GridSpec(dim, n)
     gf = sample_function(fam.field(dim), spec)
-    measured = float(np.linalg.norm(apply_scaled_laplacian(spec, gf.values))) / spec.h**2
+    measured = float(np.linalg.norm(scaled_laplacian_stencil(spec).apply(gf.values))) / spec.h**2
     factor = lambda x: np.sin(2.0 * np.pi * x)
     den = separable_trapezoid_l2_norm([factor] * dim, 10 * spec.N)
     num = dim * (2.0 * math.pi) ** 2 * den
@@ -468,7 +507,7 @@ def test_cap_scale_extraction_path_spot_checked():
         out = apply(enc.circuit, state)[:N]
         e = np.zeros(N)
         e[int(j)] = 1.0
-        ref = enc.alpha * apply_scaled_laplacian(spec, e)
+        ref = enc.alpha * scaled_laplacian_stencil(spec).apply(e)
         assert max_abs_diff(out, ref) < 1e-12
 
 

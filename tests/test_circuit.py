@@ -109,6 +109,24 @@ def test_unitary_block_grid_structure():
             assert max_abs_diff(got, want) < 1e-12
 
 
+def test_unitary_runs_in_place_on_its_own_identity():
+    # a 10-qubit unitary is 16 * 4**10 bytes; the gates' temporaries add
+    # half-size slices, and a second copy of the matrix would pass 3x
+    import tracemalloc
+
+    from fdblock.encodings import encode_laplace_1d_lcu, encode_wave_2d
+
+    for enc in (encode_laplace_1d(8), encode_wave_2d(3), encode_laplace_1d_lcu(7)):
+        tracemalloc.start()
+        try:
+            u = unitary(enc.circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * 4**10
+        assert np.array_equal(u, apply_to_columns(enc.circuit, np.eye(enc.circuit.dim)))
+
+
 def test_unitary_cap():
     with pytest.raises(SizeError):
         unitary(Circuit(13))

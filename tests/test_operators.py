@@ -5,21 +5,21 @@ from fdblock.errors import DegenerateInputError, ParameterError, ShapeError, Siz
 from fdblock.linalg import max_abs_diff
 from fdblock.operators import (
     GridSpec,
-    apply_banded,
-    apply_first_order,
-    apply_laplacian,
-    apply_scaled_laplacian,
+    Stencil,
     banded_circulant,
     central_difference_1d,
+    first_order_stencil,
     first_order_tensorized,
     grid_axes,
     lambda_max,
     laplacian_1d,
     laplacian_dd,
+    laplacian_stencil,
     sample_function,
     sample_grid,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
+    scaled_laplacian_stencil,
     trapezoid_1d,
 )
 from .oracles import brute_force_tensor_sum
@@ -104,7 +104,7 @@ def test_constant_function_in_kernel():
     for dim, n in ((1, 4), (2, 3), (3, 2)):
         spec = GridSpec(dim, n)
         gf = sample_function(lambda *axes: np.ones_like(axes[0]), spec)
-        out = apply_scaled_laplacian(spec, gf.values)
+        out = scaled_laplacian_stencil(spec).apply(gf.values)
         assert float(np.max(np.abs(out))) < 1e-12
 
 
@@ -203,24 +203,26 @@ def test_grid_axes_ordering():
     assert np.array_equal(flat1, np.array([0.0, 0.0, 0.5, 0.5]))
 
 
+def banded_stencil(n, a0, a1, am1):
+    return Stencil(GridSpec(1, n), ((0, 0, a0), (0, 1, am1), (0, -1, a1)))
+
+
 def test_stencil_appliers_match_dense():
     rng = np.random.default_rng(23)
     for dim, n in ((1, 3), (2, 2), (3, 1)):
         spec = GridSpec(dim, n)
         v = rng.normal(size=spec.npoints) + 1j * rng.normal(size=spec.npoints)
-        assert max_abs_diff(apply_laplacian(spec, v), laplacian_dd(dim, n) @ v) < 1e-9
-        assert (
-            max_abs_diff(apply_scaled_laplacian(spec, v), scaled_laplacian_dd(dim, n) @ v)
-            < 1e-13
-        )
+        assert max_abs_diff(laplacian_stencil(spec).apply(v), laplacian_dd(dim, n) @ v) < 1e-9
+        scaled = scaled_laplacian_stencil(spec).apply(v)
+        assert max_abs_diff(scaled, scaled_laplacian_dd(dim, n) @ v) < 1e-13
     spec = GridSpec(2, 2)
     v = rng.normal(size=spec.npoints)
     for axis in (0, 1):
         dense = first_order_tensorized(axis, 2, 2)
-        assert max_abs_diff(apply_first_order(axis, spec, v), dense @ v) < 1e-13
+        assert max_abs_diff(first_order_stencil(spec, axis).apply(v), dense @ v) < 1e-13
     v = rng.normal(size=8)
     dense = banded_circulant(3, 0.3, -0.2, 0.1)
-    assert max_abs_diff(apply_banded(0.3, -0.2, 0.1, v), dense @ v) < 1e-14
+    assert max_abs_diff(banded_stencil(3, 0.3, -0.2, 0.1).apply(v), dense @ v) < 1e-14
 
 
 @pytest.mark.parametrize("dim,n", [(1, 4), (2, 2), (3, 2)])
@@ -228,19 +230,99 @@ def test_batched_stencil_appliers_equal_their_columns(dim, n):
     spec = GridSpec(dim, n)
     rng = np.random.default_rng(31)
     cols = rng.normal(size=(spec.npoints, 5)) + 1j * rng.normal(size=(spec.npoints, 5))
-    appliers = [
-        lambda v: apply_laplacian(spec, v),
-        lambda v: apply_scaled_laplacian(spec, v),
-        lambda v: apply_banded(0.3, -0.2, 0.1, v),
-    ]
-    appliers += [lambda v, axis=axis: apply_first_order(axis, spec, v) for axis in range(dim)]
-    for applier in appliers:
-        batched = applier(cols)
+    stencils = [laplacian_stencil(spec), scaled_laplacian_stencil(spec), Stencil(spec)]
+    stencils += [first_order_stencil(spec, axis) for axis in range(dim)]
+    # the banded stencil is 1-d: it runs on the flattened grid
+    stencils.append(banded_stencil(spec.num_qubits, 0.3, -0.2, 0.1))
+    for stencil in stencils:
+        batched = stencil.apply(cols)
         assert batched.shape == cols.shape
         for k in range(cols.shape[1]):
-            assert np.array_equal(batched[:, k], applier(cols[:, k]))
+            assert np.array_equal(batched[:, k], stencil.apply(cols[:, k]))
     with pytest.raises(ShapeError):
-        apply_laplacian(spec, cols.T)
+        laplacian_stencil(spec).apply(cols.T)
+
+
+def test_stencil_rejects_bad_axes_and_divisors():
+    spec = GridSpec(2, 2)
+    with pytest.raises(ParameterError, match="axis 2"):
+        Stencil(spec, ((2, 1, 1.0),))
+    for divisor in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="divisor"):
+            Stencil(spec, (), divisor)
+
+
+def declared_stencils(dim, n):
+    """Every stencil a builder declares on a dim-axis grid of n qubits each."""
+    from fdblock.encodings import OPS, encode_banded_lcu
+
+    stencils = []
+    for op in OPS.values():
+        if op.dim in (None, dim):
+            stencils += [stencil for _, _, stencil in op.build(dim, n).blocks]
+    if dim == 1:
+        stencils += [s for _, _, s in encode_banded_lcu(n, 0.65, -0.4, 0.15).blocks]
+    return stencils
+
+
+def random_banded_stencils(spec, rng):
+    """Two random stencils whose offsets wrap and collide on small grids."""
+    out = []
+    for size in (5, 9):
+        axes = rng.integers(0, spec.dim, size=size)
+        offsets = rng.integers(-5, 6, size=size)
+        coeffs = rng.normal(size=size)
+        terms = tuple((int(a), int(o), float(c)) for a, o, c in zip(axes, offsets, coeffs))
+        out.append(Stencil(spec, terms, float(rng.uniform(0.5, 7.0))))
+    return out
+
+
+def dense_columns(stencil, js):
+    """The (npoints, len(js)) panel scattered from Stencil.columns."""
+    k, rows, values = stencil.columns(js)
+    panel = np.zeros((stencil.spec.npoints, len(js)), dtype=complex)
+    panel[rows.astype(np.int64), k] = values
+    assert len(set(zip(k.tolist(), rows.tolist()))) == k.size  # collisions merged
+    return panel
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_stencil_columns_equal_apply_bit_for_bit(dim, n):
+    # N = 2 and N = 4: the wrapped +-1 offsets collide at N = 2, and the
+    # Laplacian's centre terms of all axes collide for D >= 2
+    spec = GridSpec(dim, n)
+    identity = np.eye(spec.npoints, dtype=complex)
+    stencils = random_banded_stencils(spec, np.random.default_rng(97 + 10 * dim + n))
+    stencils += declared_stencils(dim, n) + [laplacian_stencil(spec)]
+    js = np.arange(spec.npoints)
+    for stencil in stencils:
+        assert np.array_equal(dense_columns(stencil, js), stencil.apply(identity))
+
+
+def test_stencil_columns_wrap_on_grids_beyond_any_panel():
+    # a 62-qubit axis and a 60-qubit 3-d grid: columns returns the
+    # wrapped neighbours of the edge points without touching N rows
+    for dim, n in ((1, 62), (3, 20)):
+        spec = GridSpec(dim, n)
+        N = spec.N
+        edge = [0, 1, N - 2, N - 1]
+        js = np.array(edge, dtype=np.uint64)
+        lap = scaled_laplacian_stencil(spec)
+        k, rows, values = lap.columns(js)
+        for pos, j in enumerate(edge):
+            got = {int(r): complex(v) for kk, r, v in zip(k, rows, values) if kk == pos}
+            want = {j: -0.5}
+            for axis in range(dim):
+                coord = j // N**axis % N
+                for step in (-1, 1):
+                    want[j + ((coord + step) % N - coord) * N**axis] = 1 / (4 * dim)
+            assert got == want
+        k, rows, values = first_order_stencil(spec, dim - 1).columns(js)
+        last = N ** (dim - 1)
+        for pos, j in enumerate(edge):
+            got = {int(r): complex(v) for kk, r, v in zip(k, rows, values) if kk == pos}
+            assert got == {j: 0.0, (j - last) % N**dim: 0.5, (j + last) % N**dim: -0.5}
 
 
 def test_lambda_max_value():
