@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import LayoutError, QubitIndexError, ShapeError, SizeError
+
+np = lazy_import("numpy")
 
 GATE_KINDS = ("X", "Z", "H", "RY")
 

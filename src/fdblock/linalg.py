@@ -9,9 +9,10 @@ arguments and return fresh arrays.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import ShapeError, SizeError
+
+np = lazy_import("numpy")
 
 # Dimension caps.  Full unitaries beyond MATRIX_DIM_CAP are never built;
 # larger operators are handled through projected blocks or stencil
@@ -19,11 +20,8 @@ from .errors import ShapeError, SizeError
 VECTOR_DIM_CAP = 1 << 16
 MATRIX_DIM_CAP = 1 << 12
 
-ComplexVector = np.ndarray
-ComplexMatrix = np.ndarray
 
-
-def as_vector(values) -> ComplexVector:
+def as_vector(values) -> np.ndarray:
     """Validate and convert to a finite 1-d complex128 array."""
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim != 1 or v.size == 0:
@@ -35,7 +33,7 @@ def as_vector(values) -> ComplexVector:
     return v
 
 
-def as_matrix(values) -> ComplexMatrix:
+def as_matrix(values) -> np.ndarray:
     """Validate and convert to a finite 2-d complex128 array."""
     m = np.asarray(values, dtype=np.complex128)
     if m.ndim != 2 or m.size == 0:
@@ -47,7 +45,7 @@ def as_matrix(values) -> ComplexMatrix:
     return m
 
 
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the dense-dimension cap enforced.
 
     kron(a, b)[i*p + k, j*q + l] == a[i, j] * b[k, l] for b of shape (p, q).
@@ -61,17 +59,17 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return np.kron(a, b)
 
 
-def norm2(v: ComplexVector) -> float:
+def norm2(v: np.ndarray) -> float:
     """Euclidean norm."""
     return float(np.linalg.norm(as_vector(v)))
 
 
-def is_unitary(u: ComplexMatrix, tol: float) -> bool:
+def is_unitary(u: np.ndarray, tol: float) -> bool:
     """True iff max |U^dag U - I| entry is at most tol."""
     return unitarity_residual(u) <= tol
 
 
-def unitarity_residual(u: ComplexMatrix) -> float:
+def unitarity_residual(u: np.ndarray) -> float:
     """Max-entry deviation of U^dag U from the identity."""
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:

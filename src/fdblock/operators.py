@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
-from .linalg import MATRIX_DIM_CAP, VECTOR_DIM_CAP, ComplexMatrix, kron, norm2
+from .linalg import MATRIX_DIM_CAP, VECTOR_DIM_CAP, kron, norm2
+
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def lambda_max(dim: int, n: int) -> float:
     return 4.0 * dim / h**2
 
 
-def _circulant(n: int, stencil: dict[int, float]) -> ComplexMatrix:
+def _circulant(n: int, stencil: dict[int, float]) -> np.ndarray:
     """N x N circulant; stencil maps offset -> coefficient, offsets mod N.
 
     Offsets are accumulated, so colliding entries (e.g. +1 and -1 at
@@ -105,18 +106,18 @@ def _circulant(n: int, stencil: dict[int, float]) -> ComplexMatrix:
     return m
 
 
-def laplacian_1d(n: int) -> ComplexMatrix:
+def laplacian_1d(n: int) -> np.ndarray:
     """Second-difference operator: diagonal -2/h^2, neighbors (and wrap) 1/h^2."""
     h = 1.0 / (1 << n)
     return _circulant(n, {0: -2.0 / h**2, 1: 1.0 / h**2, -1: 1.0 / h**2})
 
 
-def scaled_laplacian_1d(n: int) -> ComplexMatrix:
+def scaled_laplacian_1d(n: int) -> np.ndarray:
     """laplacian_1d divided by its largest eigenvalue magnitude 4/h^2."""
     return laplacian_1d(n) / lambda_max(1, n)
 
 
-def laplacian_dd(dim: int, n: int) -> ComplexMatrix:
+def laplacian_dd(dim: int, n: int) -> np.ndarray:
     """Tensor sum of 1-d Laplacians: sum_d I x .. x L x .. x I (axis d)."""
     N = 1 << n
     if N**dim > MATRIX_DIM_CAP:
@@ -132,29 +133,29 @@ def laplacian_dd(dim: int, n: int) -> ComplexMatrix:
     return total
 
 
-def scaled_laplacian_dd(dim: int, n: int) -> ComplexMatrix:
+def scaled_laplacian_dd(dim: int, n: int) -> np.ndarray:
     """laplacian_dd divided by 4*dim/h^2; spectral norm 1."""
     return laplacian_dd(dim, n) / lambda_max(dim, n)
 
 
-def central_difference_1d(n: int) -> ComplexMatrix:
+def central_difference_1d(n: int) -> np.ndarray:
     """Antisymmetric first-difference operator with entries +-1/(2h)."""
     h = 1.0 / (1 << n)
     return _circulant(n, {1: 1.0 / (2 * h), -1: -1.0 / (2 * h)})
 
 
-def trapezoid_1d(n: int) -> ComplexMatrix:
+def trapezoid_1d(n: int) -> np.ndarray:
     """Row-wise trapezoidal quadrature weights h/2 * (1, 2, 1)."""
     h = 1.0 / (1 << n)
     return _circulant(n, {0: h, 1: h / 2, -1: h / 2})
 
 
-def banded_circulant(n: int, a0: float, a1: float, am1: float) -> ComplexMatrix:
+def banded_circulant(n: int, a0: float, a1: float, am1: float) -> np.ndarray:
     """Circulant with diagonal a0, superdiagonal am1, subdiagonal a1 (wrapped)."""
     return _circulant(n, {0: a0, 1: am1, -1: a1})
 
 
-def first_order_tensorized(axis: int, dim: int, n: int) -> ComplexMatrix:
+def first_order_tensorized(axis: int, dim: int, n: int) -> np.ndarray:
     """h*central_difference placed on one axis of a 2-d grid."""
     if dim != 2:
         raise ParameterError(f"only dim=2 is supported, got {dim}")

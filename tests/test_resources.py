@@ -13,7 +13,7 @@ from fdblock.encodings import (
     encode_laplace_dd,
     encode_wave_2d,
 )
-from fdblock.errors import ParameterError
+from fdblock.errors import ParameterError, SizeError
 from fdblock.linalg import max_abs_diff
 from fdblock.resources import (
     RESOURCES_CSV_HEADER,
@@ -29,6 +29,7 @@ BUILDERS = {
     "laplace1": lambda n: encode_laplace_1d(n),
     "laplace2": lambda n: encode_laplace_dd(2, n),
     "laplace3": lambda n: encode_laplace_dd(3, n),
+    "laplace4": lambda n: encode_laplace_dd(4, n),
     "lcu": lambda n: encode_laplace_1d_lcu(n),
     "derivative": lambda n: encode_derivative_1d(n),
     "gradient": lambda n: encode_gradient_2d(n),
@@ -128,13 +129,35 @@ def test_laplace_1d_count_recurrence():
     assert all(counts[n].rotation_count == 0 for n in counts)
 
 
+# Shifted grid axes of each builder, and the largest n that fits the
+# 64-qubit build cap (the end of the range `resources` reports).
+CAP_RANGES = {
+    "laplace1": (1, 62),
+    "laplace2": (2, 30),
+    "laplace3": (3, 20),
+    "laplace4": (4, 15),
+    "lcu": (1, 61),
+    "derivative": (1, 63),
+    "gradient": (2, 31),
+    "divergence": (2, 31),
+    "wave": (2, 30),
+}
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_t_count_affine_in_n(name):
+    # each extra qubit adds 3 Toffolis (21 T) to every shift, so 42 T per
+    # shifted axis for its S- and S+, all the way to the build cap.
+    # Clifford, qubit and ancilla counts are not asserted: laplace D=1,
+    # derivative and lcu step irregularly from n = 2 to 3.
     build = BUILDERS[name]
-    ts = [count_resources(build(n).circuit).t_count for n in range(2, 8)]
-    deltas = [b - a for a, b in zip(ts, ts[1:])]
-    assert len(set(deltas)) == 1, (name, ts)
-    assert all(b >= a for a, b in zip(ts, ts[1:]))
+    axes, n_max = CAP_RANGES[name]
+    counts = [count_resources(build(n).circuit) for n in range(2, n_max + 1)]
+    deltas = {b.t_count - a.t_count for a, b in zip(counts, counts[1:])}
+    assert deltas == {42 * axes}, (name, deltas)
+    assert len({c.rotation_count for c in counts}) == 1
+    with pytest.raises(SizeError):
+        build(n_max + 1)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
