@@ -15,11 +15,14 @@ Circuits carry no register names: a builder documents which wires form
 which register.  For ancillas on the first m wires and a k-qubit system
 register after them, the composite basis index of |a>|s> is a*2^k + s.
 
-Two simulators compute the same columns bit for bit.  ``apply`` and
-``apply_to_columns`` run dense statevectors, so each column costs
-gates * 2^q amplitude updates.  ``apply_sparse`` keeps only a column's
-nonzero entries, so it costs gates * (support) updates plus one sort
-per H or RY gate.  Run through an LCU circuit
+Two simulators compute the same columns bit for bit.  ``apply``,
+``apply_to_columns`` and ``unitary`` run dense statevectors, so each
+column costs gates * 2^q amplitude updates.  They update the state in
+place through one scratch buffer of half its size (its full size when
+an RY gate has no controls), with the expressions of ``apply_sparse``,
+and never touch the caller's array.  ``apply_sparse`` keeps only a
+column's nonzero entries, so it costs gates * (support) updates plus one
+sort per H or RY gate.  Run through an LCU circuit
 W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out on the m
 ancillas and each P_a a permutation of system basis states, a basis
 column keeps at most 4^m entries.
@@ -98,8 +101,20 @@ class Circuit:
         return 1 << self.num_qubits
 
 
-def _run_gates(gates, psi: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply gates in order to psi of shape (2,)*num_qubits (+ batch axes)."""
+def _run_gates(gates, psi: np.ndarray) -> np.ndarray:
+    """Apply gates in order to psi of shape (2,)*num_qubits (+ batch axes).
+
+    Each gate updates the half-slices v0 and v1 of psi (its target bit 0
+    and 1, under its controls) in place.  Their old values pass through
+    one scratch buffer, allocated once per call, and are combined with
+    the expressions and operand order of :func:`apply_sparse`, so both
+    simulators give the same columns bit for bit.  Every gate needs one
+    temporary of v0's size and RY two, so the buffer holds psi.size // 2
+    entries, which a control on the RY halves; an uncontrolled RY
+    doubles the buffer instead.
+    """
+    wide = any(g.kind == "RY" and not g.controls for g in gates)
+    scratch = np.empty(psi.size if wide else psi.size // 2, dtype=psi.dtype)
     for g in gates:
         sel0 = [slice(None)] * psi.ndim
         for q, pol in g.controls:
@@ -107,25 +122,24 @@ def _run_gates(gates, psi: np.ndarray, num_qubits: int) -> np.ndarray:
         sel1 = list(sel0)
         sel0[g.target] = 0
         sel1[g.target] = 1
-        i0, i1 = tuple(sel0), tuple(sel1)
+        v0, v1 = psi[tuple(sel0)], psi[tuple(sel1)]
+        if g.kind == "Z":
+            np.negative(v1, out=v1)
+            continue
+        a = scratch[: v0.size].reshape(v0.shape)
+        np.copyto(a, v0)
         if g.kind == "X":
-            a = psi[i0].copy()
-            psi[i0] = psi[i1]
-            psi[i1] = a
-        elif g.kind == "Z":
-            psi[i1] = -psi[i1]
+            np.copyto(v0, v1)
+            np.copyto(v1, a)
         elif g.kind == "H":
-            a = psi[i0].copy()
-            b = psi[i1].copy()
-            psi[i0] = (a + b) * _RSQRT2
-            psi[i1] = (a - b) * _RSQRT2
-        else:  # RY
+            np.multiply(np.add(a, v1, out=v0), _RSQRT2, out=v0)
+            np.multiply(np.subtract(a, v1, out=v1), _RSQRT2, out=v1)
+        else:  # RY: v0 <- c*a - s*b, v1 <- s*a + c*b
             c = math.cos(g.theta / 2.0)
             s = math.sin(g.theta / 2.0)
-            a = psi[i0].copy()
-            b = psi[i1].copy()
-            psi[i0] = c * a - s * b
-            psi[i1] = s * a + c * b
+            t = scratch[v0.size : 2 * v0.size].reshape(v0.shape)
+            np.subtract(np.multiply(c, a, out=v0), np.multiply(s, v1, out=t), out=v0)
+            np.add(np.multiply(s, a, out=t), np.multiply(c, v1, out=v1), out=v1)
     return psi
 
 
@@ -138,13 +152,14 @@ def apply(circuit: Circuit, vec) -> np.ndarray:
     v = np.asarray(vec, dtype=np.complex128)
     if v.ndim != 1:
         raise ShapeError(f"vector shape {v.shape} != (2**{circuit.num_qubits},)")
-    if not np.all(np.isfinite(v.view(np.float64))):
-        raise ShapeError("vector entries must be finite")
     return apply_to_columns(circuit, v[:, None])[:, 0]
 
 
 def apply_to_columns(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
-    """Apply the circuit to every column of a (2**n, k) array at once."""
+    """Apply the circuit to every column of a (2**n, k) array at once.
+
+    The gates run in place on a copy, so ``mat`` is left unchanged.
+    """
     if circuit.num_qubits > MAX_SIM_QUBITS:
         raise SizeError(
             f"{circuit.num_qubits} qubits exceeds the statevector cap {MAX_SIM_QUBITS}"
@@ -153,7 +168,9 @@ def apply_to_columns(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != circuit.dim:
         raise ShapeError(f"expected shape ({circuit.dim}, k), got {m.shape}")
     psi = m.copy().reshape((2,) * circuit.num_qubits + (m.shape[1],))
-    return _run_gates(circuit.gates, psi, circuit.num_qubits).reshape(circuit.dim, m.shape[1])
+    if not np.all(np.isfinite(psi.view(np.float64))):
+        raise ShapeError("entries must be finite")
+    return _run_gates(circuit.gates, psi).reshape(circuit.dim, m.shape[1])
 
 
 def apply_sparse(circuit: Circuit, cols, idx, amp):
@@ -238,7 +255,7 @@ def unitary(circuit: Circuit) -> np.ndarray:
         )
     # The gates run in place on a fresh identity, so the matrix is not copied.
     psi = np.eye(circuit.dim, dtype=np.complex128).reshape((2,) * circuit.num_qubits + (-1,))
-    return _run_gates(circuit.gates, psi, circuit.num_qubits).reshape(circuit.dim, circuit.dim)
+    return _run_gates(circuit.gates, psi).reshape(circuit.dim, circuit.dim)
 
 
 def adjoint(circuit: Circuit) -> Circuit:

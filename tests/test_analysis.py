@@ -321,6 +321,47 @@ def test_route_agreement(enc, family, dim, n):
     assert abs(p_circuit - p_matrix) < 1e-12
 
 
+# simulate-18q's sizes: 16-18 qubits, the statevector cap
+CAP_CASES = [
+    (encode_laplace_dd(1, 16), 1, 16),
+    (encode_laplace_dd(2, 7), 2, 7),
+    (encode_laplace_dd(3, 4), 3, 4),
+    (encode_laplace_dd(4, 3), 4, 3),
+    (encode_laplace_1d_lcu(15), 1, 15),
+    (encode_derivative_1d(16), 1, 16),
+    (encode_gradient_2d(8), 2, 8),
+    (encode_divergence_2d(8), 2, 8),
+    (encode_wave_2d(7), 2, 7),
+]
+
+
+@pytest.mark.parametrize("enc,dim,n", CAP_CASES, ids=lambda c: getattr(c, "label", c))
+def test_route_agreement_at_the_statevector_cap(enc, dim, n):
+    # a random unit vector, so that p is of order one: the smooth probes
+    # give p ~ h**4, which any route meets within 1e-12 at these sizes.
+    # wave's (0,0) block is zero, so its circuit must leave the branch empty.
+    spec = GridSpec(dim, n)
+    rng = np.random.default_rng(dim * 100 + n)
+    raw = rng.normal(size=spec.npoints) + 1j * rng.normal(size=spec.npoints)
+    gf = GridFunction.from_samples(spec, raw)
+    p_circuit = success_probability(enc, gf, "circuit")
+    p_matrix = success_probability(enc, gf, "matrix")
+    if enc.label.startswith("wave_2d"):
+        assert p_matrix == 0.0
+    else:
+        assert p_matrix > 1e-2
+    assert abs(p_circuit - p_matrix) < 1e-12
+
+
+def test_success_probability_leaves_the_grid_values_unchanged():
+    enc = encode_laplace_1d_lcu(4)
+    gf = grid_fn("cos3", 1, 4)
+    before = gf.values.copy()
+    for route in ("circuit", "matrix"):
+        success_probability(enc, gf, route)
+        assert np.array_equal(gf.values, before)
+
+
 def test_success_probability_rejects_bad_route_and_dims():
     enc = encode_laplace_1d(3)
     with pytest.raises(ParameterError):

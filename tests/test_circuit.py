@@ -110,8 +110,8 @@ def test_unitary_block_grid_structure():
 
 
 def test_unitary_runs_in_place_on_its_own_identity():
-    # a 10-qubit unitary is 16 * 4**10 bytes; the gates' temporaries add
-    # half-size slices, and a second copy of the matrix would pass 3x
+    # a 10-qubit unitary is 16 * 4**10 bytes; the gates add one scratch
+    # buffer of half that, and a second copy of the matrix would pass 3x
     import tracemalloc
 
     from fdblock.encodings import encode_laplace_1d_lcu, encode_wave_2d
@@ -125,6 +125,45 @@ def test_unitary_runs_in_place_on_its_own_identity():
             tracemalloc.stop()
         assert peak < 3 * 16 * 4**10
         assert np.array_equal(u, apply_to_columns(enc.circuit, np.eye(enc.circuit.dim)))
+
+
+def test_apply_to_columns_runs_in_place_on_its_copy():
+    # one column at 14-15 qubits costs its copy plus one half-size
+    # scratch buffer (1.5x the state); a full-size temporary per gate
+    # passes 2.25x.  numpy's ufunc iterator adds buffers of a fixed size
+    # (up to 256 KiB with numpy 2.4, twice a 13-qubit state), so no case
+    # runs below 14 qubits.
+    import tracemalloc
+
+    from fdblock.encodings import (
+        encode_banded_lcu,
+        encode_derivative_1d,
+        encode_divergence_2d,
+        encode_gradient_2d,
+        encode_laplace_1d_lcu,
+        encode_laplace_dd,
+        encode_wave_2d,
+    )
+
+    for enc in (
+        encode_laplace_1d(13),
+        encode_laplace_dd(2, 6),
+        encode_laplace_1d_lcu(12),
+        encode_banded_lcu(12, 0.65, -0.4, 0.15),
+        encode_derivative_1d(13),
+        encode_gradient_2d(6),
+        encode_divergence_2d(6),
+        encode_wave_2d(6),
+    ):
+        col = np.zeros((enc.circuit.dim, 1), dtype=complex)
+        col[: enc.system_dim] = 1.0
+        tracemalloc.start()
+        try:
+            apply_to_columns(enc.circuit, col)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * col.nbytes, enc.label
 
 
 def test_unitary_cap():
@@ -141,6 +180,32 @@ def test_apply_dim_mismatch():
 def test_apply_rejects_non_finite_entries(bad):
     with pytest.raises(ShapeError, match="finite"):
         apply(Circuit(2), np.array([1.0, bad, 0.0, 0.0]))
+    mat = np.zeros((4, 2), dtype=complex)
+    mat[1, 1] = complex(0.0, bad)
+    with pytest.raises(ShapeError, match="finite"):
+        apply_to_columns(Circuit(2), mat)
+
+
+def test_dense_simulation_leaves_the_callers_arrays_unchanged():
+    # X, Z, H and RY, open and closed controls; the strided column is a
+    # view into mat, so the in-place gates must run on a copy
+    c = Circuit(
+        3,
+        (
+            Gate("H", 0),
+            Gate("RY", 1, ((0, 1),), 0.9),
+            Gate("X", 2, ((1, 0),)),
+            Gate("Z", 0, ((2, 1),)),
+            Gate("RY", 2, theta=-1.3),
+        ),
+    )
+    rng = np.random.default_rng(7)
+    mat = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    before = mat.copy()
+    out = apply_to_columns(c, mat)
+    assert np.array_equal(mat, before)
+    assert np.array_equal(apply(c, mat[:, 1]), out[:, 1])
+    assert np.array_equal(mat, before)
 
 
 def test_controlled_single_x_is_cnot():
