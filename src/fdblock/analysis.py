@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import operators, resources
 from ._lazy import lazy_import
-from .circuit import MAX_SIM_QUBITS, adjoint, apply, apply_sparse
+from .circuit import MAX_SIM_QUBITS, adjoint, apply_in_place, apply_sparse
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError, SizeError
 from .operators import GridFunction, GridSpec
@@ -208,10 +208,11 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
         return float(np.sum(np.abs(enc.alpha * stencil.apply(v.values)) ** 2))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
-    state = np.zeros(enc.circuit.dim, dtype=np.complex128)
-    state[:N] = v.values
-    out = apply(enc.circuit, state)
-    return float(np.sum(np.abs(out[:N]) ** 2))
+    # The gates overwrite this state, so it is never copied.
+    state = np.zeros((enc.circuit.dim, 1), dtype=np.complex128)
+    state[:N, 0] = v.values
+    apply_in_place(enc.circuit, state)
+    return float(np.sum(np.abs(state[:N, 0]) ** 2))
 
 
 def fd_error_max(v_field, exact_laplacian_field, spec: GridSpec) -> float:

@@ -16,13 +16,14 @@ which register.  For ancillas on the first m wires and a k-qubit system
 register after them, the composite basis index of |a>|s> is a*2^k + s.
 
 Two simulators compute the same columns bit for bit.  ``apply``,
-``apply_to_columns`` and ``unitary`` run dense statevectors, so each
-column costs gates * 2^q amplitude updates.  They update the state in
-place through one scratch buffer of half its size (its full size when
-an RY gate has no controls), with the expressions of ``apply_sparse``,
-and never touch the caller's array.  ``apply_sparse`` keeps only a
-column's nonzero entries, so it costs gates * (support) updates plus one
-sort per H or RY gate.  Run through an LCU circuit
+``apply_to_columns``, ``apply_in_place`` and ``unitary`` run dense
+statevectors, so each column costs gates * 2^q amplitude updates.  They
+update the state in place through one scratch buffer of half its size
+(its full size when an RY gate has no controls), with the expressions
+of ``apply_sparse``.  ``apply`` and ``apply_to_columns`` copy the
+caller's array first; ``apply_in_place`` overwrites it.  ``apply_sparse``
+keeps only a column's nonzero entries, so it costs gates * (support)
+updates plus one sort per H or RY gate.  Run through an LCU circuit
 W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out on the m
 ancillas and each P_a a permutation of system basis states, a basis
 column keeps at most 4^m entries.
@@ -160,17 +161,28 @@ def apply_to_columns(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
 
     The gates run in place on a copy, so ``mat`` is left unchanged.
     """
+    return apply_in_place(circuit, np.array(mat, dtype=np.complex128, order="C"))
+
+
+def apply_in_place(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
+    """Overwrite every column of psi, a (2**n, k) array, with U_c times it.
+
+    psi must be a C-contiguous complex128 array with finite entries; it
+    is returned.  This is :func:`apply_to_columns` without its copy, for
+    a state that the caller built and does not need again.
+    """
     if circuit.num_qubits > MAX_SIM_QUBITS:
         raise SizeError(
             f"{circuit.num_qubits} qubits exceeds the statevector cap {MAX_SIM_QUBITS}"
         )
-    m = np.asarray(mat, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != circuit.dim:
-        raise ShapeError(f"expected shape ({circuit.dim}, k), got {m.shape}")
-    psi = m.copy().reshape((2,) * circuit.num_qubits + (m.shape[1],))
+    if not (isinstance(psi, np.ndarray) and psi.dtype == np.complex128 and psi.flags.c_contiguous):
+        raise ShapeError("the state must be a C-contiguous complex128 array")
+    if psi.ndim != 2 or psi.shape[0] != circuit.dim:
+        raise ShapeError(f"expected shape ({circuit.dim}, k), got {psi.shape}")
     if not np.all(np.isfinite(psi.view(np.float64))):
         raise ShapeError("entries must be finite")
-    return _run_gates(circuit.gates, psi).reshape(circuit.dim, m.shape[1])
+    _run_gates(circuit.gates, psi.reshape((2,) * circuit.num_qubits + (psi.shape[1],)))
+    return psi
 
 
 def apply_sparse(circuit: Circuit, cols, idx, amp):

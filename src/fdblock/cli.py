@@ -34,8 +34,12 @@ class UsageError(FdblockError):
     """A command-line argument is malformed or inconsistent."""
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse an int or an inclusive 'a..b' range."""
+def _parse_range(flag: str, text: str) -> list[int]:
+    """Parse an int or an inclusive 'a..b' range given to --n or --dim.
+
+    No encoding is wider than MAX_BUILD_QUBITS qubits, so neither n nor
+    dim can exceed it; the bounds are checked before the list is made.
+    """
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
@@ -44,11 +48,15 @@ def _parse_range(text: str) -> list[int]:
             raise UsageError(f"bad range {text!r}") from None
         if hi < lo:
             raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(text)]
-    except ValueError:
-        raise UsageError(f"bad integer {text!r}") from None
+    else:
+        try:
+            lo = hi = int(text)
+        except ValueError:
+            raise UsageError(f"bad integer {text!r}") from None
+    cap = encodings.MAX_BUILD_QUBITS
+    if lo < 1 or hi > cap:
+        raise UsageError(f"{flag} {text} is outside 1..{cap}")
+    return list(range(lo, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,8 @@ class RunConfig:
         tol = getattr(args, "tol", None)
         if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise UsageError(f"--tol must be finite and positive, got {tol}")
-        n_values = _parse_range(args.n)
-        dims = _parse_range(args.dim) if args.dim else None
+        n_values = _parse_range("--n", args.n)
+        dims = _parse_range("--dim", args.dim) if args.dim else None
         return cls(
             command=args.command,
             op=args.op,

@@ -97,15 +97,13 @@ def _shift_gates(direction: int, n: int, offset: int, prefix: tuple[Control, ...
     Wires offset..offset+n-1 hold j big-endian.  The decrement flips the
     least significant wire first and ripples borrows upward; the
     increment runs the reverse cascade.  ``prefix`` controls are
-    prepended to every gate.
+    prepended to every gate, and the gate on wire t is controlled by the
+    wires above it, so its controls are one slice of a single tuple.
     """
     lo, hi = offset, offset + n - 1
     targets = range(hi, lo - 1, -1) if direction < 0 else range(lo, hi + 1)
-    gates = []
-    for t in targets:
-        cascade = tuple((c, 1) for c in range(hi, t, -1))
-        gates.append(Gate("X", t, prefix + cascade))
-    return gates
+    controls = prefix + tuple((c, 1) for c in range(hi, lo, -1))
+    return [Gate("X", t, controls[: len(prefix) + hi - t]) for t in targets]
 
 
 def shift_circuit(direction: int, n: int) -> Circuit:

@@ -18,7 +18,11 @@ of its inputs is written; the shift cascades produced by the encoding
 builders are prefix-nested, which is what makes their T-count grow
 linearly with the register width.
 
-The lowered stream is then charged per gate:
+The walk (``_Lowering.steps``) yields the lowered stream one gate at a
+time.  ``lower_to_toffoli`` materialises it as a validated circuit;
+``count_resources`` charges each gate as the same walk emits it, so the
+counts come from that one ladder without building the lowered circuit.
+Each lowered gate is charged:
 
 * single-qubit X/Z/H: 1 Clifford,
 * CNOT, CZ: 1 Clifford,
@@ -52,22 +56,25 @@ class GateCounts:
     qubit_count: int
 
 
-@dataclass(frozen=True)
-class _Node:
-    chain: tuple[tuple[int, int], ...]
-    anc: int
+def _rung(level: int, ancs: list[int], chain) -> tuple:
+    """Toffoli step that computes, and later uncomputes, ladder level ``level``."""
+    controls = chain[:2] if level == 0 else ((ancs[level - 1], 1), chain[level + 1])
+    return "X", ancs[level], controls, None
 
 
 class _Lowering:
-    """Stateful lowering of one circuit; see the module docstring."""
+    """Ancilla-ladder walk of one circuit; see the module docstring.
+
+    Ladder level l holds the AND of the controls ``chain[:l + 2]`` in
+    ancilla ``ancs[l]``: level 0 is a Toffoli on the first two controls,
+    and each higher level ANDs the level below with one more control.
+    """
 
     def __init__(self, circuit: Circuit):
         self.base = circuit.num_qubits
-        self.out: list[Gate] = []
-        self.stack: list[_Node] = []
-        self.free: list[int] = []
         self.next_anc = circuit.num_qubits
         self.high_water = 0
+        self.free: list[int] = []
 
     def _alloc(self) -> int:
         if self.free:
@@ -76,58 +83,64 @@ class _Lowering:
         self.next_anc += 1
         return anc
 
-    def _node_toffoli(self, node: _Node, below: _Node | None):
-        if len(node.chain) == 2:
-            controls = node.chain
-        else:
-            controls = ((below.anc, 1), node.chain[-1])
-        self.out.append(Gate("X", node.anc, controls))
+    def _unwind(self, keep: int, ancs: list[int], chain):
+        while len(ancs) > keep:
+            yield _rung(len(ancs) - 1, ancs, chain)
+            self.free.append(ancs.pop())
 
-    def _pop(self):
-        node = self.stack.pop()
-        below = self.stack[-1] if self.stack else None
-        self._node_toffoli(node, below)
-        self.free.append(node.anc)
+    def steps(self, gates):
+        """Yield the lowered stream as (kind, target, controls, theta) steps.
 
-    def _ensure_prefix(self, prefix: tuple[tuple[int, int], ...]) -> int:
-        while self.stack and (
-            len(self.stack[-1].chain) > len(prefix)
-            or self.stack[-1].chain != prefix[: len(self.stack[-1].chain)]
-        ):
-            self._pop()
-        while (len(self.stack[-1].chain) if self.stack else 1) < len(prefix):
-            depth = len(self.stack[-1].chain) + 1 if self.stack else 2
-            node = _Node(prefix[:depth], self._alloc())
-            self._node_toffoli(node, self.stack[-1] if self.stack else None)
-            self.stack.append(node)
-            self.high_water = max(self.high_water, len(self.stack))
-        return self.stack[-1].anc
-
-    def _invalidate(self, qubit: int):
-        # Nested chains: if a shallow node reads this qubit, so do all
-        # deeper ones, hence checking the top suffices.
-        while self.stack and any(q == qubit for q, _ in self.stack[-1].chain):
-            self._pop()
+        ``high_water`` holds the ladder's deepest level once the stream
+        is exhausted.
+        """
+        ancs: list[int] = []
+        chain: tuple[tuple[int, int], ...] = ()
+        chain_qubits: list[int] = []
+        for g in gates:
+            kind, target, controls = g.kind, g.target, g.controls
+            k = len(controls)
+            if kind == "X":
+                prefix = controls[:-1] if k > 2 else ()
+            else:
+                prefix = controls if k > 1 else ()
+            # Keep the levels that read neither the target, which the gate
+            # writes, nor a control that differs from the gate's prefix.
+            keep = len(ancs)
+            if target in chain_qubits:
+                keep = max(chain_qubits.index(target) - 1, 0)
+            if prefix and prefix[: len(chain)] != chain:
+                common = len(prefix)
+                if chain[:common] != prefix:
+                    common = 0
+                    for a, b in zip(chain, prefix):
+                        if a != b:
+                            break
+                        common += 1
+                keep = min(keep, max(common - 1, 0))
+            if keep < len(ancs):
+                yield from self._unwind(keep, ancs, chain)
+                chain = chain[: keep + 1] if keep else ()
+                del chain_qubits[len(chain) :]
+            if not prefix:
+                yield kind, target, controls, g.theta
+                continue
+            for level in range(len(ancs), len(prefix) - 1):
+                ancs.append(self._alloc())
+                yield _rung(level, ancs, prefix)
+            if len(prefix) > len(chain):
+                chain_qubits.extend(q for q, _ in prefix[len(chain) :])
+                chain = prefix
+                self.high_water = max(self.high_water, len(ancs))
+            if kind == "X":
+                yield "X", target, ((ancs[-1], 1), controls[-1]), None
+            else:  # Z, H or RY: every control folded into one ancilla
+                yield kind, target, ((ancs[-1], 1),), g.theta
+        yield from self._unwind(0, ancs, chain)
 
     def lower(self, circuit: Circuit) -> Circuit:
-        for g in circuit.gates:
-            self._invalidate(g.target)
-            k = len(g.controls)
-            if g.kind == "X":
-                if k <= 2:
-                    self.out.append(g)
-                else:
-                    anc = self._ensure_prefix(g.controls[:-1])
-                    self.out.append(Gate("X", g.target, ((anc, 1), g.controls[-1])))
-            elif k <= 1:  # Z, H or RY with at most one control
-                self.out.append(g)
-            else:  # Z, H or RY: fold every control into one ancilla
-                anc = self._ensure_prefix(g.controls)
-                self.out.append(Gate(g.kind, g.target, ((anc, 1),), g.theta))
-        while self.stack:
-            self._pop()
-        total = self.base + self.high_water
-        return Circuit(max(total, 1), tuple(self.out))
+        gates = tuple(Gate(*step) for step in self.steps(circuit.gates))
+        return Circuit(self.base + self.high_water, gates)
 
 
 def lower_to_toffoli(circuit: Circuit) -> Circuit:
@@ -141,32 +154,34 @@ def lower_to_toffoli(circuit: Circuit) -> Circuit:
 
 
 def count_resources(circuit: Circuit) -> GateCounts:
-    """Gate tally of the circuit under the lowering model."""
+    """Gate tally of the circuit under the lowering model.
+
+    Each lowered gate is charged as the ladder walk emits it, so the
+    lowered circuit is never built.
+    """
     lowering = _Lowering(circuit)
-    lowered = lowering.lower(circuit)
     t = clifford = rot = 0
-    for g in lowered.gates:
-        k = len(g.controls)
-        open_penalty = 2 * sum(1 for _, pol in g.controls if pol == 0)
-        if g.kind == "X":
-            if k <= 1:
-                clifford += 1 + (open_penalty if k else 0)
-            else:
-                t += 7
-                clifford += 8 + open_penalty
-        elif g.kind == "Z":
-            clifford += 1 + open_penalty
-        elif g.kind == "H":
-            if k == 0:
+    for kind, _, controls, _ in lowering.steps(circuit.gates):
+        for _, pol in controls:
+            if pol == 0:  # open control: 2 Clifford X around the gate
+                clifford += 2
+        if kind == "X":
+            if len(controls) <= 1:
                 clifford += 1
             else:
+                t += 7
+                clifford += 8
+        elif kind == "Z":
+            clifford += 1
+        elif kind == "H":
+            if controls:
                 rot += 2
-                clifford += 1 + open_penalty
-        elif k == 0:  # RY
-            rot += 1
-        else:  # controlled RY
+            clifford += 1
+        elif controls:  # controlled RY
             rot += 2
-            clifford += 2 + open_penalty
+            clifford += 2
+        else:  # RY
+            rot += 1
     return GateCounts(
         t_count=t,
         clifford_count=clifford,

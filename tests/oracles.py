@@ -95,6 +95,39 @@ def dense_toffoli_network():
     return product, t_count, clifford_count
 
 
+def charge_lowered_circuit(lowered):
+    """(t, clifford, rotations) of a lowered circuit, one Gate at a time.
+
+    The per-gate charges of the resources module docstring, applied to
+    the materialised ``lower_to_toffoli`` output rather than to the
+    ladder walk's steps.
+    """
+    t = clifford = rot = 0
+    for g in lowered.gates:
+        k = len(g.controls)
+        open_penalty = 2 * sum(1 for _, pol in g.controls if pol == 0)
+        if g.kind == "X":
+            if k <= 1:
+                clifford += 1 + (open_penalty if k else 0)
+            else:
+                t += 7
+                clifford += 8 + open_penalty
+        elif g.kind == "Z":
+            clifford += 1 + open_penalty
+        elif g.kind == "H":
+            if k == 0:
+                clifford += 1
+            else:
+                rot += 2
+                clifford += 1 + open_penalty
+        elif k == 0:  # RY
+            rot += 1
+        else:  # controlled RY
+            rot += 2
+            clifford += 2 + open_penalty
+    return t, clifford, rot
+
+
 def trapezoid_l2_norm(f, dim, oversample_points):
     """L2([0,1]^dim) norm by trapezoidal quadrature on a fine grid.
 

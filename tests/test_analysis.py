@@ -362,6 +362,28 @@ def test_success_probability_leaves_the_grid_values_unchanged():
         assert np.array_equal(gf.values, before)
 
 
+def test_circuit_route_runs_in_place_on_its_own_state():
+    # at 18 qubits |0>|v> takes 4 MiB and the gates add one scratch
+    # buffer of half that; a second copy of the state would pass 2x.
+    # The value is the copying simulator's, to the last bit.
+    import tracemalloc
+
+    enc = encode_laplace_dd(1, 16)
+    spec = GridSpec(1, 16)
+    rng = np.random.default_rng(16)
+    gf = GridFunction.from_samples(spec, rng.normal(size=spec.npoints) + 1j * rng.normal(size=spec.npoints))
+    tracemalloc.start()
+    try:
+        p = success_probability(enc, gf, "circuit")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = np.zeros(enc.circuit.dim, dtype=complex)
+    state[: spec.npoints] = gf.values
+    assert peak < 2 * state.nbytes
+    assert p == float(np.sum(np.abs(apply(enc.circuit, state)[: spec.npoints]) ** 2))
+
+
 def test_success_probability_rejects_bad_route_and_dims():
     enc = encode_laplace_1d(3)
     with pytest.raises(ParameterError):

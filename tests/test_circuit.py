@@ -7,6 +7,7 @@ from fdblock.circuit import (
     Gate,
     adjoint,
     apply,
+    apply_in_place,
     apply_sparse,
     apply_to_columns,
     compose,
@@ -206,6 +207,23 @@ def test_dense_simulation_leaves_the_callers_arrays_unchanged():
     assert np.array_equal(mat, before)
     assert np.array_equal(apply(c, mat[:, 1]), out[:, 1])
     assert np.array_equal(mat, before)
+
+
+def test_apply_in_place_overwrites_its_own_array():
+    gates = (Gate("H", 0), Gate("RY", 1, ((0, 1),), 0.9), Gate("X", 2, ((1, 0),)))
+    c = Circuit(3, gates + (Gate("RY", 2, theta=-1.3),))
+    rng = np.random.default_rng(8)
+    mat = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    expected = apply_to_columns(c, mat)
+    assert apply_in_place(c, mat) is mat
+    assert np.array_equal(mat, expected)
+    # arrays that the gates could not overwrite in place are refused
+    for bad in (mat.real.copy(), np.asfortranarray(mat), mat[:, ::2], mat[:, 0]):
+        with pytest.raises(ShapeError):
+            apply_in_place(c, bad)
+    mat[3, 1] = np.nan
+    with pytest.raises(ShapeError, match="finite"):
+        apply_in_place(c, mat)
 
 
 def test_controlled_single_x_is_cnot():

@@ -163,6 +163,26 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--n", "2..1000000000"), ("--n", "2..3000000"), ("--n", "65"), ("--n", "0"),
+     ("--n", "-1000000000..2"), ("--dim", "1..65")],
+)
+def test_ranges_beyond_the_build_cap_are_refused_before_any_list(flag, value, monkeypatch, capsys):
+    import fdblock.cli as cli
+
+    # A range of more than 64 values means the bounds went unchecked;
+    # failing here keeps a regression from allocating a billion ints.
+    def small_range(lo, hi):
+        assert hi - lo <= 64, (lo, hi)
+        return range(lo, hi)
+
+    monkeypatch.setattr(cli, "range", small_range, raising=False)
+    args = {"--n": "2", "--dim": "1", flag: value}
+    assert run("resources", "--op", "laplace", "--dim", args["--dim"], f"--n={args['--n']}") == 2
+    assert f"error: {flag} {value} is outside 1..64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sweep", "resources", "export"])
 def test_tolerance_only_on_commands_that_read_it(command, capsys):
     with pytest.raises(SystemExit) as rejected:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdblock.circuit import Circuit, Gate, unitary
+from fdblock.circuit import GATE_KINDS, Circuit, Gate, unitary
 from fdblock.encodings import (
     encode_derivative_1d,
     encode_divergence_2d,
@@ -17,13 +17,14 @@ from fdblock.errors import ParameterError, SizeError
 from fdblock.linalg import max_abs_diff
 from fdblock.resources import (
     RESOURCES_CSV_HEADER,
+    GateCounts,
     count_resources,
     lower_to_toffoli,
     resource_sweep,
     resources_csv,
 )
 
-from .oracles import dense_toffoli_network
+from .oracles import charge_lowered_circuit, dense_toffoli_network
 
 BUILDERS = {
     "laplace1": lambda n: encode_laplace_1d(n),
@@ -129,18 +130,19 @@ def test_laplace_1d_count_recurrence():
     assert all(counts[n].rotation_count == 0 for n in counts)
 
 
-# Shifted grid axes of each builder, and the largest n that fits the
-# 64-qubit build cap (the end of the range `resources` reports).
+# Shifted grid axes of each builder, the largest n that fits the 64-qubit
+# build cap (the end of the range `resources` reports), and the intercept
+# c of t = 42 * axes * n + c, read off every row of bench/reference.
 CAP_RANGES = {
-    "laplace1": (1, 62),
-    "laplace2": (2, 30),
-    "laplace3": (3, 20),
-    "laplace4": (4, 15),
-    "lcu": (1, 61),
-    "derivative": (1, 63),
-    "gradient": (2, 31),
-    "divergence": (2, 31),
-    "wave": (2, 30),
+    "laplace1": (1, 62, -70),
+    "laplace2": (2, 30, -56),
+    "laplace3": (3, 20, -42),
+    "laplace4": (4, 15, -56),
+    "lcu": (1, 61, -28),
+    "derivative": (1, 63, -70),
+    "gradient": (2, 31, -56),
+    "divergence": (2, 31, -56),
+    "wave": (2, 30, -56),
 }
 
 
@@ -151,13 +153,56 @@ def test_t_count_affine_in_n(name):
     # Clifford, qubit and ancilla counts are not asserted: laplace D=1,
     # derivative and lcu step irregularly from n = 2 to 3.
     build = BUILDERS[name]
-    axes, n_max = CAP_RANGES[name]
-    counts = [count_resources(build(n).circuit) for n in range(2, n_max + 1)]
-    deltas = {b.t_count - a.t_count for a, b in zip(counts, counts[1:])}
-    assert deltas == {42 * axes}, (name, deltas)
-    assert len({c.rotation_count for c in counts}) == 1
+    axes, n_max, intercept = CAP_RANGES[name]
+    counts = {n: count_resources(build(n).circuit) for n in range(2, n_max + 1)}
+    off_line = {n: c.t_count for n, c in counts.items() if c.t_count != 42 * axes * n + intercept}
+    assert off_line == {}, name
+    assert len({c.rotation_count for c in counts.values()}) == 1
     with pytest.raises(SizeError):
         build(n_max + 1)
+
+
+def _materialised_counts(circuit):
+    lowered = lower_to_toffoli(circuit)
+    t, clifford, rot = charge_lowered_circuit(lowered)
+    return GateCounts(t, clifford, rot, lowered.num_qubits - circuit.num_qubits, lowered.num_qubits)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_tally_equals_the_charge_of_the_lowered_circuit(name):
+    # count_resources charges the ladder walk's steps without building
+    # the lowered circuit; charging that circuit gate by gate must agree
+    build = BUILDERS[name]
+    n_max = CAP_RANGES[name][1]
+    for n in (*range(1, 7), n_max):
+        circuit = build(n).circuit
+        assert count_resources(circuit) == _materialised_counts(circuit), (name, n)
+
+
+def test_tally_equals_the_charge_of_the_lowered_circuit_on_random_gate_lists():
+    # sorted control lists share prefixes and so reuse ladder levels;
+    # shuffled ones force partial unwinds
+    rng = np.random.default_rng(4321)
+    seen = {"open": 0, "H": 0, "Z": 0, "RY": 0}
+    for _ in range(200):
+        nq = int(rng.integers(3, 9))
+        gates = []
+        for _ in range(int(rng.integers(1, 30))):
+            kind = GATE_KINDS[int(rng.integers(0, len(GATE_KINDS)))]
+            target = int(rng.integers(0, nq))
+            others = [q for q in range(nq) if q != target]
+            if rng.random() < 0.5:
+                rng.shuffle(others)
+            k = int(rng.integers(0, len(others) + 1))
+            controls = tuple((q, int(rng.random() < 0.7)) for q in others[:k])
+            theta = float(rng.normal()) if kind == "RY" else None
+            gates.append(Gate(kind, target, controls, theta))
+            seen["open"] += any(pol == 0 for _, pol in controls)
+            if kind != "X" and k >= 2:
+                seen[kind] += 1
+        circuit = Circuit(nq, tuple(gates))
+        assert count_resources(circuit) == _materialised_counts(circuit)
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
