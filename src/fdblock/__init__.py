@@ -2,7 +2,7 @@
 
 Explicit shift-based quantum circuits embedding the scaled discrete
 Laplacian (and first-order relatives) as the zero-ancilla block of a
-unitary, together with dense simulation, block verification, success
+unitary, together with statevector simulation, block verification, success
 probabilities, discretization-error metrics, and Clifford+T accounting.
 """
 
@@ -10,22 +10,12 @@ from .analysis import (
     FAMILIES,
     SweepRow,
     VerificationReport,
-    extract_block,
     fd_error_max,
     success_probability,
     sweep_success_probability,
     verify_pattern,
 )
-from .circuit import (
-    Circuit,
-    Gate,
-    adjoint,
-    apply,
-    compose,
-    controlled,
-    export_text,
-    unitary,
-)
+from .circuit import Circuit, Gate, adjoint, apply, export_text
 from .encodings import (
     BlockEncoding,
     alpha_d,
@@ -39,20 +29,8 @@ from .encodings import (
     encode_wave_2d,
     shift_circuit,
 )
-from .linalg import is_unitary, kron, norm2
-from .operators import (
-    GridFunction,
-    GridSpec,
-    banded_circulant,
-    central_difference_1d,
-    first_order_tensorized,
-    laplacian_1d,
-    laplacian_dd,
-    sample_function,
-    scaled_laplacian_1d,
-    scaled_laplacian_dd,
-    trapezoid_1d,
-)
+from .linalg import norm2
+from .operators import GridFunction, GridSpec, sample_function
 from .resources import GateCounts, count_resources, lower_to_toffoli, resource_sweep
 
 __all__ = [
@@ -68,10 +46,6 @@ __all__ = [
     "adjoint",
     "alpha_d",
     "apply",
-    "banded_circulant",
-    "central_difference_1d",
-    "compose",
-    "controlled",
     "count_resources",
     "encode_banded_lcu",
     "encode_derivative_1d",
@@ -82,23 +56,13 @@ __all__ = [
     "encode_laplace_dd",
     "encode_wave_2d",
     "export_text",
-    "extract_block",
     "fd_error_max",
-    "first_order_tensorized",
-    "is_unitary",
-    "kron",
-    "laplacian_1d",
-    "laplacian_dd",
     "lower_to_toffoli",
     "norm2",
     "resource_sweep",
     "sample_function",
-    "scaled_laplacian_1d",
-    "scaled_laplacian_dd",
     "shift_circuit",
     "success_probability",
     "sweep_success_probability",
-    "trapezoid_1d",
-    "unitary",
     "verify_pattern",
 ]

@@ -1,4 +1,4 @@
-"""Block extraction, verification, success probabilities, and sweeps.
+"""Block verification, success probabilities, and sweeps.
 
 Every expected block comes from the encoding itself: each builder
 declares its blocks as (row, col, stencil) triples, each block being
@@ -106,16 +106,6 @@ def _sparse_panels(enc: BlockEncoding, col: int):
         yield start, stop - start, apply_sparse(enc.circuit, *basis)
 
 
-def _block_rows(entries, row: int, N: int, width: int) -> np.ndarray:
-    """Dense rows row*N .. (row+1)*N - 1 of a sparse panel of width columns."""
-    cols, idx, amp = entries
-    lo = np.uint64(row * N)
-    inside = (idx >= lo) & (idx < lo + np.uint64(N))
-    block = np.zeros((N, width), dtype=np.complex128)
-    block[idx[inside] - lo, cols[inside]] = amp[inside]
-    return block
-
-
 def _block_deviation(entries, row: int, N: int, alpha: float, expected) -> float:
     """Max |block - alpha * expected| over a panel held as sparse entries.
 
@@ -140,22 +130,6 @@ def _block_deviation(entries, row: int, N: int, alpha: float, expected) -> float
     sums = np.add.reduceat(diffs, np.flatnonzero(first))
     # np.max, unlike the builtin, propagates a NaN into a FAIL.
     return float(np.max(np.abs(sums), initial=0.0))
-
-
-def extract_block(enc: BlockEncoding, row: int, col: int) -> np.ndarray:
-    """Dense block U[row*N:(row+1)*N, col*N:(col+1)*N] of the encoding.
-
-    The circuit acts sparsely on |col>|j> for each system basis state j
-    and the result is projected onto ancilla state |row>.
-    """
-    blocks = 1 << enc.m
-    if not (0 <= row < blocks and 0 <= col < blocks):
-        raise ParameterError(f"block indices must be below 2**m = {blocks}")
-    N = enc.system_dim
-    block = np.empty((N, N), dtype=np.complex128)
-    for start, width, entries in _sparse_panels(enc, col):
-        block[:, start : start + width] = _block_rows(entries, row, N, width)
-    return block
 
 
 def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:

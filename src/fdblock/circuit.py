@@ -16,11 +16,11 @@ which register.  For ancillas on the first m wires and a k-qubit system
 register after them, the composite basis index of |a>|s> is a*2^k + s.
 
 Two simulators compute the same columns bit for bit.  ``apply``,
-``apply_to_columns``, ``apply_in_place`` and ``unitary`` run dense
-statevectors, so each column costs gates * 2^q amplitude updates.  They
-update the state in place through one scratch buffer of half its size
-(its full size when an RY gate has no controls), with the expressions
-of ``apply_sparse``.  ``apply`` and ``apply_to_columns`` copy the
+``apply_to_columns`` and ``apply_in_place`` run dense statevectors, so
+each column costs gates * 2^q amplitude updates.  They update the state
+in place through one scratch buffer of half its size (its full size
+when an RY gate has no controls), with the expressions of
+``apply_sparse``.  ``apply`` and ``apply_to_columns`` copy the
 caller's array first; ``apply_in_place`` overwrites it.  ``apply_sparse``
 keeps only a column's nonzero entries, so it costs gates * (support)
 updates plus one sort per H or RY gate.  Run through an LCU circuit
@@ -35,15 +35,14 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import lazy_import
-from .errors import LayoutError, QubitIndexError, ShapeError, SizeError
+from .errors import QubitIndexError, ShapeError, SizeError
 
 np = lazy_import("numpy")
 
 GATE_KINDS = ("X", "Z", "H", "RY")
 
-# Simulation caps: statevectors up to 18 qubits, full unitaries up to 12.
+# The statevector cap.
 MAX_SIM_QUBITS = 18
-MAX_UNITARY_QUBITS = 12
 
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -259,17 +258,6 @@ def apply_sparse(circuit: Circuit, cols, idx, amp):
     return cols, idx, amp
 
 
-def unitary(circuit: Circuit) -> np.ndarray:
-    """Full matrix of the circuit; column j equals apply(circuit, |j>)."""
-    if circuit.num_qubits > MAX_UNITARY_QUBITS:
-        raise SizeError(
-            f"{circuit.num_qubits} qubits exceeds the full-unitary cap {MAX_UNITARY_QUBITS}"
-        )
-    # The gates run in place on a fresh identity, so the matrix is not copied.
-    psi = np.eye(circuit.dim, dtype=np.complex128).reshape((2,) * circuit.num_qubits + (-1,))
-    return _run_gates(circuit.gates, psi).reshape(circuit.dim, circuit.dim)
-
-
 def adjoint(circuit: Circuit) -> Circuit:
     """Circuit of U^dagger: the gates reversed, each RY angle negated.
 
@@ -281,34 +269,6 @@ def adjoint(circuit: Circuit) -> Circuit:
         for g in reversed(circuit.gates)
     )
     return Circuit(circuit.num_qubits, gates)
-
-
-def controlled(circuit: Circuit, controls) -> Circuit:
-    """Add the given (qubit, polarity) controls to every gate.
-
-    The controlled version of a composite equals the composite of the
-    controlled gates, so this implements boxed-integer control of a whole
-    subcircuit.  Control qubits must not be acted on by the circuit.
-    """
-    controls = tuple((int(q), int(p)) for q, p in controls)
-    acted = set()
-    for g in circuit.gates:
-        acted.add(g.target)
-        acted.update(q for q, _ in g.controls)
-    overlap = acted & {q for q, _ in controls}
-    if overlap:
-        raise QubitIndexError(f"controls {sorted(overlap)} overlap the circuit's qubits")
-    gates = tuple(
-        Gate(g.kind, g.target, controls + g.controls, g.theta) for g in circuit.gates
-    )
-    return Circuit(circuit.num_qubits, gates)
-
-
-def compose(a: Circuit, b: Circuit) -> Circuit:
-    """Gates of a followed by gates of b."""
-    if a.num_qubits != b.num_qubits:
-        raise LayoutError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
-    return Circuit(a.num_qubits, a.gates + b.gates)
 
 
 def export_text(circuit: Circuit) -> str:

@@ -9,11 +9,12 @@ export     deterministic circuit text listing
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 I/O error,
 4 internal error (an unexpected exception; a one-line message goes to
-stderr).  Output files are written atomically (temp file + rename) and
-contain no timestamps, so identical invocations at the same BLAS thread
-count produce byte-identical files.  The thread count matters because
-norms go through threaded BLAS reductions: the last digit of a sweep's
-p_success can differ between one and two OpenBLAS threads.
+stderr).  Output files are written atomically (temp file + rename),
+with the mode the umask gives, and contain no timestamps, so identical
+invocations at the same BLAS thread count produce byte-identical files.
+The thread count matters because norms go through threaded BLAS
+reductions: the last digit of a sweep's p_success can differ between
+one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -130,8 +131,13 @@ def _write_output(path: str | None, text: str):
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fdblock-")
+    # mkstemp makes the file 0600 whatever the umask; give it the mode
+    # that open(path, "w") would.  The umask can only be read by setting it.
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

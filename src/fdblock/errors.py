@@ -10,15 +10,11 @@ class ShapeError(FdblockError, ValueError):
 
 
 class SizeError(FdblockError, ValueError):
-    """A dense object would exceed the configured dimension caps."""
+    """An input would exceed a size cap (qubits, grid points, sort-key bits)."""
 
 
 class QubitIndexError(FdblockError, ValueError):
     """Qubit indices out of range, duplicated, or overlapping controls."""
-
-
-class LayoutError(FdblockError, ValueError):
-    """Two circuits to be combined have different widths."""
 
 
 class ParameterError(FdblockError, ValueError):

@@ -1,4 +1,4 @@
-"""Classical reference operators on the uniform periodic grid.
+"""Grid functions and stencil operators on the uniform periodic grid.
 
 The grid on [0,1]^D has N = 2**n points per axis with width h = 1/N; the
 endpoint x=1 is excluded (periodic wrap).  Grid values are vectorized
@@ -7,14 +7,13 @@ point (j0*h, j1*h, ..., j_{D-1}*h) is
 
     j_{D-1} * N^(D-1) + ... + j_1 * N + j0 .
 
-Matrices are built dense and literal, and stay the independent
-reference the tests compare against; nothing derives them from a
-:class:`Stencil`.  A Stencil holds an operator as data, (axis, offset,
-coeff) terms over a divisor.  Its ``apply`` evaluates it on grid values
-by rolls, and its ``columns`` gives the sparse basis columns A e_j at any
+A :class:`Stencil` holds an operator as data, (axis, offset, coeff)
+terms over a divisor.  Its ``apply`` evaluates it on grid values by
+rolls, and its ``columns`` gives the sparse basis columns A e_j at any
 grid indices; neither forms a matrix, and ``columns`` works on grids of
 up to 2**64 points.  The encoding builders declare their blocks as
-Stencils.
+Stencils.  The dense matrices that the tests compare them against live
+in the test suite's oracles, written without stencils.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
-from .linalg import MATRIX_DIM_CAP, VECTOR_DIM_CAP, kron, norm2
+from .linalg import VECTOR_DIM_CAP, norm2
 
 np = lazy_import("numpy")
 
@@ -84,90 +83,6 @@ class GridFunction:
         return cls(spec, raw / norm, norm)
 
 
-def lambda_max(dim: int, n: int) -> float:
-    """Largest-magnitude eigenvalue 4*dim/h**2 of the discrete Laplacian."""
-    h = 1.0 / (1 << n)
-    return 4.0 * dim / h**2
-
-
-def _circulant(n: int, stencil: dict[int, float]) -> np.ndarray:
-    """N x N circulant; stencil maps offset -> coefficient, offsets mod N.
-
-    Offsets are accumulated, so colliding entries (e.g. +1 and -1 at
-    N = 2) sum, exactly as the wrapped stencil does.
-    """
-    N = 1 << n
-    if N > MATRIX_DIM_CAP:
-        raise SizeError(f"dimension {N} exceeds dense cap {MATRIX_DIM_CAP}")
-    m = np.zeros((N, N), dtype=np.complex128)
-    for off, coeff in stencil.items():
-        for i in range(N):
-            m[i, (i + off) % N] += coeff
-    return m
-
-
-def laplacian_1d(n: int) -> np.ndarray:
-    """Second-difference operator: diagonal -2/h^2, neighbors (and wrap) 1/h^2."""
-    h = 1.0 / (1 << n)
-    return _circulant(n, {0: -2.0 / h**2, 1: 1.0 / h**2, -1: 1.0 / h**2})
-
-
-def scaled_laplacian_1d(n: int) -> np.ndarray:
-    """laplacian_1d divided by its largest eigenvalue magnitude 4/h^2."""
-    return laplacian_1d(n) / lambda_max(1, n)
-
-
-def laplacian_dd(dim: int, n: int) -> np.ndarray:
-    """Tensor sum of 1-d Laplacians: sum_d I x .. x L x .. x I (axis d)."""
-    N = 1 << n
-    if N**dim > MATRIX_DIM_CAP:
-        raise SizeError(f"dimension {N**dim} exceeds dense cap {MATRIX_DIM_CAP}")
-    l1 = laplacian_1d(n)
-    eye = np.eye(N, dtype=np.complex128)
-    total = np.zeros((N**dim, N**dim), dtype=np.complex128)
-    for d in range(dim):
-        term = np.eye(1, dtype=np.complex128)
-        for axis in range(dim - 1, -1, -1):  # most significant factor first
-            term = kron(term, l1 if axis == d else eye)
-        total += term
-    return total
-
-
-def scaled_laplacian_dd(dim: int, n: int) -> np.ndarray:
-    """laplacian_dd divided by 4*dim/h^2; spectral norm 1."""
-    return laplacian_dd(dim, n) / lambda_max(dim, n)
-
-
-def central_difference_1d(n: int) -> np.ndarray:
-    """Antisymmetric first-difference operator with entries +-1/(2h)."""
-    h = 1.0 / (1 << n)
-    return _circulant(n, {1: 1.0 / (2 * h), -1: -1.0 / (2 * h)})
-
-
-def trapezoid_1d(n: int) -> np.ndarray:
-    """Row-wise trapezoidal quadrature weights h/2 * (1, 2, 1)."""
-    h = 1.0 / (1 << n)
-    return _circulant(n, {0: h, 1: h / 2, -1: h / 2})
-
-
-def banded_circulant(n: int, a0: float, a1: float, am1: float) -> np.ndarray:
-    """Circulant with diagonal a0, superdiagonal am1, subdiagonal a1 (wrapped)."""
-    return _circulant(n, {0: a0, 1: am1, -1: a1})
-
-
-def first_order_tensorized(axis: int, dim: int, n: int) -> np.ndarray:
-    """h*central_difference placed on one axis of a 2-d grid."""
-    if dim != 2:
-        raise ParameterError(f"only dim=2 is supported, got {dim}")
-    if axis not in (0, 1):
-        raise ParameterError(f"axis must be 0 or 1, got {axis}")
-    N = 1 << n
-    h = 1.0 / N
-    d1 = h * central_difference_1d(n)
-    eye = np.eye(N, dtype=np.complex128)
-    return kron(eye, d1) if axis == 0 else kron(d1, eye)
-
-
 def grid_axes(spec: GridSpec) -> list[np.ndarray]:
     """Coordinate arrays (x0, ..., x_{D-1}) broadcast over the grid tensor.
 
@@ -186,7 +101,8 @@ def sample_grid(f, spec: GridSpec) -> np.ndarray:
     vals = np.asarray(f(*grid_axes(spec)), dtype=np.complex128)
     if vals.shape != (spec.N,) * spec.dim:
         raise ShapeError(f"field returned shape {vals.shape}")
-    if np.max(np.abs(vals.imag)) > 0.0:
+    # != is True for a NaN imaginary part, where a comparison with > is not
+    if np.any(vals.imag != 0.0):
         raise ParameterError("scalar fields must be real-valued")
     if not np.all(np.isfinite(vals.real)):
         raise ShapeError("field samples must be finite")

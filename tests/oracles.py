@@ -1,11 +1,129 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately written without the package's own
-operator constructors or simulator, so that an agreement check is a real
-cross-check and not a tautology.
+The dense operator matrices and gate networks here are deliberately
+written without the package's stencils or simulator, so that an
+agreement check is a real cross-check and not a tautology.  Only
+``unitary`` and ``extract_block`` run the package's dense simulator on
+basis columns, to give tests a circuit's matrix or one of its blocks.
 """
 
 import numpy as np
+
+from fdblock.circuit import apply_in_place
+from fdblock.errors import ParameterError, ShapeError
+
+
+def max_abs_diff(a, b) -> float:
+    """Largest entrywise absolute deviation between two arrays."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+    return float(np.max(np.abs(a - b))) if a.size else 0.0
+
+
+def unitarity_residual(u) -> float:
+    """Max-entry deviation of U^dag U from the identity."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ShapeError(f"unitarity check needs a square matrix, got {u.shape}")
+    return max_abs_diff(u.conj().T @ u, np.eye(u.shape[0]))
+
+
+def unitary(circuit):
+    """Full matrix of the circuit: the gates run on the identity's columns."""
+    return apply_in_place(circuit, np.eye(circuit.dim, dtype=complex))
+
+
+def extract_block(enc, row, col):
+    """Block U[row*N:(row+1)*N, col*N:(col+1)*N] of an encoding.
+
+    Only the N basis columns |col>|j> run through the circuit.
+    """
+    N = enc.system_dim
+    columns = np.zeros((enc.circuit.dim, N), dtype=complex)
+    columns[col * N + np.arange(N), np.arange(N)] = 1.0
+    return apply_in_place(enc.circuit, columns)[row * N : (row + 1) * N]
+
+
+def lambda_max(dim, n):
+    """Largest-magnitude eigenvalue 4*dim/h**2 of the discrete Laplacian."""
+    h = 1.0 / (1 << n)
+    return 4.0 * dim / h**2
+
+
+def _circulant(n, stencil):
+    """N x N circulant; stencil maps offset -> coefficient, offsets mod N.
+
+    Offsets are accumulated, so colliding entries (e.g. +1 and -1 at
+    N = 2) sum, exactly as the wrapped stencil does.
+    """
+    N = 1 << n
+    rows = np.arange(N)
+    m = np.zeros((N, N), dtype=complex)
+    for off, coeff in stencil.items():
+        m[rows, (rows + off) % N] += coeff
+    return m
+
+
+def laplacian_1d(n):
+    """Second-difference operator: diagonal -2/h^2, neighbors (and wrap) 1/h^2."""
+    h = 1.0 / (1 << n)
+    return _circulant(n, {0: -2.0 / h**2, 1: 1.0 / h**2, -1: 1.0 / h**2})
+
+
+def scaled_laplacian_1d(n):
+    """laplacian_1d divided by its largest eigenvalue magnitude 4/h^2."""
+    return laplacian_1d(n) / lambda_max(1, n)
+
+
+def laplacian_dd(dim, n):
+    """Tensor sum of 1-d Laplacians: sum_d I x .. x L x .. x I (axis d)."""
+    N = 1 << n
+    l1 = laplacian_1d(n)
+    eye = np.eye(N, dtype=complex)
+    total = np.zeros((N**dim, N**dim), dtype=complex)
+    for d in range(dim):
+        term = np.eye(1, dtype=complex)
+        for axis in range(dim - 1, -1, -1):  # most significant factor first
+            term = np.kron(term, l1 if axis == d else eye)
+        total += term
+    return total
+
+
+def scaled_laplacian_dd(dim, n):
+    """laplacian_dd divided by 4*dim/h^2; spectral norm 1."""
+    return laplacian_dd(dim, n) / lambda_max(dim, n)
+
+
+def central_difference_1d(n):
+    """Antisymmetric first-difference operator with entries +-1/(2h)."""
+    h = 1.0 / (1 << n)
+    return _circulant(n, {1: 1.0 / (2 * h), -1: -1.0 / (2 * h)})
+
+
+def trapezoid_1d(n):
+    """Row-wise trapezoidal quadrature weights h/2 * (1, 2, 1)."""
+    h = 1.0 / (1 << n)
+    return _circulant(n, {0: h, 1: h / 2, -1: h / 2})
+
+
+def banded_circulant(n, a0, a1, am1):
+    """Circulant with diagonal a0, superdiagonal am1, subdiagonal a1 (wrapped)."""
+    return _circulant(n, {0: a0, 1: am1, -1: a1})
+
+
+def first_order_tensorized(axis, dim, n):
+    """h*central_difference placed on one axis of a 2-d grid."""
+    if dim != 2:
+        raise ParameterError(f"only dim=2 is supported, got {dim}")
+    if axis not in (0, 1):
+        raise ParameterError(f"axis must be 0 or 1, got {axis}")
+    N = 1 << n
+    h = 1.0 / N
+    d1 = h * central_difference_1d(n)
+    eye = np.eye(N, dtype=complex)
+    return np.kron(eye, d1) if axis == 0 else np.kron(d1, eye)
 
 
 def brute_force_tensor_sum(dim, n):

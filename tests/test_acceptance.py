@@ -12,13 +12,12 @@ import numpy as np
 
 from fdblock.analysis import (
     FAMILIES,
-    extract_block,
     fd_error_max,
     success_probability,
     sweep_success_probability,
     verify_pattern,
 )
-from fdblock.circuit import Circuit, apply, unitary
+from fdblock.circuit import Circuit, apply
 from fdblock.encodings import (
     alpha_d,
     encode_derivative_1d,
@@ -29,19 +28,21 @@ from fdblock.encodings import (
     encode_laplace_dd,
     encode_wave_2d,
 )
-from fdblock.linalg import max_abs_diff, unitarity_residual
-from fdblock.operators import (
-    GridSpec,
+from fdblock.operators import GridSpec, sample_function
+from fdblock.resources import count_resources
+
+from .oracles import (
+    brute_force_tensor_sum,
     central_difference_1d,
+    extract_block,
     laplacian_dd,
-    sample_function,
+    max_abs_diff,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
     trapezoid_1d,
+    unitarity_residual,
+    unitary,
 )
-from fdblock.resources import count_resources
-
-from .oracles import brute_force_tensor_sum
 
 
 @contextmanager

@@ -7,14 +7,13 @@ import pytest
 from fdblock.analysis import (
     FAMILIES,
     SWEEP_CSV_HEADER,
-    extract_block,
     fd_error_max,
     success_probability,
     sweep_csv,
     sweep_success_probability,
     verify_pattern,
 )
-from fdblock.circuit import Circuit, apply, unitary
+from fdblock.circuit import Circuit, apply
 from fdblock.encodings import (
     BlockEncoding,
     encode_banded_lcu,
@@ -27,22 +26,28 @@ from fdblock.encodings import (
     encode_wave_2d,
 )
 from fdblock.errors import ParameterError, ShapeError
-from fdblock.linalg import MATRIX_DIM_CAP, max_abs_diff, unitarity_residual
 from fdblock.operators import (
     GridFunction,
     GridSpec,
     Stencil,
-    banded_circulant,
-    central_difference_1d,
-    first_order_tensorized,
     sample_function,
-    scaled_laplacian_1d,
-    scaled_laplacian_dd,
     scaled_laplacian_stencil,
-    trapezoid_1d,
 )
 
-from .oracles import separable_trapezoid_l2_norm, trapezoid_l2_norm
+from .oracles import (
+    banded_circulant,
+    central_difference_1d,
+    extract_block,
+    first_order_tensorized,
+    max_abs_diff,
+    scaled_laplacian_1d,
+    scaled_laplacian_dd,
+    separable_trapezoid_l2_norm,
+    trapezoid_1d,
+    trapezoid_l2_norm,
+    unitarity_residual,
+    unitary,
+)
 
 
 def grid_fn(family, dim, n):
@@ -64,11 +69,6 @@ def test_extract_block_theorem_targets():
     assert (
         max_abs_diff(extract_block(enc, 0, 0), 0.75 * scaled_laplacian_dd(3, 1)) < 1e-12
     )
-
-
-def test_extract_block_index_bounds():
-    with pytest.raises(ParameterError):
-        extract_block(encode_laplace_1d(2), 4, 0)
 
 
 def test_verify_pattern_fails_on_a_perturbed_reference():
@@ -171,11 +171,10 @@ def test_round_trip_deviations_equal_extract_block_route(enc, dense_blocks):
 
 
 def test_references_evaluate_beyond_the_dense_cap():
-    # 15 qubits: N = 8192 is past the dense cap, and the declared
-    # stencils give sparse basis columns without forming any N-row array
+    # 15 qubits: N = 8192, and the declared stencils give sparse basis
+    # columns without forming any N-row array
     enc = encode_laplace_dd(1, 13)
-    N = enc.system_dim
-    assert N == 8192 > MATRIX_DIM_CAP
+    assert enc.system_dim == 8192
     row, col, stencil = enc.blocks[0]
     assert (row, col) == (0, 0)
     k, rows, values = stencil.columns(np.arange(100, 104, dtype=np.uint64))
@@ -228,7 +227,7 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verification ran the dense simulator")
 
-    for name in ("unitary", "apply_to_columns", "apply"):
+    for name in ("apply_in_place", "apply_to_columns", "apply"):
         monkeypatch.setattr(circuit_mod, name, refuse)
         if hasattr(analysis_mod, name):
             monkeypatch.setattr(analysis_mod, name, refuse)
@@ -578,13 +577,10 @@ def test_extract_block_chunking_is_transparent(monkeypatch):
     import fdblock.analysis as analysis_mod
 
     enc = encode_laplace_dd(2, 2)
-    full = extract_block(enc, 0, 0)
     report = verify_pattern(enc, 1e-12)
-    # three columns a panel (4**m entries each), the last panel short
+    # three columns a panel (4**m entries each), the last panel short;
+    # verification reads its blocks and residual from these panels
     monkeypatch.setattr(analysis_mod, "PANEL_ENTRIES", 3 << 2 * enc.m)
-    chunked = extract_block(enc, 0, 0)
-    assert max_abs_diff(full, chunked) == 0.0
-    # verification reads its blocks and residual from the same panels
     assert verify_pattern(enc, 1e-12) == report
 
 

@@ -10,15 +10,19 @@ from fdblock.circuit import (
     apply_in_place,
     apply_sparse,
     apply_to_columns,
-    compose,
-    controlled,
     export_text,
-    unitary,
 )
 from fdblock.encodings import encode_laplace_1d, shift_circuit
-from fdblock.errors import LayoutError, QubitIndexError, ShapeError, SizeError
-from fdblock.linalg import max_abs_diff
-from fdblock.operators import central_difference_1d, scaled_laplacian_1d, trapezoid_1d
+from fdblock.errors import QubitIndexError, ShapeError, SizeError
+
+from .oracles import (
+    central_difference_1d,
+    dense_circuit_unitary,
+    max_abs_diff,
+    scaled_laplacian_1d,
+    trapezoid_1d,
+    unitary,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 GATE_MATRICES = {
@@ -167,11 +171,6 @@ def test_apply_to_columns_runs_in_place_on_its_copy():
         assert peak <= 2.25 * col.nbytes, enc.label
 
 
-def test_unitary_cap():
-    with pytest.raises(SizeError):
-        unitary(Circuit(13))
-
-
 def test_apply_dim_mismatch():
     with pytest.raises(ShapeError):
         apply(Circuit(2), np.ones(3))
@@ -227,57 +226,37 @@ def test_apply_in_place_overwrites_its_own_array():
 
 
 def test_controlled_single_x_is_cnot():
-    cnot = controlled(Circuit(2, (Gate("X", 1),)), [(0, 1)])
+    cnot = Circuit(2, (Gate("X", 1, ((0, 1),)),))
     assert np.array_equal(apply(cnot, basis(2, 2)), basis(2, 3))
     assert np.array_equal(apply(cnot, basis(2, 0)), basis(2, 0))
 
 
 def test_controlled_polarity_zero_blocks_on_one():
-    anti = controlled(Circuit(2, (Gate("X", 1),)), [(0, 0)])
+    anti = Circuit(2, (Gate("X", 1, ((0, 0),)),))
     assert np.array_equal(apply(anti, basis(2, 2)), basis(2, 2))
     assert np.array_equal(apply(anti, basis(2, 0)), basis(2, 1))
 
 
 def test_controlled_shift_matches_encoding_gates():
-    # the anti-controlled decrement inside the Laplacian encoding equals
-    # controlled() applied to the standalone shift
+    # the anti-controlled decrement inside the Laplacian encoding is the
+    # standalone shift moved onto the system wires, with an open control
+    # on ancilla 1 prepended to every gate
     n = 3
     base = shift_circuit(-1, n)
-    shifted = Circuit(
-        n + 2,
-        tuple(Gate(g.kind, g.target + 2, tuple((q + 2, p) for q, p in g.controls)) for g in base.gates),
+    built = tuple(
+        Gate(g.kind, g.target + 2, ((1, 0),) + tuple((q + 2, p) for q, p in g.controls))
+        for g in base.gates
     )
-    built = controlled(shifted, [(1, 0)])
     enc = encode_laplace_1d(n)
     expected = tuple(g for g in enc.circuit.gates if g.kind == "X")[:n]
-    assert built.gates == expected
-
-
-def test_controlled_overlap_rejected():
-    with pytest.raises(QubitIndexError):
-        controlled(Circuit(2, (Gate("X", 1),)), [(1, 1)])
+    assert built == expected
 
 
 def test_compose_shift_inverse_is_identity():
     n = 3
-    c = compose(shift_circuit(-1, n), shift_circuit(+1, n))
+    c = Circuit(n, shift_circuit(-1, n).gates + shift_circuit(+1, n).gates)
     for j in range(1 << n):
         assert np.array_equal(apply(c, basis(n, j)), basis(n, j))
-
-
-def test_compose_with_empty_and_associativity():
-    n = 2
-    a = shift_circuit(-1, n)
-    empty = Circuit(n, ())
-    assert compose(a, empty).gates == a.gates
-    b = shift_circuit(+1, n)
-    c = Circuit(n, (Gate("H", 0),))
-    assert compose(compose(a, b), c).gates == compose(a, compose(b, c)).gates
-
-
-def test_compose_rejects_different_widths():
-    with pytest.raises(LayoutError, match="qubit counts differ"):
-        compose(Circuit(2), Circuit(3))
 
 
 def test_unitary_of_compose_is_reversed_product():
@@ -286,7 +265,7 @@ def test_unitary_of_compose_is_reversed_product():
     gates_b = (Gate("H", 1), Gate("X", 2, ((0, 1),)))
     a = Circuit(3, gates_a)
     b = Circuit(3, gates_b)
-    assert max_abs_diff(unitary(compose(a, b)), unitary(b) @ unitary(a)) < 1e-12
+    assert max_abs_diff(unitary(Circuit(3, gates_a + gates_b)), unitary(b) @ unitary(a)) < 1e-12
 
 
 def test_apply_preserves_norm_on_corpus():
@@ -335,8 +314,6 @@ def random_gates(rng, nq, count):
 def test_simulator_matches_dense_oracle_on_random_circuits():
     # cross-check the reshape-based simulator against a loop-built
     # projector construction of every controlled gate
-    from .oracles import dense_circuit_unitary
-
     rng = np.random.default_rng(77)
     for _ in range(12):
         nq = int(rng.integers(2, 6))
@@ -348,8 +325,6 @@ def test_simulator_matches_dense_oracle_on_random_circuits():
 def test_adjoint_matches_dense_oracle_conjugate_transpose():
     # every list carries an RY, whose angle the adjoint negates, and a
     # controlled H
-    from .oracles import dense_circuit_unitary
-
     rng = np.random.default_rng(2429)
     for _ in range(12):
         nq = int(rng.integers(2, 6))
@@ -426,8 +401,6 @@ def test_sparse_simulator_is_bit_identical_on_every_builder():
 def test_sparse_simulator_matches_dense_routes_on_random_circuits():
     # H and RY land on any wire, so supports grow toward 2**q; the
     # random panels hold several entries per column
-    from .oracles import dense_circuit_unitary
-
     rng = np.random.default_rng(2509)
     for _ in range(20):
         nq = int(rng.integers(2, 7))

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -224,3 +225,15 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     out = tmp_path / "res.csv"
     assert run("resources", "--op", "derivative", "--n", "2..3", "--out", str(out)) == 0
     assert sorted(os.listdir(tmp_path)) == ["res.csv"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_out_files_get_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # the mode a shell redirection would give, not mkstemp's 0600
+    out = tmp_path / "ex.txt"
+    previous = os.umask(umask)
+    try:
+        assert run("export", "--op", "derivative", "--n", "2", "--out", str(out)) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode

@@ -3,8 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdblock.analysis import extract_block
-from fdblock.circuit import Circuit, Gate, apply, unitary
+from fdblock.circuit import Circuit, Gate, apply
 from fdblock.encodings import (
     MAX_BUILD_QUBITS,
     OPS,
@@ -22,15 +21,19 @@ from fdblock.encodings import (
     shift_circuit,
 )
 from fdblock.errors import ParameterError, SizeError
-from fdblock.linalg import max_abs_diff, unitarity_residual
-from fdblock.operators import (
-    GridSpec,
+from fdblock.operators import GridSpec
+
+from .oracles import (
     banded_circulant,
     central_difference_1d,
+    extract_block,
     first_order_tensorized,
+    max_abs_diff,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
     trapezoid_1d,
+    unitarity_residual,
+    unitary,
 )
 
 

@@ -1,76 +1,12 @@
 import numpy as np
 import pytest
 
-from fdblock.errors import ShapeError, SizeError
-from fdblock.linalg import (
-    MATRIX_DIM_CAP,
-    as_vector,
-    is_unitary,
-    kron,
-    max_abs_diff,
-    norm2,
-    unitarity_residual,
-)
-from fdblock.operators import laplacian_1d, scaled_laplacian_1d
+from fdblock.errors import ShapeError
+from fdblock.linalg import as_vector, norm2
 
-from .oracles import brute_force_tensor_sum
+from .oracles import scaled_laplacian_1d, unitarity_residual
 
-I2 = np.eye(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_bitflip_on_leading_qubit():
-    state = np.zeros(4, dtype=complex)
-    state[0] = 1.0  # |00>
-    out = kron(X, I2) @ state
-    expected = np.zeros(4, dtype=complex)
-    expected[2] = 1.0  # |10>
-    assert np.array_equal(out, expected)
-
-
-@pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-def test_kron_tensor_sum_matches_brute_force(dim, n):
-    N = 1 << n
-    l1 = laplacian_1d(n)
-    eye = np.eye(N, dtype=complex)
-    if dim == 2:
-        built = kron(l1, eye) + kron(eye, l1)
-    else:
-        built = (
-            kron(kron(l1, eye), eye)
-            + kron(kron(eye, l1), eye)
-            + kron(kron(eye, eye), l1)
-        )
-    assert max_abs_diff(built, brute_force_tensor_sum(dim, n)) < 1e-10
-
-
-def test_kron_associativity_on_random_inputs():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert max_abs_diff(kron(kron(a, b), c), kron(a, kron(b, c))) < 1e-14
-
-
-def test_kron_size_cap():
-    big = np.eye(MATRIX_DIM_CAP // 2, dtype=complex)
-    with pytest.raises(SizeError):
-        kron(big, np.eye(4, dtype=complex))
-
-
-def test_kron_structured_matvec_factors():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    x = rng.normal(size=4) + 1j * rng.normal(size=4)
-    y = rng.normal(size=8) + 1j * rng.normal(size=8)
-    assert max_abs_diff(kron(a, b) @ np.kron(x, y), np.kron(a @ x, b @ y)) < 1e-13
 
 
 def test_norm2_basis_state():
@@ -88,13 +24,13 @@ def test_norm2_three_four_five():
 
 
 def test_is_unitary_identity_and_hadamard():
-    assert is_unitary(np.eye(8), 1e-12)
-    assert is_unitary(H, 1e-12)
+    assert unitarity_residual(np.eye(8)) <= 1e-12
+    assert unitarity_residual(H) <= 1e-12
 
 
 def test_scaled_laplacian_is_not_unitary():
     # the scaled operator annihilates the constant vector, so it is singular
-    assert not is_unitary(scaled_laplacian_1d(3), 1e-12)
+    assert not unitarity_residual(scaled_laplacian_1d(3)) <= 1e-12
 
 
 def test_unitarity_residual_rejects_non_square():

@@ -2,27 +2,30 @@ import numpy as np
 import pytest
 
 from fdblock.errors import DegenerateInputError, ParameterError, ShapeError, SizeError
-from fdblock.linalg import max_abs_diff
 from fdblock.operators import (
     GridSpec,
     Stencil,
-    banded_circulant,
-    central_difference_1d,
     first_order_stencil,
-    first_order_tensorized,
     grid_axes,
-    lambda_max,
-    laplacian_1d,
-    laplacian_dd,
     laplacian_stencil,
     sample_function,
     sample_grid,
+    scaled_laplacian_stencil,
+)
+
+from .oracles import (
+    banded_circulant,
+    brute_force_tensor_sum,
+    central_difference_1d,
+    first_order_tensorized,
+    lambda_max,
+    laplacian_1d,
+    laplacian_dd,
+    max_abs_diff,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
-    scaled_laplacian_stencil,
     trapezoid_1d,
 )
-from .oracles import brute_force_tensor_sum
 
 
 def test_laplacian_1d_row_at_n2():
@@ -96,7 +99,7 @@ def test_scaled_laplacian_spectral_norm_one_by_power_iteration():
 
 
 def test_tensor_sum_identity_vs_brute_force():
-    for dim, n in ((1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)):
+    for dim, n in ((1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)):
         assert max_abs_diff(laplacian_dd(dim, n), brute_force_tensor_sum(dim, n)) < 1e-9
 
 
@@ -330,14 +333,25 @@ def test_lambda_max_value():
     assert lambda_max(3, 1) == 48.0
 
 
-def test_dense_cap_enforced():
-    with pytest.raises(SizeError):
-        laplacian_dd(4, 4)
-
-
 def test_sample_grid_requires_real_match():
     spec = GridSpec(1, 12)
     vals = sample_grid(lambda x: np.sin(2 * np.pi * x), spec)
     assert vals.size == 4096
     with pytest.raises(SizeError):
         sample_grid(lambda x: x, GridSpec(1, 17))
+
+
+def test_sample_grid_rejects_non_real_and_non_finite_fields():
+    spec = GridSpec(1, 3)
+    nan_imag = lambda x: x + complex(0.0, np.nan)
+    for field in (nan_imag, lambda x: x + complex(0.0, np.inf)):
+        with pytest.raises(ParameterError, match="real-valued"):
+            sample_grid(field, spec)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeError, match="finite"):
+            sample_grid(lambda x: x + bad, spec)
+    # the error metric refuses a NaN imaginary part instead of returning nan
+    from fdblock.analysis import fd_error_max
+
+    with pytest.raises(ParameterError):
+        fd_error_max(lambda x: np.sin(2 * np.pi * x), nan_imag, spec)

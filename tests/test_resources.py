@@ -1,9 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdblock.circuit import GATE_KINDS, Circuit, Gate, unitary
+from fdblock.circuit import GATE_KINDS, Circuit, Gate
 from fdblock.encodings import (
     encode_derivative_1d,
     encode_divergence_2d,
@@ -14,7 +15,6 @@ from fdblock.encodings import (
     encode_wave_2d,
 )
 from fdblock.errors import ParameterError, SizeError
-from fdblock.linalg import max_abs_diff
 from fdblock.resources import (
     RESOURCES_CSV_HEADER,
     GateCounts,
@@ -24,7 +24,7 @@ from fdblock.resources import (
     resources_csv,
 )
 
-from .oracles import charge_lowered_circuit, dense_toffoli_network
+from .oracles import charge_lowered_circuit, dense_toffoli_network, max_abs_diff, unitary
 
 BUILDERS = {
     "laplace1": lambda n: encode_laplace_1d(n),
@@ -130,34 +130,45 @@ def test_laplace_1d_count_recurrence():
     assert all(counts[n].rotation_count == 0 for n in counts)
 
 
-# Shifted grid axes of each builder, the largest n that fits the 64-qubit
-# build cap (the end of the range `resources` reports), and the intercept
-# c of t = 42 * axes * n + c, read off every row of bench/reference.
+# Per builder: its shifted grid axes a, the largest n that fits the
+# 64-qubit build cap (the end of the range `resources` reports), and the
+# intercepts of t = 42*a*n + c_t, clifford = 48*a*n + c_1,
+# qubits = (a + 1)*n + c_2 and ancillas = n + c_3, with its rotation
+# count, in that order; all read off every row of bench/reference.
 CAP_RANGES = {
-    "laplace1": (1, 62, -70),
-    "laplace2": (2, 30, -56),
-    "laplace3": (3, 20, -42),
-    "laplace4": (4, 15, -56),
-    "lcu": (1, 61, -28),
-    "derivative": (1, 63, -70),
-    "gradient": (2, 31, -56),
-    "divergence": (2, 31, -56),
-    "wave": (2, 30, -56),
+    "laplace1": (1, 62, -70, -64, 0, -2, 0),
+    "laplace2": (2, 30, -56, -32, 2, -1, 0),
+    "laplace3": (3, 20, -42, -4, 4, 0, 0),
+    "laplace4": (4, 15, -56, -14, 4, 0, 0),
+    "lcu": (1, 61, -28, -4, 1, -2, 6),
+    "derivative": (1, 63, -70, -67, -1, -2, 0),
+    "gradient": (2, 31, -56, -36, 1, -1, 0),
+    "divergence": (2, 31, -56, -36, 1, -1, 0),
+    "wave": (2, 30, -56, -32, 2, -1, 4),
+}
+# The counts at n = 2 that step off those lines.
+OFF_LINE_AT_N2 = {
+    "laplace1": {"clifford_count": 28},
+    "derivative": {"clifford_count": 25},
+    "lcu": {"qubit_count": 6, "ancilla_high_water": 1},
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_t_count_affine_in_n(name):
     # each extra qubit adds 3 Toffolis (21 T) to every shift, so 42 T per
-    # shifted axis for its S- and S+, all the way to the build cap.
-    # Clifford, qubit and ancilla counts are not asserted: laplace D=1,
-    # derivative and lcu step irregularly from n = 2 to 3.
+    # shifted axis for its S- and S+, all the way to the build cap; the
+    # other columns follow their own lines from n = 3 on
     build = BUILDERS[name]
-    axes, n_max, intercept = CAP_RANGES[name]
+    axes, n_max, c_t, c_1, c_2, c_3, rotations = CAP_RANGES[name]
     counts = {n: count_resources(build(n).circuit) for n in range(2, n_max + 1)}
-    off_line = {n: c.t_count for n, c in counts.items() if c.t_count != 42 * axes * n + intercept}
+
+    def expected(n):
+        line = GateCounts(42 * axes * n + c_t, 48 * axes * n + c_1, rotations, n + c_3, (axes + 1) * n + c_2)
+        return replace(line, **OFF_LINE_AT_N2.get(name, {})) if n == 2 else line
+
+    off_line = {n: c for n, c in counts.items() if c != expected(n)}
     assert off_line == {}, name
-    assert len({c.rotation_count for c in counts.values()}) == 1
     with pytest.raises(SizeError):
         build(n_max + 1)
 
