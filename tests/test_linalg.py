@@ -4,9 +4,31 @@ import pytest
 from fdblock.errors import ShapeError
 from fdblock.linalg import as_vector, norm2
 
-from .oracles import scaled_laplacian_1d, unitarity_residual
+from .oracles import (
+    brute_force_tensor_sum,
+    laplacian_1d,
+    max_abs_diff,
+    scaled_laplacian_1d,
+    unitarity_residual,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_kron_tensor_sum_matches_brute_force(dim, n):
+    N = 1 << n
+    l1 = laplacian_1d(n)
+    eye = np.eye(N, dtype=complex)
+    if dim == 2:
+        built = np.kron(l1, eye) + np.kron(eye, l1)
+    else:
+        built = (
+            np.kron(np.kron(l1, eye), eye)
+            + np.kron(np.kron(eye, l1), eye)
+            + np.kron(np.kron(eye, eye), l1)
+        )
+    assert max_abs_diff(built, brute_force_tensor_sum(dim, n)) < 1e-10
 
 
 def test_norm2_basis_state():
