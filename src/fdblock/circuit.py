@@ -7,9 +7,10 @@ endian): the basis state |b0 b1 ... b_{n-1}> has index
 b0*2^(n-1) + b1*2^(n-2) + ... + b_{n-1}.  With numpy's C-order reshape of
 a statevector to shape (2,)*n, tensor axis q is exactly qubit q.
 
-Gates are listed in application order (first gate acts first).  A
-controlled gate acts as the identity unless every control qubit matches
-its polarity (1 = filled control, 0 = open control).
+A gate is a named tuple, checked by the Circuit that takes it.  Gates
+are listed in application order (first gate acts first).  A controlled
+gate acts as the identity unless every control qubit matches its
+polarity (1 = filled control, 0 = open control).
 
 Circuits carry no register names: a builder documents which wires form
 which register.  For ancillas on the first m wires and a k-qubit system
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import lazy_import
 from .errors import QubitIndexError, ShapeError, SizeError
@@ -47,54 +49,52 @@ MAX_SIM_QUBITS = 18
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: kind, target qubit, (qubit, polarity) controls, RY angle."""
+class Gate(NamedTuple):
+    """One gate record: kind, target, (qubit, polarity) controls, RY angle."""
 
     kind: str
     target: int
     controls: tuple[tuple[int, int], ...] = ()
     theta: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise QubitIndexError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "RY":
-            if self.theta is None or not math.isfinite(self.theta):
-                raise QubitIndexError("RY needs a finite angle")
-        elif self.theta is not None:
-            raise QubitIndexError(f"{self.kind} takes no angle")
-        qubits = [q for q, _ in self.controls]
-        if self.target in qubits:
-            raise QubitIndexError(f"target {self.target} also appears as control")
-        if len(set(qubits)) != len(qubits):
-            raise QubitIndexError("duplicate control qubits")
-        for q, pol in self.controls:
-            if pol not in (0, 1):
-                raise QubitIndexError(f"control polarity must be 0 or 1, got {pol}")
-            if q < 0:
-                raise QubitIndexError(f"negative qubit index {q}")
-        if self.target < 0:
-            raise QubitIndexError(f"negative qubit index {self.target}")
-
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list on num_qubits wires."""
+    """Ordered gate list on num_qubits wires; the one place gates are checked.
+
+    A bad gate raises QubitIndexError naming its position in the list.
+    """
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.num_qubits < 1:
+        n = self.num_qubits
+        if n < 1:
             raise QubitIndexError("circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            used = [g.target] + [q for q, _ in g.controls]
-            if max(used) >= self.num_qubits:
-                raise QubitIndexError(
-                    f"gate touches qubit {max(used)} on a {self.num_qubits}-qubit circuit"
-                )
+        for i, g in enumerate(self.gates):
+            if not isinstance(g, Gate):
+                raise QubitIndexError(f"gate {i}: {g!r} is not a Gate")
+            kind, target, controls, theta = g
+            ctrl = dict(controls)
+            if kind not in GATE_KINDS:
+                problem = f"unknown gate kind {kind!r}"
+            elif kind == "RY" and (theta is None or not math.isfinite(theta)):
+                problem = "RY needs a finite angle"
+            elif kind != "RY" and theta is not None:
+                problem = f"{kind} takes no angle"
+            elif target in ctrl:
+                problem = f"target {target} also appears as control"
+            elif len(ctrl) != len(controls):
+                problem = "a control qubit repeats"
+            elif not {0, 1}.issuperset(ctrl.values()):
+                problem = f"control polarities {tuple(ctrl.values())} are not all 0 or 1"
+            elif not (0 <= target < n and 0 <= min(ctrl, default=0) <= max(ctrl, default=0) < n):
+                problem = f"qubits {(target, *ctrl)} are not all in 0..{n - 1}"
+            else:
+                continue
+            raise QubitIndexError(f"gate {i}: {problem}")
 
     @property
     def dim(self) -> int:
@@ -265,8 +265,7 @@ def adjoint(circuit: Circuit) -> Circuit:
     is the controlled adjoint, so only RY changes.
     """
     gates = tuple(
-        Gate(g.kind, g.target, g.controls, -g.theta) if g.kind == "RY" else g
-        for g in reversed(circuit.gates)
+        g._replace(theta=-g.theta) if g.kind == "RY" else g for g in reversed(circuit.gates)
     )
     return Circuit(circuit.num_qubits, gates)
 

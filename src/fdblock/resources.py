@@ -18,10 +18,10 @@ of its inputs is written; the shift cascades produced by the encoding
 builders are prefix-nested, which is what makes their T-count grow
 linearly with the register width.
 
-The walk (``_Lowering.steps``) yields the lowered stream one gate at a
-time.  ``lower_to_toffoli`` materialises it as a validated circuit;
-``count_resources`` charges each gate as the same walk emits it, so the
-counts come from that one ladder without building the lowered circuit.
+The walk (``_Lowering.steps``) yields the lowered stream as gate-shaped
+tuples.  ``lower_to_toffoli`` turns them into the ``Gate``s of a checked
+circuit; ``count_resources`` charges each tuple as the walk emits it, so
+the counts come from that one ladder without building the lowered circuit.
 Each lowered gate is charged:
 
 * single-qubit X/Z/H: 1 Clifford,
@@ -89,7 +89,7 @@ class _Lowering:
             self.free.append(ancs.pop())
 
     def steps(self, gates):
-        """Yield the lowered stream as (kind, target, controls, theta) steps.
+        """Yield the lowered stream as gate-shaped tuples; ``lower`` makes them ``Gate``s.
 
         ``high_water`` holds the ladder's deepest level once the stream
         is exhausted.
@@ -139,7 +139,7 @@ class _Lowering:
         yield from self._unwind(0, ancs, chain)
 
     def lower(self, circuit: Circuit) -> Circuit:
-        gates = tuple(Gate(*step) for step in self.steps(circuit.gates))
+        gates = tuple(map(Gate._make, self.steps(circuit.gates)))
         return Circuit(self.base + self.high_water, gates)
 
 

@@ -276,19 +276,49 @@ def test_apply_preserves_norm_on_corpus():
         assert abs(np.linalg.norm(apply(circ, v)) - 1.0) < 1e-12
 
 
-def test_gate_validation():
-    with pytest.raises(QubitIndexError):
-        Gate("Q", 0)
-    with pytest.raises(QubitIndexError):
-        Gate("Y", 0)
-    with pytest.raises(QubitIndexError):
-        Gate("X", 0, ((0, 1),))
-    with pytest.raises(QubitIndexError):
-        Gate("X", 0, ((1, 2),))
-    with pytest.raises(QubitIndexError):
-        Gate("RY", 0, theta=float("inf"))
-    with pytest.raises(QubitIndexError):
-        Circuit(1, (Gate("X", 3),))
+# Each case: the circuit's width, its gates, and what the error must say.
+# Gate(...) checks nothing; Circuit(...) checks every gate it takes.
+BAD_GATES = [
+    pytest.param(1, (Gate("Q", 0),), "gate 0: unknown gate kind 'Q'", id="kind-Q"),
+    pytest.param(1, (Gate("Y", 0),), "gate 0: unknown gate kind 'Y'", id="kind-Y"),
+    pytest.param(
+        1, (Gate("X", 0, ((0, 1),)),), "gate 0: target 0 also appears",
+        id="target-is-control",
+    ),
+    pytest.param(2, (Gate("X", 0, ((1, 2),)),), "gate 0: control polarities", id="polarity-2"),
+    pytest.param(1, (Gate("RY", 0, theta=float("inf")),), "gate 0: RY needs", id="ry-inf"),
+    pytest.param(1, (Gate("X", 3),), r"gate 0: qubits \(3,\) are not all in 0..0", id="target-beyond-width"),
+    pytest.param(
+        3, (Gate("X", 0, ((1, 1), (1, 1))),), "gate 0: a control qubit repeats",
+        id="repeated-control",
+    ),
+    pytest.param(1, (Gate("X", 0, theta=0.5),), "gate 0: X takes no angle", id="angle-on-X"),
+    pytest.param(1, (Gate("Z", 0, theta=0.5),), "gate 0: Z takes no angle", id="angle-on-Z"),
+    pytest.param(1, (Gate("H", 0, theta=0.5),), "gate 0: H takes no angle", id="angle-on-H"),
+    pytest.param(1, (Gate("RY", 0),), "gate 0: RY needs", id="ry-no-angle"),
+    pytest.param(1, (Gate("RY", 0, theta=float("nan")),), "gate 0: RY needs", id="ry-nan"),
+    pytest.param(2, (Gate("X", -1),), r"gate 0: qubits \(-1,\)", id="negative-target"),
+    pytest.param(
+        2, (Gate("X", 0, ((-1, 1),)),), r"gate 0: qubits \(0, -1\)",
+        id="negative-control",
+    ),
+    pytest.param(
+        2, (Gate("X", 0, ((2, 1),)),), r"gate 0: qubits \(0, 2\)",
+        id="control-beyond-width",
+    ),
+    pytest.param(1, (("X", 0, (), None),), "gate 0: .* is not a Gate", id="plain-tuple"),
+    pytest.param(0, (), "at least one qubit", id="zero-qubits"),
+    pytest.param(
+        3, (Gate("H", 0),) * 17 + (Gate("X", 1, ((0, 1), (5, 1))),), "gate 17: qubits",
+        id="position",
+    ),
+]
+
+
+@pytest.mark.parametrize("num_qubits, gates, message", BAD_GATES)
+def test_gate_validation(num_qubits, gates, message):
+    with pytest.raises(QubitIndexError, match=message):
+        Circuit(num_qubits, gates)
 
 
 def test_export_text_format():
