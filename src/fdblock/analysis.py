@@ -36,7 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import operators, resources
+from . import encodings, operators
 from ._lazy import lazy_import
 from .circuit import MAX_SIM_QUBITS, adjoint, apply_in_place, apply_sparse
 from .encodings import BlockEncoding, alpha_d
@@ -176,10 +176,7 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     if v.spec.npoints != N:
         raise ShapeError(f"grid has {v.spec.npoints} points, encoding expects {N}")
     if route == "matrix":
-        stencil = next((s for row, col, s in enc.blocks if row == col == 0), None)
-        if stencil is None:
-            raise ParameterError(f"{enc.label} declares no (0,0) block")
-        return float(np.sum(np.abs(enc.alpha * stencil.apply(v.values)) ** 2))
+        return float(np.sum(np.abs(enc.alpha * _zero_block(enc).apply(v.values)) ** 2))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
     # The gates overwrite this state, so it is never copied.
@@ -187,6 +184,14 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     state[:N, 0] = v.values
     apply_in_place(enc.circuit, state)
     return float(np.sum(np.abs(state[:N, 0]) ** 2))
+
+
+def _zero_block(enc: BlockEncoding) -> operators.Stencil:
+    """The stencil of the encoding's declared (0,0) block."""
+    stencil = next((s for row, col, s in enc.blocks if row == col == 0), None)
+    if stencil is None:
+        raise ParameterError(f"{enc.label} declares no (0,0) block")
+    return stencil
 
 
 def fd_error_max(v_field, exact_laplacian_field, spec: GridSpec) -> float:
@@ -257,23 +262,27 @@ def sweep_success_probability(
 ) -> list[SweepRow]:
     """Success probability and discretization error over grid refinements.
 
-    op="laplace" sweeps the Laplacian encoding; op="lcu" the banded
-    comparison instance (dim 1 only).  p_success comes from the encoding's
-    declared (0,0) block, and the predicted constant, made for the
-    Laplacian encoding's alpha_d(dim), is scaled by (alpha / alpha_d)**2.
+    Any op of :data:`~fdblock.encodings.OPS` whose declared (0,0) block
+    is the scaled Laplacian sweeps: today op="laplace" (the Laplacian
+    encoding) and op="lcu" (the banded comparison instance, dim 1 only).
+    p_predicted and e_max assume that block, so any other op raises
+    ParameterError before its row is sampled.  p_success comes from the
+    encoding's declared (0,0) block, and the predicted constant, made
+    for the Laplacian encoding's alpha_d(dim), is scaled by
+    (alpha / alpha_d)**2.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     fam = FAMILIES[family]
     fam.check_dim(dim)
-    if op not in ("laplace", "lcu"):
-        raise ParameterError(f"sweep supports ops 'laplace' and 'lcu', not {op!r}")
 
     rows = []
     for n in n_range:
         start = time.monotonic()
-        enc = resources.build_encoding(op, dim, n)
+        enc = encodings.build_encoding(op, dim, n)
         spec = GridSpec(dim, n)
+        if _zero_block(enc) != operators.scaled_laplacian_stencil(spec):
+            raise ParameterError(f"op {op!r} does not encode the scaled Laplacian in block (0,0)")
         raw = operators.sample_grid(fam.field(dim), spec)
         gf = GridFunction.from_samples(spec, raw)
         e_max = _fd_error(spec, raw, fam.laplacian_factor(dim) * raw)
@@ -296,12 +305,6 @@ def sweep_success_probability(
     return rows
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 SWEEP_CSV_HEADER = "D,n,h,N_D,p_success,p_predicted,e_max,alpha"
 
 
@@ -310,17 +313,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     lines = [SWEEP_CSV_HEADER]
     for r in rows:
         lines.append(
-            ",".join(
-                [
-                    str(r.D),
-                    str(r.n),
-                    _fmt(r.h),
-                    str(r.N_D),
-                    _fmt(r.p_success),
-                    _fmt(r.p_predicted),
-                    _fmt(r.e_max),
-                    _fmt(r.alpha),
-                ]
-            )
+            f"{r.D},{r.n},{r.h:.17g},{r.N_D},{r.p_success:.17g},"
+            f"{r.p_predicted:.17g},{r.e_max:.17g},{r.alpha:.17g}"
         )
     return "\n".join(lines) + "\n"

@@ -33,6 +33,7 @@ column keeps at most 4^m entries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +57,19 @@ class Gate(NamedTuple):
     target: int
     controls: tuple[tuple[int, int], ...] = ()
     theta: float | None = None
+
+
+def _integers(target, controls) -> bool:
+    """Whether the target and every control qubit are integers.
+
+    One sum and one index check per gate: a sum with a float or a
+    string in it is no integer.
+    """
+    try:
+        operator.index(sum(controls, target))
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,8 @@ class Circuit:
                 problem = "RY needs a finite angle"
             elif kind != "RY" and theta is not None:
                 problem = f"{kind} takes no angle"
+            elif not _integers(target, ctrl):
+                problem = f"qubits {(target, *ctrl)} are not all integers"
             elif target in ctrl:
                 problem = f"target {target} also appears as control"
             elif len(ctrl) != len(controls):

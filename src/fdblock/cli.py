@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import analysis, encodings, resources
 from .circuit import export_text
@@ -60,46 +59,15 @@ def _parse_range(flag: str, text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: command, operator, ranges, tolerance, output."""
+def _single(flag: str, values: list[int]) -> int:
+    if len(values) != 1:
+        raise UsageError(f"{flag} must be a single integer here, got a range")
+    return values[0]
 
-    command: str
-    op: str
-    dims: list[int] | None
-    n_values: list[int]
-    family: str | None
-    tol: float | None
-    out: str | None
 
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise UsageError(f"--tol must be finite and positive, got {tol}")
-        n_values = _parse_range("--n", args.n)
-        dims = _parse_range("--dim", args.dim) if args.dim else None
-        return cls(
-            command=args.command,
-            op=args.op,
-            dims=dims,
-            n_values=n_values,
-            family=getattr(args, "family", None),
-            tol=tol,
-            out=args.out,
-        )
-
-    def single_dim(self) -> int:
-        if self.dims is None:
-            return resources.op_dims(self.op, None)[0]
-        if len(self.dims) != 1:
-            raise UsageError("--dim must be a single integer here, got a range")
-        return self.dims[0]
-
-    def single_n(self) -> int:
-        if len(self.n_values) != 1:
-            raise UsageError("--n must be a single integer here, got a range")
-        return self.n_values[0]
+def _single_dim(args) -> int:
+    """The one --dim of a command; without --dim, the op's fixed dim or 1."""
+    return _single("--dim", encodings.op_dims(args.op, None) if args.dim is None else args.dim)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,29 +114,28 @@ def _write_output(path: str | None, text: str):
         raise
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    enc = resources.build_encoding(cfg.op, cfg.single_dim(), cfg.single_n())
-    report = analysis.verify_pattern(enc, cfg.tol)
-    _write_output(cfg.out, report.summary() + "\n")
+def cmd_verify(args) -> int:
+    enc = encodings.build_encoding(args.op, _single_dim(args), _single("--n", args.n))
+    report = analysis.verify_pattern(enc, args.tol)
+    _write_output(args.out, report.summary() + "\n")
     return 0 if report.passed else 1
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    dim = cfg.single_dim()
-    rows = analysis.sweep_success_probability(dim, cfg.n_values, cfg.family, op=cfg.op)
-    _write_output(cfg.out, analysis.sweep_csv(rows))
+def cmd_sweep(args) -> int:
+    rows = analysis.sweep_success_probability(_single_dim(args), args.n, args.family, op=args.op)
+    _write_output(args.out, analysis.sweep_csv(rows))
     return 0
 
 
-def cmd_resources(cfg: RunConfig) -> int:
-    rows = resources.resource_sweep(cfg.op, cfg.dims, cfg.n_values)
-    _write_output(cfg.out, resources.resources_csv(rows))
+def cmd_resources(args) -> int:
+    rows = resources.resource_sweep(args.op, args.dim, args.n)
+    _write_output(args.out, resources.resources_csv(rows))
     return 0
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    enc = resources.build_encoding(cfg.op, cfg.single_dim(), cfg.single_n())
-    _write_output(cfg.out, export_text(enc.circuit))
+def cmd_export(args) -> int:
+    enc = encodings.build_encoding(args.op, _single_dim(args), _single("--n", args.n))
+    _write_output(args.out, export_text(enc.circuit))
     return 0
 
 
@@ -184,8 +151,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise UsageError(f"--tol must be finite and positive, got {tol}")
+        # --n and --dim become the lists that the commands read.
+        args.n = _parse_range("--n", args.n)
+        args.dim = _parse_range("--dim", args.dim) if args.dim else None
+        return _COMMANDS[args.command](args)
     except FdblockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

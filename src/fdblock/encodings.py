@@ -26,7 +26,9 @@ gates prefix-nested.  The resource model exploits that nesting.
 Each builder also declares the blocks it encodes, as (row, col,
 :class:`~fdblock.operators.Stencil`) data, each block being alpha times
 its stencil; verification and success probabilities read those
-declarations, and :data:`OPS` names the builders for the command line.
+declarations.  :data:`OPS` names the builders for the command line and
+states each one's fixed dimension; :func:`op_dims` and
+:func:`build_encoding` are the only code that applies that rule.
 """
 
 from __future__ import annotations
@@ -335,3 +337,21 @@ OPS = {
     "wave": OpSpec(lambda dim, n: encode_wave_2d(n), 2),
     "lcu": OpSpec(lambda dim, n: encode_laplace_1d_lcu(n), 1),
 }
+
+
+def op_dims(op: str, dims) -> list[int]:
+    """Dimension list for an op; fixed-dim ops default to their dimension."""
+    if op not in OPS:
+        raise ParameterError(f"unknown op {op!r}")
+    fixed = OPS[op].dim
+    if fixed is None:
+        return [1] if dims in (None, []) else list(dims)
+    if dims not in (None, []) and list(dims) != [fixed]:
+        raise ParameterError(f"op {op!r} is fixed at dim {fixed}")
+    return [fixed]
+
+
+def build_encoding(op: str, dim: int, n: int) -> BlockEncoding:
+    """Construct the named encoding; dim must match fixed-dimension ops."""
+    (dim,) = op_dims(op, [dim])
+    return OPS[op].build(dim, n)

@@ -34,6 +34,10 @@ Each lowered gate is charged:
 Rotations are reported separately and never converted to T, so the
 counts carry no synthesis-accuracy parameter.  An isolated k-controlled
 X costs 7*(2k-3) T with k-2 ancillas under this model.
+
+``resource_sweep`` counts the ops of :data:`fdblock.encodings.OPS`: it
+takes their dimensions from :func:`fdblock.encodings.op_dims` and
+builds each row through the table.
 """
 
 from __future__ import annotations
@@ -204,30 +208,12 @@ class ResourceRow:
     ancillas: int
 
 
-def op_dims(op: str, dims) -> list[int]:
-    """Dimension list for an op; fixed-dim ops default to their dimension."""
-    if op not in encodings.OPS:
-        raise ParameterError(f"unknown op {op!r}")
-    fixed = encodings.OPS[op].dim
-    if fixed is None:
-        return [1] if dims in (None, []) else list(dims)
-    if dims not in (None, []) and list(dims) != [fixed]:
-        raise ParameterError(f"op {op!r} is fixed at dim {fixed}")
-    return [fixed]
-
-
-def build_encoding(op: str, dim: int, n: int) -> encodings.BlockEncoding:
-    """Construct the named encoding; dim must match fixed-dimension ops."""
-    (dim,) = op_dims(op, [dim])
-    return encodings.OPS[op].build(dim, n)
-
-
 def resource_sweep(op: str, dims, n_range) -> list[ResourceRow]:
     """Gate counts of one builder across dimensions and register widths."""
     rows = []
-    for dim in op_dims(op, dims):
+    for dim in encodings.op_dims(op, dims):
         for n in n_range:
-            enc = build_encoding(op, dim, n)
+            enc = encodings.OPS[op].build(dim, n)
             counts = count_resources(enc.circuit)
             rows.append(
                 ResourceRow(

@@ -306,6 +306,12 @@ BAD_GATES = [
         2, (Gate("X", 0, ((2, 1),)),), r"gate 0: qubits \(0, 2\)",
         id="control-beyond-width",
     ),
+    pytest.param(2, (Gate("X", 1.0),), r"gate 0: qubits \(1.0,\) are not all integers", id="float-target"),
+    pytest.param(
+        2, (Gate("X", 0, ((1.0, 1),)),), r"gate 0: qubits \(0, 1.0\) are not all integers",
+        id="float-control",
+    ),
+    pytest.param(2, (Gate("X", "1"),), "gate 0: qubits .* are not all integers", id="string-target"),
     pytest.param(1, (("X", 0, (), None),), "gate 0: .* is not a Gate", id="plain-tuple"),
     pytest.param(0, (), "at least one qubit", id="zero-qubits"),
     pytest.param(

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from fdblock.analysis import sweep_success_probability
 from fdblock.cli import _build_parser, main
 from fdblock.encodings import OPS
+from fdblock.errors import ParameterError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,6 +98,30 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert run(*args, "--out", str(a)) == 0
     assert run(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Every op at each dim it takes (laplace at D = 1..4).  Only the ops
+# whose (0,0) block is the scaled Laplacian, which p_predicted and e_max
+# assume, may sweep.
+SWEEP_CASES = [
+    (op, d) for op, spec in OPS.items() for d in ((spec.dim,) if spec.dim else (1, 2, 3, 4))
+]
+SWEEPABLE = {"laplace", "lcu"}
+
+
+@pytest.mark.parametrize("op,dim", SWEEP_CASES, ids=[f"{op}-d{d}" for op, d in SWEEP_CASES])
+def test_sweep_admits_only_the_scaled_laplacian_ops(op, dim, capsys):
+    code = run("sweep", "--op", op, "--dim", str(dim), "--n", "2")
+    captured = capsys.readouterr()
+    if op in SWEEPABLE:
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("D,n,h,N_D,p_success,p_predicted,e_max,alpha\n")
+        assert len(sweep_success_probability(dim, [2], "sinprod", op=op)) == 1
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        with pytest.raises(ParameterError, match="scaled Laplacian"):
+            sweep_success_probability(dim, [2], "sinprod", op=op)
 
 
 @pytest.mark.parametrize("op_args", [["laplace", "--dim", "1"], ["lcu"]])
@@ -203,7 +229,7 @@ def test_non_finite_tolerance_is_usage_error(tol, capsys):
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     import fdblock.cli as cli
 
-    def crash(cfg):
+    def crash(args):
         raise RuntimeError("simulated\nfault")
 
     monkeypatch.setitem(cli._COMMANDS, "verify", crash)
