@@ -7,21 +7,17 @@ alpha times its :class:`~fdblock.operators.Stencil`
 
 Verification never builds the full unitary.  For each ancilla input
 block it runs the basis columns |col>|j> forward through the circuit in
-panels, compares every declared block of that output with alpha times
-its stencil's sparse columns at the same basis states, and runs the
-adjoint circuit on the output; U^dagger U e_j - e_j is then one column
-of U^dagger U - I, and all columns together give the same max-entry
-unitarity residual as a dense Gram product.  Both passes run on the
-sparse simulator (``circuit.apply_sparse``), whose columns are
-bit-identical to dense statevector passes.  Every encoding is an LCU of
-shifts, so a basis column stays on at most 4^m basis states going
-forward, and the forward pass costs at most gates * 2^q * 4^m entry
-updates instead of the dense gates * 4^q; the adjoint pass brings each
-column back to e_j, up to rounding residue.  Each declared block then
-costs O(terms) per column and one sort of the panel's entries in its
-block row, so no step grows as N^2.  A panel holds PANEL_ENTRIES >> 2m
-columns.  No N-row array is formed, and verification stops at the
-statevector cap (MAX_SIM_QUBITS).
+panels on the sparse simulator (``circuit.apply_sparse``) and the output
+back through the adjoint circuit.  One comparison, ``_max_gap``, then
+checks both passes: each declared block row of the forward output
+against alpha times its stencil's sparse columns, and the round trip's
+output against the basis columns that went in, whose largest gap is the
+max-entry unitarity residual max |U^dagger U - I|.  Every encoding is an
+LCU of shifts, so a basis column stays on at most 4^m basis states, and
+verification costs at most gates * 2^q * 4^m entry updates instead of
+the dense gates * 4^q, plus one sort per comparison.  A panel holds
+PANEL_ENTRIES >> 2m columns; no N-row array is formed, and verification
+stops at the statevector cap (MAX_SIM_QUBITS).
 
 Success probabilities are computed by two independent routes: applying
 the encoding circuit to |0>|v> and collecting the zero-ancilla mass, or
@@ -48,7 +44,7 @@ np = lazy_import("numpy")
 
 # Budget of one verification panel, in sparse entries, not bytes: the
 # per-gate sort temporaries of apply_sparse cost about 175 B per entry,
-# and CLI ``verify --op laplace --dim 1 --n 16`` (18 q) peaks at 183 MB RSS.
+# and CLI ``verify --op laplace --dim 1 --n 16`` (18 q) peaks at 189 MB RSS.
 PANEL_ENTRIES = 1 << 20
 
 
@@ -85,46 +81,21 @@ class SweepRow:
     runtime: float
 
 
-def _sparse_panels(enc: BlockEncoding, col: int):
-    """Yield (start, width, entries) over panels of the columns |col>|j>.
+def _max_gap(actual, expected, nq: int) -> float:
+    """Max |actual - expected| over two sets of sparse column entries.
 
-    ``entries`` is the :func:`apply_sparse` output of U on the basis
-    columns j = start .. start+width-1, column c of the panel being
-    j = start + c.  The width keeps the sparse columns, at up to 4**m
-    entries each, within PANEL_ENTRIES.
+    Each set is (column, uint64 index, amplitude) arrays as
+    :func:`apply_sparse` returns them, with at most one entry per
+    (column, index) pair; a pair missing from one set is zero there.
+    One sort on the simulator's 64-bit key puts the two entries of each
+    pair side by side, and a segment sum takes their difference.
     """
-    nq = enc.circuit.num_qubits
-    if nq > MAX_SIM_QUBITS:
-        raise SizeError(f"{nq} qubits exceeds the statevector cap {MAX_SIM_QUBITS}")
-    N = enc.system_dim
-    width = PANEL_ENTRIES >> min(2 * enc.m, nq)
-    for start in range(0, N, width):
-        stop = min(start + width, N)
-        offsets = np.arange(stop - start)
-        first = col * N + start
-        basis = (offsets, (first + offsets).astype(np.uint64), np.ones(stop - start))
-        yield start, stop - start, apply_sparse(enc.circuit, *basis)
-
-
-def _block_deviation(entries, row: int, N: int, alpha: float, expected) -> float:
-    """Max |block - alpha * expected| over a panel held as sparse entries.
-
-    ``entries`` are :func:`apply_sparse` output and ``expected`` the
-    :meth:`~fdblock.operators.Stencil.columns` of the same panel, to be
-    matched against block row ``row``.  One sort puts the entries of
-    each (column, row) pair side by side, and a segment sum takes their
-    difference.
-    """
-    cols, idx, amp = entries
-    lo = np.uint64(row * N)
-    inside = (idx >= lo) & (idx < lo + np.uint64(N))
-    k, rows, values = expected
-    bits = np.uint64(N.bit_length() - 1)
-    found = (cols[inside].astype(np.uint64) << bits) | (idx[inside] - lo)
-    keys = np.concatenate((found, (k.astype(np.uint64) << bits) | rows))
+    keys = np.concatenate(
+        [(c.astype(np.uint64) << np.uint64(nq)) | i for c, i, _ in (actual, expected)]
+    )
     order = np.argsort(keys)
     keys = keys[order]
-    diffs = np.concatenate((amp[inside], -(alpha * values)))[order]
+    diffs = np.concatenate((actual[2], -expected[2]))[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     sums = np.add.reduceat(diffs, np.flatnonzero(first))
@@ -136,28 +107,34 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     """Check every declared block and U^dagger U = I by a round trip.
 
     Every column of U runs forward once and back once through the
-    adjoint circuit, both sparsely; each declared block is read from the
-    forward panels and compared with alpha times its stencil's columns
-    at the same basis states.
+    adjoint circuit, both sparsely, in panels of PANEL_ENTRIES >> 2m
+    columns (4**m entries each at most).  Each declared block is read
+    from the forward panels and compared with alpha times its stencil's
+    columns; the round trip is compared with the basis columns.
     """
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
+    nq = enc.circuit.num_qubits
+    if nq > MAX_SIM_QUBITS:
+        raise SizeError(f"{nq} qubits exceeds the statevector cap {MAX_SIM_QUBITS}")
     N = enc.system_dim
     inverse = adjoint(enc.circuit)
+    width = PANEL_ENTRIES >> min(2 * enc.m, nq)
     deviations, residuals = [0.0], [0.0]
     for col in range(1 << enc.m):
         wanted = [(row, stencil) for row, c, stencil in enc.blocks if c == col]
-        for start, width, out in _sparse_panels(enc, col):
-            js = np.arange(start, start + width, dtype=np.uint64)
+        for start in range(0, N, width):
+            js = np.arange(start, min(start + width, N), dtype=np.uint64)
+            basis = (np.arange(js.size), js + np.uint64(col * N), np.ones(js.size))
+            cols, idx, amp = out = apply_sparse(enc.circuit, *basis)
             for row, stencil in wanted:
-                expected = stencil.columns(js)
-                deviations.append(_block_deviation(out, row, N, enc.alpha, expected))
-            cols, idx, amp = apply_sparse(inverse, *out)
-            diagonal = idx == (col * N + start + cols).astype(np.uint64)
-            amp[diagonal] -= 1.0
-            residuals.append(float(np.max(np.abs(amp), initial=0.0)))
-            if np.count_nonzero(diagonal) < width:
-                residuals.append(1.0)  # an absent diagonal entry is 0, off by 1
+                lo = np.uint64(row * N)
+                inside = (idx >= lo) & (idx < lo + np.uint64(N))
+                k, rows, values = stencil.columns(js)
+                found = (cols[inside], idx[inside], amp[inside])
+                expected = (k, rows + lo, enc.alpha * values)
+                deviations.append(_max_gap(found, expected, nq))
+            residuals.append(_max_gap(apply_sparse(inverse, *out), basis, nq))
     # np.max, unlike the builtin, propagates a NaN into a FAIL.
     deviation = float(np.max(deviations))
     residual = float(np.max(residuals))

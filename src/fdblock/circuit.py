@@ -16,15 +16,15 @@ Circuits carry no register names: a builder documents which wires form
 which register.  For ancillas on the first m wires and a k-qubit system
 register after them, the composite basis index of |a>|s> is a*2^k + s.
 
-Two simulators compute the same columns bit for bit.  ``apply``,
-``apply_to_columns`` and ``apply_in_place`` run dense statevectors, so
-each column costs gates * 2^q amplitude updates.  They update the state
-in place through one scratch buffer of half its size (its full size
-when an RY gate has no controls), with the expressions of
-``apply_sparse``.  ``apply`` and ``apply_to_columns`` copy the
-caller's array first; ``apply_in_place`` overwrites it.  ``apply_sparse``
-keeps only a column's nonzero entries, so it costs gates * (support)
-updates plus one sort per H or RY gate.  Run through an LCU circuit
+Two simulators compute the same columns bit for bit, because both
+evaluate H and RY on a pair of amplitudes with one kernel, ``_mix``.
+``apply`` and ``apply_in_place`` run dense statevectors, so each column
+costs gates * 2^q amplitude updates.  They update the state in place
+through one scratch buffer of half its size (its full size when an RY
+gate has no controls).  ``apply`` copies the caller's vector or columns
+first; ``apply_in_place`` overwrites them.  ``apply_sparse`` keeps only
+a column's nonzero entries, so it costs gates * (support) updates plus
+one sort per H or RY gate.  Run through an LCU circuit
 W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out on the m
 ancillas and each P_a a permutation of system basis states, a basis
 column keeps at most 4^m entries.
@@ -59,14 +59,14 @@ class Gate(NamedTuple):
     theta: float | None = None
 
 
-def _integers(target, controls) -> bool:
-    """Whether the target and every control qubit are integers.
+def _integers(first, rest) -> bool:
+    """Whether first and every item of rest are integers (bools included).
 
-    One sum and one index check per gate: a sum with a float or a
-    string in it is no integer.
+    One sum and one index check: a sum with a float or a string in it
+    is no integer.
     """
     try:
-        operator.index(sum(controls, target))
+        operator.index(sum(rest, first))
     except TypeError:
         return False
     return True
@@ -104,7 +104,7 @@ class Circuit:
                 problem = f"target {target} also appears as control"
             elif len(ctrl) != len(controls):
                 problem = "a control qubit repeats"
-            elif not {0, 1}.issuperset(ctrl.values()):
+            elif not (_integers(0, ctrl.values()) and {0, 1}.issuperset(ctrl.values())):
                 problem = f"control polarities {tuple(ctrl.values())} are not all 0 or 1"
             elif not (0 <= target < n and 0 <= min(ctrl, default=0) <= max(ctrl, default=0) < n):
                 problem = f"qubits {(target, *ctrl)} are not all in 0..{n - 1}"
@@ -117,24 +117,41 @@ class Circuit:
         return 1 << self.num_qubits
 
 
+def _mix(g: Gate, lo, hi, out0, out1, tmp) -> None:
+    """Write H or RY gate g's image of the amplitude pairs (lo, hi).
+
+    The one copy of the pair arithmetic: both simulators call it, so
+    their columns agree bit for bit.  out0 gets the target-bit-0 half
+    and out1 the target-bit-1 half; out1 may be hi, but out0 and tmp, a
+    scratch array that only RY uses, must overlap neither input.
+    """
+    if g.kind == "H":
+        np.multiply(np.add(lo, hi, out=out0), _RSQRT2, out=out0)
+        np.multiply(np.subtract(lo, hi, out=out1), _RSQRT2, out=out1)
+    else:  # RY: out0 <- c*lo - s*hi, out1 <- s*lo + c*hi
+        c = math.cos(g.theta / 2.0)
+        s = math.sin(g.theta / 2.0)
+        np.subtract(np.multiply(c, lo, out=out0), np.multiply(s, hi, out=tmp), out=out0)
+        np.add(np.multiply(s, lo, out=tmp), np.multiply(c, hi, out=out1), out=out1)
+
+
 def _run_gates(gates, psi: np.ndarray) -> np.ndarray:
     """Apply gates in order to psi of shape (2,)*num_qubits (+ batch axes).
 
     Each gate updates the half-slices v0 and v1 of psi (its target bit 0
-    and 1, under its controls) in place.  Their old values pass through
-    one scratch buffer, allocated once per call, and are combined with
-    the expressions and operand order of :func:`apply_sparse`, so both
-    simulators give the same columns bit for bit.  Every gate needs one
-    temporary of v0's size and RY two, so the buffer holds psi.size // 2
-    entries, which a control on the RY halves; an uncontrolled RY
-    doubles the buffer instead.
+    and 1, under its controls) in place.  v0's old values pass through
+    one scratch buffer, allocated once per call, and H and RY combine
+    them with v1 in :func:`_mix`.  Every gate needs one temporary of
+    v0's size and RY two, so the buffer holds psi.size // 2 entries,
+    which a control on the RY halves; an uncontrolled RY doubles the
+    buffer instead.
     """
     wide = any(g.kind == "RY" and not g.controls for g in gates)
     scratch = np.empty(psi.size if wide else psi.size // 2, dtype=psi.dtype)
     for g in gates:
         sel0 = [slice(None)] * psi.ndim
         for q, pol in g.controls:
-            sel0[q] = pol
+            sel0[q] = int(pol)  # numpy reads a bool index as a mask
         sel1 = list(sel0)
         sel0[g.target] = 0
         sel1[g.target] = 1
@@ -147,43 +164,32 @@ def _run_gates(gates, psi: np.ndarray) -> np.ndarray:
         if g.kind == "X":
             np.copyto(v0, v1)
             np.copyto(v1, a)
-        elif g.kind == "H":
-            np.multiply(np.add(a, v1, out=v0), _RSQRT2, out=v0)
-            np.multiply(np.subtract(a, v1, out=v1), _RSQRT2, out=v1)
-        else:  # RY: v0 <- c*a - s*b, v1 <- s*a + c*b
-            c = math.cos(g.theta / 2.0)
-            s = math.sin(g.theta / 2.0)
-            t = scratch[v0.size : 2 * v0.size].reshape(v0.shape)
-            np.subtract(np.multiply(c, a, out=v0), np.multiply(s, v1, out=t), out=v0)
-            np.add(np.multiply(s, a, out=t), np.multiply(c, v1, out=v1), out=v1)
+        else:
+            t = scratch[v0.size : 2 * v0.size].reshape(v0.shape) if g.kind == "RY" else None
+            _mix(g, a, v1, v0, v1, t)
     return psi
 
 
-def apply(circuit: Circuit, vec) -> np.ndarray:
-    """Return U_c @ vec where U_c is the ordered product of the gates.
+def apply(circuit: Circuit, states) -> np.ndarray:
+    """Return U_c times states, a (2**n,) vector or a (2**n, k) array of columns.
 
-    Statevectors are capped at MAX_SIM_QUBITS wires (larger than the
-    grid-vector cap in linalg, which governs sampled functions).
+    The gates run in place on a copy, so ``states`` is left unchanged;
+    the result has its shape.  Statevectors are capped at MAX_SIM_QUBITS
+    wires (larger than the grid-vector cap in linalg, which governs
+    sampled functions).
     """
-    v = np.asarray(vec, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ShapeError(f"vector shape {v.shape} != (2**{circuit.num_qubits},)")
-    return apply_to_columns(circuit, v[:, None])[:, 0]
-
-
-def apply_to_columns(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
-    """Apply the circuit to every column of a (2**n, k) array at once.
-
-    The gates run in place on a copy, so ``mat`` is left unchanged.
-    """
-    return apply_in_place(circuit, np.array(mat, dtype=np.complex128, order="C"))
+    psi = np.array(states, dtype=np.complex128, order="C")
+    if psi.ndim not in (1, 2):
+        raise ShapeError(f"expected shape ({circuit.dim},) or ({circuit.dim}, k), got {psi.shape}")
+    apply_in_place(circuit, psi[:, None] if psi.ndim == 1 else psi)
+    return psi
 
 
 def apply_in_place(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
     """Overwrite every column of psi, a (2**n, k) array, with U_c times it.
 
     psi must be a C-contiguous complex128 array with finite entries; it
-    is returned.  This is :func:`apply_to_columns` without its copy, for
+    is returned.  This is :func:`apply` without its copy, for
     a state that the caller built and does not need again.
     """
     if circuit.num_qubits > MAX_SIM_QUBITS:
@@ -208,9 +214,9 @@ def apply_sparse(circuit: Circuit, cols, idx, amp):
     states are zero, and no (column, index) pair may appear twice.
     X permutes indices and Z negates amplitudes.  H and RY pair each
     entry with its partner across the target bit, a missing partner
-    counting as zero, and evaluate the pair with the expressions of the
-    dense simulator, so every column is bit-identical to
-    :func:`apply_to_columns` on it.  Exact zeros are dropped and nothing
+    counting as zero, and evaluate the pair with :func:`_mix`, as the
+    dense simulator does, so every column is bit-identical to
+    :func:`apply` on it.  Exact zeros are dropped and nothing
     else is, so the cost follows the columns' support (at most 4**m
     entries for a basis column of an LCU circuit, see the module
     docstring).
@@ -257,18 +263,12 @@ def apply_sparse(circuit: Circuit, cols, idx, amp):
         hi = np.zeros_like(lo)
         lo[pair[~high]] = a[~high]
         hi[pair[high]] = a[high]
-        if g.kind == "H":
-            new0 = (lo + hi) * _RSQRT2
-            new1 = (lo - hi) * _RSQRT2
-        else:  # RY
-            cs = math.cos(g.theta / 2.0)
-            sn = math.sin(g.theta / 2.0)
-            new0 = cs * lo - sn * hi
-            new1 = sn * lo + cs * hi
+        new0 = np.empty_like(lo)
+        _mix(g, lo, hi, new0, hi, np.empty_like(lo) if g.kind == "RY" else None)
         c, cleared = c[first], cleared[first]
         cols = np.concatenate((cols[rest], c, c))
         idx = np.concatenate((idx[rest], cleared, cleared | bit))
-        amp = np.concatenate((amp[rest], new0, new1))
+        amp = np.concatenate((amp[rest], new0, hi))
         keep = amp != 0
         cols, idx, amp = cols[keep], idx[keep], amp[keep]
     return cols, idx, amp

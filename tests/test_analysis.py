@@ -211,6 +211,28 @@ def test_round_trip_counts_an_absent_diagonal_entry_as_zero(monkeypatch):
     assert not report.passed
 
 
+def sparse_entries(*entries):
+    """(column, uint64 index, amplitude) arrays of (column, index, amplitude) triples."""
+    cols, idx, amp = zip(*entries)
+    return np.array(cols), np.array(idx, dtype=np.uint64), np.array(amp, dtype=complex)
+
+
+def test_max_gap_counts_a_one_sided_entry_in_full():
+    from fdblock.analysis import _max_gap
+
+    base = [(0, 1, 1.0), (1, 2, 0.5j)]
+    assert _max_gap(sparse_entries(*base), sparse_entries(*base), 2) == 0.0
+    nearby = sparse_entries((0, 1, 1.0), (1, 2, 0.25j))
+    assert _max_gap(sparse_entries(*base), nearby, 2) == 0.25
+    # an actual entry that nothing expects, and an expected one never found
+    assert _max_gap(sparse_entries(*base, (1, 3, -0.75)), sparse_entries(*base), 2) == 0.75
+    assert _max_gap(sparse_entries(*base), sparse_entries(*base, (0, 0, 2.0j)), 2) == 2.0
+    # the same index in another column is another pair
+    assert _max_gap(sparse_entries((0, 1, 1.0)), sparse_entries((1, 1, 1.0)), 2) == 1.0
+    nan = sparse_entries((0, 1, complex(np.nan, 0.0)), (1, 2, 0.5j))
+    assert math.isnan(_max_gap(nan, sparse_entries(*base), 2))
+
+
 def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
     import fdblock.analysis as analysis_mod
     import fdblock.circuit as circuit_mod
@@ -227,7 +249,7 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verification ran the dense simulator")
 
-    for name in ("apply_in_place", "apply_to_columns", "apply"):
+    for name in ("apply_in_place", "apply"):
         monkeypatch.setattr(circuit_mod, name, refuse)
         if hasattr(analysis_mod, name):
             monkeypatch.setattr(analysis_mod, name, refuse)

@@ -9,7 +9,6 @@ from fdblock.circuit import (
     apply,
     apply_in_place,
     apply_sparse,
-    apply_to_columns,
     export_text,
 )
 from fdblock.encodings import encode_laplace_1d, shift_circuit
@@ -129,7 +128,7 @@ def test_unitary_runs_in_place_on_its_own_identity():
         finally:
             tracemalloc.stop()
         assert peak < 3 * 16 * 4**10
-        assert np.array_equal(u, apply_to_columns(enc.circuit, np.eye(enc.circuit.dim)))
+        assert np.array_equal(u, apply(enc.circuit, np.eye(enc.circuit.dim)))
 
 
 def test_apply_to_columns_runs_in_place_on_its_copy():
@@ -164,7 +163,7 @@ def test_apply_to_columns_runs_in_place_on_its_copy():
         col[: enc.system_dim] = 1.0
         tracemalloc.start()
         try:
-            apply_to_columns(enc.circuit, col)
+            apply(enc.circuit, col)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -172,8 +171,10 @@ def test_apply_to_columns_runs_in_place_on_its_copy():
 
 
 def test_apply_dim_mismatch():
-    with pytest.raises(ShapeError):
-        apply(Circuit(2), np.ones(3))
+    # a vector or a (2**n, k) array of columns; nothing else
+    for bad in (np.ones(3), np.ones((3, 2)), np.array(1.0), np.ones((4, 1, 1))):
+        with pytest.raises(ShapeError):
+            apply(Circuit(2), bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -183,7 +184,7 @@ def test_apply_rejects_non_finite_entries(bad):
     mat = np.zeros((4, 2), dtype=complex)
     mat[1, 1] = complex(0.0, bad)
     with pytest.raises(ShapeError, match="finite"):
-        apply_to_columns(Circuit(2), mat)
+        apply(Circuit(2), mat)
 
 
 def test_dense_simulation_leaves_the_callers_arrays_unchanged():
@@ -202,9 +203,13 @@ def test_dense_simulation_leaves_the_callers_arrays_unchanged():
     rng = np.random.default_rng(7)
     mat = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
     before = mat.copy()
-    out = apply_to_columns(c, mat)
+    out = apply(c, mat)
     assert np.array_equal(mat, before)
-    assert np.array_equal(apply(c, mat[:, 1]), out[:, 1])
+    assert out.shape == mat.shape
+    for j in range(mat.shape[1]):
+        column = apply(c, mat[:, j])
+        assert column.shape == (8,)
+        assert np.array_equal(column, out[:, j])
     assert np.array_equal(mat, before)
 
 
@@ -213,7 +218,7 @@ def test_apply_in_place_overwrites_its_own_array():
     c = Circuit(3, gates + (Gate("RY", 2, theta=-1.3),))
     rng = np.random.default_rng(8)
     mat = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-    expected = apply_to_columns(c, mat)
+    expected = apply(c, mat)
     assert apply_in_place(c, mat) is mat
     assert np.array_equal(mat, expected)
     # arrays that the gates could not overwrite in place are refused
@@ -286,6 +291,8 @@ BAD_GATES = [
         id="target-is-control",
     ),
     pytest.param(2, (Gate("X", 0, ((1, 2),)),), "gate 0: control polarities", id="polarity-2"),
+    pytest.param(2, (Gate("X", 0, ((1, 1.0),)),), "gate 0: control polarities", id="polarity-float"),
+    pytest.param(2, (Gate("X", 0, ((1, "1"),)),), "gate 0: control polarities", id="polarity-string"),
     pytest.param(1, (Gate("RY", 0, theta=float("inf")),), "gate 0: RY needs", id="ry-inf"),
     pytest.param(1, (Gate("X", 3),), r"gate 0: qubits \(3,\) are not all in 0..0", id="target-beyond-width"),
     pytest.param(
@@ -325,6 +332,14 @@ BAD_GATES = [
 def test_gate_validation(num_qubits, gates, message):
     with pytest.raises(QubitIndexError, match=message):
         Circuit(num_qubits, gates)
+
+
+def test_bool_and_numpy_integer_polarities_act_as_integers():
+    plain = Circuit(2, (Gate("X", 0, ((1, 1),)), Gate("Z", 1, ((0, 0),))))
+    typed = Circuit(2, (Gate("X", 0, ((1, True),)), Gate("Z", 1, ((0, np.int64(0)),))))
+    eye = np.eye(4)
+    assert np.array_equal(apply(typed, eye), apply(plain, eye))
+    assert export_text(typed) == export_text(plain)
 
 
 def test_export_text_format():
@@ -428,7 +443,7 @@ def test_sparse_simulator_is_bit_identical_on_every_builder():
                 circuit = spec.build(dim, n).circuit
                 if circuit.num_qubits > 10:
                     break
-                dense = apply_to_columns(circuit, np.eye(circuit.dim))
+                dense = apply(circuit, np.eye(circuit.dim))
                 assert max_abs_diff(sparse_columns(circuit, range(circuit.dim)), dense) == 0.0
                 checked += 1
     assert checked == 40
@@ -443,7 +458,7 @@ def test_sparse_simulator_matches_dense_routes_on_random_circuits():
         gates = random_gates(rng, nq, int(rng.integers(3, 12)))
         c = Circuit(nq, tuple(gates))
         sparse = sparse_columns(c, range(c.dim))
-        assert max_abs_diff(sparse, apply_to_columns(c, np.eye(c.dim))) == 0.0
+        assert max_abs_diff(sparse, apply(c, np.eye(c.dim))) == 0.0
         assert max_abs_diff(sparse, dense_circuit_unitary(gates, nq)) < 1e-13
 
         panel = rng.normal(size=(c.dim, 3)) + 1j * rng.normal(size=(c.dim, 3))
@@ -452,7 +467,7 @@ def test_sparse_simulator_matches_dense_routes_on_random_circuits():
         cols, idx, amp = apply_sparse(c, cols, idx.astype(np.uint64), panel[idx, cols])
         out = np.zeros_like(panel)
         out[idx.astype(np.int64), cols] = amp
-        assert max_abs_diff(out, apply_to_columns(c, panel)) == 0.0
+        assert max_abs_diff(out, apply(c, panel)) == 0.0
 
 
 def test_sparse_simulator_rejects_malformed_entries():
