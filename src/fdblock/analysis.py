@@ -5,19 +5,24 @@ declares its blocks as (row, col, stencil) triples, each block being
 alpha times its :class:`~fdblock.operators.Stencil`
 (``BlockEncoding.blocks``).
 
-Verification never builds the full unitary.  For each ancilla input
-block it runs the basis columns |col>|j> forward through the circuit in
-panels on the sparse simulator (``circuit.apply_sparse``) and the output
-back through the adjoint circuit.  One comparison, ``_max_gap``, then
-checks both passes: each declared block row of the forward output
-against alpha times its stencil's sparse columns, and the round trip's
-output against the basis columns that went in, whose largest gap is the
-max-entry unitarity residual max |U^dagger U - I|.  Every encoding is an
-LCU of shifts, so a basis column stays on at most 4^m basis states, and
-verification costs at most gates * 2^q * 4^m entry updates instead of
-the dense gates * 4^q, plus one sort per comparison.  A panel holds
-PANEL_ENTRIES >> 2m columns; no N-row array is formed, and verification
-stops at the statevector cap (MAX_SIM_QUBITS).
+Verification never builds the full unitary.  Every column of U runs
+forward at once on the cube simulator (``circuit.apply_cubes``, pure
+Python ints), and the output back through the adjoint circuit.  One
+comparison, ``_max_gap``, then checks both passes in xor space, where
+an entry at row j ^ x of column j has the xor x: each declared block of
+the forward entries against alpha times its stencil's column cubes
+(``Stencil.column_cubes``, every move's carry classes), and the round
+trip against the identity, whose largest gap is the max-entry
+unitarity residual max |U^dagger U - I|.  Every encoding is an LCU of
+shifts, so the entries stay a few thousand at most, and no step grows
+with the number of columns.  The entries are capped at
+``circuit.MAX_CUBES``, and verification stops at the statevector cap
+(MAX_SIM_QUBITS).  A verify process never loads numpy.  The amplitudes
+are the dense simulator's bit for bit.  So are the deviations, as long
+as every amplitude and declared coefficient is real, as every gate kind
+and builder keeps them; numpy's complex abs can differ from Python's in
+the last digit otherwise.  The numpy sparse route that reported before
+is the test suite's second route (``tests/oracles.py``).
 
 Success probabilities are computed by two independent routes: applying
 the encoding circuit to |0>|v> and collecting the zero-ancilla mass, or
@@ -34,18 +39,19 @@ from dataclasses import dataclass
 
 from . import encodings, operators
 from ._lazy import lazy_import
-from .circuit import MAX_SIM_QUBITS, adjoint, apply_in_place, apply_sparse
+from .circuit import (
+    MAX_SIM_QUBITS,
+    adjoint,
+    apply_cubes,
+    apply_in_place,
+    basis_cubes,
+    quantum_bits,
+)
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError, SizeError
 from .operators import GridFunction, GridSpec
 
 np = lazy_import("numpy")
-
-
-# Budget of one verification panel, in sparse entries, not bytes: the
-# per-gate sort temporaries of apply_sparse cost about 175 B per entry,
-# and CLI ``verify --op laplace --dim 1 --n 16`` (18 q) peaks at 189 MB RSS.
-PANEL_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,63 +87,91 @@ class SweepRow:
     runtime: float
 
 
-def _max_gap(actual, expected, nq: int) -> float:
-    """Max |actual - expected| over two sets of sparse column entries.
+def _worse(worst: float, gap: float) -> float:
+    """The larger of two gaps; a NaN, once seen, stays and FAILs the report."""
+    return gap if gap > worst or gap != gap else worst
 
-    Each set is (column, uint64 index, amplitude) arrays as
-    :func:`apply_sparse` returns them, with at most one entry per
-    (column, index) pair; a pair missing from one set is zero there.
-    One sort on the simulator's 64-bit key puts the two entries of each
-    pair side by side, and a segment sum takes their difference.
+
+def _max_gap(found, expected, width: int) -> float:
+    """Max |found - expected| over two sets of cube entries on width-bit inputs.
+
+    Each set maps an xor x to cubes (care, val, amplitude): the entry
+    at row j ^ x of column j, for every j on the cube.  The cubes of one
+    x are disjoint, so a cube is fully matched on the other side when
+    the sizes of its intersections there add up to its own size; an
+    entry missing on one side is zero there.
     """
-    keys = np.concatenate(
-        [(c.astype(np.uint64) << np.uint64(nq)) | i for c, i, _ in (actual, expected)]
-    )
-    order = np.argsort(keys)
-    keys = keys[order]
-    diffs = np.concatenate((actual[2], -expected[2]))[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    sums = np.add.reduceat(diffs, np.flatnonzero(first))
-    # np.max, unlike the builtin, propagates a NaN into a FAIL.
-    return float(np.max(np.abs(sums), initial=0.0))
+
+    def size(care):
+        return 1 << (width - care.bit_count())
+
+    worst = 0.0
+    for x, cubes in found.items():
+        for care, val, amp in cubes:
+            covered = 0
+            for ecare, evalue, value in expected.get(x, ()):
+                if not (val ^ evalue) & care & ecare:
+                    covered += size(care | ecare)
+                    worst = _worse(worst, abs(amp - value))
+            if covered < size(care):
+                worst = _worse(worst, abs(amp))
+    for x, cubes in expected.items():
+        for care, val, value in cubes:
+            others = found.get(x, ())
+            covered = sum(size(care | c) for c, v, _ in others if not (val ^ v) & care & c)
+            if covered < size(care):
+                worst = _worse(worst, abs(value))
+    return worst
+
+
+def _by_xor(cubes, quantum: int, k: int, row: int = 0, col: int = 0) -> dict:
+    """The entries of block (row, col), keyed by output ^ input on the low k bits.
+
+    The block's inputs carry col above bit k and its outputs row; with
+    k the full width, the block is the whole matrix.  A cube that leaves
+    some of those input bits free is cut to col first.
+    """
+    system = (1 << k) - 1
+    found = {}
+    for care, val, xor, q, amp in cubes:
+        if ((val >> k) ^ col) & (care >> k):
+            continue
+        val = (val & system) | (col << k)
+        if (((val ^ xor) & ~quantum) | q) >> k != row:
+            continue
+        x = (xor | ((q ^ val) & quantum)) & system
+        found.setdefault(x, []).append((care & system, val & system, amp))
+    return found
 
 
 def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     """Check every declared block and U^dagger U = I by a round trip.
 
-    Every column of U runs forward once and back once through the
-    adjoint circuit, both sparsely, in panels of PANEL_ENTRIES >> 2m
-    columns (4**m entries each at most).  Each declared block is read
-    from the forward panels and compared with alpha times its stencil's
-    columns; the round trip is compared with the basis columns.
+    All columns of U run forward at once as cube entries
+    (``circuit.apply_cubes``), and the output back through the adjoint
+    circuit.  Each declared block of the forward entries is compared
+    with alpha times its stencil's column cubes, and the round trip with
+    the identity, by one comparison, :func:`_max_gap`.
     """
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
-    nq = enc.circuit.num_qubits
+    circuit = enc.circuit
+    nq = circuit.num_qubits
     if nq > MAX_SIM_QUBITS:
         raise SizeError(f"{nq} qubits exceeds the statevector cap {MAX_SIM_QUBITS}")
-    N = enc.system_dim
-    inverse = adjoint(enc.circuit)
-    width = PANEL_ENTRIES >> min(2 * enc.m, nq)
-    deviations, residuals = [0.0], [0.0]
-    for col in range(1 << enc.m):
-        wanted = [(row, stencil) for row, c, stencil in enc.blocks if c == col]
-        for start in range(0, N, width):
-            js = np.arange(start, min(start + width, N), dtype=np.uint64)
-            basis = (np.arange(js.size), js + np.uint64(col * N), np.ones(js.size))
-            cols, idx, amp = out = apply_sparse(enc.circuit, *basis)
-            for row, stencil in wanted:
-                lo = np.uint64(row * N)
-                inside = (idx >= lo) & (idx < lo + np.uint64(N))
-                k, rows, values = stencil.columns(js)
-                found = (cols[inside], idx[inside], amp[inside])
-                expected = (k, rows + lo, enc.alpha * values)
-                deviations.append(_max_gap(found, expected, nq))
-            residuals.append(_max_gap(apply_sparse(inverse, *out), basis, nq))
-    # np.max, unlike the builtin, propagates a NaN into a FAIL.
-    deviation = float(np.max(deviations))
-    residual = float(np.max(residuals))
+    quantum = quantum_bits(circuit)
+    forward = apply_cubes(circuit, basis_cubes(circuit))
+    k = nq - enc.m
+    deviation = 0.0
+    for row, col, stencil in enc.blocks:
+        expected = {
+            x: [(care, val, enc.alpha * value) for care, val, value in cubes]
+            for x, cubes in stencil.column_cubes().items()
+        }
+        found = _by_xor(forward, quantum, k, row, col)
+        deviation = _worse(deviation, _max_gap(found, expected, k))
+    back = apply_cubes(adjoint(circuit), forward)
+    residual = _max_gap(_by_xor(back, quantum, nq), {0: [(0, 0, 1.0)]}, nq)
     passed = deviation <= tol and residual <= tol
     return VerificationReport(enc.label, deviation, residual, tol, passed)
 

@@ -1,4 +1,4 @@
-"""Gate-level circuit IR, dense statevector and sparse column simulation.
+"""Gate-level circuit IR, dense statevector and cube simulation.
 
 Conventions
 -----------
@@ -17,17 +17,34 @@ which register.  For ancillas on the first m wires and a k-qubit system
 register after them, the composite basis index of |a>|s> is a*2^k + s.
 
 Two simulators compute the same columns bit for bit, because both
-evaluate H and RY on a pair of amplitudes with one kernel, ``_mix``.
-``apply`` and ``apply_in_place`` run dense statevectors, so each column
-costs gates * 2^q amplitude updates.  They update the state in place
-through one scratch buffer of half its size (its full size when an RY
-gate has no controls).  ``apply`` copies the caller's vector or columns
-first; ``apply_in_place`` overwrites them.  ``apply_sparse`` keeps only
-a column's nonzero entries, so it costs gates * (support) updates plus
-one sort per H or RY gate.  Run through an LCU circuit
-W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out on the m
-ancillas and each P_a a permutation of system basis states, a basis
-column keeps at most 4^m entries.
+evaluate H and RY on a pair of amplitudes with the same expressions in
+the same order: ``_mix`` on numpy arrays, ``_mix_pair`` on Python
+complex numbers.  ``apply`` and ``apply_in_place`` run dense
+statevectors, so each column costs gates * 2^q amplitude updates.  They
+update the state in place through one scratch buffer of half its size
+(its full size when an RY gate has no controls).  ``apply`` copies the
+caller's vector or columns first; ``apply_in_place`` overwrites them.
+
+``apply_cubes`` runs every basis column at once in Python ints, as cube
+entries.  A wire is quantum if an H or RY gate targets it and classical
+otherwise; classical wires only ever see X and Z.  An entry
+(care, val, xor, q, amp) stands for every input index j with
+j & care == val, and puts amplitude amp on the output index
+((j ^ xor) & classical) | q: xor holds classical bits and q quantum
+ones.  Every entry fixes the quantum bits in care.  X flips a bit of
+xor or q, Z negates amp, and a control on a classical bit that the cube
+leaves free cuts the cube in two (Z acts as a control on its own
+target).  H and RY pair entries of equal xor whose q differ only in the
+target bit; overlapping cubes are cut so that each piece has one (lo,
+hi) pair, a missing partner counting as zero, and exact zeros are
+dropped, so each input's amplitudes are those of the dense simulator.
+Cubes that differ in one fixed classical bit and agree otherwise are
+then joined.
+For each input at most one entry has a given (xor, q).  Run through an
+LCU circuit W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out
+on the m ancillas and each P_a a cyclic shift of system basis states,
+every shift's carry classes become cubes, so the entries stay few (at
+most a few thousand at the statevector cap) however wide the grid.
 """
 
 from __future__ import annotations
@@ -120,10 +137,10 @@ class Circuit:
 def _mix(g: Gate, lo, hi, out0, out1, tmp) -> None:
     """Write H or RY gate g's image of the amplitude pairs (lo, hi).
 
-    The one copy of the pair arithmetic: both simulators call it, so
-    their columns agree bit for bit.  out0 gets the target-bit-0 half
-    and out1 the target-bit-1 half; out1 may be hi, but out0 and tmp, a
-    scratch array that only RY uses, must overlap neither input.
+    :func:`_mix_pair` is its twin on one pair of Python numbers, with
+    the same expressions in the same order.  out0 gets the target-bit-0
+    half and out1 the target-bit-1 half; out1 may be hi, but out0 and
+    tmp, a scratch array that only RY uses, must overlap neither input.
     """
     if g.kind == "H":
         np.multiply(np.add(lo, hi, out=out0), _RSQRT2, out=out0)
@@ -133,6 +150,15 @@ def _mix(g: Gate, lo, hi, out0, out1, tmp) -> None:
         s = math.sin(g.theta / 2.0)
         np.subtract(np.multiply(c, lo, out=out0), np.multiply(s, hi, out=tmp), out=out0)
         np.add(np.multiply(s, lo, out=tmp), np.multiply(c, hi, out=out1), out=out1)
+
+
+def _mix_pair(g: Gate, lo: complex, hi: complex) -> tuple[complex, complex]:
+    """:func:`_mix` on one pair of Python complex numbers, in its operand order."""
+    if g.kind == "H":
+        return (lo + hi) * _RSQRT2, (lo - hi) * _RSQRT2
+    c = math.cos(g.theta / 2.0)
+    s = math.sin(g.theta / 2.0)
+    return c * lo - s * hi, s * lo + c * hi
 
 
 def _run_gates(gates, psi: np.ndarray) -> np.ndarray:
@@ -206,72 +232,192 @@ def apply_in_place(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def apply_sparse(circuit: Circuit, cols, idx, amp):
-    """Apply the circuit to a panel of columns held as sparse entries.
+# The cube simulator's budget of live entries.  Every OPS build peaks
+# below 6000 at the statevector cap (laplace D=3 n=4) and below 31000 at
+# 64 qubits.  A circuit that spreads its columns over many wires (an H on
+# every grid wire, say) needs up to 4**q and is refused as it passes this.
+MAX_CUBES = 1 << 16
 
-    Entry e is amplitude ``amp[e]`` on basis state ``idx[e]`` (uint64)
-    of column ``cols[e]`` (non-negative int64).  A column's absent basis
-    states are zero, and no (column, index) pair may appear twice.
-    X permutes indices and Z negates amplitudes.  H and RY pair each
-    entry with its partner across the target bit, a missing partner
-    counting as zero, and evaluate the pair with :func:`_mix`, as the
-    dense simulator does, so every column is bit-identical to
-    :func:`apply` on it.  Exact zeros are dropped and nothing
-    else is, so the cost follows the columns' support (at most 4**m
-    entries for a basis column of an LCU circuit, see the module
-    docstring).
 
-    Returns new (cols, idx, amp) arrays; entries come in no fixed order.
-    Raises SizeError when a column id and a basis index do not fit one
-    64-bit sort key together.
+def quantum_bits(circuit: Circuit) -> int:
+    """Index bits of the circuit's quantum wires, those an H or RY gate targets."""
+    nq = circuit.num_qubits
+    bits = 0
+    for g in circuit.gates:
+        if g.kind in ("H", "RY"):
+            bits |= 1 << (nq - 1 - g.target)
+    return bits
+
+
+def basis_cubes(circuit: Circuit) -> list:
+    """Cube entries of every basis column of the circuit: the identity.
+
+    One entry (quantum, p, 0, p, 1) for each setting p of the quantum
+    bits; see the module docstring.
+    """
+    quantum = quantum_bits(circuit)
+    count = 1 << quantum.bit_count()
+    if count > MAX_CUBES:
+        raise SizeError(f"{count} cube entries exceed the budget of {MAX_CUBES}")
+    cubes, p = [], 0
+    while True:
+        cubes.append((quantum, p, 0, p, 1 + 0j))
+        p = (p - quantum) & quantum
+        if not p:
+            return cubes
+
+
+def apply_cubes(circuit: Circuit, cubes) -> list:
+    """Run the circuit on cube entries (care, val, xor, q, amp); see the module docstring.
+
+    Every entry must fix the circuit's quantum bits in ``care``, as the
+    entries of :func:`basis_cubes` do, and those of this function for
+    the circuit and its adjoint, which has the same H and RY targets.
+    Returns the output entries in no fixed order.  Raises SizeError when
+    the live entries outgrow MAX_CUBES, counted before H and RY outputs
+    are joined.
     """
     nq = circuit.num_qubits
-    cols = np.array(cols, dtype=np.int64)
-    idx = np.array(idx, dtype=np.uint64)
-    amp = np.array(amp, dtype=np.complex128)
-    if not cols.shape == idx.shape == amp.shape or cols.ndim != 1:
-        raise ShapeError(f"entry arrays differ in shape: {cols.shape}, {idx.shape}, {amp.shape}")
-    if idx.size and (int(idx.max()) >> nq or cols.min() < 0):
-        raise ShapeError(f"entries must have column ids >= 0 and indices below 2**{nq}")
-    # H and RY sort on one 64-bit key: column id above the cleared index.
-    if idx.size and int(cols.max()).bit_length() + nq > 64:
-        raise SizeError(f"column id {int(cols.max())} and {nq} qubits exceed a 64-bit sort key")
-    for g in circuit.gates:
-        bit = np.uint64(1 << (nq - 1 - g.target))
+    quantum = quantum_bits(circuit)
+    if any(care & quantum != quantum for care, *_ in cubes):
+        raise ShapeError("every cube entry must fix the quantum bits")
+    for i, g in enumerate(circuit.gates):
+        bit = 1 << (nq - 1 - g.target)
         mask = value = 0
         for q, pol in g.controls:
             mask |= 1 << (nq - 1 - q)
-            value |= pol << (nq - 1 - q)
-        mask, value = np.uint64(mask), np.uint64(value)
-        if g.kind == "X":
-            idx = idx ^ (((idx & mask) == value) * bit)
+            if pol:
+                value |= 1 << (nq - 1 - q)
+        if g.kind == "Z":  # a control on its own target, then a sign
+            mask, value = mask | bit, value | bit
+        cubes, chosen = _select(cubes, mask, value, quantum)
+        if g.kind == "X" and bit & quantum:
+            chosen = [(c, v, x, q ^ bit, a) for c, v, x, q, a in chosen]
+        elif g.kind == "X":
+            chosen = [(c, v, x ^ bit, q, a) for c, v, x, q, a in chosen]
+        elif g.kind == "Z":
+            chosen = [(c, v, x, q, -a) for c, v, x, q, a in chosen]
+        else:
+            chosen = _mixed(g, chosen, bit)
+        count = len(cubes) + len(chosen)
+        if count > MAX_CUBES:
+            raise SizeError(f"gate {i}: {count} cube entries exceed the budget of {MAX_CUBES}")
+        cubes += _merged(chosen, ~quantum) if g.kind in ("H", "RY") else chosen
+    return cubes
+
+
+def _select(cubes, mask, value, quantum):
+    """Split entries into (rest, chosen) by whether their outputs match value on mask.
+
+    An entry whose cube leaves a classical control bit free is cut on
+    that bit; each piece that fails the control goes to rest.
+    """
+    if not mask:
+        return [], cubes
+    qmask = mask & quantum
+    cmask = mask ^ qmask
+    rest, chosen = [], []
+    for cube in cubes:
+        care, val, xor, q, amp = cube
+        want = (value ^ xor) & cmask  # the input bits that meet the controls
+        if (q ^ value) & qmask or (val ^ want) & care & cmask:
+            rest.append(cube)
             continue
-        if g.kind == "Z":
-            amp = np.where((idx & (mask | bit)) == (value | bit), -amp, amp)
-            continue
-        sel = (idx & mask) == value
-        rest = ~sel
-        c, i, a = cols[sel], idx[sel], amp[sel]
-        cleared = i & ~bit
-        order = np.argsort((c.astype(np.uint64) << np.uint64(nq)) | cleared)
-        c, i, a, cleared = c[order], i[order], a[order], cleared[order]
-        first = np.ones(c.size, dtype=bool)
-        first[1:] = (cleared[1:] != cleared[:-1]) | (c[1:] != c[:-1])
-        pair = np.cumsum(first) - 1
-        high = (i & bit) != 0
-        lo = np.zeros(int(first.sum()), dtype=np.complex128)
-        hi = np.zeros_like(lo)
-        lo[pair[~high]] = a[~high]
-        hi[pair[high]] = a[high]
-        new0 = np.empty_like(lo)
-        _mix(g, lo, hi, new0, hi, np.empty_like(lo) if g.kind == "RY" else None)
-        c, cleared = c[first], cleared[first]
-        cols = np.concatenate((cols[rest], c, c))
-        idx = np.concatenate((idx[rest], cleared, cleared | bit))
-        amp = np.concatenate((amp[rest], new0, hi))
-        keep = amp != 0
-        cols, idx, amp = cols[keep], idx[keep], amp[keep]
-    return cols, idx, amp
+        rest += [(c, v, xor, q, amp) for c, v in _minus(care, val, cmask, want)]
+        chosen.append((care | cmask, val | want, xor, q, amp))
+    return rest, chosen
+
+
+def _mixed(g: Gate, cubes, bit: int) -> list:
+    """H or RY gate g on target bit ``bit`` of entries that meet its controls.
+
+    Partners share xor and differ in q only at ``bit``.  For each such
+    group, :func:`_overlay` cuts the lo and hi cubes into regions with
+    one (lo, hi) pair each, and :func:`_mix_pair` evaluates the pair.
+    Exact zeros are dropped.
+    """
+    pairs = {}
+    for care, val, xor, q, amp in cubes:
+        halves = pairs.setdefault((xor, q & ~bit), ([], []))
+        halves[1 if q & bit else 0].append((care, val, amp))
+    out = []
+    for (xor, q), (lows, highs) in pairs.items():
+        for care, val, lo, hi in _overlay(lows, highs):
+            new0, new1 = _mix_pair(g, lo, hi)
+            if new0 != 0:
+                out.append((care, val, xor, q, new0))
+            if new1 != 0:
+                out.append((care, val, xor, q | bit, new1))
+    return out
+
+
+def _overlay(lows, highs) -> list:
+    """Regions (care, val, lo, hi) where two sets of disjoint cubes overlap or not.
+
+    Each input of a cube of either set lies in exactly one region; an
+    amplitude that a set lacks there is 0j.  Cubes that differ on a bit
+    every cube fixes cannot meet, so candidates are looked up by those bits.
+    """
+    common = -1
+    for care, _, _ in lows + highs:
+        common &= care
+    by_bits = [{}, {}]
+    for side, cubes in enumerate((lows, highs)):
+        for cube in cubes:
+            by_bits[side].setdefault(cube[1] & common, []).append(cube)
+    regions = []
+    for care, val, lo in lows:
+        left = [(care, val)]
+        for hcare, hval, hi in by_bits[1].get(val & common, ()):
+            if not (val ^ hval) & care & hcare:
+                regions.append((care | hcare, val | hval, lo, hi))
+                left = [piece for c, v in left for piece in _minus(c, v, hcare, hval)]
+        regions += [(c, v, lo, 0j) for c, v in left]
+    for care, val, hi in highs:
+        left = [(care, val)]
+        for lcare, lval, _ in by_bits[0].get(val & common, ()):
+            left = [piece for c, v in left for piece in _minus(c, v, lcare, lval)]
+        regions += [(c, v, 0j, hi) for c, v in left]
+    return regions
+
+
+def _minus(care: int, val: int, cut_care: int, cut_val: int) -> list:
+    """Disjoint cubes covering cube (care, val) minus cube (cut_care, cut_val)."""
+    if (val ^ cut_val) & care & cut_care:
+        return [(care, val)]
+    pieces = []
+    free = cut_care & ~care
+    while free:
+        b = free & -free
+        free ^= b
+        pieces.append((care | b, val | (~cut_val & b)))
+        care, val = care | b, val | (cut_val & b)
+    return pieces
+
+
+def _merged(cubes, classical: int) -> list:
+    """Join entries that differ only in one fixed classical bit of their cubes.
+
+    Joining changes no input's amplitude; it keeps the shift cascades'
+    carry pieces from piling up across the H and RY layers.
+    """
+    while True:
+        groups = {}
+        for care, val, xor, q, amp in cubes:
+            groups.setdefault((care, xor, q, amp), set()).add(val)
+        joined, kept = [], []
+        for (care, xor, q, amp), vals in groups.items():
+            bits = care & classical
+            while bits and len(vals) > 1:
+                b = bits & -bits
+                bits ^= b
+                for v in [v for v in vals if not v & b and v | b in vals]:
+                    vals -= {v, v | b}
+                    joined.append((care & ~b, v, xor, q, amp))
+            kept += [(care, v, xor, q, amp) for v in vals]
+        if not joined:
+            return kept
+        cubes = kept + joined
 
 
 def adjoint(circuit: Circuit) -> Circuit:

@@ -9,11 +9,11 @@ point (j0*h, j1*h, ..., j_{D-1}*h) is
 
 A :class:`Stencil` holds an operator as data, (axis, offset, coeff)
 terms over a divisor.  Its ``apply`` evaluates it on grid values by
-rolls, and its ``columns`` gives the sparse basis columns A e_j at any
-grid indices; neither forms a matrix, and ``columns`` works on grids of
-up to 2**64 points.  The encoding builders declare their blocks as
-Stencils.  The dense matrices that the tests compare them against live
-in the test suite's oracles, written without stencils.
+rolls, and its ``column_cubes`` gives every basis column A e_j at once
+as cubes of grid indices; neither forms a matrix, and ``column_cubes``
+works on grids of up to 2**64 points.  The encoding builders declare
+their blocks as Stencils.  The dense matrices that the tests compare
+them against live in the test suite's oracles, written without stencils.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class Stencil:
     Row i of the operator holds ``coeff / divisor`` at the grid point
     i + offset along ``axis`` (mod N) for each term (axis, offset,
     coeff); terms landing on one point add up.  Both :meth:`apply` and
-    :meth:`columns` add each axis's terms in declared order, then the
+    :meth:`column_cubes` add each axis's terms in declared order, then the
     axis sums in order of first appearance, and apply the divisor last,
     so their values agree bit for bit.  No terms is the zero operator.
     """
@@ -165,34 +165,59 @@ class Stencil:
         out *= 1.0 / self.divisor
         return out.reshape((spec.npoints,) + out.shape[spec.dim :])
 
-    def columns(self, js) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse columns A e_j for the uint64 grid indices ``js``.
+    def column_cubes(self) -> dict[int, list[tuple[int, int, complex]]]:
+        """Every column A e_j at once, keyed by the xor of row and column.
 
-        Returns (k, rows, values): entry e is A[rows[e], js[k[e]]], one
-        entry per distinct row, and the first len(js) entries are the
-        diagonal A[j, j], zero if no term lands there.  Costs O(terms)
-        per column, on grids of up to 2**64 points.
+        Maps x to disjoint cubes (care, val, value): A[j ^ x, j] = value
+        for every grid index j with j & care == val, and A is zero where
+        no cube says otherwise.  The centre sits at x = 0 for every j; a
+        move's cubes are the carry classes of adding it to the axis
+        coordinate, one per x: n + 1 of them for a move of +-1 on n-bit
+        axes, but Fibonacci many in n for a move whose bits alternate.
+        Pure Python ints.
         """
-        spec = self.spec
-        js = np.asarray(js, dtype=np.uint64).reshape(-1)
+        n = self.spec.n
         # A term moves j's axis coordinate by -offset mod N, whatever j
         # is, so which terms collide is fixed: those with equal (axis,
         # move) add up in declared order, and every move-0 term lands on
         # j itself, where the axis sums add up as in apply.
         sums: dict[tuple[int, int], float] = {}
         for axis, offset, coeff in self.terms:
-            key = (axis, -offset % spec.N)
+            key = (axis, -offset % self.spec.N)
             sums[key] = sums.get(key, 0.0) + coeff
         centre = sum(sums.pop((terms[0][0], 0), 0.0) for terms in self._by_axis())
-        mask = np.uint64(spec.N - 1)
-        rows = [js]
-        for axis, move in sums:
-            shift = np.uint64(axis * spec.n)
-            coord = (js >> shift) & mask
-            rows.append(js ^ ((coord ^ ((coord + np.uint64(move)) & mask)) << shift))
-        values = np.array([centre, *sums.values()], dtype=np.complex128) * (1.0 / self.divisor)
-        k = np.tile(np.arange(js.size), len(rows))
-        return k, np.concatenate(rows), np.repeat(values, js.size)
+        scale = 1.0 / self.divisor
+        cubes = {0: [(0, 0, complex(centre) * scale)]}
+        for (axis, move), coeff in sums.items():
+            value = complex(coeff) * scale
+            for x, care, val in _carry_cubes(move, n):
+                shift = axis * n
+                cubes.setdefault(x << shift, []).append((care << shift, val << shift, value))
+        return cubes
+
+
+def _carry_cubes(move: int, n: int) -> list[tuple[int, int, int]]:
+    """(x, care, val) with c ^ ((c + move) mod 2**n) == x for every n-bit c on the cube.
+
+    Bit b of x is bit b of move xor the carry into bit b, whatever bit
+    b of c is; that bit only decides the carry out when move's bit and
+    the carry differ, so the walk fixes c's bit there and nowhere else.
+    """
+    cubes = []
+    stack = [(0, 0, 0, 0, 0)]  # bit, carry in, x, care, val
+    while stack:
+        b, carry, x, care, val = stack.pop()
+        if b == n:
+            cubes.append((x, care, val))
+            continue
+        m = (move >> b) & 1
+        x |= (m ^ carry) << b
+        if m == carry:
+            stack.append((b + 1, carry, x, care, val))
+        else:
+            stack.append((b + 1, 0, x, care | 1 << b, val))
+            stack.append((b + 1, 1, x, care | 1 << b, val | 1 << b))
+    return cubes
 
 
 def laplacian_stencil(spec: GridSpec) -> Stencil:

@@ -13,7 +13,7 @@ from fdblock.analysis import (
     sweep_success_probability,
     verify_pattern,
 )
-from fdblock.circuit import Circuit, apply
+from fdblock.circuit import Circuit, Gate, apply
 from fdblock.encodings import (
     BlockEncoding,
     encode_banded_lcu,
@@ -25,7 +25,7 @@ from fdblock.encodings import (
     encode_laplace_dd,
     encode_wave_2d,
 )
-from fdblock.errors import ParameterError, ShapeError
+from fdblock.errors import ParameterError, ShapeError, SizeError
 from fdblock.operators import (
     GridFunction,
     GridSpec,
@@ -43,10 +43,12 @@ from .oracles import (
     scaled_laplacian_1d,
     scaled_laplacian_dd,
     separable_trapezoid_l2_norm,
+    stencil_columns,
     trapezoid_1d,
     trapezoid_l2_norm,
     unitarity_residual,
     unitary,
+    verify_sparse,
 )
 
 
@@ -177,7 +179,7 @@ def test_references_evaluate_beyond_the_dense_cap():
     assert enc.system_dim == 8192
     row, col, stencil = enc.blocks[0]
     assert (row, col) == (0, 0)
-    k, rows, values = stencil.columns(np.arange(100, 104, dtype=np.uint64))
+    k, rows, values = stencil_columns(stencil, np.arange(100, 104, dtype=np.uint64))
     for pos in range(4):
         got = {int(r): v for kk, r, v in zip(k, rows, values) if kk == pos}
         assert got == {99 + pos: 0.25, 100 + pos: -0.5, 101 + pos: 0.25}
@@ -211,51 +213,83 @@ def test_round_trip_counts_an_absent_diagonal_entry_as_zero(monkeypatch):
     assert not report.passed
 
 
-def sparse_entries(*entries):
-    """(column, uint64 index, amplitude) arrays of (column, index, amplitude) triples."""
-    cols, idx, amp = zip(*entries)
-    return np.array(cols), np.array(idx, dtype=np.uint64), np.array(amp, dtype=complex)
+def cube_entries(*entries):
+    """xor -> [(care, val, amplitude)] of (xor, care, val, amplitude) tuples."""
+    out = {}
+    for x, care, val, amp in entries:
+        out.setdefault(x, []).append((care, val, amp))
+    return out
 
 
 def test_max_gap_counts_a_one_sided_entry_in_full():
     from fdblock.analysis import _max_gap
 
-    base = [(0, 1, 1.0), (1, 2, 0.5j)]
-    assert _max_gap(sparse_entries(*base), sparse_entries(*base), 2) == 0.0
-    nearby = sparse_entries((0, 1, 1.0), (1, 2, 0.25j))
-    assert _max_gap(sparse_entries(*base), nearby, 2) == 0.25
-    # an actual entry that nothing expects, and an expected one never found
-    assert _max_gap(sparse_entries(*base, (1, 3, -0.75)), sparse_entries(*base), 2) == 0.75
-    assert _max_gap(sparse_entries(*base), sparse_entries(*base, (0, 0, 2.0j)), 2) == 2.0
-    # the same index in another column is another pair
-    assert _max_gap(sparse_entries((0, 1, 1.0)), sparse_entries((1, 1, 1.0)), 2) == 1.0
-    nan = sparse_entries((0, 1, complex(np.nan, 0.0)), (1, 2, 0.5j))
-    assert math.isnan(_max_gap(nan, sparse_entries(*base), 2))
+    # two bits: the cube (0b01, 0b01) holds inputs 1 and 3
+    base = [(0, 0b01, 0b01, 1.0), (2, 0b11, 0b10, 0.5j)]
+    assert _max_gap(cube_entries(*base), cube_entries(*base), 2) == 0.0
+    nearby = cube_entries(base[0], (2, 0b11, 0b10, 0.25j))
+    assert _max_gap(cube_entries(*base), nearby, 2) == 0.25
+    # an entry that nothing expects, and an expected one never found
+    assert _max_gap(cube_entries(*base, (1, 0b11, 0b00, -0.75)), cube_entries(*base), 2) == 0.75
+    assert _max_gap(cube_entries(*base), cube_entries(*base, (0, 0b11, 0, 2.0j)), 2) == 2.0
+    # the same cube at another xor is another entry
+    assert _max_gap(cube_entries((0, 0, 0, 1.0)), cube_entries((1, 0, 0, 1.0)), 2) == 1.0
+    # a cube covered in part counts its uncovered inputs in full, on either side
+    whole, half = (0, 0, 0, 1.0), (0, 0b10, 0b10, 1.0)
+    assert _max_gap(cube_entries(whole), cube_entries(half), 2) == 1.0
+    assert _max_gap(cube_entries(half), cube_entries(whole), 2) == 1.0
+    quarters = [(0, 0b11, v, 1.0) for v in range(4)]
+    assert _max_gap(cube_entries(*quarters), cube_entries(whole), 2) == 0.0
+    nan = cube_entries((0, 0b01, 0b01, complex(math.nan, 0.0)), base[1])
+    assert math.isnan(_max_gap(nan, cube_entries(*base), 2))
+    assert math.isnan(_max_gap(cube_entries(*base), nan, 2))
+
+
+def test_a_nan_stencil_coefficient_fails_verification():
+    enc = encode_derivative_1d(3)
+    row, col, stencil = enc.blocks[0]
+    nan = replace(stencil, terms=((0, 1, math.nan), *stencil.terms[1:]))
+    report = verify_pattern(replace(enc, blocks=((row, col, nan),)), 1e-12)
+    assert math.isnan(report.max_deviation) and report.unitarity_residual < 1e-12
+    assert not report.passed
 
 
 def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
+    # all 2**q columns run as cube entries once through the circuit and
+    # once through its adjoint, and no numpy simulator runs at all
     import fdblock.analysis as analysis_mod
     import fdblock.circuit as circuit_mod
 
-    columns = []
-    original = analysis_mod.apply_sparse
+    from . import oracles
 
-    def counting(circuit, cols, idx, amp):
-        columns.append(np.unique(cols).size)
-        return original(circuit, cols, idx, amp)
+    calls = []
+    original = analysis_mod.apply_cubes
 
-    monkeypatch.setattr(analysis_mod, "apply_sparse", counting)
+    def counting(circuit, cubes):
+        out = original(circuit, cubes)
+        calls.append((circuit, cubes, out))
+        return out
+
+    monkeypatch.setattr(analysis_mod, "apply_cubes", counting)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verification ran the dense simulator")
+        raise AssertionError("verification ran a numpy simulator")
 
-    for name in ("apply_in_place", "apply"):
-        monkeypatch.setattr(circuit_mod, name, refuse)
-        if hasattr(analysis_mod, name):
-            monkeypatch.setattr(analysis_mod, name, refuse)
+    for module, name in (
+        (circuit_mod, "apply_in_place"),
+        (circuit_mod, "apply"),
+        (circuit_mod, "_mix"),
+        (analysis_mod, "apply_in_place"),
+        (oracles, "apply_sparse"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     enc = encode_wave_2d(3)
+    nq = enc.circuit.num_qubits
     assert verify_pattern(enc, 1e-12).passed
-    assert sum(columns) == 2 * enc.circuit.dim
+    (forward, basis, out), (backward, cubes, _) = calls
+    assert forward == enc.circuit and backward == circuit_mod.adjoint(enc.circuit)
+    assert sum(1 << (nq - care.bit_count()) for care, *_ in basis) == enc.circuit.dim
+    assert cubes is out
 
 
 def test_verify_passes_at_seventeen_qubits():
@@ -596,14 +630,97 @@ def test_cap_scale_extraction_path_spot_checked():
 
 
 def test_extract_block_chunking_is_transparent(monkeypatch):
-    import fdblock.analysis as analysis_mod
+    # the entry budget only refuses work: at the least budget that
+    # verifies, the report is unchanged; one below, verify raises and
+    # names the count it reached
+    import fdblock.circuit as circuit_mod
 
     enc = encode_laplace_dd(2, 2)
     report = verify_pattern(enc, 1e-12)
-    # three columns a panel (4**m entries each), the last panel short;
-    # verification reads its blocks and residual from these panels
-    monkeypatch.setattr(analysis_mod, "PANEL_ENTRIES", 3 << 2 * enc.m)
+    low, high = 1, circuit_mod.MAX_CUBES
+    while low < high:
+        monkeypatch.setattr(circuit_mod, "MAX_CUBES", (low + high) // 2)
+        try:
+            verify_pattern(enc, 1e-12)
+            high = (low + high) // 2
+        except SizeError:
+            low = (low + high) // 2 + 1
+    monkeypatch.setattr(circuit_mod, "MAX_CUBES", low)
     assert verify_pattern(enc, 1e-12) == report
+    monkeypatch.setattr(circuit_mod, "MAX_CUBES", low - 1)
+    with pytest.raises(SizeError, match=f": {low} cube entries exceed the budget of {low - 1}$"):
+        verify_pattern(enc, 1e-12)
+
+
+def test_verify_refuses_a_circuit_beyond_the_entry_budget():
+    # an H on every grid wire makes all 16 wires quantum: every cube is
+    # one column, and the first H doubles them past the budget at once
+    enc = encode_laplace_1d(14)
+    spread = tuple(Gate("H", w) for w in range(enc.m, 16)) + enc.circuit.gates
+    with pytest.raises(SizeError, match="gate 0: 131072 cube entries exceed the budget of 65536"):
+        verify_pattern(replace(enc, circuit=Circuit(16, spread)), 1e-12)
+
+
+def encodings_up_to(max_qubits):
+    """Every OPS build of at most max_qubits qubits, laplace in 1-4 dims."""
+    from fdblock.encodings import OPS
+
+    for op in OPS.values():
+        for dim in (op.dim,) if op.dim else (1, 2, 3, 4):
+            for n in range(1, 64):
+                enc = op.build(dim, n)
+                if enc.circuit.num_qubits > max_qubits:
+                    break
+                yield enc
+
+
+def test_cube_reports_equal_the_sparse_oracle_reports():
+    encs = list(encodings_up_to(12))
+    encs += [encode_banded_lcu(6, 0.65, -0.4, 0.15), encode_banded_lcu(8, 1.5, 0.3, -0.9)]
+    assert len(encs) == 54
+    for enc in encs:
+        assert verify_pattern(enc, 1e-12) == verify_sparse(enc, 1e-12), enc.label
+
+
+def mutant(enc, kind, rng):
+    """enc with one seeded gate mutation of the given kind."""
+    gates = list(enc.circuit.gates)
+    nq = enc.circuit.num_qubits
+    where = int(rng.integers(0, len(gates) + 1))
+    if kind == "drop":
+        del gates[int(rng.integers(0, len(gates)))]
+    elif kind in ("flip", "uncontrol"):
+        i = int(rng.choice([i for i, g in enumerate(gates) if g.controls]))
+        controls = list(gates[i].controls)
+        c = int(rng.integers(0, len(controls)))
+        if kind == "flip":
+            controls[c] = (controls[c][0], 1 - controls[c][1])
+        else:
+            del controls[c]
+        gates[i] = gates[i]._replace(controls=tuple(controls))
+    elif kind == "system H":
+        gates.insert(where, Gate("H", int(rng.integers(enc.m, nq))))
+    elif kind == "RY":
+        gates.insert(where, Gate("RY", int(rng.integers(0, nq)), (), float(rng.uniform(-3, 3))))
+    else:  # a 2-controlled X
+        t, a, b = (int(w) for w in rng.permutation(nq)[:3])
+        polarities = rng.integers(0, 2, size=2)
+        gates.insert(where, Gate("X", t, ((a, int(polarities[0])), (b, int(polarities[1])))))
+    return replace(enc, circuit=Circuit(nq, tuple(gates)))
+
+
+def test_cube_reports_equal_the_sparse_oracle_reports_on_mutants():
+    rng = np.random.default_rng(1515)
+    encs = [enc for enc in encodings_up_to(8) if enc.circuit.num_qubits >= 3]
+    kinds = ("drop", "flip", "uncontrol", "system H", "RY", "2-controlled X")
+    failed = 0
+    for kind in kinds:
+        for _ in range(8):
+            mut = mutant(encs[int(rng.integers(0, len(encs)))], kind, rng)
+            report = verify_pattern(mut, 1e-12)
+            assert report == verify_sparse(mut, 1e-12), (kind, mut.label)
+            failed += not report.passed
+    assert failed >= 40
 
 
 def test_route_agreement_general_banded_label():

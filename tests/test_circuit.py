@@ -7,14 +7,17 @@ from fdblock.circuit import (
     Gate,
     adjoint,
     apply,
+    apply_cubes,
     apply_in_place,
-    apply_sparse,
+    basis_cubes,
     export_text,
+    quantum_bits,
 )
 from fdblock.encodings import encode_laplace_1d, shift_circuit
 from fdblock.errors import QubitIndexError, ShapeError, SizeError
 
 from .oracles import (
+    apply_sparse,
     central_difference_1d,
     dense_circuit_unitary,
     max_abs_diff,
@@ -483,3 +486,66 @@ def test_sparse_simulator_rejects_malformed_entries():
     apply_sparse(wide, [15], np.array([1], dtype=np.uint64), [1.0])
     with pytest.raises(SizeError):
         apply_sparse(wide, [16], np.array([1], dtype=np.uint64), [1.0])
+
+
+def cube_columns(circuit):
+    """Dense (2**q, 2**q) matrix scattered from apply_cubes on every basis column."""
+    quantum = quantum_bits(circuit)
+    js = np.arange(circuit.dim)
+    out = np.zeros((circuit.dim, circuit.dim), dtype=complex)
+    seen = np.zeros(out.shape, dtype=bool)
+    for care, val, xor, q, amp in apply_cubes(circuit, basis_cubes(circuit)):
+        cols = js[(js & care) == val]
+        rows = ((cols ^ xor) & ~quantum) | q
+        assert not seen[rows, cols].any()  # one entry per (column, index)
+        seen[rows, cols] = True
+        out[rows, cols] = amp
+    return out
+
+
+def test_cube_simulator_is_bit_identical_on_every_builder():
+    from fdblock.encodings import OPS
+
+    checked = 0
+    for spec in OPS.values():
+        for dim in (spec.dim,) if spec.dim else (1, 2, 3, 4):
+            for n in range(1, 9):
+                circuit = spec.build(dim, n).circuit
+                if circuit.num_qubits > 9:
+                    break
+                assert np.array_equal(cube_columns(circuit), apply(circuit, np.eye(circuit.dim)))
+                checked += 1
+    assert checked == 35
+
+
+def test_cube_simulator_matches_dense_routes_on_random_circuits():
+    # H and RY land on any wire, controls on quantum and classical wires alike
+    rng = np.random.default_rng(2510)
+    for _ in range(20):
+        nq = int(rng.integers(2, 7))
+        gates = random_gates(rng, nq, int(rng.integers(3, 12)))
+        c = Circuit(nq, tuple(gates))
+        dense = apply(c, np.eye(c.dim))
+        assert np.array_equal(cube_columns(c), dense)
+
+
+def test_cube_simulator_rejects_entries_that_leave_a_quantum_bit_free():
+    c = Circuit(2, (Gate("H", 0), Gate("X", 1)))
+    assert quantum_bits(c) == 0b10
+    assert basis_cubes(c) == [(0b10, 0, 0, 0, 1), (0b10, 0b10, 0, 0b10, 1)]
+    with pytest.raises(ShapeError, match="fix the quantum bits"):
+        apply_cubes(c, [(0, 0, 0, 0, 1 + 0j)])
+
+
+def test_cube_simulator_refuses_entries_beyond_its_budget(monkeypatch):
+    import fdblock.circuit as circuit_mod
+
+    c = Circuit(3, (Gate("H", 0), Gate("H", 1), Gate("H", 2)))
+    monkeypatch.setattr(circuit_mod, "MAX_CUBES", 7)
+    with pytest.raises(SizeError, match="8 cube entries exceed the budget of 7"):
+        basis_cubes(c)
+    monkeypatch.setattr(circuit_mod, "MAX_CUBES", 8)
+    # each H sends every column to two outputs: 16 entries after gate 0
+    with pytest.raises(SizeError, match="gate 0: 16 cube entries"):
+        apply_cubes(c, basis_cubes(c))
+

@@ -38,16 +38,20 @@ def numpy_modules_after(commands):
 
 
 def test_resources_and_export_never_load_numpy():
+    # verify too: its cube simulator and comparison run on Python ints
     commands = [["resources", "--op", "laplace", "--dim", "1..4", "--n", "2..5"]]
     commands += [["resources", "--op", op, "--n", "2..5"] for op in OPS if op != "laplace"]
     commands += [["export", "--op", op, "--n", "3"] for op in OPS]
+    commands += [["verify", "--op", "laplace", "--dim", str(dim), "--n", "2"] for dim in (1, 2, 3)]
+    commands += [["verify", "--op", op, "--n", "3"] for op in OPS if op != "laplace"]
     assert numpy_modules_after(commands) == []
 
 
+# verify runs without numpy (see above); both cases are sweeps, in 2-D and 1-D
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--op", "laplace", "--n", "2"],
+        ["sweep", "--op", "laplace", "--dim", "2", "--n", "2", "--family", "sinprod"],
         ["sweep", "--op", "laplace", "--n", "2..3"],
     ],
 )

@@ -24,6 +24,7 @@ from .oracles import (
     max_abs_diff,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
+    stencil_columns,
     trapezoid_1d,
 )
 
@@ -281,8 +282,8 @@ def random_banded_stencils(spec, rng):
 
 
 def dense_columns(stencil, js):
-    """The (npoints, len(js)) panel scattered from Stencil.columns."""
-    k, rows, values = stencil.columns(js)
+    """The (npoints, len(js)) panel scattered from the oracle's stencil_columns."""
+    k, rows, values = stencil_columns(stencil, js)
     panel = np.zeros((stencil.spec.npoints, len(js)), dtype=complex)
     panel[rows.astype(np.int64), k] = values
     assert len(set(zip(k.tolist(), rows.tolist()))) == k.size  # collisions merged
@@ -303,6 +304,49 @@ def test_stencil_columns_equal_apply_bit_for_bit(dim, n):
         assert np.array_equal(dense_columns(stencil, js), stencil.apply(identity))
 
 
+def dense_cubes(stencil):
+    """The (npoints, npoints) matrix scattered from Stencil.column_cubes."""
+    size = stencil.spec.npoints
+    js = np.arange(size)
+    panel = np.zeros((size, size), dtype=complex)
+    seen = np.zeros(panel.shape, dtype=bool)
+    for x, cubes in stencil.column_cubes().items():
+        for care, val, value in cubes:
+            cols = js[(js & care) == val]
+            assert not seen[cols ^ x, cols].any()  # one entry per (row, column)
+            seen[cols ^ x, cols] = True
+            panel[cols ^ x, cols] = value
+    return panel
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 3), (3, 2), (4, 1)])
+def test_stencil_column_cubes_equal_apply_bit_for_bit(dim, n):
+    # random offsets up to 5 carry across several bits, and wrap at small N
+    spec = GridSpec(dim, n)
+    identity = np.eye(spec.npoints, dtype=complex)
+    stencils = random_banded_stencils(spec, np.random.default_rng(61 + 10 * dim + n))
+    stencils += declared_stencils(dim, n) + [laplacian_stencil(spec)]
+    for stencil in stencils:
+        assert np.array_equal(dense_cubes(stencil), stencil.apply(identity))
+
+
+def test_stencil_column_cubes_hold_the_columns_of_grids_beyond_any_panel():
+    # every +-1 move splits into n + 1 carry cubes; on a 62-qubit axis and
+    # a 60-qubit 3-d grid the cubes give columns' entries at the edges
+    for dim, n in ((1, 62), (3, 20)):
+        spec = GridSpec(dim, n)
+        lap = scaled_laplacian_stencil(spec)
+        cubes = lap.column_cubes()
+        assert sum(map(len, cubes.values())) == 1 + 2 * dim * (n + 1)
+        N = spec.N
+        edge = [0, 1, N - 2, N - 1, N**dim - 1]
+        k, rows, values = stencil_columns(lap, np.array(edge, dtype=np.uint64))
+        for pos, j in enumerate(edge):
+            want = {int(r): complex(v) for kk, r, v in zip(k, rows, values) if kk == pos}
+            got = {j ^ x: v for x, cs in cubes.items() for c, val, v in cs if j & c == val}
+            assert got == want
+
+
 def test_stencil_columns_wrap_on_grids_beyond_any_panel():
     # a 62-qubit axis and a 60-qubit 3-d grid: columns returns the
     # wrapped neighbours of the edge points without touching N rows
@@ -312,7 +356,7 @@ def test_stencil_columns_wrap_on_grids_beyond_any_panel():
         edge = [0, 1, N - 2, N - 1]
         js = np.array(edge, dtype=np.uint64)
         lap = scaled_laplacian_stencil(spec)
-        k, rows, values = lap.columns(js)
+        k, rows, values = stencil_columns(lap, js)
         for pos, j in enumerate(edge):
             got = {int(r): complex(v) for kk, r, v in zip(k, rows, values) if kk == pos}
             want = {j: -0.5}
@@ -321,7 +365,7 @@ def test_stencil_columns_wrap_on_grids_beyond_any_panel():
                 for step in (-1, 1):
                     want[j + ((coord + step) % N - coord) * N**axis] = 1 / (4 * dim)
             assert got == want
-        k, rows, values = first_order_stencil(spec, dim - 1).columns(js)
+        k, rows, values = stencil_columns(first_order_stencil(spec, dim - 1), js)
         last = N ** (dim - 1)
         for pos, j in enumerate(edge):
             got = {int(r): complex(v) for kk, r, v in zip(k, rows, values) if kk == pos}
