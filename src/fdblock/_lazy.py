@@ -1,8 +1,11 @@
 """Deferred imports: a module is loaded on its first attribute access.
 
-``resources`` and ``export`` build and count circuits in pure Python, so
-the numeric modules bind numpy through :func:`lazy_import` and those
-commands never pay for loading it.
+``verify``, ``resources`` and ``export`` build, verify and count
+circuits in pure Python, so the numeric modules bind numpy through
+:func:`lazy_import` and those commands never pay for loading it.  The
+package defers its own modules by plain imports instead: ``fdblock``
+imports each public name on its first access, and ``cli`` imports
+``analysis`` and ``resources`` inside the commands that call them.
 """
 
 from __future__ import annotations

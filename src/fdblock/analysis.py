@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import encodings, operators
 from ._lazy import lazy_import
@@ -54,8 +54,7 @@ from .operators import GridFunction, GridSpec
 np = lazy_import("numpy")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of comparing an encoding against its declared blocks."""
 
     label: str
@@ -72,8 +71,7 @@ class VerificationReport:
         )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid refinement step of a success-probability sweep."""
 
     D: int
@@ -216,8 +214,7 @@ def _fd_error(spec: GridSpec, raw: np.ndarray, exact: np.ndarray) -> float:
     return float(np.max(np.abs(operators.laplacian_stencil(spec).apply(raw) - exact)))
 
 
-@dataclass(frozen=True)
-class FunctionFamily:
+class FunctionFamily(NamedTuple):
     """Probe prod_d trig(2 k pi x_d) on [0,1]^D, its exact Laplacian and constant.
 
     ``trig`` names the numpy ufunc, ``"sin"`` or ``"cos"``.

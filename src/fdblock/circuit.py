@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._frozen import Frozen
 from ._lazy import lazy_import
 from .errors import QubitIndexError, ShapeError, SizeError
 
@@ -89,22 +89,20 @@ def _integers(first, rest) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Frozen):
     """Ordered gate list on num_qubits wires; the one place gates are checked.
 
     A bad gate raises QubitIndexError naming its position in the list.
     """
 
-    num_qubits: int
-    gates: tuple[Gate, ...] = ()
+    __slots__ = _compared = ("num_qubits", "gates")
 
-    def __post_init__(self):
-        n = self.num_qubits
+    def __init__(self, num_qubits: int, gates: tuple[Gate, ...] = ()):
+        n = num_qubits
         if n < 1:
             raise QubitIndexError("circuit needs at least one qubit")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for i, g in enumerate(self.gates):
+        gates = tuple(gates)
+        for i, g in enumerate(gates):
             if not isinstance(g, Gate):
                 raise QubitIndexError(f"gate {i}: {g!r} is not a Gate")
             kind, target, controls, theta = g
@@ -128,6 +126,7 @@ class Circuit:
             else:
                 continue
             raise QubitIndexError(f"gate {i}: {problem}")
+        self._init(num_qubits, gates)
 
     @property
     def dim(self) -> int:
@@ -399,7 +398,9 @@ def _merged(cubes, classical: int) -> list:
     """Join entries that differ only in one fixed classical bit of their cubes.
 
     Joining changes no input's amplitude; it keeps the shift cascades'
-    carry pieces from piling up across the H and RY layers.
+    carry pieces from piling up across the H and RY layers.  Two vals
+    can only join on a bit where they differ, so a group tries only the
+    bits on which some val differs from the first.
     """
     while True:
         groups = {}
@@ -407,7 +408,11 @@ def _merged(cubes, classical: int) -> list:
             groups.setdefault((care, xor, q, amp), set()).add(val)
         joined, kept = [], []
         for (care, xor, q, amp), vals in groups.items():
-            bits = care & classical
+            first = next(iter(vals))
+            spread = 0
+            for v in vals:
+                spread |= v ^ first
+            bits = care & classical & spread
             while bits and len(vals) > 1:
                 b = bits & -bits
                 bits ^= b

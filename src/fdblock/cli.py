@@ -15,6 +15,12 @@ invocations at the same BLAS thread count produce byte-identical files.
 The thread count matters because norms go through threaded BLAS
 reductions: the last digit of a sweep's p_success can differ between
 one and two OpenBLAS threads.
+
+Each command loads only the modules it runs.  This module needs
+``encodings`` (and through it ``circuit`` and ``operators``) to parse
+and build; ``verify`` and ``sweep`` import ``analysis`` when they run,
+and ``resources`` imports ``resources``.  numpy is bound lazily (see
+``_lazy``), so ``verify``, ``resources`` and ``export`` never load it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import os
 import sys
 import tempfile
 
-from . import analysis, encodings, resources
+from . import encodings
 from .circuit import export_text
 from .errors import FdblockError
 
@@ -87,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = add_common(sub.add_parser("verify", help="check encoded blocks"))
     sweep = add_common(sub.add_parser("sweep", help="success-probability sweep"))
     verify.add_argument("--tol", type=float, default=1e-12)
-    sweep.add_argument("--family", default="sinprod", choices=sorted(analysis.FAMILIES))
+    # the sweep checks the family, so parsing needs no analysis import
+    sweep.add_argument("--family", default="sinprod", help="probe function family")
     add_common(sub.add_parser("resources", help="Clifford+T counts"))
     add_common(sub.add_parser("export", help="circuit text listing"))
     return parser
@@ -115,6 +122,8 @@ def _write_output(path: str | None, text: str):
 
 
 def cmd_verify(args) -> int:
+    from . import analysis
+
     enc = encodings.build_encoding(args.op, _single_dim(args), _single("--n", args.n))
     report = analysis.verify_pattern(enc, args.tol)
     _write_output(args.out, report.summary() + "\n")
@@ -122,12 +131,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import analysis
+
     rows = analysis.sweep_success_probability(_single_dim(args), args.n, args.family, op=args.op)
     _write_output(args.out, analysis.sweep_csv(rows))
     return 0
 
 
 def cmd_resources(args) -> int:
+    from . import resources
+
     rows = resources.resource_sweep(args.op, args.dim, args.n)
     _write_output(args.out, resources.resources_csv(rows))
     return 0

@@ -34,10 +34,10 @@ states each one's fixed dimension; :func:`op_dims` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import operators
+from ._frozen import Frozen
 from .circuit import Circuit, Gate
 from .errors import ParameterError, SizeError
 from .operators import GridSpec, Stencil
@@ -45,8 +45,7 @@ from .operators import GridSpec, Stencil
 Control = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BlockEncoding:
+class BlockEncoding(Frozen):
     """Circuit plus its declared (m, alpha) contract.
 
     The ancillas are the first m wires and the system register holds
@@ -54,27 +53,30 @@ class BlockEncoding:
     ``blocks`` holds (row, col, stencil) triples: the block
     U[row*N:(row+1)*N, col*N:(col+1)*N] must equal alpha times the
     stencil, whose grid has the N system points.  Blocks not listed are
-    unconstrained.
+    unconstrained.  ``blocks`` takes no part in equality or repr.
     """
 
-    circuit: Circuit
-    m: int
-    alpha: float
-    label: str
-    blocks: tuple[tuple[int, int, Stencil], ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("circuit", "m", "alpha", "label", "blocks")
+    _compared = __slots__[:4]
 
-    def __post_init__(self):
-        num_qubits = self.circuit.num_qubits
-        if not 0 <= self.m < num_qubits:
-            raise ParameterError(
-                f"m = {self.m} must lie in 0..{num_qubits - 1} to leave system qubits"
-            )
-        if abs(self.alpha) > 1.0:
-            raise ParameterError(f"|alpha| = {abs(self.alpha)} exceeds 1")
-        size = 1 << self.m
-        for row, col, _ in self.blocks:
+    def __init__(
+        self,
+        circuit: Circuit,
+        m: int,
+        alpha: float,
+        label: str,
+        blocks: tuple[tuple[int, int, Stencil], ...] = (),
+    ):
+        num_qubits = circuit.num_qubits
+        if not 0 <= m < num_qubits:
+            raise ParameterError(f"m = {m} must lie in 0..{num_qubits - 1} to leave system qubits")
+        if abs(alpha) > 1.0:
+            raise ParameterError(f"|alpha| = {abs(alpha)} exceeds 1")
+        size = 1 << m
+        for row, col, _ in blocks:
             if not (0 <= row < size and 0 <= col < size):
                 raise ParameterError(f"block ({row}, {col}) is outside the 2**m = {size} blocks")
+        self._init(circuit, m, alpha, label, blocks)
 
     @property
     def system_dim(self) -> int:
@@ -319,8 +321,7 @@ def encode_wave_2d(n: int) -> BlockEncoding:
     return BlockEncoding(circuit, 3, _RSQRT2, f"wave_2d n={n}", blocks)
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(NamedTuple):
     """Command-line operator: build(dim, n) and its fixed dim (None: any dim)."""
 
     build: Callable[[int, int], BlockEncoding]

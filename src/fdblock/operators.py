@@ -19,8 +19,8 @@ them against live in the test suite's oracles, written without stencils.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from ._lazy import lazy_import
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
 from .linalg import VECTOR_DIM_CAP, norm2
@@ -28,18 +28,17 @@ from .linalg import VECTOR_DIM_CAP, norm2
 np = lazy_import("numpy")
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Frozen):
     """Uniform periodic grid: dim axes, n qubits (N = 2**n points) each."""
 
-    dim: int
-    n: int
+    __slots__ = _compared = ("dim", "n")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, n: int):
+        if dim < 1:
             raise ParameterError("dim must be >= 1")
-        if self.n < 1:
+        if n < 1:
             raise ParameterError("n must be >= 1")
+        self._init(dim, n)
 
     @property
     def N(self) -> int:
@@ -58,21 +57,17 @@ class GridSpec:
         return self.n * self.dim
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Frozen):
     """Normalized samples of a scalar field plus the discarded 2-norm."""
 
-    spec: GridSpec
-    values: np.ndarray
-    raw_norm: float
+    __slots__ = _compared = ("spec", "values", "raw_norm")
 
-    def __post_init__(self):
-        if self.values.size != self.spec.npoints:
-            raise ShapeError(
-                f"{self.values.size} values on a {self.spec.npoints}-point grid"
-            )
-        if abs(norm2(self.values) - 1.0) > 1e-12:
+    def __init__(self, spec: GridSpec, values: np.ndarray, raw_norm: float):
+        if values.size != spec.npoints:
+            raise ShapeError(f"{values.size} values on a {spec.npoints}-point grid")
+        if abs(norm2(values) - 1.0) > 1e-12:
             raise DegenerateInputError("grid function values must have unit norm")
+        self._init(spec, values, raw_norm)
 
     @classmethod
     def from_samples(cls, spec: GridSpec, raw: np.ndarray) -> "GridFunction":
@@ -114,8 +109,7 @@ def sample_function(f, spec: GridSpec) -> GridFunction:
     return GridFunction.from_samples(spec, sample_grid(f, spec))
 
 
-@dataclass(frozen=True)
-class Stencil:
+class Stencil(Frozen):
     """Periodic stencil: sum of coeff * (shift by offset on axis), over divisor.
 
     Row i of the operator holds ``coeff / divisor`` at the grid point
@@ -126,16 +120,17 @@ class Stencil:
     so their values agree bit for bit.  No terms is the zero operator.
     """
 
-    spec: GridSpec
-    terms: tuple[tuple[int, int, float], ...] = ()
-    divisor: float = 1.0
+    __slots__ = _compared = ("spec", "terms", "divisor")
 
-    def __post_init__(self):
-        for axis, _, _ in self.terms:
-            if not 0 <= axis < self.spec.dim:
-                raise ParameterError(f"axis {axis} out of range for dim {self.spec.dim}")
-        if not (math.isfinite(self.divisor) and self.divisor != 0.0):
-            raise ParameterError(f"divisor {self.divisor} must be finite and nonzero")
+    def __init__(
+        self, spec: GridSpec, terms: tuple[tuple[int, int, float], ...] = (), divisor: float = 1.0
+    ):
+        for axis, _, _ in terms:
+            if not 0 <= axis < spec.dim:
+                raise ParameterError(f"axis {axis} out of range for dim {spec.dim}")
+        if not (math.isfinite(divisor) and divisor != 0.0):
+            raise ParameterError(f"divisor {divisor} must be finite and nonzero")
+        self._init(spec, terms, divisor)
 
     def _by_axis(self) -> list[list[tuple[int, int, float]]]:
         """The terms grouped by axis, axes in order of their first term."""

@@ -42,15 +42,14 @@ builds each row through the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import encodings
 from .circuit import Circuit, Gate
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class GateCounts:
+class GateCounts(NamedTuple):
     """Clifford+T tally; rotation_count is kept separate from t_count."""
 
     t_count: int
@@ -195,8 +194,7 @@ def count_resources(circuit: Circuit) -> GateCounts:
     )
 
 
-@dataclass(frozen=True)
-class ResourceRow:
+class ResourceRow(NamedTuple):
     builder: str
     D: int
     n: int

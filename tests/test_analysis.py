@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +72,11 @@ def test_extract_block_theorem_targets():
     )
 
 
+def with_blocks(enc, blocks):
+    """enc declaring other blocks, through BlockEncoding's checks."""
+    return BlockEncoding(enc.circuit, enc.m, enc.alpha, enc.label, blocks)
+
+
 def test_verify_pattern_fails_on_a_perturbed_reference():
     enc = encode_laplace_1d(3)
     assert verify_pattern(enc, 1e-12).passed
@@ -81,8 +85,9 @@ def test_verify_pattern_fails_on_a_perturbed_reference():
     i = next(i for i, (_, offset, _) in enumerate(stencil.terms) if offset == 0)
     axis, offset, coeff = stencil.terms[i]
     bumped = (axis, offset, coeff + 1e-6 * stencil.divisor)
-    perturbed = replace(stencil, terms=(*stencil.terms[:i], bumped, *stencil.terms[i + 1 :]))
-    report = verify_pattern(replace(enc, blocks=((row, col, perturbed), *enc.blocks[1:])), 1e-12)
+    terms = (*stencil.terms[:i], bumped, *stencil.terms[i + 1 :])
+    perturbed = Stencil(stencil.spec, terms, stencil.divisor)
+    report = verify_pattern(with_blocks(enc, ((row, col, perturbed), *enc.blocks[1:])), 1e-12)
     assert not report.passed
     assert report.max_deviation == pytest.approx(1e-6, rel=1e-6)
 
@@ -91,9 +96,9 @@ def test_verify_pattern_fails_on_a_flipped_off_diagonal_block():
     enc = encode_laplace_1d(3)
     row, col, stencil = enc.blocks[1]
     assert (row, col) == (0, 1)
-    flipped = replace(stencil, terms=tuple((a, o, -c) for a, o, c in stencil.terms))
+    flipped = Stencil(stencil.spec, tuple((a, o, -c) for a, o, c in stencil.terms), stencil.divisor)
     blocks = (enc.blocks[0], (row, col, flipped), *enc.blocks[2:])
-    report = verify_pattern(replace(enc, blocks=blocks), 1e-12)
+    report = verify_pattern(with_blocks(enc, blocks), 1e-12)
     assert not report.passed
     assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
 
@@ -165,7 +170,7 @@ def test_round_trip_deviations_equal_extract_block_route(enc, dense_blocks):
         extracted = extract_block(enc, row, col)
         assert max_abs_diff(extracted, dense[row, col]) <= 1e-12
         deviations.append(max_abs_diff(extracted, enc.alpha * stencil.apply(identity)))
-        single = verify_pattern(replace(enc, blocks=(block,)), 1e-12)
+        single = verify_pattern(with_blocks(enc, (block,)), 1e-12)
         assert single.max_deviation == deviations[-1]
     report = verify_pattern(enc, 1e-12)
     assert report.passed, report.summary()
@@ -248,8 +253,8 @@ def test_max_gap_counts_a_one_sided_entry_in_full():
 def test_a_nan_stencil_coefficient_fails_verification():
     enc = encode_derivative_1d(3)
     row, col, stencil = enc.blocks[0]
-    nan = replace(stencil, terms=((0, 1, math.nan), *stencil.terms[1:]))
-    report = verify_pattern(replace(enc, blocks=((row, col, nan),)), 1e-12)
+    nan = Stencil(stencil.spec, ((0, 1, math.nan), *stencil.terms[1:]), stencil.divisor)
+    report = verify_pattern(with_blocks(enc, ((row, col, nan),)), 1e-12)
     assert math.isnan(report.max_deviation) and report.unitarity_residual < 1e-12
     assert not report.passed
 
@@ -658,7 +663,9 @@ def test_verify_refuses_a_circuit_beyond_the_entry_budget():
     enc = encode_laplace_1d(14)
     spread = tuple(Gate("H", w) for w in range(enc.m, 16)) + enc.circuit.gates
     with pytest.raises(SizeError, match="gate 0: 131072 cube entries exceed the budget of 65536"):
-        verify_pattern(replace(enc, circuit=Circuit(16, spread)), 1e-12)
+        verify_pattern(
+            BlockEncoding(Circuit(16, spread), enc.m, enc.alpha, enc.label, enc.blocks), 1e-12
+        )
 
 
 def encodings_up_to(max_qubits):
@@ -706,7 +713,7 @@ def mutant(enc, kind, rng):
         t, a, b = (int(w) for w in rng.permutation(nq)[:3])
         polarities = rng.integers(0, 2, size=2)
         gates.insert(where, Gate("X", t, ((a, int(polarities[0])), (b, int(polarities[1])))))
-    return replace(enc, circuit=Circuit(nq, tuple(gates)))
+    return BlockEncoding(Circuit(nq, tuple(gates)), enc.m, enc.alpha, enc.label, enc.blocks)
 
 
 def test_cube_reports_equal_the_sparse_oracle_reports_on_mutants():

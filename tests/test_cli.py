@@ -141,6 +141,15 @@ def test_sweep_empty_range_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sweep_unknown_family_is_usage_error(capsys):
+    # the parser takes any family name, and the sweep refuses an unknown one
+    assert run("sweep", "--op", "laplace", "--n", "2", "--family", "nosuch") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown family 'nosuch'")
+    assert captured.err.count("\n") == 1
+
+
 def test_resources_monotone_columns(tmp_path):
     out = tmp_path / "res.csv"
     assert run("resources", "--op", "laplace", "--dim", "1..3", "--n", "2..8",

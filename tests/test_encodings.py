@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fdblock.encodings import (
     shift_circuit,
 )
 from fdblock.errors import ParameterError, SizeError
-from fdblock.operators import GridSpec
+from fdblock.operators import GridFunction, GridSpec
 
 from .oracles import (
     banded_circulant,
@@ -324,6 +325,23 @@ def test_builds_stop_at_the_qubit_cap(dim, build):
         build(dim, n + 1)
 
 
+def test_checked_types_are_immutable_values():
+    enc = encode_derivative_1d(2)
+    spec, stencil = GridSpec(1, 2), enc.blocks[0][2]
+    grid = GridFunction(spec, np.full(4, 0.5), 1.0)
+    for value in (enc.circuit, spec, grid, stencil, enc):
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    # blocks take no part in equality; copies keep them and pass the checks again
+    assert BlockEncoding(enc.circuit, enc.m, enc.alpha, enc.label) == enc
+    for clone in (copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
+        assert clone == enc and clone.blocks == enc.blocks
+    assert hash(GridSpec(1, 2)) == hash(spec) and Circuit(3, enc.circuit.gates) == enc.circuit
+
+
 @pytest.mark.parametrize("m", [-1, 4])
 def test_block_encoding_needs_system_qubits(m):
     with pytest.raises(ParameterError, match="system qubits"):
@@ -335,7 +353,7 @@ def test_declared_blocks_must_lie_inside_the_ancilla_grid(row, col):
     # derivative_1d has m = 1, so only rows and columns 0 and 1 exist
     enc = encode_derivative_1d(2)
     with pytest.raises(ParameterError, match="outside"):
-        replace(enc, blocks=((row, col, enc.blocks[0][2]),))
+        BlockEncoding(enc.circuit, enc.m, enc.alpha, enc.label, ((row, col, enc.blocks[0][2]),))
 
 
 def test_divergence_is_gradient_with_axis_mixing_moved():

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +164,7 @@ def test_t_count_affine_in_n(name):
 
     def expected(n):
         line = GateCounts(42 * axes * n + c_t, 48 * axes * n + c_1, rotations, n + c_3, (axes + 1) * n + c_2)
-        return replace(line, **OFF_LINE_AT_N2.get(name, {})) if n == 2 else line
+        return line._replace(**OFF_LINE_AT_N2.get(name, {})) if n == 2 else line
 
     off_line = {n: c for n, c in counts.items() if c != expected(n)}
     assert off_line == {}, name
