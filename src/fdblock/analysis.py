@@ -8,21 +8,23 @@ alpha times its :class:`~fdblock.operators.Stencil`
 Verification never builds the full unitary.  Every column of U runs
 forward at once on the cube simulator (``circuit.apply_cubes``, pure
 Python ints), and the output back through the adjoint circuit.  One
-comparison, ``_max_gap``, then checks both passes in xor space, where
-an entry at row j ^ x of column j has the xor x: each declared block of
-the forward entries against alpha times its stencil's column cubes
-(``Stencil.column_cubes``, every move's carry classes), and the round
-trip against the identity, whose largest gap is the max-entry
-unitarity residual max |U^dagger U - I|.  Every encoding is an LCU of
-shifts, so the entries stay a few thousand at most, and no step grows
-with the number of columns.  The entries are capped at
-``circuit.MAX_CUBES``, and verification stops at the statevector cap
-(MAX_SIM_QUBITS).  A verify process never loads numpy.  The amplitudes
-are the dense simulator's bit for bit.  So are the deviations, as long
-as every amplitude and declared coefficient is real, as every gate kind
-and builder keeps them; numpy's complex abs can differ from Python's in
-the last digit otherwise.  The numpy sparse route that reported before
-is the test suite's second route (``tests/oracles.py``).
+comparison, ``_max_gap``, then checks both passes by move, the per-axis
+difference (output - input) mod N of an entry, packed the way a grid
+index is (``_by_move``): each declared block of the forward entries
+against alpha times its stencil's one value per move
+(``Stencil.moves``), and the round trip against the identity, whose
+largest gap is the max-entry unitarity residual max |U^dagger U - I|;
+there the whole width is one field.  Every encoding is an LCU of
+shifts, so the entries stay a few thousand at most, nearly all of one
+move each, and no step grows with the number of columns.  The entries
+are capped at ``circuit.MAX_CUBES``, and verification stops at the
+statevector cap (MAX_SIM_QUBITS).  A verify process never loads numpy.
+The amplitudes are the dense simulator's bit for bit.  So are the
+deviations, as long as every amplitude and declared coefficient is
+real, as every gate kind and builder keeps them; numpy's complex abs
+can differ from Python's in the last digit otherwise.  The numpy sparse
+route that reported before is the test suite's second route
+(``tests/oracles.py``).
 
 Success probabilities are computed by two independent routes: applying
 the encoding circuit to |0>|v> and collecting the zero-ancilla mass, or
@@ -91,45 +93,40 @@ def _worse(worst: float, gap: float) -> float:
 
 
 def _max_gap(found, expected, width: int) -> float:
-    """Max |found - expected| over two sets of cube entries on width-bit inputs.
+    """Max |found - expected| over every input of width bits and every move.
 
-    Each set maps an xor x to cubes (care, val, amplitude): the entry
-    at row j ^ x of column j, for every j on the cube.  The cubes of one
-    x are disjoint, so a cube is fully matched on the other side when
-    the sizes of its intersections there add up to its own size; an
-    entry missing on one side is zero there.
+    ``found`` maps a move to disjoint cubes (care, val, amplitude): the
+    entry that moves each input j on the cube.  ``expected`` maps a
+    move to its one value for every input.  An entry missing on one
+    side is zero there, so an expected move that the found cubes cover
+    only in part counts its value in full.
     """
-
-    def size(care):
-        return 1 << (width - care.bit_count())
-
     worst = 0.0
-    for x, cubes in found.items():
-        for care, val, amp in cubes:
-            covered = 0
-            for ecare, evalue, value in expected.get(x, ()):
-                if not (val ^ evalue) & care & ecare:
-                    covered += size(care | ecare)
-                    worst = _worse(worst, abs(amp - value))
-            if covered < size(care):
-                worst = _worse(worst, abs(amp))
-    for x, cubes in expected.items():
-        for care, val, value in cubes:
-            others = found.get(x, ())
-            covered = sum(size(care | c) for c, v, _ in others if not (val ^ v) & care & c)
-            if covered < size(care):
-                worst = _worse(worst, abs(value))
+    for move in found.keys() | expected.keys():
+        value = expected.get(move, 0.0)
+        covered = 0
+        for care, _, amp in found.get(move, ()):
+            covered += 1 << (width - care.bit_count())
+            worst = _worse(worst, abs(amp - value))
+        if covered < 1 << width:
+            worst = _worse(worst, abs(value))
     return worst
 
 
-def _by_xor(cubes, quantum: int, k: int, row: int = 0, col: int = 0) -> dict:
-    """The entries of block (row, col), keyed by output ^ input on the low k bits.
+def _by_move(cubes, quantum: int, k: int, n: int, row: int = 0, col: int = 0) -> dict:
+    """The entries of block (row, col), keyed by their move on the low k bits.
 
     The block's inputs carry col above bit k and its outputs row; with
     k the full width, the block is the whole matrix.  A cube that leaves
-    some of those input bits free is cut to col first.
+    some of those input bits free is cut to col first.  The low k bits
+    are n-bit fields, and an entry's move is output - input mod 2**n in
+    each field, packed the same way.  A cube is cut on each free input
+    bit that its xor flips, which makes the move one constant per piece;
+    not at the top bit of a field, where +-2**(n-1) are equal mod 2**n.
     """
     system = (1 << k) - 1
+    field = (1 << n) - 1
+    tops = sum(1 << b for b in range(n - 1, k, n))
     found = {}
     for care, val, xor, q, amp in cubes:
         if ((val >> k) ^ col) & (care >> k):
@@ -137,8 +134,20 @@ def _by_xor(cubes, quantum: int, k: int, row: int = 0, col: int = 0) -> dict:
         val = (val & system) | (col << k)
         if (((val ^ xor) & ~quantum) | q) >> k != row:
             continue
+        val &= system
         x = (xor | ((q ^ val) & quantum)) & system
-        found.setdefault(x, []).append((care & system, val & system, amp))
+        free = x & ~care & ~tops
+        care = (care | free) & system
+        cut = free
+        while True:
+            j = val | cut
+            move = 0
+            for shift in range(0, k, n):
+                move |= ((((j ^ x) >> shift) - (j >> shift)) & field) << shift
+            found.setdefault(move, []).append((care, j, amp))
+            if not cut:
+                break
+            cut = (cut - 1) & free
     return found
 
 
@@ -148,8 +157,8 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     All columns of U run forward at once as cube entries
     (``circuit.apply_cubes``), and the output back through the adjoint
     circuit.  Each declared block of the forward entries is compared
-    with alpha times its stencil's column cubes, and the round trip with
-    the identity, by one comparison, :func:`_max_gap`.
+    with alpha times its stencil's moves, and the round trip with the
+    identity, by one comparison, :func:`_max_gap`.
     """
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
@@ -162,14 +171,11 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     k = nq - enc.m
     deviation = 0.0
     for row, col, stencil in enc.blocks:
-        expected = {
-            x: [(care, val, enc.alpha * value) for care, val, value in cubes]
-            for x, cubes in stencil.column_cubes().items()
-        }
-        found = _by_xor(forward, quantum, k, row, col)
+        expected = {move: enc.alpha * value for move, value in stencil.moves().items()}
+        found = _by_move(forward, quantum, k, stencil.spec.n, row, col)
         deviation = _worse(deviation, _max_gap(found, expected, k))
     back = apply_cubes(adjoint(circuit), forward)
-    residual = _max_gap(_by_xor(back, quantum, nq), {0: [(0, 0, 1.0)]}, nq)
+    residual = _max_gap(_by_move(back, quantum, nq, nq), {0: 1.0}, nq)
     passed = deviation <= tol and residual <= tol
     return VerificationReport(enc.label, deviation, residual, tol, passed)
 

@@ -45,6 +45,9 @@ LCU circuit W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out
 on the m ancillas and each P_a a cyclic shift of system basis states,
 every shift's carry classes become cubes, so the entries stay few (at
 most a few thousand at the statevector cap) however wide the grid.
+A shift moves every column of such a cube by the same difference mod
+N, so verification compares the entries with the declared stencils by
+that move, not by their xor.
 """
 
 from __future__ import annotations

@@ -72,10 +72,15 @@ class BlockEncoding(Frozen):
             raise ParameterError(f"m = {m} must lie in 0..{num_qubits - 1} to leave system qubits")
         if abs(alpha) > 1.0:
             raise ParameterError(f"|alpha| = {abs(alpha)} exceeds 1")
-        size = 1 << m
-        for row, col, _ in blocks:
+        size, points = 1 << m, 1 << (num_qubits - m)
+        for row, col, stencil in blocks:
             if not (0 <= row < size and 0 <= col < size):
                 raise ParameterError(f"block ({row}, {col}) is outside the 2**m = {size} blocks")
+            if stencil.spec.npoints != points:
+                raise ParameterError(
+                    f"block ({row}, {col}): its stencil's grid has {stencil.spec.npoints}"
+                    f" points, the system register {points}"
+                )
         self._init(circuit, m, alpha, label, blocks)
 
     @property

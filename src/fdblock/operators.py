@@ -9,11 +9,12 @@ point (j0*h, j1*h, ..., j_{D-1}*h) is
 
 A :class:`Stencil` holds an operator as data, (axis, offset, coeff)
 terms over a divisor.  Its ``apply`` evaluates it on grid values by
-rolls, and its ``column_cubes`` gives every basis column A e_j at once
-as cubes of grid indices; neither forms a matrix, and ``column_cubes``
-works on grids of up to 2**64 points.  The encoding builders declare
-their blocks as Stencils.  The dense matrices that the tests compare
-them against live in the test suite's oracles, written without stencils.
+rolls, and its ``moves`` gives every basis column A e_j at once as one
+value per move: a periodic stencil moves every grid index by the same
+per-axis differences.  Neither forms a matrix, and ``moves`` works on
+grids of up to 2**64 points.  The encoding builders declare their
+blocks as Stencils.  The dense matrices that the tests compare them
+against live in the test suite's oracles, written without stencils.
 """
 
 from __future__ import annotations
@@ -114,10 +115,11 @@ class Stencil(Frozen):
 
     Row i of the operator holds ``coeff / divisor`` at the grid point
     i + offset along ``axis`` (mod N) for each term (axis, offset,
-    coeff); terms landing on one point add up.  Both :meth:`apply` and
-    :meth:`column_cubes` add each axis's terms in declared order, then the
-    axis sums in order of first appearance, and apply the divisor last,
-    so their values agree bit for bit.  No terms is the zero operator.
+    coeff), whose axis and offset are integers; terms landing on one
+    point add up.  Both :meth:`apply` and :meth:`moves` add each axis's
+    terms in declared order, then the axis sums in order of first
+    appearance, and apply the divisor last, so their values agree bit
+    for bit.  No terms is the zero operator.
     """
 
     __slots__ = _compared = ("spec", "terms", "divisor")
@@ -125,7 +127,9 @@ class Stencil(Frozen):
     def __init__(
         self, spec: GridSpec, terms: tuple[tuple[int, int, float], ...] = (), divisor: float = 1.0
     ):
-        for axis, _, _ in terms:
+        for axis, offset, _ in terms:
+            if not (isinstance(axis, int) and isinstance(offset, int)):
+                raise ParameterError(f"axis {axis!r} and offset {offset!r} must be integers")
             if not 0 <= axis < spec.dim:
                 raise ParameterError(f"axis {axis} out of range for dim {spec.dim}")
         if not (math.isfinite(divisor) and divisor != 0.0):
@@ -138,6 +142,7 @@ class Stencil(Frozen):
         for term in self.terms:
             groups.setdefault(term[0], []).append(term)
         return list(groups.values())
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The stencil applied via rolls to axis 0 of ``values``.
 
@@ -160,59 +165,30 @@ class Stencil(Frozen):
         out *= 1.0 / self.divisor
         return out.reshape((spec.npoints,) + out.shape[spec.dim :])
 
-    def column_cubes(self) -> dict[int, list[tuple[int, int, complex]]]:
-        """Every column A e_j at once, keyed by the xor of row and column.
+    def moves(self) -> dict[int, complex]:
+        """Every column A e_j at once, keyed by its move.
 
-        Maps x to disjoint cubes (care, val, value): A[j ^ x, j] = value
-        for every grid index j with j & care == val, and A is zero where
-        no cube says otherwise.  The centre sits at x = 0 for every j; a
-        move's cubes are the carry classes of adding it to the axis
-        coordinate, one per x: n + 1 of them for a move of +-1 on n-bit
-        axes, but Fibonacci many in n for a move whose bits alternate.
+        A move is the per-axis difference (row - column) mod N, packed
+        the way a grid index is: A[j + move, j] = value for every grid
+        index j, adding per axis mod N, and A is zero at every other
+        move.  A term moves j by -offset along its axis, so the centre
+        sits at move 0 and every other move is one (axis, -offset mod N).
         Pure Python ints.
         """
-        n = self.spec.n
-        # A term moves j's axis coordinate by -offset mod N, whatever j
-        # is, so which terms collide is fixed: those with equal (axis,
-        # move) add up in declared order, and every move-0 term lands on
-        # j itself, where the axis sums add up as in apply.
+        spec = self.spec
+        # Terms with equal (axis, move) add up in declared order, and
+        # every move-0 term lands on j itself, where the axis sums add up
+        # as in apply.
         sums: dict[tuple[int, int], float] = {}
         for axis, offset, coeff in self.terms:
-            key = (axis, -offset % self.spec.N)
+            key = (axis, -offset % spec.N)
             sums[key] = sums.get(key, 0.0) + coeff
         centre = sum(sums.pop((terms[0][0], 0), 0.0) for terms in self._by_axis())
         scale = 1.0 / self.divisor
-        cubes = {0: [(0, 0, complex(centre) * scale)]}
+        moves = {0: complex(centre) * scale}
         for (axis, move), coeff in sums.items():
-            value = complex(coeff) * scale
-            for x, care, val in _carry_cubes(move, n):
-                shift = axis * n
-                cubes.setdefault(x << shift, []).append((care << shift, val << shift, value))
-        return cubes
-
-
-def _carry_cubes(move: int, n: int) -> list[tuple[int, int, int]]:
-    """(x, care, val) with c ^ ((c + move) mod 2**n) == x for every n-bit c on the cube.
-
-    Bit b of x is bit b of move xor the carry into bit b, whatever bit
-    b of c is; that bit only decides the carry out when move's bit and
-    the carry differ, so the walk fixes c's bit there and nowhere else.
-    """
-    cubes = []
-    stack = [(0, 0, 0, 0, 0)]  # bit, carry in, x, care, val
-    while stack:
-        b, carry, x, care, val = stack.pop()
-        if b == n:
-            cubes.append((x, care, val))
-            continue
-        m = (move >> b) & 1
-        x |= (m ^ carry) << b
-        if m == carry:
-            stack.append((b + 1, carry, x, care, val))
-        else:
-            stack.append((b + 1, 0, x, care | 1 << b, val))
-            stack.append((b + 1, 1, x, care | 1 << b, val | 1 << b))
-    return cubes
+            moves[move << (axis * spec.n)] = complex(coeff) * scale
+        return moves
 
 
 def laplacian_stencil(spec: GridSpec) -> Stencil:

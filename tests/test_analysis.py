@@ -15,6 +15,7 @@ from fdblock.analysis import (
 from fdblock.circuit import Circuit, Gate, apply
 from fdblock.encodings import (
     BlockEncoding,
+    _shift_gates,
     encode_banded_lcu,
     encode_derivative_1d,
     encode_divergence_2d,
@@ -218,36 +219,68 @@ def test_round_trip_counts_an_absent_diagonal_entry_as_zero(monkeypatch):
     assert not report.passed
 
 
-def cube_entries(*entries):
-    """xor -> [(care, val, amplitude)] of (xor, care, val, amplitude) tuples."""
+def move_entries(*entries):
+    """move -> [(care, val, amplitude)] of (move, care, val, amplitude) tuples."""
     out = {}
-    for x, care, val, amp in entries:
-        out.setdefault(x, []).append((care, val, amp))
+    for move, care, val, amp in entries:
+        out.setdefault(move, []).append((care, val, amp))
     return out
 
 
 def test_max_gap_counts_a_one_sided_entry_in_full():
     from fdblock.analysis import _max_gap
 
-    # two bits: the cube (0b01, 0b01) holds inputs 1 and 3
-    base = [(0, 0b01, 0b01, 1.0), (2, 0b11, 0b10, 0.5j)]
-    assert _max_gap(cube_entries(*base), cube_entries(*base), 2) == 0.0
-    nearby = cube_entries(base[0], (2, 0b11, 0b10, 0.25j))
-    assert _max_gap(cube_entries(*base), nearby, 2) == 0.25
+    # two bits: the cube (0b01, 0b01) holds inputs 1 and 3; an expected
+    # move has its one value on all four inputs
+    base = [(0, 0b01, 0b01, 1.0), (0, 0b01, 0b00, 1.0), (2, 0, 0, 0.5j)]
+    expected = {0: 1.0, 2: 0.5j}
+    assert _max_gap(move_entries(*base), expected, 2) == 0.0
+    assert _max_gap(move_entries(*base), {0: 1.0, 2: 0.25j}, 2) == 0.25
     # an entry that nothing expects, and an expected one never found
-    assert _max_gap(cube_entries(*base, (1, 0b11, 0b00, -0.75)), cube_entries(*base), 2) == 0.75
-    assert _max_gap(cube_entries(*base), cube_entries(*base, (0, 0b11, 0, 2.0j)), 2) == 2.0
-    # the same cube at another xor is another entry
-    assert _max_gap(cube_entries((0, 0, 0, 1.0)), cube_entries((1, 0, 0, 1.0)), 2) == 1.0
-    # a cube covered in part counts its uncovered inputs in full, on either side
-    whole, half = (0, 0, 0, 1.0), (0, 0b10, 0b10, 1.0)
-    assert _max_gap(cube_entries(whole), cube_entries(half), 2) == 1.0
-    assert _max_gap(cube_entries(half), cube_entries(whole), 2) == 1.0
+    assert _max_gap(move_entries(*base, (1, 0b11, 0b00, -0.75)), expected, 2) == 0.75
+    assert _max_gap(move_entries(*base), {**expected, 3: 2.0j}, 2) == 2.0
+    # the same cube at another move is another entry
+    assert _max_gap(move_entries((0, 0, 0, 1.0)), {1: 1.0}, 2) == 1.0
+    # an expected move that the found cubes cover in part counts in full
+    assert _max_gap(move_entries((0, 0b10, 0b10, 1.0)), {0: 1.0}, 2) == 1.0
     quarters = [(0, 0b11, v, 1.0) for v in range(4)]
-    assert _max_gap(cube_entries(*quarters), cube_entries(whole), 2) == 0.0
-    nan = cube_entries((0, 0b01, 0b01, complex(math.nan, 0.0)), base[1])
-    assert math.isnan(_max_gap(nan, cube_entries(*base), 2))
-    assert math.isnan(_max_gap(cube_entries(*base), nan, 2))
+    assert _max_gap(move_entries(*quarters), {0: 1.0}, 2) == 0.0
+    nan = move_entries((0, 0b01, 0b01, complex(math.nan, 0.0)), *base[1:])
+    assert math.isnan(_max_gap(nan, expected, 2))
+    assert math.isnan(_max_gap(move_entries(*base), {0: math.nan, 2: 0.5j}, 2))
+
+
+def shift_encoding(move, n, coeff):
+    """A bare n-qubit circuit adding move to j, from increments by 2**b, declared as coeff."""
+    gates = []
+    for b in range(n):
+        if move >> b & 1:
+            gates += _shift_gates(+1, n - b, 0, ())
+    stencil = Stencil(GridSpec(1, n), ((0, -move, coeff),))
+    return BlockEncoding(Circuit(n, tuple(gates)), 0, 1.0, f"shift {move:#x}", ((0, 0, stencil),))
+
+
+def test_verify_compares_an_alternating_move_as_one_entry():
+    # adding 0x555, whose bits alternate, splits the columns into many
+    # carry classes, and each of them makes the same move
+    report = verify_pattern(shift_encoding(0x555, 12, 1.0), 1e-12)
+    assert report.passed, report.summary()
+    wrong = shift_encoding(0x555, 12, 0.75)
+    report = verify_pattern(wrong, 1e-12)
+    assert report.max_deviation == 0.25 and report.unitarity_residual == 0.0
+    assert not report.passed
+    assert report == verify_sparse(wrong, 1e-12)
+
+
+def test_verify_fails_on_an_alternating_term_at_the_statevector_cap():
+    # laplace_1d n=16 has 18 qubits; an extra declared term at offset
+    # 0x5555 is a move that the circuit never makes
+    enc = encode_laplace_1d(16)
+    row, col, lap = enc.blocks[0]
+    extra = Stencil(lap.spec, (*lap.terms, (0, 0x5555, 1.0)), lap.divisor)
+    report = verify_pattern(with_blocks(enc, ((row, col, extra), *enc.blocks[1:])), 1e-12)
+    assert report.max_deviation == enc.alpha * abs(1.0 / lap.divisor)
+    assert report.unitarity_residual < 1e-12 and not report.passed
 
 
 def test_a_nan_stencil_coefficient_fails_verification():

@@ -22,7 +22,7 @@ from fdblock.encodings import (
     shift_circuit,
 )
 from fdblock.errors import ParameterError, SizeError
-from fdblock.operators import GridFunction, GridSpec
+from fdblock.operators import GridFunction, GridSpec, scaled_laplacian_stencil
 
 from .oracles import (
     banded_circulant,
@@ -354,6 +354,22 @@ def test_declared_blocks_must_lie_inside_the_ancilla_grid(row, col):
     enc = encode_derivative_1d(2)
     with pytest.raises(ParameterError, match="outside"):
         BlockEncoding(enc.circuit, enc.m, enc.alpha, enc.label, ((row, col, enc.blocks[0][2]),))
+
+
+def test_declared_blocks_must_have_the_system_grid_size():
+    # laplace_1d n=4 has 16 system points; verification reads each
+    # block's field width from its stencil's grid
+    from fdblock.analysis import verify_pattern
+
+    enc = encode_laplace_1d(4)
+    for spec in (GridSpec(1, 3), GridSpec(1, 5)):
+        blocks = ((0, 1, scaled_laplacian_stencil(spec)),)
+        with pytest.raises(ParameterError, match=r"block \(0, 1\): .* system register 16$"):
+            BlockEncoding(enc.circuit, enc.m, enc.alpha, enc.label, blocks)
+    # a grid of the same size in another shape is another operator: FAIL
+    blocks = ((0, 0, scaled_laplacian_stencil(GridSpec(2, 2))),)
+    report = verify_pattern(BlockEncoding(enc.circuit, enc.m, enc.alpha, enc.label, blocks), 1e-12)
+    assert not report.passed and report.unitarity_residual < 1e-12
 
 
 def test_divergence_is_gradient_with_axis_mixing_moved():

@@ -251,6 +251,10 @@ def test_stencil_rejects_bad_axes_and_divisors():
     spec = GridSpec(2, 2)
     with pytest.raises(ParameterError, match="axis 2"):
         Stencil(spec, ((2, 1, 1.0),))
+    # apply would read a float offset as 0, and moves packs with <<
+    for axis, offset in ((0, 0.5), (0, 1.0), (0, "1"), (0.0, 1)):
+        with pytest.raises(ParameterError, match="must be integers"):
+            Stencil(GridSpec(1, 3), ((axis, offset, 1.0),))
     for divisor in (0.0, float("inf"), float("nan")):
         with pytest.raises(ParameterError, match="divisor"):
             Stencil(spec, (), divisor)
@@ -304,47 +308,64 @@ def test_stencil_columns_equal_apply_bit_for_bit(dim, n):
         assert np.array_equal(dense_columns(stencil, js), stencil.apply(identity))
 
 
-def dense_cubes(stencil):
-    """The (npoints, npoints) matrix scattered from Stencil.column_cubes."""
-    size = stencil.spec.npoints
-    js = np.arange(size)
-    panel = np.zeros((size, size), dtype=complex)
+def dense_moves(stencil):
+    """The (npoints, npoints) matrix scattered from Stencil.moves to A[j + move, j]."""
+    spec = stencil.spec
+    js = np.arange(spec.npoints)
+    panel = np.zeros((spec.npoints, spec.npoints), dtype=complex)
     seen = np.zeros(panel.shape, dtype=bool)
-    for x, cubes in stencil.column_cubes().items():
-        for care, val, value in cubes:
-            cols = js[(js & care) == val]
-            assert not seen[cols ^ x, cols].any()  # one entry per (row, column)
-            seen[cols ^ x, cols] = True
-            panel[cols ^ x, cols] = value
+    for move, value in stencil.moves().items():
+        rows = np.zeros_like(js)
+        for axis in range(spec.dim):
+            shift = axis * spec.n
+            coord = (js >> shift) + (move >> shift)
+            rows |= (coord & (spec.N - 1)) << shift
+        assert not seen[rows, js].any()  # one entry per (row, column)
+        seen[rows, js] = True
+        panel[rows, js] = value
     return panel
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 3), (3, 2), (4, 1)])
 def test_stencil_column_cubes_equal_apply_bit_for_bit(dim, n):
-    # random offsets up to 5 carry across several bits, and wrap at small N
+    # Stencil.moves: random offsets up to 5 carry across several bits,
+    # and wrap and collide at small N
     spec = GridSpec(dim, n)
     identity = np.eye(spec.npoints, dtype=complex)
     stencils = random_banded_stencils(spec, np.random.default_rng(61 + 10 * dim + n))
     stencils += declared_stencils(dim, n) + [laplacian_stencil(spec)]
     for stencil in stencils:
-        assert np.array_equal(dense_cubes(stencil), stencil.apply(identity))
+        assert np.array_equal(dense_moves(stencil), stencil.apply(identity))
 
 
 def test_stencil_column_cubes_hold_the_columns_of_grids_beyond_any_panel():
-    # every +-1 move splits into n + 1 carry cubes; on a 62-qubit axis and
-    # a 60-qubit 3-d grid the cubes give columns' entries at the edges
+    # Stencil.moves: the centre and one move per +-1 term, whatever n is;
+    # on a 62-qubit axis and a 60-qubit 3-d grid they give the columns'
+    # entries at the edges
     for dim, n in ((1, 62), (3, 20)):
         spec = GridSpec(dim, n)
         lap = scaled_laplacian_stencil(spec)
-        cubes = lap.column_cubes()
-        assert sum(map(len, cubes.values())) == 1 + 2 * dim * (n + 1)
+        moves = lap.moves()
+        assert len(moves) == 1 + 2 * dim
         N = spec.N
         edge = [0, 1, N - 2, N - 1, N**dim - 1]
         k, rows, values = stencil_columns(lap, np.array(edge, dtype=np.uint64))
         for pos, j in enumerate(edge):
             want = {int(r): complex(v) for kk, r, v in zip(k, rows, values) if kk == pos}
-            got = {j ^ x: v for x, cs in cubes.items() for c, val, v in cs if j & c == val}
+            got = {}
+            for move, v in moves.items():
+                row = 0
+                for shift in range(0, dim * n, n):
+                    row |= (((j >> shift) + (move >> shift)) & (N - 1)) << shift
+                got[row] = v
             assert got == want
+
+
+def test_stencil_moves_of_an_alternating_move_are_one_entry():
+    # a move whose bits alternate has Fibonacci-many carry classes in n
+    # (5,702,887 at n = 32), but is one move
+    stencil = Stencil(GridSpec(1, 32), ((0, -0x55555555, 1.0),))
+    assert stencil.moves() == {0: 0j, 0x55555555: 1 + 0j}
 
 
 def test_stencil_columns_wrap_on_grids_beyond_any_panel():
