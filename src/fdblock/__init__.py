@@ -2,7 +2,7 @@
 
 Explicit shift-based quantum circuits embedding the scaled discrete
 Laplacian (and first-order relatives) as the zero-ancilla block of a
-unitary, together with statevector simulation, block verification, success
+unitary, together with circuit simulation, block verification, success
 probabilities, discretization-error metrics, and Clifford+T accounting.
 
 ``import fdblock`` loads no submodule.  Each public name is imported
@@ -26,7 +26,7 @@ _EXPORTS = {
             "sweep_success_probability",
             "verify_pattern",
         ),
-        "circuit": ("Circuit", "Gate", "adjoint", "apply", "export_text"),
+        "circuit": ("Circuit", "Gate", "adjoint", "export_text"),
         "encodings": (
             "BlockEncoding",
             "alpha_d",

@@ -17,20 +17,24 @@ largest gap is the max-entry unitarity residual max |U^dagger U - I|;
 there the whole width is one field.  Every encoding is an LCU of
 shifts, so the entries stay a few thousand at most, nearly all of one
 move each, and no step grows with the number of columns.  The entries
-are capped at ``circuit.MAX_CUBES``, and verification stops at the
-statevector cap (MAX_SIM_QUBITS).  A verify process never loads numpy.
-The amplitudes are the dense simulator's bit for bit.  So are the
-deviations, as long as every amplitude and declared coefficient is
-real, as every gate kind and builder keeps them; numpy's complex abs
-can differ from Python's in the last digit otherwise.  The numpy sparse
-route that reported before is the test suite's second route
-(``tests/oracles.py``).
+are capped at ``circuit.MAX_CUBES``, and verification stops at
+MAX_SIM_QUBITS qubits.  A verify process never loads numpy.  The
+amplitudes are those of the test suite's dense statevector simulator
+bit for bit.  So are the deviations, as long as every amplitude and
+declared coefficient is real, as every gate kind and builder keeps
+them; numpy's complex abs can differ from Python's in the last digit
+otherwise.  The numpy sparse route that reported before is the test
+suite's second route (``tests/oracles.py``).
 
-Success probabilities are computed by two independent routes: applying
-the encoding circuit to |0>|v> and collecting the zero-ancilla mass, or
+Success probabilities are computed by two independent routes: running
+the encoding circuit on |0>|v> and collecting the zero-ancilla mass, or
 applying alpha times the declared (0,0) stencil to the samples.  The
-routes agree to ~1e-15 and the sweep uses the stencil route, which has
-no qubit cap.
+circuit route runs only the ancilla-zero columns on the cube simulator
+and applies each output entry that leaves the ancillas at 0 to v as
+one strided view, so its cost follows the summed sizes of those cubes
+(about 3N for the 1-d Laplacian).  Neither route has a qubit cap; the
+circuit route is bounded by the entry budget.  The routes agree to
+~1e-15 and the sweep uses the stencil route.
 """
 
 from __future__ import annotations
@@ -41,19 +45,16 @@ from typing import NamedTuple
 
 from . import encodings, operators
 from ._lazy import lazy_import
-from .circuit import (
-    MAX_SIM_QUBITS,
-    adjoint,
-    apply_cubes,
-    apply_in_place,
-    basis_cubes,
-    quantum_bits,
-)
+from .circuit import adjoint, apply_cubes, basis_cubes, quantum_bits
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError, SizeError
 from .operators import GridFunction, GridSpec
 
 np = lazy_import("numpy")
+
+# Verification's qubit cap, until the comparison by move runs up to the
+# 64-qubit build cap.
+MAX_SIM_QUBITS = 18
 
 
 class VerificationReport(NamedTuple):
@@ -165,7 +166,7 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     circuit = enc.circuit
     nq = circuit.num_qubits
     if nq > MAX_SIM_QUBITS:
-        raise SizeError(f"{nq} qubits exceeds the statevector cap {MAX_SIM_QUBITS}")
+        raise SizeError(f"{nq} qubits exceeds the verification cap {MAX_SIM_QUBITS}")
     quantum = quantum_bits(circuit)
     forward = apply_cubes(circuit, basis_cubes(circuit))
     k = nq - enc.m
@@ -183,7 +184,11 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
 def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circuit") -> float:
     """Probability of measuring all ancillas in |0> after applying the encoding.
 
-    route="circuit" simulates the encoding on |0>|v|; route="matrix"
+    route="circuit" runs the encoding on |0>|v>: the cube simulator runs
+    the columns whose ancilla bits are 0, and every output entry whose
+    ancilla bits are 0 adds its amplitude times v, on the entry's cube,
+    to the output as one strided view (:func:`_views`).  Only the entry
+    budget ``circuit.MAX_CUBES`` limits this route.  route="matrix"
     evaluates the squared norm of alpha times the declared (0,0) block's
     stencil applied to v.
     """
@@ -194,11 +199,59 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
         return float(np.sum(np.abs(enc.alpha * _zero_block(enc).apply(v.values)) ** 2))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
-    # The gates overwrite this state, so it is never copied.
-    state = np.zeros((enc.circuit.dim, 1), dtype=np.complex128)
-    state[:N, 0] = v.values
-    apply_in_place(enc.circuit, state)
-    return float(np.sum(np.abs(state[:N, 0]) ** 2))
+    circuit = enc.circuit
+    k = circuit.num_qubits - enc.m
+    ancillas = (circuit.dim - 1) ^ (N - 1)
+    columns = [
+        (care | ancillas, val, xor, q, amp)
+        for care, val, xor, q, amp in basis_cubes(circuit)
+        if not val & ancillas
+    ]
+    quantum = quantum_bits(circuit)
+    values = np.ascontiguousarray(v.values)
+    out = np.zeros(N, dtype=np.complex128)
+    scratch = np.empty(N, dtype=np.complex128)
+    for care, val, xor, q, amp in apply_cubes(circuit, columns):
+        if (xor | q) & ancillas:
+            continue
+        shape, source, target = _views(care, val, ((val ^ xor) & ~quantum) | q, xor, k)
+        x = values.reshape(shape)[source]
+        y = out.reshape(shape)[target]
+        np.add(y, np.multiply(x, amp, out=scratch[: x.size].reshape(x.shape)), out=y)
+    return float(np.sum(np.abs(out) ** 2))
+
+
+def _views(care: int, val: int, image: int, xor: int, k: int) -> tuple:
+    """Shape and (source, target) indices of a cube entry's grid views.
+
+    The low k bits split into runs, most significant first, of bits
+    fixed in care, free bits, and free bits that xor flips; the shape
+    has one axis per run.  A fixed run indexes the input val and the
+    output image with integers.  A free run is a whole axis, reversed
+    on the output side when xor flips it, since j ^ (2**r - 1) is
+    2**r - 1 - j on r bits.  Each index ends in an Ellipsis, so that
+    it selects a view even when every run is fixed.
+    """
+
+    def kind(b):  # 0 fixed, 1 free, 2 free and flipped
+        return 0 if care >> b & 1 else 1 + (xor >> b & 1)
+
+    shape, source, target = [], [], []
+    top = k
+    while top:
+        low = top - 1
+        while low and kind(low - 1) == kind(top - 1):
+            low -= 1
+        mask = (1 << (top - low)) - 1
+        shape.append(mask + 1)
+        if kind(low) == 0:
+            source.append(val >> low & mask)
+            target.append(image >> low & mask)
+        else:
+            source.append(slice(None))
+            target.append(slice(None, None, -1) if kind(low) == 2 else slice(None))
+        top = low
+    return tuple(shape), (*source, ...), (*target, ...)
 
 
 def _zero_block(enc: BlockEncoding) -> operators.Stencil:

@@ -1,4 +1,4 @@
-"""Gate-level circuit IR, dense statevector and cube simulation.
+"""Gate-level circuit IR and its cube simulator.
 
 Conventions
 -----------
@@ -16,38 +16,32 @@ Circuits carry no register names: a builder documents which wires form
 which register.  For ancillas on the first m wires and a k-qubit system
 register after them, the composite basis index of |a>|s> is a*2^k + s.
 
-Two simulators compute the same columns bit for bit, because both
-evaluate H and RY on a pair of amplitudes with the same expressions in
-the same order: ``_mix`` on numpy arrays, ``_mix_pair`` on Python
-complex numbers.  ``apply`` and ``apply_in_place`` run dense
-statevectors, so each column costs gates * 2^q amplitude updates.  They
-update the state in place through one scratch buffer of half its size
-(its full size when an RY gate has no controls).  ``apply`` copies the
-caller's vector or columns first; ``apply_in_place`` overwrites them.
-
-``apply_cubes`` runs every basis column at once in Python ints, as cube
-entries.  A wire is quantum if an H or RY gate targets it and classical
-otherwise; classical wires only ever see X and Z.  An entry
-(care, val, xor, q, amp) stands for every input index j with
-j & care == val, and puts amplitude amp on the output index
-((j ^ xor) & classical) | q: xor holds classical bits and q quantum
-ones.  Every entry fixes the quantum bits in care.  X flips a bit of
-xor or q, Z negates amp, and a control on a classical bit that the cube
-leaves free cuts the cube in two (Z acts as a control on its own
-target).  H and RY pair entries of equal xor whose q differ only in the
-target bit; overlapping cubes are cut so that each piece has one (lo,
-hi) pair, a missing partner counting as zero, and exact zeros are
-dropped, so each input's amplitudes are those of the dense simulator.
-Cubes that differ in one fixed classical bit and agree otherwise are
-then joined.
+``apply_cubes`` runs any set of basis columns at once in Python ints,
+as cube entries; ``basis_cubes`` gives every column.  A wire is
+quantum if an H or RY gate targets it and classical otherwise;
+classical wires only ever see X and Z.  An entry (care, val, xor, q,
+amp) stands for every input index j with j & care == val, and puts
+amplitude amp on the output index ((j ^ xor) & classical) | q: xor
+holds classical bits and q quantum ones.  Every entry fixes the
+quantum bits in care.  X flips a bit of xor or q, Z negates amp, and a
+control on a classical bit that the cube leaves free cuts the cube in
+two (Z acts as a control on its own target).  H and RY pair entries of
+equal xor whose q differ only in the target bit; overlapping cubes are
+cut so that each piece has one (lo, hi) pair, a missing partner
+counting as zero, ``_mix_pair`` evaluates the pair, and exact zeros
+are dropped.  So each input's amplitudes are bit for bit those of a
+dense statevector run that evaluates each pair with the same
+expressions in the same order; the test suite keeps such a simulator
+as the reference (``tests/oracles.py``).  Cubes that differ in one
+fixed classical bit and agree otherwise are then joined.
 For each input at most one entry has a given (xor, q).  Run through an
 LCU circuit W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out
 on the m ancillas and each P_a a cyclic shift of system basis states,
 every shift's carry classes become cubes, so the entries stay few (at
-most a few thousand at the statevector cap) however wide the grid.
-A shift moves every column of such a cube by the same difference mod
-N, so verification compares the entries with the declared stencils by
-that move, not by their xor.
+most a few thousand at 18 qubits) however wide the grid.  A shift moves
+every column of such a cube by the same difference mod N, so
+verification compares the entries with the declared stencils by that
+move, not by their xor.
 """
 
 from __future__ import annotations
@@ -57,15 +51,9 @@ import operator
 from typing import NamedTuple
 
 from ._frozen import Frozen
-from ._lazy import lazy_import
 from .errors import QubitIndexError, ShapeError, SizeError
 
-np = lazy_import("numpy")
-
 GATE_KINDS = ("X", "Z", "H", "RY")
-
-# The statevector cap.
-MAX_SIM_QUBITS = 18
 
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -136,26 +124,8 @@ class Circuit(Frozen):
         return 1 << self.num_qubits
 
 
-def _mix(g: Gate, lo, hi, out0, out1, tmp) -> None:
-    """Write H or RY gate g's image of the amplitude pairs (lo, hi).
-
-    :func:`_mix_pair` is its twin on one pair of Python numbers, with
-    the same expressions in the same order.  out0 gets the target-bit-0
-    half and out1 the target-bit-1 half; out1 may be hi, but out0 and
-    tmp, a scratch array that only RY uses, must overlap neither input.
-    """
-    if g.kind == "H":
-        np.multiply(np.add(lo, hi, out=out0), _RSQRT2, out=out0)
-        np.multiply(np.subtract(lo, hi, out=out1), _RSQRT2, out=out1)
-    else:  # RY: out0 <- c*lo - s*hi, out1 <- s*lo + c*hi
-        c = math.cos(g.theta / 2.0)
-        s = math.sin(g.theta / 2.0)
-        np.subtract(np.multiply(c, lo, out=out0), np.multiply(s, hi, out=tmp), out=out0)
-        np.add(np.multiply(s, lo, out=tmp), np.multiply(c, hi, out=out1), out=out1)
-
-
 def _mix_pair(g: Gate, lo: complex, hi: complex) -> tuple[complex, complex]:
-    """:func:`_mix` on one pair of Python complex numbers, in its operand order."""
+    """H or RY gate g's image of one amplitude pair (lo, hi), target bit 0 and 1."""
     if g.kind == "H":
         return (lo + hi) * _RSQRT2, (lo - hi) * _RSQRT2
     c = math.cos(g.theta / 2.0)
@@ -163,79 +133,8 @@ def _mix_pair(g: Gate, lo: complex, hi: complex) -> tuple[complex, complex]:
     return c * lo - s * hi, s * lo + c * hi
 
 
-def _run_gates(gates, psi: np.ndarray) -> np.ndarray:
-    """Apply gates in order to psi of shape (2,)*num_qubits (+ batch axes).
-
-    Each gate updates the half-slices v0 and v1 of psi (its target bit 0
-    and 1, under its controls) in place.  v0's old values pass through
-    one scratch buffer, allocated once per call, and H and RY combine
-    them with v1 in :func:`_mix`.  Every gate needs one temporary of
-    v0's size and RY two, so the buffer holds psi.size // 2 entries,
-    which a control on the RY halves; an uncontrolled RY doubles the
-    buffer instead.
-    """
-    wide = any(g.kind == "RY" and not g.controls for g in gates)
-    scratch = np.empty(psi.size if wide else psi.size // 2, dtype=psi.dtype)
-    for g in gates:
-        sel0 = [slice(None)] * psi.ndim
-        for q, pol in g.controls:
-            sel0[q] = int(pol)  # numpy reads a bool index as a mask
-        sel1 = list(sel0)
-        sel0[g.target] = 0
-        sel1[g.target] = 1
-        v0, v1 = psi[tuple(sel0)], psi[tuple(sel1)]
-        if g.kind == "Z":
-            np.negative(v1, out=v1)
-            continue
-        a = scratch[: v0.size].reshape(v0.shape)
-        np.copyto(a, v0)
-        if g.kind == "X":
-            np.copyto(v0, v1)
-            np.copyto(v1, a)
-        else:
-            t = scratch[v0.size : 2 * v0.size].reshape(v0.shape) if g.kind == "RY" else None
-            _mix(g, a, v1, v0, v1, t)
-    return psi
-
-
-def apply(circuit: Circuit, states) -> np.ndarray:
-    """Return U_c times states, a (2**n,) vector or a (2**n, k) array of columns.
-
-    The gates run in place on a copy, so ``states`` is left unchanged;
-    the result has its shape.  Statevectors are capped at MAX_SIM_QUBITS
-    wires (larger than the grid-vector cap in linalg, which governs
-    sampled functions).
-    """
-    psi = np.array(states, dtype=np.complex128, order="C")
-    if psi.ndim not in (1, 2):
-        raise ShapeError(f"expected shape ({circuit.dim},) or ({circuit.dim}, k), got {psi.shape}")
-    apply_in_place(circuit, psi[:, None] if psi.ndim == 1 else psi)
-    return psi
-
-
-def apply_in_place(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
-    """Overwrite every column of psi, a (2**n, k) array, with U_c times it.
-
-    psi must be a C-contiguous complex128 array with finite entries; it
-    is returned.  This is :func:`apply` without its copy, for
-    a state that the caller built and does not need again.
-    """
-    if circuit.num_qubits > MAX_SIM_QUBITS:
-        raise SizeError(
-            f"{circuit.num_qubits} qubits exceeds the statevector cap {MAX_SIM_QUBITS}"
-        )
-    if not (isinstance(psi, np.ndarray) and psi.dtype == np.complex128 and psi.flags.c_contiguous):
-        raise ShapeError("the state must be a C-contiguous complex128 array")
-    if psi.ndim != 2 or psi.shape[0] != circuit.dim:
-        raise ShapeError(f"expected shape ({circuit.dim}, k), got {psi.shape}")
-    if not np.all(np.isfinite(psi.view(np.float64))):
-        raise ShapeError("entries must be finite")
-    _run_gates(circuit.gates, psi.reshape((2,) * circuit.num_qubits + (psi.shape[1],)))
-    return psi
-
-
 # The cube simulator's budget of live entries.  Every OPS build peaks
-# below 6000 at the statevector cap (laplace D=3 n=4) and below 31000 at
+# below 6000 at 18 qubits (laplace D=3 n=4) and below 31000 at
 # 64 qubits.  A circuit that spreads its columns over many wires (an H on
 # every grid wire, say) needs up to 4**q and is refused as it passes this.
 MAX_CUBES = 1 << 16
@@ -401,16 +300,19 @@ def _merged(cubes, classical: int) -> list:
     """Join entries that differ only in one fixed classical bit of their cubes.
 
     Joining changes no input's amplitude; it keeps the shift cascades'
-    carry pieces from piling up across the H and RY layers.  Two vals
-    can only join on a bit where they differ, so a group tries only the
-    bits on which some val differs from the first.
+    carry pieces from piling up across the H and RY layers.  Entries
+    group by (care, xor, q, amp), and two vals of a group can only join
+    on a bit where they differ, so a group tries only the bits on which
+    some val differs from the first.  A joined entry lands in another
+    group, and only the groups that received one are tried again.
     """
-    while True:
-        groups = {}
-        for care, val, xor, q, amp in cubes:
-            groups.setdefault((care, xor, q, amp), set()).add(val)
-        joined, kept = [], []
-        for (care, xor, q, amp), vals in groups.items():
+    groups = {}
+    for care, val, xor, q, amp in cubes:
+        groups.setdefault((care, xor, q, amp), set()).add(val)
+    work = groups
+    while work:
+        joined = {}
+        for (care, xor, q, amp), vals in work.items():
             first = next(iter(vals))
             spread = 0
             for v in vals:
@@ -421,11 +323,11 @@ def _merged(cubes, classical: int) -> list:
                 bits ^= b
                 for v in [v for v in vals if not v & b and v | b in vals]:
                     vals -= {v, v | b}
-                    joined.append((care & ~b, v, xor, q, amp))
-            kept += [(care, v, xor, q, amp) for v in vals]
-        if not joined:
-            return kept
-        cubes = kept + joined
+                    joined.setdefault((care & ~b, xor, q, amp), set()).add(v)
+        for key, vals in joined.items():
+            groups.setdefault(key, set()).update(vals)
+        work = {key: groups[key] for key in joined}
+    return [(care, v, xor, q, amp) for (care, xor, q, amp), vals in groups.items() for v in vals]
 
 
 def adjoint(circuit: Circuit) -> Circuit:

@@ -124,9 +124,9 @@ def shift_circuit(direction: int, n: int) -> Circuit:
     return Circuit(n, tuple(_shift_gates(direction, n, 0, ())))
 
 
-# Builders only assemble gate lists, so they allow circuits beyond the
-# statevector cap; the dense simulators and verification enforce their
-# own qubit caps.
+# Builders only assemble gate lists, so they allow circuits beyond
+# verification's qubit cap; verification and the cube simulator's entry
+# budget enforce their own limits.
 MAX_BUILD_QUBITS = 64
 
 

@@ -2,24 +2,125 @@
 
 The dense operator matrices and gate networks here are deliberately
 written without the package's stencils or simulator, so that an
-agreement check is a real cross-check and not a tautology.  Only
-``unitary`` and ``extract_block`` run the package's dense simulator on
-basis columns, to give tests a circuit's matrix or one of its blocks.
+agreement check is a real cross-check and not a tautology.
+
+``apply`` and ``apply_in_place`` are the dense statevector simulator
+that the package's cube simulator (``circuit.apply_cubes``) is checked
+against bit for bit: both evaluate H and RY on a pair of amplitudes
+with the same expressions in the same order, ``_mix`` here on numpy
+arrays and ``circuit._mix_pair`` on Python complex numbers.  Each
+column costs gates * 2**q amplitude updates, up to STATEVECTOR_QUBITS
+wires.  ``unitary`` and ``extract_block`` run it on basis columns, to
+give tests a circuit's matrix or one of its blocks.
 
 ``verify_sparse`` is the second route to ``analysis.verify_pattern``'s
 report: it runs the basis columns in panels of numpy sparse entries
-(``apply_sparse``, which evaluates H and RY with the dense simulator's
-``_mix``) and compares them with the stencils' sparse columns
-(``stencil_columns``) through one sorted segment sum
-(``max_sparse_gap``).  Its floats equal the cube route's
-bit for bit.
+(``apply_sparse``, which evaluates H and RY with ``_mix``) and compares
+them with the stencils' sparse columns (``stencil_columns``) through
+one sorted segment sum (``max_sparse_gap``).  Its floats equal the
+cube route's bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from fdblock.analysis import VerificationReport
-from fdblock.circuit import MAX_SIM_QUBITS, _mix, adjoint, apply_in_place
+import fdblock.circuit as circuit_mod
+from fdblock.analysis import MAX_SIM_QUBITS, VerificationReport
+from fdblock.circuit import adjoint
 from fdblock.errors import ParameterError, ShapeError, SizeError
+
+# The dense simulator's cap: a 2**18 statevector takes 4 MiB.
+STATEVECTOR_QUBITS = 18
+
+
+def _mix(g, lo, hi, out0, out1, tmp) -> None:
+    """Write H or RY gate g's image of the amplitude pairs (lo, hi).
+
+    ``circuit._mix_pair`` is its twin on one pair of Python numbers,
+    with the same expressions in the same order, and both read
+    ``circuit._RSQRT2`` when they run.  out0 gets the target-bit-0
+    half and out1 the target-bit-1 half; out1 may be hi, but out0 and
+    tmp, a scratch array that only RY uses, must overlap neither input.
+    """
+    if g.kind == "H":
+        r = circuit_mod._RSQRT2
+        np.multiply(np.add(lo, hi, out=out0), r, out=out0)
+        np.multiply(np.subtract(lo, hi, out=out1), r, out=out1)
+    else:  # RY: out0 <- c*lo - s*hi, out1 <- s*lo + c*hi
+        c = math.cos(g.theta / 2.0)
+        s = math.sin(g.theta / 2.0)
+        np.subtract(np.multiply(c, lo, out=out0), np.multiply(s, hi, out=tmp), out=out0)
+        np.add(np.multiply(s, lo, out=tmp), np.multiply(c, hi, out=out1), out=out1)
+
+
+def _run_gates(gates, psi):
+    """Apply gates in order to psi of shape (2,)*num_qubits (+ batch axes).
+
+    Each gate updates the half-slices v0 and v1 of psi (its target bit 0
+    and 1, under its controls) in place.  v0's old values pass through
+    one scratch buffer, allocated once per call, and H and RY combine
+    them with v1 in :func:`_mix`.  Every gate needs one temporary of
+    v0's size and RY two, so the buffer holds psi.size // 2 entries,
+    which a control on the RY halves; an uncontrolled RY doubles the
+    buffer instead.
+    """
+    wide = any(g.kind == "RY" and not g.controls for g in gates)
+    scratch = np.empty(psi.size if wide else psi.size // 2, dtype=psi.dtype)
+    for g in gates:
+        sel0 = [slice(None)] * psi.ndim
+        for q, pol in g.controls:
+            sel0[q] = int(pol)  # numpy reads a bool index as a mask
+        sel1 = list(sel0)
+        sel0[g.target] = 0
+        sel1[g.target] = 1
+        v0, v1 = psi[tuple(sel0)], psi[tuple(sel1)]
+        if g.kind == "Z":
+            np.negative(v1, out=v1)
+            continue
+        a = scratch[: v0.size].reshape(v0.shape)
+        np.copyto(a, v0)
+        if g.kind == "X":
+            np.copyto(v0, v1)
+            np.copyto(v1, a)
+        else:
+            t = scratch[v0.size : 2 * v0.size].reshape(v0.shape) if g.kind == "RY" else None
+            _mix(g, a, v1, v0, v1, t)
+    return psi
+
+
+def apply(circuit, states):
+    """Return U_c times states, a (2**n,) vector or a (2**n, k) array of columns.
+
+    The gates run in place on a copy, so ``states`` is left unchanged;
+    the result has its shape.
+    """
+    psi = np.array(states, dtype=np.complex128, order="C")
+    if psi.ndim not in (1, 2):
+        raise ShapeError(f"expected shape ({circuit.dim},) or ({circuit.dim}, k), got {psi.shape}")
+    apply_in_place(circuit, psi[:, None] if psi.ndim == 1 else psi)
+    return psi
+
+
+def apply_in_place(circuit, psi):
+    """Overwrite every column of psi, a (2**n, k) array, with U_c times it.
+
+    psi must be a C-contiguous complex128 array with finite entries; it
+    is returned.  This is :func:`apply` without its copy, for a state
+    that the caller built and does not need again.
+    """
+    if circuit.num_qubits > STATEVECTOR_QUBITS:
+        raise SizeError(
+            f"{circuit.num_qubits} qubits exceeds the statevector cap {STATEVECTOR_QUBITS}"
+        )
+    if not (isinstance(psi, np.ndarray) and psi.dtype == np.complex128 and psi.flags.c_contiguous):
+        raise ShapeError("the state must be a C-contiguous complex128 array")
+    if psi.ndim != 2 or psi.shape[0] != circuit.dim:
+        raise ShapeError(f"expected shape ({circuit.dim}, k), got {psi.shape}")
+    if not np.all(np.isfinite(psi.view(np.float64))):
+        raise ShapeError("entries must be finite")
+    _run_gates(circuit.gates, psi.reshape((2,) * circuit.num_qubits + (psi.shape[1],)))
+    return psi
 
 
 def max_abs_diff(a, b) -> float:
@@ -331,9 +432,9 @@ def apply_sparse(circuit, cols, idx, amp):
     states are zero, and no (column, index) pair may appear twice.
     X permutes indices and Z negates amplitudes.  H and RY pair each
     entry with its partner across the target bit, a missing partner
-    counting as zero, and evaluate the pair with ``circuit._mix``, as
-    the dense simulator does, so every column is bit-identical to
-    ``circuit.apply`` on it.  Exact zeros are dropped and nothing else
+    counting as zero, and evaluate the pair with :func:`_mix`, as the
+    dense simulator does, so every column is bit-identical to
+    :func:`apply` on it.  Exact zeros are dropped and nothing else
     is, so the cost follows the columns' support (at most 4**m entries
     for a basis column of an LCU circuit of m ancillas).
 
@@ -462,7 +563,7 @@ def verify_sparse(enc, tol):
         raise ParameterError(f"{enc.label} declares no blocks to verify")
     nq = enc.circuit.num_qubits
     if nq > MAX_SIM_QUBITS:
-        raise SizeError(f"{nq} qubits exceeds the statevector cap {MAX_SIM_QUBITS}")
+        raise SizeError(f"{nq} qubits exceeds the verification cap {MAX_SIM_QUBITS}")
     N = enc.system_dim
     inverse = adjoint(enc.circuit)
     width = PANEL_ENTRIES >> min(2 * enc.m, nq)

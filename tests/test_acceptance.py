@@ -17,7 +17,7 @@ from fdblock.analysis import (
     sweep_success_probability,
     verify_pattern,
 )
-from fdblock.circuit import Circuit, apply
+from fdblock.circuit import Circuit
 from fdblock.encodings import (
     alpha_d,
     encode_derivative_1d,
@@ -32,6 +32,7 @@ from fdblock.operators import GridSpec, sample_function
 from fdblock.resources import count_resources
 
 from .oracles import (
+    apply,
     brute_force_tensor_sum,
     central_difference_1d,
     extract_block,

@@ -12,7 +12,7 @@ from fdblock.analysis import (
     sweep_success_probability,
     verify_pattern,
 )
-from fdblock.circuit import Circuit, Gate, apply
+from fdblock.circuit import Circuit, Gate, quantum_bits
 from fdblock.encodings import (
     BlockEncoding,
     _shift_gates,
@@ -35,6 +35,7 @@ from fdblock.operators import (
 )
 
 from .oracles import (
+    apply,
     banded_circulant,
     central_difference_1d,
     extract_block,
@@ -314,10 +315,9 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
         raise AssertionError("verification ran a numpy simulator")
 
     for module, name in (
-        (circuit_mod, "apply_in_place"),
-        (circuit_mod, "apply"),
-        (circuit_mod, "_mix"),
-        (analysis_mod, "apply_in_place"),
+        (oracles, "apply_in_place"),
+        (oracles, "apply"),
+        (oracles, "_mix"),
         (oracles, "apply_sparse"),
     ):
         monkeypatch.setattr(module, name, refuse)
@@ -446,6 +446,95 @@ def test_route_agreement_at_the_statevector_cap(enc, dim, n):
     assert abs(p_circuit - p_matrix) < 1e-12
 
 
+def dense_success_probability(enc, values):
+    """Zero-ancilla mass of the dense oracle's run of the encoding on |0>|v>."""
+    state = np.zeros(enc.circuit.dim, dtype=complex)
+    state[: enc.system_dim] = values
+    return float(np.sum(np.abs(apply(enc.circuit, state)[: enc.system_dim]) ** 2))
+
+
+def unit_grid_functions(spec, seed):
+    """A random complex unit vector, and a real one whose values stay float64."""
+    rng = np.random.default_rng(seed)
+    size = spec.npoints
+    complex_gf = GridFunction.from_samples(spec, rng.normal(size=size) + 1j * rng.normal(size=size))
+    real_gf = GridFunction.from_samples(spec, rng.normal(size=size))
+    assert real_gf.values.dtype == np.float64
+    return complex_gf, real_gf
+
+
+@pytest.mark.parametrize("enc,dim,n", CAP_CASES, ids=lambda c: getattr(c, "label", c))
+def test_circuit_route_matches_the_dense_oracle_at_the_cap(enc, dim, n):
+    for gf in unit_grid_functions(GridSpec(dim, n), dim * 100 + n + 1):
+        p = success_probability(enc, gf, "circuit")
+        assert abs(p - dense_success_probability(enc, gf.values)) <= 1e-12
+
+
+def laplace_with_gates(gates, label):
+    """laplace D=1 n=16 (18 qubits) with extra gates ahead of its circuit."""
+    enc = encode_laplace_dd(1, 16)
+    circuit = Circuit(18, tuple(gates) + enc.circuit.gates)
+    return BlockEncoding(circuit, enc.m, enc.alpha, label)
+
+
+@pytest.mark.parametrize(
+    "enc",
+    [
+        laplace_with_gates([Gate("X", w) for w in range(2, 18)], "reflection"),
+        laplace_with_gates([Gate("H", 9)], "system H"),
+        laplace_with_gates([Gate("RY", 17, theta=0.7)], "system RY"),
+    ],
+    ids=lambda e: e.label,
+)
+def test_circuit_route_matches_the_dense_oracle_off_the_shift_form(enc, monkeypatch):
+    # the reflection flips every free grid bit of its cubes, so the
+    # views run backwards over whole runs; H and RY on a grid wire make
+    # system bits quantum, which the cubes fix
+    import fdblock.analysis as analysis_mod
+
+    reversed_runs = []
+    views = analysis_mod._views
+
+    def spying(*args):
+        shape, source, target = views(*args)
+        reversed_runs.extend(
+            size for size, index in zip(shape, target) if index == slice(None, None, -1)
+        )
+        return shape, source, target
+
+    monkeypatch.setattr(analysis_mod, "_views", spying)
+    system = enc.system_dim - 1
+    for gf in unit_grid_functions(GridSpec(1, 16), 16):
+        p = success_probability(enc, gf, "circuit")
+        assert abs(p - dense_success_probability(enc, gf.values)) <= 1e-12
+    if enc.label == "reflection":
+        assert max(reversed_runs) == enc.system_dim
+    else:
+        assert quantum_bits(enc.circuit) & system
+
+
+@pytest.mark.parametrize("dim,n", [(3, 5), (4, 4)])
+def test_circuit_route_runs_past_the_statevector_cap(dim, n):
+    enc = encode_laplace_dd(dim, n)
+    assert enc.circuit.num_qubits == 16 + dim
+    complex_gf, real_gf = unit_grid_functions(GridSpec(dim, n), dim * 100 + n)
+    for gf in (complex_gf, real_gf):
+        p = success_probability(enc, gf, "circuit")
+        assert abs(p - success_probability(enc, gf, "matrix")) <= 1e-12
+    with pytest.raises(SizeError, match="statevector cap 18"):
+        dense_success_probability(enc, complex_gf.values)
+
+
+def test_circuit_route_refuses_a_circuit_beyond_the_entry_budget():
+    # an H on every grid wire makes all 16 wires quantum, so every cube
+    # is one column, and each H doubles them until they pass the budget
+    enc = encode_laplace_1d(14)
+    spread = tuple(Gate("H", w) for w in range(enc.m, 16)) + enc.circuit.gates
+    wide = BlockEncoding(Circuit(16, spread), enc.m, enc.alpha, enc.label)
+    with pytest.raises(SizeError, match="cube entries exceed the budget of 65536"):
+        success_probability(wide, grid_fn("sin1", 1, 14), "circuit")
+
+
 def test_success_probability_leaves_the_grid_values_unchanged():
     enc = encode_laplace_1d_lcu(4)
     gf = grid_fn("cos3", 1, 4)
@@ -456,9 +545,9 @@ def test_success_probability_leaves_the_grid_values_unchanged():
 
 
 def test_circuit_route_runs_in_place_on_its_own_state():
-    # at 18 qubits |0>|v> takes 4 MiB and the gates add one scratch
-    # buffer of half that; a second copy of the state would pass 2x.
-    # The value is the copying simulator's, to the last bit.
+    # at 18 qubits the dense state |0>|v> takes 4 MiB; the cube route
+    # holds only an output and one scratch array of N entries, a quarter
+    # of that each.  The value is the dense oracle's, to the last bit.
     import tracemalloc
 
     enc = encode_laplace_dd(1, 16)

@@ -6,9 +6,7 @@ from fdblock.circuit import (
     Circuit,
     Gate,
     adjoint,
-    apply,
     apply_cubes,
-    apply_in_place,
     basis_cubes,
     export_text,
     quantum_bits,
@@ -17,6 +15,8 @@ from fdblock.encodings import encode_laplace_1d, shift_circuit
 from fdblock.errors import QubitIndexError, ShapeError, SizeError
 
 from .oracles import (
+    apply,
+    apply_in_place,
     apply_sparse,
     central_difference_1d,
     dense_circuit_unitary,
@@ -549,3 +549,16 @@ def test_cube_simulator_refuses_entries_beyond_its_budget(monkeypatch):
     with pytest.raises(SizeError, match="gate 0: 16 cube entries"):
         apply_cubes(c, basis_cubes(c))
 
+
+
+def test_merge_joins_across_groups_until_no_pair_is_left():
+    from fdblock.circuit import _merged
+
+    # the eight points of three classical bits join pairwise into one
+    # cube; a joined pair lands in another group, which is tried again
+    points = [(0b111, v, 0b010, 0, 0.5 + 0j) for v in (5, 2, 7, 0, 3, 6, 1, 4)]
+    assert _merged(points, 0b111) == [(0, 0, 0b010, 0, 0.5 + 0j)]
+    # a quantum bit never joins; entries of other amplitudes stay apart
+    assert sorted(_merged(points, 0b011)) == [(0b100, 0, 0b010, 0, 0.5), (0b100, 4, 0b010, 0, 0.5)]
+    mixed = points[:2] + [(0b111, 4, 0b010, 0, 0.25 + 0j)]
+    assert sorted(_merged(mixed, 0b111), key=str) == sorted(mixed, key=str)

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fdblock.circuit import Circuit, Gate, apply
+from fdblock.circuit import Circuit, Gate
 from fdblock.encodings import (
     MAX_BUILD_QUBITS,
     OPS,
@@ -25,6 +25,7 @@ from fdblock.errors import ParameterError, SizeError
 from fdblock.operators import GridFunction, GridSpec, scaled_laplacian_stencil
 
 from .oracles import (
+    apply,
     banded_circulant,
     central_difference_1d,
     extract_block,
