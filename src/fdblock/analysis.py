@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from . import encodings, operators
 from ._lazy import lazy_import
-from .circuit import adjoint, apply_cubes, basis_cubes, quantum_bits
+from .circuit import adjoint, apply_cubes, basis_cubes
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError, SizeError
 from .operators import GridFunction, GridSpec
@@ -114,9 +114,10 @@ def _max_gap(found, expected, width: int) -> float:
     return worst
 
 
-def _by_move(cubes, quantum: int, k: int, n: int, row: int = 0, col: int = 0) -> dict:
+def _by_move(cubes, k: int, n: int, row: int = 0, col: int = 0) -> dict:
     """The entries of block (row, col), keyed by their move on the low k bits.
 
+    Each entry (care, val, xor, amp) sends input j to output j ^ xor.
     The block's inputs carry col above bit k and its outputs row; with
     k the full width, the block is the whole matrix.  A cube that leaves
     some of those input bits free is cut to col first.  The low k bits
@@ -129,14 +130,14 @@ def _by_move(cubes, quantum: int, k: int, n: int, row: int = 0, col: int = 0) ->
     field = (1 << n) - 1
     tops = sum(1 << b for b in range(n - 1, k, n))
     found = {}
-    for care, val, xor, q, amp in cubes:
+    for care, val, xor, amp in cubes:
         if ((val >> k) ^ col) & (care >> k):
             continue
         val = (val & system) | (col << k)
-        if (((val ^ xor) & ~quantum) | q) >> k != row:
+        if (val ^ xor) >> k != row:
             continue
         val &= system
-        x = (xor | ((q ^ val) & quantum)) & system
+        x = xor & system
         free = x & ~care & ~tops
         care = (care | free) & system
         cut = free
@@ -167,16 +168,15 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     nq = circuit.num_qubits
     if nq > MAX_SIM_QUBITS:
         raise SizeError(f"{nq} qubits exceeds the verification cap {MAX_SIM_QUBITS}")
-    quantum = quantum_bits(circuit)
     forward = apply_cubes(circuit, basis_cubes(circuit))
     k = nq - enc.m
     deviation = 0.0
     for row, col, stencil in enc.blocks:
         expected = {move: enc.alpha * value for move, value in stencil.moves().items()}
-        found = _by_move(forward, quantum, k, stencil.spec.n, row, col)
+        found = _by_move(forward, k, stencil.spec.n, row, col)
         deviation = _worse(deviation, _max_gap(found, expected, k))
     back = apply_cubes(adjoint(circuit), forward)
-    residual = _max_gap(_by_move(back, quantum, nq, nq), {0: 1.0}, nq)
+    residual = _max_gap(_by_move(back, nq, nq), {0: 1.0}, nq)
     passed = deviation <= tol and residual <= tol
     return VerificationReport(enc.label, deviation, residual, tol, passed)
 
@@ -203,31 +203,30 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     k = circuit.num_qubits - enc.m
     ancillas = (circuit.dim - 1) ^ (N - 1)
     columns = [
-        (care | ancillas, val, xor, q, amp)
-        for care, val, xor, q, amp in basis_cubes(circuit)
+        (care | ancillas, val, xor, amp)
+        for care, val, xor, amp in basis_cubes(circuit)
         if not val & ancillas
     ]
-    quantum = quantum_bits(circuit)
     values = np.ascontiguousarray(v.values)
     out = np.zeros(N, dtype=np.complex128)
     scratch = np.empty(N, dtype=np.complex128)
-    for care, val, xor, q, amp in apply_cubes(circuit, columns):
-        if (xor | q) & ancillas:
+    for care, val, xor, amp in apply_cubes(circuit, columns):
+        if xor & ancillas:
             continue
-        shape, source, target = _views(care, val, ((val ^ xor) & ~quantum) | q, xor, k)
+        shape, source, target = _views(care, val, xor, k)
         x = values.reshape(shape)[source]
         y = out.reshape(shape)[target]
         np.add(y, np.multiply(x, amp, out=scratch[: x.size].reshape(x.shape)), out=y)
     return float(np.sum(np.abs(out) ** 2))
 
 
-def _views(care: int, val: int, image: int, xor: int, k: int) -> tuple:
+def _views(care: int, val: int, xor: int, k: int) -> tuple:
     """Shape and (source, target) indices of a cube entry's grid views.
 
     The low k bits split into runs, most significant first, of bits
     fixed in care, free bits, and free bits that xor flips; the shape
     has one axis per run.  A fixed run indexes the input val and the
-    output image with integers.  A free run is a whole axis, reversed
+    output val ^ xor with integers.  A free run is a whole axis, reversed
     on the output side when xor flips it, since j ^ (2**r - 1) is
     2**r - 1 - j on r bits.  Each index ends in an Ellipsis, so that
     it selects a view even when every run is fixed.
@@ -246,7 +245,7 @@ def _views(care: int, val: int, image: int, xor: int, k: int) -> tuple:
         shape.append(mask + 1)
         if kind(low) == 0:
             source.append(val >> low & mask)
-            target.append(image >> low & mask)
+            target.append((val ^ xor) >> low & mask)
         else:
             source.append(slice(None))
             target.append(slice(None, None, -1) if kind(low) == 2 else slice(None))

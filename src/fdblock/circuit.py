@@ -19,29 +19,28 @@ register after them, the composite basis index of |a>|s> is a*2^k + s.
 ``apply_cubes`` runs any set of basis columns at once in Python ints,
 as cube entries; ``basis_cubes`` gives every column.  A wire is
 quantum if an H or RY gate targets it and classical otherwise;
-classical wires only ever see X and Z.  An entry (care, val, xor, q,
-amp) stands for every input index j with j & care == val, and puts
-amplitude amp on the output index ((j ^ xor) & classical) | q: xor
-holds classical bits and q quantum ones.  Every entry fixes the
-quantum bits in care.  X flips a bit of xor or q, Z negates amp, and a
+classical wires only ever see X and Z.  An entry (care, val, xor, amp)
+stands for every input index j with j & care == val, and puts
+amplitude amp on the output index j ^ xor.  Every entry fixes the
+quantum bits in care.  X flips a bit of xor, Z negates amp, and a
 control on a classical bit that the cube leaves free cuts the cube in
-two (Z acts as a control on its own target).  H and RY pair entries of
-equal xor whose q differ only in the target bit; overlapping cubes are
-cut so that each piece has one (lo, hi) pair, a missing partner
-counting as zero, ``_mix_pair`` evaluates the pair, and exact zeros
-are dropped.  So each input's amplitudes are bit for bit those of a
-dense statevector run that evaluates each pair with the same
-expressions in the same order; the test suite keeps such a simulator
-as the reference (``tests/oracles.py``).  Cubes that differ in one
-fixed classical bit and agree otherwise are then joined.
-For each input at most one entry has a given (xor, q).  Run through an
-LCU circuit W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out
-on the m ancillas and each P_a a cyclic shift of system basis states,
-every shift's carry classes become cubes, so the entries stay few (at
-most a few thousand at 18 qubits) however wide the grid.  A shift moves
-every column of such a cube by the same difference mod N, so
-verification compares the entries with the declared stencils by that
-move, not by their xor.
+two (Z acts as a control on its own target).  H and RY pair entries
+whose xor differ only in the target bit; overlapping cubes are cut so
+that each piece has one (lo, hi) pair, a missing partner counting as
+zero, ``_mix_pair`` evaluates the pair, and exact zeros are dropped.
+So each input's amplitudes are bit for bit those of a dense
+statevector run that evaluates each pair with the same expressions in
+the same order; the test suite keeps such a simulator as the reference
+(``tests/oracles.py``).  Cubes that differ in one fixed classical bit
+and agree otherwise are then joined.  For each input at most one
+entry has a given xor.  Run through an LCU circuit
+W_out . (sum_a |a><a| (x) P_a) . W_in, with W_in and W_out on the m
+ancillas and each P_a a cyclic shift of system basis states, every
+shift's carry classes become cubes, so the entries stay few (at most a
+few thousand at 18 qubits) however wide the grid.  A shift moves every
+column of such a cube by the same difference mod N, so verification
+compares the entries with the declared stencils by that move, not by
+their xor.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ def quantum_bits(circuit: Circuit) -> int:
 def basis_cubes(circuit: Circuit) -> list:
     """Cube entries of every basis column of the circuit: the identity.
 
-    One entry (quantum, p, 0, p, 1) for each setting p of the quantum
+    One entry (quantum, p, 0, 1) for each setting p of the quantum
     bits; see the module docstring.
     """
     quantum = quantum_bits(circuit)
@@ -162,14 +161,14 @@ def basis_cubes(circuit: Circuit) -> list:
         raise SizeError(f"{count} cube entries exceed the budget of {MAX_CUBES}")
     cubes, p = [], 0
     while True:
-        cubes.append((quantum, p, 0, p, 1 + 0j))
+        cubes.append((quantum, p, 0, 1 + 0j))
         p = (p - quantum) & quantum
         if not p:
             return cubes
 
 
 def apply_cubes(circuit: Circuit, cubes) -> list:
-    """Run the circuit on cube entries (care, val, xor, q, amp); see the module docstring.
+    """Run the circuit on cube entries (care, val, xor, amp); see the module docstring.
 
     Every entry must fix the circuit's quantum bits in ``care``, as the
     entries of :func:`basis_cubes` do, and those of this function for
@@ -191,13 +190,11 @@ def apply_cubes(circuit: Circuit, cubes) -> list:
                 value |= 1 << (nq - 1 - q)
         if g.kind == "Z":  # a control on its own target, then a sign
             mask, value = mask | bit, value | bit
-        cubes, chosen = _select(cubes, mask, value, quantum)
-        if g.kind == "X" and bit & quantum:
-            chosen = [(c, v, x, q ^ bit, a) for c, v, x, q, a in chosen]
-        elif g.kind == "X":
-            chosen = [(c, v, x ^ bit, q, a) for c, v, x, q, a in chosen]
+        cubes, chosen = _select(cubes, mask, value)
+        if g.kind == "X":
+            chosen = [(c, v, x ^ bit, a) for c, v, x, a in chosen]
         elif g.kind == "Z":
-            chosen = [(c, v, x, q, -a) for c, v, x, q, a in chosen]
+            chosen = [(c, v, x, -a) for c, v, x, a in chosen]
         else:
             chosen = _mixed(g, chosen, bit)
         count = len(cubes) + len(chosen)
@@ -207,48 +204,48 @@ def apply_cubes(circuit: Circuit, cubes) -> list:
     return cubes
 
 
-def _select(cubes, mask, value, quantum):
+def _select(cubes, mask, value):
     """Split entries into (rest, chosen) by whether their outputs match value on mask.
 
-    An entry whose cube leaves a classical control bit free is cut on
-    that bit; each piece that fails the control goes to rest.
+    An entry whose cube leaves a control bit free is cut on that bit;
+    each piece that fails the control goes to rest.  Only classical bits
+    are ever free, since every entry fixes the quantum ones.
     """
     if not mask:
         return [], cubes
-    qmask = mask & quantum
-    cmask = mask ^ qmask
     rest, chosen = [], []
     for cube in cubes:
-        care, val, xor, q, amp = cube
-        want = (value ^ xor) & cmask  # the input bits that meet the controls
-        if (q ^ value) & qmask or (val ^ want) & care & cmask:
+        care, val, xor, amp = cube
+        want = (value ^ xor) & mask  # the input bits that meet the controls
+        if (val ^ want) & care & mask:
             rest.append(cube)
             continue
-        rest += [(c, v, xor, q, amp) for c, v in _minus(care, val, cmask, want)]
-        chosen.append((care | cmask, val | want, xor, q, amp))
+        rest += [(c, v, xor, amp) for c, v in _minus(care, val, mask, want)]
+        chosen.append((care | mask, val | want, xor, amp))
     return rest, chosen
 
 
 def _mixed(g: Gate, cubes, bit: int) -> list:
     """H or RY gate g on target bit ``bit`` of entries that meet its controls.
 
-    Partners share xor and differ in q only at ``bit``.  For each such
-    group, :func:`_overlay` cuts the lo and hi cubes into regions with
-    one (lo, hi) pair each, and :func:`_mix_pair` evaluates the pair.
+    Partners' xor differ only at ``bit``, which every cube fixes, and an
+    entry's side is its output bit (val ^ xor) & bit.  For each group,
+    :func:`_overlay` cuts the lo and hi cubes into regions with one
+    (lo, hi) pair each, and :func:`_mix_pair` evaluates the pair.
     Exact zeros are dropped.
     """
     pairs = {}
-    for care, val, xor, q, amp in cubes:
-        halves = pairs.setdefault((xor, q & ~bit), ([], []))
-        halves[1 if q & bit else 0].append((care, val, amp))
+    for care, val, xor, amp in cubes:
+        halves = pairs.setdefault(xor & ~bit, ([], []))
+        halves[1 if (val ^ xor) & bit else 0].append((care, val, amp))
     out = []
-    for (xor, q), (lows, highs) in pairs.items():
+    for xor, (lows, highs) in pairs.items():
         for care, val, lo, hi in _overlay(lows, highs):
             new0, new1 = _mix_pair(g, lo, hi)
             if new0 != 0:
-                out.append((care, val, xor, q, new0))
+                out.append((care, val, xor | (val & bit), new0))
             if new1 != 0:
-                out.append((care, val, xor, q | bit, new1))
+                out.append((care, val, xor | (~val & bit), new1))
     return out
 
 
@@ -301,18 +298,18 @@ def _merged(cubes, classical: int) -> list:
 
     Joining changes no input's amplitude; it keeps the shift cascades'
     carry pieces from piling up across the H and RY layers.  Entries
-    group by (care, xor, q, amp), and two vals of a group can only join
+    group by (care, xor, amp), and two vals of a group can only join
     on a bit where they differ, so a group tries only the bits on which
     some val differs from the first.  A joined entry lands in another
     group, and only the groups that received one are tried again.
     """
     groups = {}
-    for care, val, xor, q, amp in cubes:
-        groups.setdefault((care, xor, q, amp), set()).add(val)
+    for care, val, xor, amp in cubes:
+        groups.setdefault((care, xor, amp), set()).add(val)
     work = groups
     while work:
         joined = {}
-        for (care, xor, q, amp), vals in work.items():
+        for (care, xor, amp), vals in work.items():
             first = next(iter(vals))
             spread = 0
             for v in vals:
@@ -323,11 +320,11 @@ def _merged(cubes, classical: int) -> list:
                 bits ^= b
                 for v in [v for v in vals if not v & b and v | b in vals]:
                     vals -= {v, v | b}
-                    joined.setdefault((care & ~b, xor, q, amp), set()).add(v)
+                    joined.setdefault((care & ~b, xor, amp), set()).add(v)
         for key, vals in joined.items():
             groups.setdefault(key, set()).update(vals)
         work = {key: groups[key] for key in joined}
-    return [(care, v, xor, q, amp) for (care, xor, q, amp), vals in groups.items() for v in vals]
+    return [(care, v, xor, amp) for (care, xor, amp), vals in groups.items() for v in vals]
 
 
 def adjoint(circuit: Circuit) -> Circuit:

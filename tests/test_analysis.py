@@ -251,6 +251,38 @@ def test_max_gap_counts_a_one_sided_entry_in_full():
     assert math.isnan(_max_gap(move_entries(*base), {0: math.nan, 2: 0.5j}, 2))
 
 
+def test_by_move_keeps_block_entries_and_keys_them_by_move():
+    from fdblock.analysis import _by_move
+
+    # one ancilla bit above a 3-bit field (k = n = 3, N = 8); an entry
+    # (care, val, xor, amp) sends each input j of its cube to j ^ xor
+    anc = 0b1000
+    # fixed ancilla input bits that miss col drop the entry
+    on_one = [(anc | 0b111, anc | 0b010, 0, 0.5)]
+    assert _by_move(on_one, 3, 3, 0, 0) == {}
+    assert _by_move(on_one, 3, 3, 1, 1) == move_entries((0, 0b111, 0b010, 0.5))
+    # the output row (val ^ xor) >> k, not the input's, picks the block
+    to_one = [(anc | 0b111, 0b010, anc, 0.5)]
+    assert _by_move(to_one, 3, 3, 0, 0) == {}
+    assert _by_move(to_one, 3, 3, 1, 0) == move_entries((0, 0b111, 0b010, 0.5))
+    # a free ancilla input bit is cut to col
+    free = [(0b111, 0b010, 0, 0.5)]
+    assert _by_move(free, 3, 3, 0, 1) == {}
+    assert _by_move(free, 3, 3, 1, 1) == move_entries((0, 0b111, 0b010, 0.5))
+    # laplace D=1's joined cube: the low bit free and flipped sends 0 to
+    # 1 and 1 to 0, so it splits into the moves +1 and N - 1
+    joined = [(anc | 0b110, 0, 1, 0.25)]
+    assert _by_move(joined, 3, 3) == move_entries((1, 0b111, 0, 0.25), (7, 0b111, 1, 0.25))
+    # a flipped top bit is +-4, one move mod 8: the cube stays whole
+    top = [(anc | 0b011, 0b001, 0b100, 0.25)]
+    assert _by_move(top, 3, 3) == move_entries((4, 0b011, 0b001, 0.25))
+    # an xor bit on a fixed (quantum) bit moves the output too
+    fixed = [(anc | 0b010, 0b010, 0b010, 0.25)]
+    assert _by_move(fixed, 3, 3) == move_entries((6, 0b010, 0b010, 0.25))
+    # with k the full width the ancilla is part of the move
+    assert _by_move(to_one, 4, 4) == move_entries((8, 0b1111, 0b0010, 0.5))
+
+
 def shift_encoding(move, n, coeff):
     """A bare n-qubit circuit adding move to j, from increments by 2**b, declared as coeff."""
     gates = []

@@ -490,13 +490,12 @@ def test_sparse_simulator_rejects_malformed_entries():
 
 def cube_columns(circuit):
     """Dense (2**q, 2**q) matrix scattered from apply_cubes on every basis column."""
-    quantum = quantum_bits(circuit)
     js = np.arange(circuit.dim)
     out = np.zeros((circuit.dim, circuit.dim), dtype=complex)
     seen = np.zeros(out.shape, dtype=bool)
-    for care, val, xor, q, amp in apply_cubes(circuit, basis_cubes(circuit)):
+    for care, val, xor, amp in apply_cubes(circuit, basis_cubes(circuit)):
         cols = js[(js & care) == val]
-        rows = ((cols ^ xor) & ~quantum) | q
+        rows = cols ^ xor
         assert not seen[rows, cols].any()  # one entry per (column, index)
         seen[rows, cols] = True
         out[rows, cols] = amp
@@ -529,12 +528,27 @@ def test_cube_simulator_matches_dense_routes_on_random_circuits():
         assert np.array_equal(cube_columns(c), dense)
 
 
+@pytest.mark.parametrize("direction", [1, -1])
+def test_cube_simulator_shifts_at_sixty_four_wires(direction):
+    # the carry classes of j -> j +- 1 mod 2**64: each entry sends every
+    # input of its cube to j ^ xor, checked against integer arithmetic
+    c = shift_circuit(direction, 64)
+    cubes = apply_cubes(c, basis_cubes(c))
+    assert len(cubes) == 64
+    rng = np.random.default_rng(64)
+    samples = [0, 2**63 - 1, 2**63, 2**64 - 1]
+    samples += [int(j) for j in rng.integers(0, 2**64, size=100, dtype=np.uint64)]
+    for j in samples:
+        hits = [(xor, amp) for care, val, xor, amp in cubes if j & care == val]
+        assert hits == [(j ^ (j + direction) % 2**64, 1)]
+
+
 def test_cube_simulator_rejects_entries_that_leave_a_quantum_bit_free():
     c = Circuit(2, (Gate("H", 0), Gate("X", 1)))
     assert quantum_bits(c) == 0b10
-    assert basis_cubes(c) == [(0b10, 0, 0, 0, 1), (0b10, 0b10, 0, 0b10, 1)]
+    assert basis_cubes(c) == [(0b10, 0, 0, 1), (0b10, 0b10, 0, 1)]
     with pytest.raises(ShapeError, match="fix the quantum bits"):
-        apply_cubes(c, [(0, 0, 0, 0, 1 + 0j)])
+        apply_cubes(c, [(0, 0, 0, 1 + 0j)])
 
 
 def test_cube_simulator_refuses_entries_beyond_its_budget(monkeypatch):
@@ -556,9 +570,9 @@ def test_merge_joins_across_groups_until_no_pair_is_left():
 
     # the eight points of three classical bits join pairwise into one
     # cube; a joined pair lands in another group, which is tried again
-    points = [(0b111, v, 0b010, 0, 0.5 + 0j) for v in (5, 2, 7, 0, 3, 6, 1, 4)]
-    assert _merged(points, 0b111) == [(0, 0, 0b010, 0, 0.5 + 0j)]
+    points = [(0b111, v, 0b010, 0.5 + 0j) for v in (5, 2, 7, 0, 3, 6, 1, 4)]
+    assert _merged(points, 0b111) == [(0, 0, 0b010, 0.5 + 0j)]
     # a quantum bit never joins; entries of other amplitudes stay apart
-    assert sorted(_merged(points, 0b011)) == [(0b100, 0, 0b010, 0, 0.5), (0b100, 4, 0b010, 0, 0.5)]
-    mixed = points[:2] + [(0b111, 4, 0b010, 0, 0.25 + 0j)]
+    assert sorted(_merged(points, 0b011)) == [(0b100, 0, 0b010, 0.5), (0b100, 4, 0b010, 0.5)]
+    mixed = points[:2] + [(0b111, 4, 0b010, 0.25 + 0j)]
     assert sorted(_merged(mixed, 0b111), key=str) == sorted(mixed, key=str)
