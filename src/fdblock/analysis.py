@@ -8,23 +8,26 @@ alpha times its :class:`~fdblock.operators.Stencil`
 Verification never builds the full unitary.  Every column of U runs
 forward at once on the cube simulator (``circuit.apply_cubes``, pure
 Python ints), and the output back through the adjoint circuit.  One
-comparison, ``_max_gap``, then checks both passes by move, the per-axis
+comparison, ``_move_gap``, then checks both passes by move, the per-axis
 difference (output - input) mod N of an entry, packed the way a grid
-index is (``_by_move``): each declared block of the forward entries
-against alpha times its stencil's one value per move
-(``Stencil.moves``), and the round trip against the identity, whose
-largest gap is the max-entry unitarity residual max |U^dagger U - I|;
-there the whole width is one field.  Every encoding is an LCU of
-shifts, so the entries stay a few thousand at most, nearly all of one
-move each, and no step grows with the number of columns.  The entries
-are capped at ``circuit.MAX_CUBES``, and verification stops at
-MAX_SIM_QUBITS qubits.  A verify process never loads numpy.  The
-amplitudes are those of the test suite's dense statevector simulator
-bit for bit.  So are the deviations, as long as every amplitude and
-declared coefficient is real, as every gate kind and builder keeps
-them; numpy's complex abs can differ from Python's in the last digit
-otherwise.  The numpy sparse route that reported before is the test
-suite's second route (``tests/oracles.py``).
+index is: each declared block of the forward entries against alpha
+times its stencil's one value per move (``Stencil.moves``), and the
+round trip against the identity, whose largest gap is the max-entry
+unitarity residual max |U^dagger U - I|; there the whole width is one
+field.  An entry whose xor flips free bits makes different moves on
+different parts of its cube, and the comparison solves for the part
+that makes each expected move instead of listing the parts.  So its
+cost follows the entries times the expected moves, never the columns.
+Every encoding is an LCU of shifts, so the entries stay a few thousand
+at 18 qubits and about 30,000 at the 64-qubit build cap.  The entry
+budget ``circuit.MAX_CUBES`` is verification's only size limit.  A
+verify process never loads numpy.  The amplitudes are those of the test
+suite's dense statevector simulator bit for bit.  So are the
+deviations, as long as every amplitude and declared coefficient is
+real, as every gate kind and builder keeps them; numpy's complex abs
+can differ from Python's in the last digit otherwise.  The numpy sparse
+route that reported before is the test suite's second route
+(``tests/oracles.py``).
 
 Success probabilities are computed by two independent routes: running
 the encoding circuit on |0>|v> and collecting the zero-ancilla mass, or
@@ -47,14 +50,10 @@ from . import encodings, operators
 from ._lazy import lazy_import
 from .circuit import adjoint, apply_cubes, basis_cubes
 from .encodings import BlockEncoding, alpha_d
-from .errors import ParameterError, ShapeError, SizeError
+from .errors import ParameterError, ShapeError
 from .operators import GridFunction, GridSpec
 
 np = lazy_import("numpy")
-
-# Verification's qubit cap, until the comparison by move runs up to the
-# 64-qubit build cap.
-MAX_SIM_QUBITS = 18
 
 
 class VerificationReport(NamedTuple):
@@ -93,64 +92,58 @@ def _worse(worst: float, gap: float) -> float:
     return gap if gap > worst or gap != gap else worst
 
 
-def _max_gap(found, expected, width: int) -> float:
-    """Max |found - expected| over every input of width bits and every move.
+def _move_gap(cubes, expected, k: int, n: int, row: int = 0, col: int = 0) -> float:
+    """Max |found - expected| over block (row, col), compared by move.
 
-    ``found`` maps a move to disjoint cubes (care, val, amplitude): the
-    entry that moves each input j on the cube.  ``expected`` maps a
-    move to its one value for every input.  An entry missing on one
-    side is zero there, so an expected move that the found cubes cover
-    only in part counts its value in full.
-    """
-    worst = 0.0
-    for move in found.keys() | expected.keys():
-        value = expected.get(move, 0.0)
-        covered = 0
-        for care, _, amp in found.get(move, ()):
-            covered += 1 << (width - care.bit_count())
-            worst = _worse(worst, abs(amp - value))
-        if covered < 1 << width:
-            worst = _worse(worst, abs(value))
-    return worst
-
-
-def _by_move(cubes, k: int, n: int, row: int = 0, col: int = 0) -> dict:
-    """The entries of block (row, col), keyed by their move on the low k bits.
-
-    Each entry (care, val, xor, amp) sends input j to output j ^ xor.
-    The block's inputs carry col above bit k and its outputs row; with
-    k the full width, the block is the whole matrix.  A cube that leaves
-    some of those input bits free is cut to col first.  The low k bits
-    are n-bit fields, and an entry's move is output - input mod 2**n in
-    each field, packed the same way.  A cube is cut on each free input
-    bit that its xor flips, which makes the move one constant per piece;
-    not at the top bit of a field, where +-2**(n-1) are equal mod 2**n.
+    Each entry (care, val, xor, amp) sends input j of its cube to
+    j ^ xor.  The block's inputs carry col above bit k and its outputs
+    row; with k the full width, the block is the whole matrix.  The low
+    k bits are n-bit fields, and ``expected`` maps a move, output - input
+    mod 2**n in each field packed the same way, to its one value for
+    every input.  In a field, j ^ xor moves j by xor - 2 (j & xor); so
+    with t = (xor - move) mod 2**n, the inputs that make the move are one
+    piece of the cube, those with j & xor = t / 2 below the field's top
+    bit, or none: if t is odd, or t / 2 sets a bit that xor leaves alone
+    or that the cube fixes otherwise.  Each hit is compared with its
+    move's value, and the entry's other pieces, one per setting of its
+    free flipped bits, with 0 at once.  An expected move that the hits
+    cover only in part counts its value in full.
     """
     system = (1 << k) - 1
     field = (1 << n) - 1
-    tops = sum(1 << b for b in range(n - 1, k, n))
-    found = {}
+    shifts = range(0, k, n)
+    lows = sum(1 << s for s in shifts)
+    below = sum(field >> 1 << s for s in shifts)  # all but each field's top bit
+    solved = {}  # xor -> [(move, value, t / 2)] for every move the xor can make
+    covered = dict.fromkeys(expected, 0)
+    worst = 0.0
     for care, val, xor, amp in cubes:
         if ((val >> k) ^ col) & (care >> k):
             continue
-        val = (val & system) | (col << k)
-        if (val ^ xor) >> k != row:
+        if (((val & system) | (col << k)) ^ xor) >> k != row:
             continue
-        val &= system
-        x = xor & system
-        free = x & ~care & ~tops
-        care = (care | free) & system
-        cut = free
-        while True:
-            j = val | cut
-            move = 0
-            for shift in range(0, k, n):
-                move |= ((((j ^ x) >> shift) - (j >> shift)) & field) << shift
-            found.setdefault(move, []).append((care, j, amp))
-            if not cut:
-                break
-            cut = (cut - 1) & free
-    return found
+        care, val, xor = care & system, val & system, xor & system
+        flips = xor & below
+        if xor not in solved:
+            solved[xor] = []
+            for move, value in expected.items():
+                t = sum((((xor >> s) - (move >> s)) & field) << s for s in shifts)
+                if not (t & lows or t >> 1 & ~flips):
+                    solved[xor].append((move, value, t >> 1))
+        free = flips & ~care
+        size = 1 << (k - (care | free).bit_count())
+        hits = 0
+        for move, value, half in solved[xor]:
+            if not (half ^ val) & care & flips:
+                hits += 1
+                covered[move] += size
+                worst = _worse(worst, abs(amp - value))
+        if hits < 1 << free.bit_count():
+            worst = _worse(worst, abs(amp))
+    for move, value in expected.items():
+        if covered[move] < 1 << k:
+            worst = _worse(worst, abs(value))
+    return worst
 
 
 def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
@@ -160,23 +153,21 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     (``circuit.apply_cubes``), and the output back through the adjoint
     circuit.  Each declared block of the forward entries is compared
     with alpha times its stencil's moves, and the round trip with the
-    identity, by one comparison, :func:`_max_gap`.
+    identity, by one comparison, :func:`_move_gap`.
     """
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
     circuit = enc.circuit
     nq = circuit.num_qubits
-    if nq > MAX_SIM_QUBITS:
-        raise SizeError(f"{nq} qubits exceeds the verification cap {MAX_SIM_QUBITS}")
     forward = apply_cubes(circuit, basis_cubes(circuit))
     k = nq - enc.m
     deviation = 0.0
     for row, col, stencil in enc.blocks:
         expected = {move: enc.alpha * value for move, value in stencil.moves().items()}
-        found = _by_move(forward, k, stencil.spec.n, row, col)
-        deviation = _worse(deviation, _max_gap(found, expected, k))
+        gap = _move_gap(forward, expected, k, stencil.spec.n, row, col)
+        deviation = _worse(deviation, gap)
     back = apply_cubes(adjoint(circuit), forward)
-    residual = _max_gap(_by_move(back, nq, nq), {0: 1.0}, nq)
+    residual = _move_gap(back, {0: 1.0}, nq, nq)
     passed = deviation <= tol and residual <= tol
     return VerificationReport(enc.label, deviation, residual, tol, passed)
 

@@ -124,9 +124,9 @@ def shift_circuit(direction: int, n: int) -> Circuit:
     return Circuit(n, tuple(_shift_gates(direction, n, 0, ())))
 
 
-# Builders only assemble gate lists, so they allow circuits beyond
-# verification's qubit cap; verification and the cube simulator's entry
-# budget enforce their own limits.
+# The widest circuit a builder assembles.  Verification has no qubit cap
+# of its own: the cube simulator's entry budget is its only limit, and
+# every OPS build stays within it up to this width.
 MAX_BUILD_QUBITS = 64
 
 

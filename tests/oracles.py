@@ -18,20 +18,30 @@ report: it runs the basis columns in panels of numpy sparse entries
 (``apply_sparse``, which evaluates H and RY with ``_mix``) and compares
 them with the stencils' sparse columns (``stencil_columns``) through
 one sorted segment sum (``max_sparse_gap``).  Its floats equal the
-cube route's bit for bit.
+cube route's bit for bit.  It runs every column, so it stops at
+EXHAUSTIVE_QUBITS.  Past that, up to the 64-qubit build cap, the
+second route is a sample: ``sample_columns`` picks the grid edges of
+every axis with every ancilla input, plus seeded random columns, and
+``column_mismatches`` runs each alone through ``apply_sparse`` and
+compares it, amplitude for amplitude, with the cube entries of
+``circuit.apply_cubes`` that cover it.
 """
 
 import math
+import random
 
 import numpy as np
 
 import fdblock.circuit as circuit_mod
-from fdblock.analysis import MAX_SIM_QUBITS, VerificationReport
+from fdblock.analysis import VerificationReport
 from fdblock.circuit import adjoint
 from fdblock.errors import ParameterError, ShapeError, SizeError
 
 # The dense simulator's cap: a 2**18 statevector takes 4 MiB.
 STATEVECTOR_QUBITS = 18
+
+# verify_sparse's cap: it runs every one of the 2**q columns.
+EXHAUSTIVE_QUBITS = 18
 
 
 def _mix(g, lo, hi, out0, out1, tmp) -> None:
@@ -562,8 +572,8 @@ def verify_sparse(enc, tol):
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
     nq = enc.circuit.num_qubits
-    if nq > MAX_SIM_QUBITS:
-        raise SizeError(f"{nq} qubits exceeds the verification cap {MAX_SIM_QUBITS}")
+    if nq > EXHAUSTIVE_QUBITS:
+        raise SizeError(f"{nq} qubits exceeds the exhaustive cap {EXHAUSTIVE_QUBITS}")
     N = enc.system_dim
     inverse = adjoint(enc.circuit)
     width = PANEL_ENTRIES >> min(2 * enc.m, nq)
@@ -587,3 +597,55 @@ def verify_sparse(enc, tol):
     residual = float(np.max(residuals))
     passed = deviation <= tol and residual <= tol
     return VerificationReport(enc.label, deviation, residual, tol, passed)
+
+
+def sample_columns(enc, extra, seed):
+    """Basis columns of an encoding to check one at a time, past the exhaustive cap.
+
+    Per axis, the coordinate takes 0, 1, N-2, N-1, and 2**(n//2) - 1 and
+    2**(n//2), where a shift's carry runs through half the register and
+    stops, while the other axes take seeded random coordinates; each
+    such grid point comes with every ancilla input.  Then ``extra``
+    seeded random columns.  Sorted, without repeats.
+    """
+    rng = random.Random(seed)
+    spec = enc.blocks[0][2].spec
+    N, n = spec.N, spec.n
+    k = spec.dim * n
+    edges = {0, 1, N - 2, N - 1, (1 << n // 2) - 1, 1 << n // 2}
+    points = set()
+    for axis in range(spec.dim):
+        for edge in sorted(edges):
+            coords = [rng.randrange(N) for _ in range(spec.dim)]
+            coords[axis] = edge
+            points.add(sum(c << (d * n) for d, c in enumerate(coords)))
+    columns = {a << k | p for a in range(1 << enc.m) for p in points}
+    columns.update(rng.getrandbits(enc.circuit.num_qubits) for _ in range(extra))
+    return sorted(columns)
+
+
+def column_mismatches(circuit, cubes, columns):
+    """The columns on which cube entries and apply_sparse disagree.
+
+    ``cubes`` are output entries (care, val, xor, amp) of
+    ``circuit.apply_cubes`` on every basis column.  Each column j runs
+    alone through :func:`apply_sparse` (one column per panel keeps its
+    64-bit sort key at 64 qubits), and its entries must be exactly
+    those of the cubes that cover j, each amp at output j ^ xor, with
+    no output twice.  The cubes are indexed by input, by care and then by
+    val, so a column costs one lookup per distinct care.
+    """
+    by_care = {}
+    for care, val, xor, amp in cubes:
+        by_care.setdefault(care, {}).setdefault(val, []).append((xor, amp))
+    bad = []
+    for j in columns:
+        pairs = [
+            (j ^ xor, amp)
+            for care, by_val in by_care.items()
+            for xor, amp in by_val.get(j & care, ())
+        ]
+        _, idx, amp = apply_sparse(circuit, [0], [j], [1.0])
+        if len(dict(pairs)) != len(pairs) or dict(pairs) != dict(zip(idx.tolist(), amp.tolist())):
+            bad.append(j)
+    return bad

@@ -12,7 +12,7 @@ from fdblock.analysis import (
     sweep_success_probability,
     verify_pattern,
 )
-from fdblock.circuit import Circuit, Gate, quantum_bits
+from fdblock.circuit import Circuit, Gate, apply_cubes, basis_cubes, quantum_bits
 from fdblock.encodings import (
     BlockEncoding,
     _shift_gates,
@@ -38,9 +38,11 @@ from .oracles import (
     apply,
     banded_circulant,
     central_difference_1d,
+    column_mismatches,
     extract_block,
     first_order_tensorized,
     max_abs_diff,
+    sample_columns,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
     separable_trapezoid_l2_norm,
@@ -220,67 +222,128 @@ def test_round_trip_counts_an_absent_diagonal_entry_as_zero(monkeypatch):
     assert not report.passed
 
 
-def move_entries(*entries):
-    """move -> [(care, val, amplitude)] of (move, care, val, amplitude) tuples."""
-    out = {}
-    for move, care, val, amp in entries:
-        out.setdefault(move, []).append((care, val, amp))
-    return out
+def brute_gap(cubes, expected, k, n, row=0, col=0):
+    """_move_gap's definition, input by input: every column of block (row, col)."""
+    found = {}
+    for j in range(1 << k):
+        full = (col << k) | j
+        for care, val, xor, amp in cubes:
+            out = full ^ xor
+            if full & care != val or out >> k != row:
+                continue
+            move = sum(((out >> s) - (j >> s)) % (1 << n) << s for s in range(0, k, n))
+            assert (j, move) not in found
+            found[j, move] = amp
+    wanted = {(j, move): value for j in range(1 << k) for move, value in expected.items()}
+    gaps = [abs(found.get(key, 0.0) - wanted.get(key, 0.0)) for key in found.keys() | wanted.keys()]
+    return max(gaps, default=0.0)
 
 
 def test_max_gap_counts_a_one_sided_entry_in_full():
-    from fdblock.analysis import _max_gap
+    from fdblock.analysis import _move_gap
 
-    # two bits: the cube (0b01, 0b01) holds inputs 1 and 3; an expected
-    # move has its one value on all four inputs
-    base = [(0, 0b01, 0b01, 1.0), (0, 0b01, 0b00, 1.0), (2, 0, 0, 0.5j)]
+    # two bits, one field: the cube (0b01, 0b01) holds inputs 1 and 3;
+    # an expected move has its one value on all four inputs, and xor
+    # 0b10 flips the field's top bit, the move 2 on every input
+    base = [(0b01, 0b01, 0, 1.0), (0b01, 0b00, 0, 1.0), (0, 0, 0b10, 0.5j)]
     expected = {0: 1.0, 2: 0.5j}
-    assert _max_gap(move_entries(*base), expected, 2) == 0.0
-    assert _max_gap(move_entries(*base), {0: 1.0, 2: 0.25j}, 2) == 0.25
+    assert _move_gap(base, expected, 2, 2) == 0.0
+    assert _move_gap(base, {0: 1.0, 2: 0.25j}, 2, 2) == 0.25
     # an entry that nothing expects, and an expected one never found
-    assert _max_gap(move_entries(*base, (1, 0b11, 0b00, -0.75)), expected, 2) == 0.75
-    assert _max_gap(move_entries(*base), {**expected, 3: 2.0j}, 2) == 2.0
+    assert _move_gap([*base, (0b11, 0b00, 0b01, -0.75)], expected, 2, 2) == 0.75
+    assert _move_gap(base, {**expected, 3: 2.0j}, 2, 2) == 2.0
     # the same cube at another move is another entry
-    assert _max_gap(move_entries((0, 0, 0, 1.0)), {1: 1.0}, 2) == 1.0
+    assert _move_gap([(0, 0, 0, 1.0)], {1: 1.0}, 2, 2) == 1.0
     # an expected move that the found cubes cover in part counts in full
-    assert _max_gap(move_entries((0, 0b10, 0b10, 1.0)), {0: 1.0}, 2) == 1.0
-    quarters = [(0, 0b11, v, 1.0) for v in range(4)]
-    assert _max_gap(move_entries(*quarters), {0: 1.0}, 2) == 0.0
-    nan = move_entries((0, 0b01, 0b01, complex(math.nan, 0.0)), *base[1:])
-    assert math.isnan(_max_gap(nan, expected, 2))
-    assert math.isnan(_max_gap(move_entries(*base), {0: math.nan, 2: 0.5j}, 2))
+    assert _move_gap([(0b10, 0b10, 0, 1.0)], {0: 1.0}, 2, 2) == 1.0
+    quarters = [(0b11, v, 0, 1.0) for v in range(4)]
+    assert _move_gap(quarters, {0: 1.0}, 2, 2) == 0.0
+    nan = [(0b01, 0b01, 0, complex(math.nan, 0.0)), *base[1:]]
+    assert math.isnan(_move_gap(nan, expected, 2, 2))
+    assert math.isnan(_move_gap(base, {0: math.nan, 2: 0.5j}, 2, 2))
+    # laplace D=1 n=2: xor 0b01 on a free low bit moves even inputs by
+    # +1 and odd ones by -1, and the carries 0b11 complete both moves
+    lap = [(0, 0, 0, -0.5), (0, 0, 0b01, 0.25), (0b01, 0b01, 0b11, 0.25), (0b01, 0, 0b11, 0.25)]
+    assert _move_gap(lap, {0: -0.5, 1: 0.25, 3: 0.25}, 2, 2) == 0.0
+    # an odd t = (xor - move) mod 4 hits no piece: nothing makes move 2
+    assert _move_gap(lap, {0: -0.5, 1: 0.25, 2: 0.0, 3: 0.25}, 2, 2) == 0.0
+    # every piece of the joined cube misses: it counts once, in full
+    assert _move_gap(lap, {0: -0.5, 2: 0.0}, 2, 2) == 0.25
+    # D=3, n=2: +1 on axes 0 and 2 (move 0b01_00_01) from one cube per
+    # pair of low bits, each flipping the top bit of a field it carries into
+    plus = [
+        (0b010001, b << 4 | a, (1 | 2 * b) << 4 | 1 | 2 * a, 0.5) for a in (0, 1) for b in (0, 1)
+    ]
+    assert _move_gap(plus, {0b010001: 0.5}, 6, 2) == 0.0
+    assert _move_gap(plus, {0b010001: 0.5, 0b000001: 0.0}, 6, 2) == 0.0
+    assert _move_gap(plus[:3], {0b010001: 0.5}, 6, 2) == 0.5
+    assert _move_gap(plus, {0b010011: 0.5}, 6, 2) == 0.5
 
 
 def test_by_move_keeps_block_entries_and_keys_them_by_move():
-    from fdblock.analysis import _by_move
+    from fdblock.analysis import _move_gap
 
     # one ancilla bit above a 3-bit field (k = n = 3, N = 8); an entry
-    # (care, val, xor, amp) sends each input j of its cube to j ^ xor
+    # (care, val, xor, amp) sends each input j of its cube to j ^ xor;
+    # the entries of each case make whole moves, on all eight grid
+    # inputs of their column, so that a gap of 0 shows every move found
     anc = 0b1000
     # fixed ancilla input bits that miss col drop the entry
-    on_one = [(anc | 0b111, anc | 0b010, 0, 0.5)]
-    assert _by_move(on_one, 3, 3, 0, 0) == {}
-    assert _by_move(on_one, 3, 3, 1, 1) == move_entries((0, 0b111, 0b010, 0.5))
+    on_one = [(anc, anc, 0, 0.5)]
+    assert _move_gap(on_one, {}, 3, 3, 0, 0) == 0.0
+    assert _move_gap(on_one, {0: 0.5}, 3, 3, 0, 0) == 0.5
+    assert _move_gap(on_one, {0: 0.5}, 3, 3, 1, 1) == 0.0
     # the output row (val ^ xor) >> k, not the input's, picks the block
-    to_one = [(anc | 0b111, 0b010, anc, 0.5)]
-    assert _by_move(to_one, 3, 3, 0, 0) == {}
-    assert _by_move(to_one, 3, 3, 1, 0) == move_entries((0, 0b111, 0b010, 0.5))
+    to_one = [(anc, 0, anc, 0.5)]
+    assert _move_gap(to_one, {0: 0.5}, 3, 3, 0, 0) == 0.5
+    assert _move_gap(to_one, {0: 0.5}, 3, 3, 1, 0) == 0.0
     # a free ancilla input bit is cut to col
-    free = [(0b111, 0b010, 0, 0.5)]
-    assert _by_move(free, 3, 3, 0, 1) == {}
-    assert _by_move(free, 3, 3, 1, 1) == move_entries((0, 0b111, 0b010, 0.5))
+    free = [(0, 0, 0, 0.5)]
+    assert _move_gap(free, {0: 0.5}, 3, 3, 0, 1) == 0.5
+    assert _move_gap(free, {0: 0.5}, 3, 3, 1, 1) == 0.0
+    assert _move_gap(free, {0: 0.5}, 3, 3, 0, 0) == 0.0
     # laplace D=1's joined cube: the low bit free and flipped sends 0 to
-    # 1 and 1 to 0, so it splits into the moves +1 and N - 1
-    joined = [(anc | 0b110, 0, 1, 0.25)]
-    assert _by_move(joined, 3, 3) == move_entries((1, 0b111, 0, 0.25), (7, 0b111, 1, 0.25))
+    # 1 and 1 to 0, so its pieces make the moves +1 and N - 1; the carry
+    # cubes complete both moves
+    plus = [(anc | 0b011, 0b001, 0b011), (anc | 0b011, 0b011, 0b111)]
+    minus = [(anc | 0b011, 0b010, 0b011), (anc | 0b011, 0b000, 0b111)]
+    joined = [(anc, 0, 1, 0.25)] + [(c, v, x, 0.25) for c, v, x in plus + minus]
+    assert _move_gap(joined, {1: 0.25, 7: 0.25}, 3, 3) == 0.0
+    assert _move_gap(joined, {1: 0.25, 7: 0.5}, 3, 3) == 0.25
+    assert _move_gap(joined[1:], {1: 0.25, 7: 0.25}, 3, 3) == 0.25
     # a flipped top bit is +-4, one move mod 8: the cube stays whole
-    top = [(anc | 0b011, 0b001, 0b100, 0.25)]
-    assert _by_move(top, 3, 3) == move_entries((4, 0b011, 0b001, 0.25))
-    # an xor bit on a fixed (quantum) bit moves the output too
-    fixed = [(anc | 0b010, 0b010, 0b010, 0.25)]
-    assert _by_move(fixed, 3, 3) == move_entries((6, 0b010, 0b010, 0.25))
+    top = [(anc, 0, 0b100, 0.25)]
+    assert _move_gap(top, {4: 0.25}, 3, 3) == 0.0
+    # an xor bit on a fixed (quantum) bit moves the output too: -2 where
+    # it is set, and the top bit's carry completes move 6 where it is not
+    fixed = [(anc | 0b010, 0b010, 0b010, 0.25), (anc | 0b010, 0, 0b110, 0.25)]
+    assert _move_gap(fixed, {6: 0.25}, 3, 3) == 0.0
+    assert _move_gap(fixed[:1], {2: 0.0, 6: 0.25}, 3, 3) == 0.25
     # with k the full width the ancilla is part of the move
-    assert _by_move(to_one, 4, 4) == move_entries((8, 0b1111, 0b0010, 0.5))
+    assert _move_gap([(0, 0, anc, 0.5)], {8: 0.5}, 4, 4) == 0.0
+    assert _move_gap(to_one, {8: 0.5}, 4, 4) == 0.5
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 3), (4, 2), (6, 2), (6, 3), (3, 1)])
+def test_move_gap_equals_the_gap_listed_input_by_input(k, n):
+    # seeded entries of distinct xor, so that no (input, move) repeats,
+    # against every input of the block; one ancilla bit above the grid
+    from fdblock.analysis import _move_gap
+
+    rng = np.random.default_rng(k * 10 + n)
+    width = k + 1
+    for _ in range(40):
+        xors = rng.choice(1 << width, size=int(rng.integers(1, 6)), replace=False)
+        cubes = []
+        for xor in xors:
+            care = int(rng.integers(0, 1 << width))
+            val = int(rng.integers(0, 1 << width)) & care
+            cubes.append((care, val, int(xor), complex(int(rng.integers(1, 4)) * 0.25)))
+        moves = rng.choice(1 << k, size=int(rng.integers(0, 4)), replace=False)
+        expected = {int(m): complex(int(rng.integers(0, 4)) * 0.25) for m in moves}
+        for row, col in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            got = _move_gap(cubes, expected, k, n, row, col)
+            assert got == brute_gap(cubes, expected, k, n, row, col), (cubes, expected, row, col)
 
 
 def shift_encoding(move, n, coeff):
@@ -820,6 +883,98 @@ def test_verify_refuses_a_circuit_beyond_the_entry_budget():
         verify_pattern(
             BlockEncoding(Circuit(16, spread), enc.m, enc.alpha, enc.label, enc.blocks), 1e-12
         )
+
+
+def off_shift(n, kind):
+    """laplace D=1 with one of five gate prefixes that break its shift form."""
+    enc = encode_laplace_dd(1, n)
+    nq = enc.circuit.num_qubits
+    mid = enc.m + n // 2
+    prefix = {
+        "reflection": [Gate("X", w) for w in range(enc.m, nq)],
+        "half reflection": [Gate("X", w) for w in range(mid, nq)],
+        "system H": [Gate("H", mid)],
+        "system RY": [Gate("RY", nq - 1, theta=0.7)],
+        "controlled X": [Gate("X", nq - 1, ((mid, 1),))],
+    }[kind]
+    circuit = Circuit(nq, tuple(prefix) + enc.circuit.gates)
+    return BlockEncoding(circuit, enc.m, enc.alpha, f"{kind} n={n}", enc.blocks)
+
+
+OFF_SHIFT = ("reflection", "half reflection", "system H", "system RY", "controlled X")
+
+
+@pytest.mark.parametrize("kind", OFF_SHIFT)
+def test_cube_reports_equal_the_sparse_oracle_reports_off_the_shift_form(kind):
+    # flipped free bits cut the found cubes into many pieces of
+    # different moves, which the comparison solves for move by move
+    enc = off_shift(12, kind)
+    assert enc.circuit.num_qubits == 14
+    report = verify_pattern(enc, 1e-12)
+    assert repr(report) == repr(verify_sparse(enc, 1e-12))
+    assert not report.passed
+
+
+def test_verify_fails_a_reflection_at_the_build_cap():
+    # 64 qubits, past the exhaustive oracle: the deviation is its 14-q twin's
+    enc = off_shift(62, "reflection")
+    assert enc.circuit.num_qubits == 64
+    report = verify_pattern(enc, 1e-12)
+    twin = verify_pattern(off_shift(12, "reflection"), 1e-12)
+    assert report.max_deviation == twin.max_deviation == 0.7499999999999999
+    assert report.unitarity_residual < 1e-12 and not report.passed
+
+
+# Every op at the 63-64 qubit build cap: (op, dim, n).
+BUILD_CAPS = [
+    ("laplace", 1, 62),
+    ("laplace", 2, 30),
+    ("laplace", 3, 20),
+    ("laplace", 4, 15),
+    ("lcu", 1, 61),
+    ("derivative", 1, 63),
+    ("gradient", 2, 31),
+    ("divergence", 2, 31),
+    ("wave", 2, 30),
+]
+
+
+@pytest.mark.parametrize("op,dim,n", BUILD_CAPS)
+def test_cube_columns_equal_the_sparse_oracle_at_the_build_cap(op, dim, n):
+    # past the exhaustive oracle, sampled columns run one at a time
+    from fdblock.encodings import OPS
+
+    enc = OPS[op].build(dim, n)
+    assert enc.circuit.num_qubits in (63, 64)
+    cubes = apply_cubes(enc.circuit, basis_cubes(enc.circuit))
+    columns = sample_columns(enc, 8, n)
+    assert len(columns) >= 8 + 6 * 2**enc.m
+    assert column_mismatches(enc.circuit, cubes, columns) == []
+
+
+def test_column_mismatches_names_each_wrong_column():
+    enc = encode_derivative_1d(63)
+    cubes = apply_cubes(enc.circuit, basis_cubes(enc.circuit))
+    columns = sample_columns(enc, 2, 0)
+    j = columns[-1]
+    care, val, xor, amp = first = next(c for c in cubes if j & c[0] == c[1])
+    others = [c for c in cubes if c is not first]
+    for wrong in (
+        others,
+        [*others, (care, val, xor, amp * 0.5)],
+        [*others, (care, val, xor ^ 1, amp)],
+        [*cubes, (care, val, xor, amp)],
+    ):
+        assert j in column_mismatches(enc.circuit, wrong, columns)
+
+
+@pytest.mark.parametrize("op,dim,n", [c for c in BUILD_CAPS if c[0] in ("derivative", "wave")])
+def test_verify_passes_at_the_build_cap(op, dim, n):
+    # the cheapest caps; CI verifies all nine through the CLI
+    from fdblock.encodings import OPS
+
+    report = verify_pattern(OPS[op].build(dim, n), 1e-12)
+    assert report.passed, report.summary()
 
 
 def encodings_up_to(max_qubits):

@@ -57,9 +57,18 @@ def test_verify_every_op(capsys):
     capsys.readouterr()
 
 
-def test_verify_rejects_oversized_request(capsys):
-    assert run("verify", "--op", "laplace", "--dim", "4", "--n", "4") == 2
-    assert "cap" in capsys.readouterr().err
+def test_verify_rejects_oversized_request(capsys, monkeypatch):
+    # no qubit cap: 20 qubits pass, and only the entry budget refuses a
+    # build, here one whose live entries peak at 7712
+    import fdblock.circuit as circuit_mod
+
+    args = ("verify", "--op", "laplace", "--dim", "4", "--n", "4")
+    assert run(*args) == 0
+    assert capsys.readouterr().out.startswith("PASS laplace_dd D=4 n=4: ")
+    monkeypatch.setattr(circuit_mod, "MAX_CUBES", 4096)
+    assert run(*args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceed the budget of 4096" in captured.err
 
 
 def test_sweep_csv_contents(tmp_path):
