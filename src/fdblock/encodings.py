@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from . import operators
 from ._frozen import Frozen
-from .circuit import Circuit, Gate
+from .circuit import _RSQRT2, Circuit, Gate
 from .errors import ParameterError, SizeError
 from .operators import GridSpec, Stencil
 
@@ -70,8 +70,8 @@ class BlockEncoding(Frozen):
         num_qubits = circuit.num_qubits
         if not 0 <= m < num_qubits:
             raise ParameterError(f"m = {m} must lie in 0..{num_qubits - 1} to leave system qubits")
-        if abs(alpha) > 1.0:
-            raise ParameterError(f"|alpha| = {abs(alpha)} exceeds 1")
+        if not abs(alpha) <= 1.0:  # a NaN alpha fails this too
+            raise ParameterError(f"|alpha| = {abs(alpha)} is not at most 1")
         size, points = 1 << m, 1 << (num_qubits - m)
         for row, col, stencil in blocks:
             if not (0 <= row < size and 0 <= col < size):
@@ -250,7 +250,6 @@ def encode_laplace_1d_lcu(n: int) -> BlockEncoding:
 _L_IN = (Gate("H", 0), Gate("Z", 0))
 _L_OUT = (Gate("H", 0),)
 _MINUS, _PLUS = (0, 0), (0, 1)
-_RSQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _axis_derivatives(spec: GridSpec) -> tuple[Stencil, Stencil]:

@@ -9,7 +9,7 @@ Every circuit is first lowered to a stream containing only
 
 by folding control conjunctions into clean ancillas.  A k-controlled X
 (k >= 3) keeps its last control and computes the AND of the first k-1
-controls through a ladder of Toffolis (one fresh ancilla per level); a
+controls through a ladder of Toffolis (level l on wire num_qubits + l); a
 controlled rotation or Hadamard folds *all* of its controls into one
 ancilla and keeps a single control.  Ladders are uncomputed with the
 same Toffolis.  Ladder levels are cached across consecutive gates whose
@@ -59,37 +59,24 @@ class GateCounts(NamedTuple):
     qubit_count: int
 
 
-def _rung(level: int, ancs: list[int], chain) -> tuple:
-    """Toffoli step that computes, and later uncomputes, ladder level ``level``."""
-    controls = chain[:2] if level == 0 else ((ancs[level - 1], 1), chain[level + 1])
-    return "X", ancs[level], controls, None
-
-
 class _Lowering:
     """Ancilla-ladder walk of one circuit; see the module docstring.
 
-    Ladder level l holds the AND of the controls ``chain[:l + 2]`` in
-    ancilla ``ancs[l]``: level 0 is a Toffoli on the first two controls,
+    Ladder level l holds the AND of the controls ``chain[:l + 2]`` on
+    wire ``base + l``: level 0 is a Toffoli on the first two controls,
     and each higher level ANDs the level below with one more control.
+    The ladder grows and shrinks only at its top, so beside ``chain`` its
+    depth is all the state it needs.
     """
 
     def __init__(self, circuit: Circuit):
         self.base = circuit.num_qubits
-        self.next_anc = circuit.num_qubits
         self.high_water = 0
-        self.free: list[int] = []
 
-    def _alloc(self) -> int:
-        if self.free:
-            return self.free.pop()
-        anc = self.next_anc
-        self.next_anc += 1
-        return anc
-
-    def _unwind(self, keep: int, ancs: list[int], chain):
-        while len(ancs) > keep:
-            yield _rung(len(ancs) - 1, ancs, chain)
-            self.free.append(ancs.pop())
+    def _rung(self, level: int, chain) -> tuple:
+        """Toffoli step that computes, and later uncomputes, ladder level ``level``."""
+        below = chain[0] if level == 0 else (self.base + level - 1, 1)
+        return "X", self.base + level, (below, chain[level + 1]), None
 
     def steps(self, gates):
         """Yield the lowered stream as gate-shaped tuples; ``lower`` makes them ``Gate``s.
@@ -97,9 +84,8 @@ class _Lowering:
         ``high_water`` holds the ladder's deepest level once the stream
         is exhausted.
         """
-        ancs: list[int] = []
+        depth = 0
         chain: tuple[tuple[int, int], ...] = ()
-        chain_qubits: list[int] = []
         for g in gates:
             kind, target, controls = g.kind, g.target, g.controls
             k = len(controls)
@@ -107,39 +93,38 @@ class _Lowering:
                 prefix = controls[:-1] if k > 2 else ()
             else:
                 prefix = controls if k > 1 else ()
-            # Keep the levels that read neither the target, which the gate
-            # writes, nor a control that differs from the gate's prefix.
-            keep = len(ancs)
-            if target in chain_qubits:
-                keep = max(chain_qubits.index(target) - 1, 0)
-            if prefix and prefix[: len(chain)] != chain:
-                common = len(prefix)
-                if chain[:common] != prefix:
-                    common = 0
-                    for a, b in zip(chain, prefix):
-                        if a != b:
-                            break
-                        common += 1
-                keep = min(keep, max(common - 1, 0))
-            if keep < len(ancs):
-                yield from self._unwind(keep, ancs, chain)
+            # Keep the levels that read only the chain's first `shared`
+            # controls: those the gate's prefix repeats, or, for a gate
+            # without one, those before the target, which the gate writes.
+            # (A gate's target is never one of its own controls.)
+            if not prefix:
+                shared = next((i for i, (q, _) in enumerate(chain) if q == target), len(chain))
+            elif prefix[: len(chain)] == chain:
+                shared = len(chain)
+            elif chain[: len(prefix)] == prefix:
+                shared = len(prefix)
+            else:
+                shared = next(i for i, (a, b) in enumerate(zip(chain, prefix)) if a != b)
+            keep = max(shared - 1, 0)
+            if keep < depth:
+                for level in reversed(range(keep, depth)):
+                    yield self._rung(level, chain)
+                depth = keep
                 chain = chain[: keep + 1] if keep else ()
-                del chain_qubits[len(chain) :]
             if not prefix:
                 yield kind, target, controls, g.theta
                 continue
-            for level in range(len(ancs), len(prefix) - 1):
-                ancs.append(self._alloc())
-                yield _rung(level, ancs, prefix)
-            if len(prefix) > len(chain):
-                chain_qubits.extend(q for q, _ in prefix[len(chain) :])
-                chain = prefix
-                self.high_water = max(self.high_water, len(ancs))
+            chain = prefix
+            for level in range(depth, len(prefix) - 1):
+                yield self._rung(level, chain)
+            depth = len(prefix) - 1
+            self.high_water = max(self.high_water, depth)
             if kind == "X":
-                yield "X", target, ((ancs[-1], 1), controls[-1]), None
+                yield "X", target, ((self.base + depth - 1, 1), controls[-1]), None
             else:  # Z, H or RY: every control folded into one ancilla
-                yield kind, target, ((ancs[-1], 1),), g.theta
-        yield from self._unwind(0, ancs, chain)
+                yield kind, target, ((self.base + depth - 1, 1),), g.theta
+        for level in reversed(range(depth)):
+            yield self._rung(level, chain)
 
     def lower(self, circuit: Circuit) -> Circuit:
         gates = tuple(map(Gate._make, self.steps(circuit.gates)))

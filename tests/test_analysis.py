@@ -181,7 +181,7 @@ def test_round_trip_deviations_equal_extract_block_route(enc, dense_blocks):
     assert report.max_deviation == max(deviations)
 
 
-def test_references_evaluate_beyond_the_dense_cap():
+def test_declared_stencils_give_sparse_columns_of_wide_grids():
     # 15 qubits: N = 8192, and the declared stencils give sparse basis
     # columns without forming any N-row array
     enc = encode_laplace_dd(1, 13)
@@ -851,7 +851,7 @@ def test_cap_scale_extraction_path_spot_checked():
         assert max_abs_diff(out, ref) < 1e-12
 
 
-def test_extract_block_chunking_is_transparent(monkeypatch):
+def test_entry_budget_only_refuses_work(monkeypatch):
     # the entry budget only refuses work: at the least budget that
     # verifies, the report is unchanged; one below, verify raises and
     # names the count it reached

@@ -349,6 +349,14 @@ def test_block_encoding_needs_system_qubits(m):
         BlockEncoding(Circuit(4), m, 1.0, "bare")
 
 
+@pytest.mark.parametrize("alpha", [1.5, -1.5, float("inf"), float("nan")])
+def test_block_encoding_rejects_an_alpha_outside_the_unit_interval(alpha):
+    # NaN compares false with everything, so it must fail the check too
+    enc = encode_derivative_1d(2)
+    with pytest.raises(ParameterError, match="alpha"):
+        BlockEncoding(enc.circuit, enc.m, alpha, enc.label, enc.blocks)
+
+
 @pytest.mark.parametrize("row,col", [(5, 7), (2, 0), (0, 2), (-1, 0)])
 def test_declared_blocks_must_lie_inside_the_ancilla_grid(row, col):
     # derivative_1d has m = 1, so only rows and columns 0 and 1 exist

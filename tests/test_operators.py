@@ -327,7 +327,7 @@ def dense_moves(stencil):
 
 
 @pytest.mark.parametrize("dim,n", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 3), (3, 2), (4, 1)])
-def test_stencil_column_cubes_equal_apply_bit_for_bit(dim, n):
+def test_stencil_moves_equal_apply_bit_for_bit(dim, n):
     # Stencil.moves: random offsets up to 5 carry across several bits,
     # and wrap and collide at small N
     spec = GridSpec(dim, n)
@@ -338,7 +338,7 @@ def test_stencil_column_cubes_equal_apply_bit_for_bit(dim, n):
         assert np.array_equal(dense_moves(stencil), stencil.apply(identity))
 
 
-def test_stencil_column_cubes_hold_the_columns_of_grids_beyond_any_panel():
+def test_stencil_moves_hold_the_columns_of_grids_beyond_any_panel():
     # Stencil.moves: the centre and one move per +-1 term, whatever n is;
     # on a 62-qubit axis and a 60-qubit 3-d grid they give the columns'
     # entries at the edges

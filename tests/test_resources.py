@@ -1,9 +1,10 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdblock.circuit import GATE_KINDS, Circuit, Gate
+from fdblock.circuit import GATE_KINDS, Circuit, Gate, export_text
 from fdblock.encodings import (
     encode_derivative_1d,
     encode_divergence_2d,
@@ -189,11 +190,10 @@ def test_tally_equals_the_charge_of_the_lowered_circuit(name):
         assert count_resources(circuit) == _materialised_counts(circuit), (name, n)
 
 
-def test_tally_equals_the_charge_of_the_lowered_circuit_on_random_gate_lists():
+def _random_gate_lists():
     # sorted control lists share prefixes and so reuse ladder levels;
     # shuffled ones force partial unwinds
     rng = np.random.default_rng(4321)
-    seen = {"open": 0, "H": 0, "Z": 0, "RY": 0}
     for _ in range(200):
         nq = int(rng.integers(3, 9))
         gates = []
@@ -207,12 +207,113 @@ def test_tally_equals_the_charge_of_the_lowered_circuit_on_random_gate_lists():
             controls = tuple((q, int(rng.random() < 0.7)) for q in others[:k])
             theta = float(rng.normal()) if kind == "RY" else None
             gates.append(Gate(kind, target, controls, theta))
-            seen["open"] += any(pol == 0 for _, pol in controls)
-            if kind != "X" and k >= 2:
-                seen[kind] += 1
-        circuit = Circuit(nq, tuple(gates))
+        yield Circuit(nq, tuple(gates))
+
+
+def test_tally_equals_the_charge_of_the_lowered_circuit_on_random_gate_lists():
+    seen = {"open": 0, "H": 0, "Z": 0, "RY": 0}
+    for circuit in _random_gate_lists():
+        for g in circuit.gates:
+            seen["open"] += any(pol == 0 for _, pol in g.controls)
+            if g.kind != "X" and len(g.controls) >= 2:
+                seen[g.kind] += 1
         assert count_resources(circuit) == _materialised_counts(circuit)
     assert min(seen.values()) > 0, seen
+
+
+def test_ladder_level_l_sits_on_wire_num_qubits_plus_l():
+    # only rungs write the extra wires; each computes or uncomputes the
+    # ladder's top, and a folded gate reads the top level
+    for circuit in _random_gate_lists():
+        nq = circuit.num_qubits
+        lowered = lower_to_toffoli(circuit)
+        depth = 0
+        for g in lowered.gates:
+            level = g.target - nq
+            if level < 0:
+                extra = [(q, pol) for q, pol in g.controls if q >= nq]
+                assert extra in ([], [(nq + depth - 1, 1)]), g
+                continue
+            assert g.kind == "X" and level in (depth, depth - 1), (g, depth)
+            below, (control, _) = g.controls
+            assert control < nq, g
+            if level == 0:
+                assert below[0] < nq, g
+            else:
+                assert below == (nq + level - 1, 1), g
+            depth += 1 if level == depth else -1
+        assert depth == 0
+        wires = {q for g in lowered.gates for q in (g.target, *dict(g.controls))}
+        high_water = count_resources(circuit).ancilla_high_water
+        assert lowered.num_qubits == nq + high_water
+        assert wires - set(range(nq)) == set(range(nq, nq + high_water))
+
+
+# sha256 of export_text(lower_to_toffoli(c)) at n = 1, 2, 3 and the cap:
+# the lowered streams, wire for wire and gate for gate.
+LOWERED_SHA256 = {
+    "derivative": {
+        1: "ea3aa1fe51a9c3508e514d72d5ac96746b0ad3970877848ccaf76b73cd466c2c",
+        2: "c7fb772508c0d827c0d1a8bd93edc595287ce6abda718d12a0914d01d26bce7e",
+        3: "6afd8a4f53084da71b2f190bd4c811d8243abef9eacce1d2475985adbc11f396",
+        63: "cf50c24a6b825c89ab93e64e8e4e7cbda2ed6908a72af8493e297430df5942e6",
+    },
+    "divergence": {
+        1: "30fa3a43d8eb1153b7b4d51bf0931c9979f1d1e66ae0b2c748a82be67956fe1b",
+        2: "2c9357bdb9fa13209af40e9b4403b1f116681be6a73ba9a7c9d1ea7f9b03dc31",
+        3: "6f5f07c690d7bb444282c8f34598ac04140fec541e71360e03e97c834698c83a",
+        31: "96dbc7425ea4b897b5882598ad506e7c6ce4cfcf3ccfa90f57e39d55b51d0016",
+    },
+    "gradient": {
+        1: "7ef98b1fda76421c5be0e862d3d4f7464dbe7d421838e28905761ab52a421fa9",
+        2: "e8b834589d9929f04f352e55d5754a55988cf65850eb613c2ee7478a85f86830",
+        3: "267cda5e9943ede5ff70cc313af72aa12a7b653eb425eb27eb48c7561672357c",
+        31: "d1d9373458866853bc47dfd147f49202a0f770dc3445afd264ad47516f9ae51f",
+    },
+    "laplace1": {
+        1: "48f12df834ffb555a950b3421c220c33e3582667fc63dbe723d6c4fa4dde3f90",
+        2: "492e142b5ac9f2c110216c1012eef2da55f2ab1f150227e0e408351ccbdc4b16",
+        3: "381666ebeb4543b3e88e39701e974437b5c627025a4b78c5f007251f2f3741c2",
+        62: "c5d81c95dea4ab7429fd29384e48ad849a3e536cc50ebcc3ec6d1b91413b146b",
+    },
+    "laplace2": {
+        1: "82f5248eda402a5d32df944ffebb2434d3754233c5adcd3fbccfb39a3d787878",
+        2: "54c8b6c2cad3880be9589bb2cdc1de6b4b72d76eda5f3baaa7928cc2f445085a",
+        3: "d47a846657f9cd31dd34e2811a86f559572ddfa6b26e8a398ccea0274b5ee1c8",
+        30: "ba01896f4b3a14cc258717a4ce23c58928dcd0953a140a6184be024496913447",
+    },
+    "laplace3": {
+        1: "1523d898e8dce1ad14611f4bd30e94d0b7aac211382dcab8750eba88e4a05984",
+        2: "d585cd56a374b019c14441acfb30da2cb842580dea8eca0d0617ec6f9be4f981",
+        3: "5b34800d40d26124f1cd56ecb4be40415da832ec3647a34ba55870d531193e3a",
+        20: "f357c66b6fad6c8baa04381aef53cf9bd178a8782c8373162f2c3595dac362a7",
+    },
+    "laplace4": {
+        1: "1e6e50e52913b6c0df7d0937c6ec7f365b8c069f1dfab4ca4fc8e26fdfff4781",
+        2: "e5cedaa094a71f5a0538dfe2499b4a2ad806cd2645e2e3f5f3546589d2b3a2af",
+        3: "2655507f0f1506d4b8426be6799d6ed0fc2d0893df156f5d7041819936a5731e",
+        15: "996d2a05354ddc5ab6959ea3c39aa0585be802cd42e05883e0433ac23fb4da62",
+    },
+    "lcu": {
+        1: "bc88999b4bde83025a0a2a53f926c0dd42e3d0aeb9609693e9b5b4a667146bed",
+        2: "e7ebe2f9548abb6fe23070c8888f2c8ce9465cd51bc1f1ad82a82a123bad444d",
+        3: "6a5a4b5e0a8cf11a9292ce4ecec9ab69969439bb2371380e2fddfa5866bb5690",
+        61: "c3af226ba7723f72a34522e01116212e3a7d17bc092f5ec31a968e933e51cd4f",
+    },
+    "wave": {
+        1: "23e6dbbdcb66fe0423c435132b7587daf1307ac5244b87314fba857693aa5d75",
+        2: "6b5923f6ec5547ba042528e11bcbc8d1646386b8be8f748d86d38541b740684a",
+        3: "d78e06d037d08edaa963341b6becc38103e68e1d6f2f511be94a2a532a35f38c",
+        30: "c0a44cf4a86cd8d8af43bd791fb8f85d73e6022b9618eab9f40adf90962851fb",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_lowered_streams_are_pinned(name):
+    for n, digest in LOWERED_SHA256[name].items():
+        text = export_text(lower_to_toffoli(BUILDERS[name](n).circuit))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, n)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
