@@ -44,16 +44,16 @@ from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import encodings, operators
-from ._lazy import lazy_import
 from .circuit import adjoint, apply_cubes, basis_cubes
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError
 from .operators import GridFunction, GridSpec
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class VerificationReport(NamedTuple):
@@ -183,6 +183,8 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     evaluates the squared norm of alpha times the declared (0,0) block's
     stencil applied to v.
     """
+    import numpy as np
+
     N = enc.system_dim
     if v.spec.npoints != N:
         raise ShapeError(f"grid has {v.spec.npoints} points, encoding expects {N}")
@@ -260,6 +262,8 @@ def fd_error_max(v_field, exact_laplacian_field, spec: GridSpec) -> float:
 
 def _fd_error(spec: GridSpec, raw: np.ndarray, exact: np.ndarray) -> float:
     """Max-norm error of the discrete Laplacian of raw samples against exact ones."""
+    import numpy as np
+
     return float(np.max(np.abs(operators.laplacian_stencil(spec).apply(raw) - exact)))
 
 
@@ -283,6 +287,8 @@ class FunctionFamily(NamedTuple):
 
     def field(self, dim: int):
         self.check_dim(dim)
+        import numpy as np
+
         trig = getattr(np, self.trig)
 
         def f(*axes):
@@ -296,7 +302,7 @@ class FunctionFamily(NamedTuple):
     def laplacian_factor(self, dim: int) -> float:
         """The eigenvalue -dim (2 k pi)**2 that maps the field to its Laplacian."""
         self.check_dim(dim)
-        return -dim * (2.0 * self.k * np.pi) ** 2
+        return -dim * (2.0 * self.k * math.pi) ** 2
 
     def exact_laplacian(self, dim: int):
         field, factor = self.field(dim), self.laplacian_factor(dim)

@@ -19,8 +19,9 @@ one and two OpenBLAS threads.
 Each command loads only the modules it runs.  This module needs
 ``encodings`` (and through it ``circuit`` and ``operators``) to parse
 and build; ``verify`` and ``sweep`` import ``analysis`` when they run,
-and ``resources`` imports ``resources``.  numpy is bound lazily (see
-``_lazy``), so ``verify``, ``resources`` and ``export`` never load it.
+and ``resources`` imports ``resources``.  The functions that compute
+on numpy arrays import numpy when they run, so ``verify``, ``resources``
+and ``export`` never load it.
 """
 
 from __future__ import annotations

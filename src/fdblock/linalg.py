@@ -7,10 +7,12 @@ arguments.
 
 from __future__ import annotations
 
-from ._lazy import lazy_import
+from typing import TYPE_CHECKING
+
 from .errors import ShapeError, SizeError
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sampled grid functions hold at most this many points.
 VECTOR_DIM_CAP = 1 << 16
@@ -18,6 +20,8 @@ VECTOR_DIM_CAP = 1 << 16
 
 def as_vector(values) -> np.ndarray:
     """Validate and convert to a finite 1-d complex128 array."""
+    import numpy as np
+
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim != 1 or v.size == 0:
         raise ShapeError(f"expected a nonempty 1-d vector, got shape {v.shape}")
@@ -30,4 +34,6 @@ def as_vector(values) -> np.ndarray:
 
 def norm2(v: np.ndarray) -> float:
     """Euclidean norm."""
+    import numpy as np
+
     return float(np.linalg.norm(as_vector(v)))

@@ -20,13 +20,14 @@ against live in the test suite's oracles, written without stencils.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
-from ._lazy import lazy_import
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
 from .linalg import VECTOR_DIM_CAP, norm2
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GridSpec(Frozen):
@@ -85,6 +86,8 @@ def grid_axes(spec: GridSpec) -> list[np.ndarray]:
     The returned arrays have shape (N,)*dim with tensor axis a holding
     coordinate x_{dim-1-a}, matching the vectorization order.
     """
+    import numpy as np
+
     pts = np.arange(spec.N) * spec.h
     mesh = np.meshgrid(*([pts] * spec.dim), indexing="ij")
     return [mesh[spec.dim - 1 - d] for d in range(spec.dim)]
@@ -92,6 +95,8 @@ def grid_axes(spec: GridSpec) -> list[np.ndarray]:
 
 def sample_grid(f, spec: GridSpec) -> np.ndarray:
     """Raw (unnormalized) samples of f on the grid, flattened."""
+    import numpy as np
+
     if spec.npoints > VECTOR_DIM_CAP:
         raise SizeError(f"{spec.npoints} grid points exceed cap {VECTOR_DIM_CAP}")
     vals = np.asarray(f(*grid_axes(spec)), dtype=np.complex128)
@@ -148,6 +153,8 @@ class Stencil(Frozen):
 
         Trailing axes of ``values`` are a batch of columns.
         """
+        import numpy as np
+
         spec = self.spec
         v = np.asarray(values, dtype=np.complex128)
         if v.ndim == 0 or v.shape[0] != spec.npoints:

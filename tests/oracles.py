@@ -25,6 +25,12 @@ every axis with every ancilla input, plus seeded random columns, and
 ``column_mismatches`` runs each alone through ``apply_sparse`` and
 compares it, amplitude for amplitude, with the cube entries of
 ``circuit.apply_cubes`` that cover it.
+
+``lowered_round_trip_gap`` is the second route to every ``resources``
+row: it proves a lowered circuit equal to its source, with the ladder
+returned to 0, by a round trip on cubes, at every width the builders
+reach.  ``closed_form_p_success`` and ``closed_form_e_max`` are the
+second route to every sweep number.
 """
 
 import math
@@ -33,9 +39,10 @@ import random
 import numpy as np
 
 import fdblock.circuit as circuit_mod
-from fdblock.analysis import VerificationReport
-from fdblock.circuit import adjoint
+from fdblock.analysis import VerificationReport, _move_gap
+from fdblock.circuit import Circuit, adjoint, apply_cubes, basis_cubes
 from fdblock.errors import ParameterError, ShapeError, SizeError
+from fdblock.resources import lower_to_toffoli
 
 # The dense simulator's cap: a 2**18 statevector takes 4 MiB.
 STATEVECTOR_QUBITS = 18
@@ -364,6 +371,67 @@ def charge_lowered_circuit(lowered):
             rot += 2
             clifford += 2 + open_penalty
     return t, clifford, rot
+
+
+def lowered_round_trip_gap(circuit, lowered=None):
+    """(gap, L): how far the lowered circuit is from its source, and its ladder width.
+
+    ``lowered`` defaults to ``lower_to_toffoli(circuit)``; a test passes
+    a mutant.  Its L ladder wires (the trailing wires num_qubits ...
+    num_qubits + L - 1) move to the front and the source's wires up by
+    L, so the ladder is the top L bits of every index.  The columns with
+    the ladder at 0 run forward through the lowered circuit and back
+    through the widened source's adjoint.  U_low |x, 0> = (U |x>) |0>
+    for every x exactly when that round trip is the identity on them:
+    block (0, 0) above the source's k bits, compared with
+    ``analysis._move_gap`` as one k-bit field.  A ladder left dirty
+    sends amplitude out of the block, so the identity's move is not
+    covered there and counts in full.
+    """
+    if lowered is None:
+        lowered = lower_to_toffoli(circuit)
+    k = circuit.num_qubits
+    L = lowered.num_qubits - k
+
+    def wire(q):
+        return q + L if q < k else q - k
+
+    def widened(c):
+        gates = tuple(
+            g._replace(target=wire(g.target), controls=tuple((wire(q), p) for q, p in g.controls))
+            for g in c.gates
+        )
+        return Circuit(k + L, gates)
+
+    low = widened(lowered)
+    ladder = ((1 << L) - 1) << k
+    cubes = [(care | ladder, val, xor, amp) for care, val, xor, amp in basis_cubes(low)]
+    back = apply_cubes(adjoint(widened(circuit)), apply_cubes(low, cubes))
+    return _move_gap(back, {0: 1.0}, k, k), L
+
+
+def closed_form_p_success(alpha, k, h):
+    """A sweep row's p_success in closed form: alpha**2 sin(pi k h)**4.
+
+    Every probe prod_d trig(2 pi k x_d) is an eigenvector of the
+    periodic second difference along each axis, with eigenvalue
+    -4 sin(pi k h)**2 / h**2.  The scaled Laplacian divides the sum of
+    the D axes by 4 D / h**2, so the unit probe goes to -sin(pi k h)**2
+    times itself, and alpha times that has squared norm as above.
+    """
+    return alpha**2 * math.sin(math.pi * k * h) ** 4
+
+
+def closed_form_e_max(dim, k, h, samples):
+    """A sweep row's e_max in closed form, from the probe's raw samples.
+
+    The discrete Laplacian maps the probe to -4 D sin(pi k h)**2 / h**2
+    times itself and the exact one to -D (2 pi k)**2 times itself, so
+    the largest error is D |(2 pi k)**2 - 4 sin(pi k h)**2 / h**2| times
+    the largest sample.
+    """
+    gap = (2.0 * math.pi * k) ** 2 - 4.0 * math.sin(math.pi * k * h) ** 2 / h**2
+    return dim * abs(gap) * float(np.max(np.abs(samples)))
 
 
 def trapezoid_l2_norm(f, dim, oversample_points):

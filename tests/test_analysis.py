@@ -31,6 +31,7 @@ from fdblock.operators import (
     GridSpec,
     Stencil,
     sample_function,
+    sample_grid,
     scaled_laplacian_stencil,
 )
 
@@ -38,6 +39,8 @@ from .oracles import (
     apply,
     banded_circulant,
     central_difference_1d,
+    closed_form_e_max,
+    closed_form_p_success,
     column_mismatches,
     extract_block,
     first_order_tensorized,
@@ -741,6 +744,47 @@ def test_sweep_matches_closed_form_and_halving_ratio():
         oracle = 16.0 * math.cos(math.pi * a.h / 2.0) ** 4
         assert ratio == pytest.approx(oracle, rel=1e-12)
         assert abs(ratio - 16.0) / 16.0 < 0.05
+
+
+# The sweeps of bench/reference: (op, dim, n range, family).
+REFERENCE_SWEEPS = [
+    ("laplace", 1, range(3, 17), "sinprod"),
+    ("laplace", 2, range(1, 9), "sinprod"),
+    ("laplace", 3, range(1, 6), "sinprod"),
+    ("laplace", 4, range(1, 5), "sinprod"),
+    ("lcu", 1, range(3, 17), "cos3"),
+]
+
+# At N = 2, sin(2 pi x) samples to 0 and 1.2e-16, so the normalized probe
+# is rounding noise, a delta at (1/2, ..., 1/2): (dim, n) -> (p_success,
+# its closed form).
+ROUNDING_NOISE_ROWS = {(2, 1): (0.375, 1.0), (3, 1): (0.1875, 0.5625), (4, 1): (0.3125, 1.0)}
+
+
+def test_reference_sweeps_match_their_closed_forms():
+    # p_success within a relative 2 eps / sin^2(pi k h), e_max within
+    # 32 D eps / h^2 (measured: 1.0 and 14.2), on every row but the three
+    # rounding-noise rows, which must miss the p_success bound
+    eps = 2.0**-52
+    rows = noise = 0
+    for op, dim, n_range, family in REFERENCE_SWEEPS:
+        fam = FAMILIES[family]
+        for row in sweep_success_probability(dim, n_range, family, op=op):
+            rows += 1
+            spec = GridSpec(dim, row.n)
+            raw = sample_grid(fam.field(dim), spec)
+            e_max = closed_form_e_max(dim, fam.k, row.h, raw)
+            assert abs(row.e_max - e_max) <= 32 * dim * eps / row.h**2, (op, dim, row.n)
+            p_success = closed_form_p_success(row.alpha, fam.k, row.h)
+            gap = abs(row.p_success - p_success) / p_success
+            bound = 2 * eps / math.sin(math.pi * fam.k * row.h) ** 2
+            if (op, family) == ("laplace", "sinprod") and (dim, row.n) in ROUNDING_NOISE_ROWS:
+                noise += 1
+                assert (row.p_success, p_success) == ROUNDING_NOISE_ROWS[dim, row.n]
+                assert gap > bound
+            else:
+                assert gap <= bound, (op, dim, row.n, gap / bound)
+    assert (rows, noise) == (45, 3)
 
 
 def test_sweep_lcu_is_sixteen_times_smaller():

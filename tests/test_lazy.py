@@ -4,12 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fdblock
 from fdblock import analysis, circuit, linalg, operators
-from fdblock._lazy import lazy_import
 from fdblock.encodings import OPS
 
 SRC = Path(fdblock.__file__).resolve().parents[1]
@@ -27,6 +25,31 @@ for argv in json.loads(sys.argv[1]):
         if fdblock.cli.main(argv) != 0:
             sys.exit(f"{argv} failed")
 print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# Runs the CLI commands given as a JSON list of argv lists in a fresh
+# interpreter, where with "refuse" a finder first makes numpy
+# unimportable, and prints each command's exit code and stdout, then the
+# numpy modules loaded.  Every fdblock module is imported first.
+REFUSE_SCRIPT = """
+import contextlib, io, json, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, RefuseNumpy())
+import fdblock.analysis, fdblock.cli, fdblock.resources
+
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([fdblock.cli.main(argv), out.getvalue()])
+numpy = [name for name in sys.modules if name.partition(".")[0] == "numpy"]
+print(json.dumps({"runs": runs, "numpy": numpy}))
 """
 
 # Imports fdblock in a fresh interpreter, reads every public name through
@@ -70,8 +93,8 @@ def modules_added(commands):
 
 
 def numpy_modules(modules):
-    """The numpy submodules among modules; numpy itself is bound lazily."""
-    return [name for name in modules if name.startswith("numpy.")]
+    """The numpy modules among modules, numpy itself included."""
+    return [name for name in modules if name.partition(".")[0] == "numpy"]
 
 
 def test_resources_and_export_never_load_numpy():
@@ -110,14 +133,16 @@ def test_public_names_resolve_on_first_access():
     assert seen["cached"] == seen["attr_same"] == names
 
 
-def test_lazy_import_returns_the_loaded_module():
-    assert lazy_import("numpy") is sys.modules["numpy"] is np
-    for module in (analysis, linalg, operators):
-        assert module.np is np
-    assert not hasattr(circuit, "np")  # the cube simulator runs on Python ints
+def test_no_module_binds_numpy():
+    # each function that computes on arrays imports numpy when it runs;
+    # the cube simulator runs on Python ints
+    for module in (analysis, circuit, linalg, operators):
+        assert "np" not in vars(module)
 
 
-def test_lazy_import_of_a_missing_module_fails_at_once():
-    with pytest.raises(ModuleNotFoundError):
-        lazy_import("fdblock_no_such_module")
-    assert "fdblock_no_such_module" not in sys.modules
+def test_verify_resources_and_export_run_without_numpy():
+    commands = json.dumps(VERIFY + RESOURCES_AND_EXPORT)
+    refused = run_fresh(REFUSE_SCRIPT, "refuse", commands)
+    assert refused["numpy"] == []
+    assert [code for code, _ in refused["runs"]] == [0] * len(VERIFY + RESOURCES_AND_EXPORT)
+    assert refused["runs"] == run_fresh(REFUSE_SCRIPT, "allow", commands)["runs"]

@@ -24,7 +24,13 @@ from fdblock.resources import (
     resources_csv,
 )
 
-from .oracles import charge_lowered_circuit, dense_toffoli_network, max_abs_diff, unitary
+from .oracles import (
+    charge_lowered_circuit,
+    dense_toffoli_network,
+    lowered_round_trip_gap,
+    max_abs_diff,
+    unitary,
+)
 
 BUILDERS = {
     "laplace1": lambda n: encode_laplace_1d(n),
@@ -108,6 +114,32 @@ def test_lowered_whole_encoding_equivalence(make):
     assert max_abs_diff(full[np.ix_(idx, idx)], unitary(enc.circuit)) < 1e-13
     leak = np.delete(full[:, idx], idx, axis=0)
     assert float(np.max(np.abs(leak))) < 1e-13 if leak.size else True
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_lowered_circuit_round_trips_to_its_source(name):
+    # the cube round trip has no dense cap; its ladder width is the
+    # resources table's ancilla column
+    for n in range(1, 4 if name in ("laplace3", "laplace4") else 7):
+        circuit = BUILDERS[name](n).circuit
+        gap, ladder = lowered_round_trip_gap(circuit)
+        assert gap <= 1e-12, (name, n, gap)
+        assert ladder == count_resources(circuit).ancilla_high_water, (name, n)
+
+
+@pytest.mark.parametrize("name,n", [("laplace1", 4), ("wave", 3)])
+def test_lowered_round_trip_catches_every_dropped_gate_and_flipped_control(name, n):
+    circuit = BUILDERS[name](n).circuit
+    lowered = lower_to_toffoli(circuit)
+    gates = lowered.gates
+    mutants = [gates[:i] + gates[i + 1 :] for i in range(len(gates))]
+    for i, g in enumerate(gates):
+        for j, (q, pol) in enumerate(g.controls):
+            controls = g.controls[:j] + ((q, 1 - pol),) + g.controls[j + 1 :]
+            mutants.append(gates[:i] + (g._replace(controls=controls),) + gates[i + 1 :])
+    for mutant in mutants:
+        gap, _ = lowered_round_trip_gap(circuit, Circuit(lowered.num_qubits, mutant))
+        assert gap > 1e-12
 
 
 def test_lowered_stream_is_toffoli_level():
