@@ -21,7 +21,6 @@ _EXPORTS = {
             "FAMILIES",
             "SweepRow",
             "VerificationReport",
-            "fd_error_max",
             "success_probability",
             "sweep_success_probability",
             "verify_pattern",
@@ -34,7 +33,6 @@ _EXPORTS = {
             "encode_derivative_1d",
             "encode_divergence_2d",
             "encode_gradient_2d",
-            "encode_laplace_1d",
             "encode_laplace_1d_lcu",
             "encode_laplace_dd",
             "encode_wave_2d",

@@ -44,16 +44,13 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import encodings, operators
 from .circuit import adjoint, apply_cubes, basis_cubes
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError
 from .operators import GridFunction, GridSpec
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class VerificationReport(NamedTuple):
@@ -254,19 +251,6 @@ def _zero_block(enc: BlockEncoding) -> operators.Stencil:
     return stencil
 
 
-def fd_error_max(v_field, exact_laplacian_field, spec: GridSpec) -> float:
-    """Max-norm error of the discrete Laplacian against exact samples."""
-    raw = operators.sample_grid(v_field, spec)
-    return _fd_error(spec, raw, operators.sample_grid(exact_laplacian_field, spec))
-
-
-def _fd_error(spec: GridSpec, raw: np.ndarray, exact: np.ndarray) -> float:
-    """Max-norm error of the discrete Laplacian of raw samples against exact ones."""
-    import numpy as np
-
-    return float(np.max(np.abs(operators.laplacian_stencil(spec).apply(raw) - exact)))
-
-
 class FunctionFamily(NamedTuple):
     """Probe prod_d trig(2 k pi x_d) on [0,1]^D, its exact Laplacian and constant.
 
@@ -304,10 +288,6 @@ class FunctionFamily(NamedTuple):
         self.check_dim(dim)
         return -dim * (2.0 * self.k * math.pi) ** 2
 
-    def exact_laplacian(self, dim: int):
-        field, factor = self.field(dim), self.laplacian_factor(dim)
-        return lambda *axes: factor * field(*axes)
-
     def constant(self, dim: int) -> float:
         self.check_dim(dim)
         return self.k**4 * math.pi**4 * alpha_d(dim) ** 2
@@ -338,6 +318,7 @@ def sweep_success_probability(
         raise ParameterError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     fam = FAMILIES[family]
     fam.check_dim(dim)
+    import numpy as np
 
     rows = []
     for n in n_range:
@@ -348,7 +329,10 @@ def sweep_success_probability(
             raise ParameterError(f"op {op!r} does not encode the scaled Laplacian in block (0,0)")
         raw = operators.sample_grid(fam.field(dim), spec)
         gf = GridFunction.from_samples(spec, raw)
-        e_max = _fd_error(spec, raw, fam.laplacian_factor(dim) * raw)
+        lap = operators.laplacian_stencil(spec)
+        # the probe's exact Laplacian is its factor times the samples; one
+        # expression, so that no grid-sized array outlives it
+        e_max = float(np.max(np.abs(lap.apply(raw) - fam.laplacian_factor(dim) * raw)))
         scale = (enc.alpha / alpha_d(dim)) ** 2
         rows.append(
             SweepRow(

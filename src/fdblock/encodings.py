@@ -154,18 +154,6 @@ def _shift_lcu(
     return Circuit(num_qubits, tuple(gates))
 
 
-def encode_laplace_1d(n: int) -> BlockEncoding:
-    """Two-ancilla encoding of the scaled 1-d periodic second difference.
-
-    Layout [l:2][j:n]; m = 2, alpha = 1.  The (0,0) block is the
-    circulant with diagonal -1/2 and neighbor entries 1/4.  All 16
-    blocks are declared: the diagonal ones are that circulant, those
-    with row + col = 3 are (1, 2, 1)/4 and the other eight are the
-    halved central difference (-1, 0, +1)/4.
-    """
-    return encode_laplace_dd(1, n)
-
-
 def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     """Encoding of the scaled D-dim Laplacian; m = 2 + ceil(log2 D).
 
@@ -173,7 +161,9 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     over the axis register k selects which axis register is shifted;
     axis patterns k >= dim leave the grid registers untouched, which is
     what makes alpha = dim/2**dhat when dim is not a power of two.  For
-    D = 1 the axis register is empty and this is :func:`encode_laplace_1d`.
+    D = 1 the axis register is empty, giving the two-ancilla 1-d encoding
+    [l:2][j:n] with alpha = 1, whose 16 blocks are all declared
+    (:func:`_laplace_1d_blocks`).
     """
     spec = GridSpec(dim, n)
     dhat = ancilla_axis_qubits(dim)
@@ -190,7 +180,12 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
 
 
 def _laplace_1d_blocks(lap: Stencil) -> tuple[tuple[int, int, Stencil], ...]:
-    """The full 4 x 4 block grid of the 1-d Laplacian encoding, lap on the diagonal."""
+    """The full 4 x 4 block grid of the 1-d Laplacian encoding.
+
+    The diagonal blocks are lap, the circulant with diagonal -1/2 and
+    neighbor entries 1/4; those with row + col = 3 are (1, 2, 1)/4 and
+    the other eight are the halved central difference (-1, 0, +1)/4.
+    """
     spec = lap.spec
     mean = Stencil(spec, ((0, -1, 1.0), (0, 0, 2.0), (0, 1, 1.0)), 4.0)
     diff = Stencil(spec, ((0, 1, 1.0), (0, -1, -1.0)), 4.0)

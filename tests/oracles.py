@@ -569,9 +569,6 @@ def apply_sparse(circuit, cols, idx, amp):
     return cols, idx, amp
 
 
-# Budget of one verification panel, in sparse entries, not bytes: the
-# per-gate sort temporaries of apply_sparse cost about 175 B per entry,
-# and CLI ``verify --op laplace --dim 1 --n 16`` (18 q) peaks at 189 MB RSS.
 def stencil_columns(stencil, js):
     """Sparse columns A e_j of a Stencil for the uint64 grid indices ``js``.
 
@@ -603,6 +600,9 @@ def stencil_columns(stencil, js):
     return k, np.concatenate(rows), np.repeat(values, js.size)
 
 
+# Budget of one verification panel, in sparse entries, not bytes: the
+# per-gate sort temporaries of apply_sparse cost about 175 B per entry,
+# and CLI ``verify --op laplace --dim 1 --n 16`` (18 q) peaks at 189 MB RSS.
 PANEL_ENTRIES = 1 << 20
 
 

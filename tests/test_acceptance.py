@@ -12,7 +12,6 @@ import numpy as np
 
 from fdblock.analysis import (
     FAMILIES,
-    fd_error_max,
     success_probability,
     sweep_success_probability,
     verify_pattern,
@@ -23,7 +22,6 @@ from fdblock.encodings import (
     encode_derivative_1d,
     encode_divergence_2d,
     encode_gradient_2d,
-    encode_laplace_1d,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
     encode_wave_2d,
@@ -66,7 +64,7 @@ def test_criterion_01_block_identity_1d():
         for n in (2, 3, 4):
             N = 1 << n
             h = 1.0 / N
-            enc = encode_laplace_1d(n)
+            enc = encode_laplace_dd(1, n)
             lap = scaled_laplacian_1d(n)
             assert max_abs_diff(extract_block(enc, 0, 0), lap) <= 1e-12
             dd = (h / 2.0) * central_difference_1d(n)
@@ -96,7 +94,7 @@ def test_criterion_03_selection_truth_table_exact():
     with criterion(3, "selection truth table exact over all 4N pairs, n <= 3"):
         for n in (1, 2, 3):
             N = 1 << n
-            enc = encode_laplace_1d(n)
+            enc = encode_laplace_dd(1, n)
             part2 = Circuit(
                 enc.circuit.num_qubits,
                 tuple(g for g in enc.circuit.gates if g.kind == "X"),
@@ -117,12 +115,12 @@ def test_criterion_04_success_probability_1d():
     with criterion(4, "1-d success probability: closed form and asymptotic constants"):
         for n in range(3, 9):
             h = 1.0 / (1 << n)
-            p = success_probability(encode_laplace_1d(n), grid_fn("sin1", 1, n), "circuit")
+            p = success_probability(encode_laplace_dd(1, n), grid_fn("sin1", 1, n), "circuit")
             assert abs(p - math.sin(math.pi * h) ** 4) <= 1e-12
         h = 2.0**-8
-        p1 = success_probability(encode_laplace_1d(8), grid_fn("sin1", 1, 8), "circuit")
+        p1 = success_probability(encode_laplace_dd(1, 8), grid_fn("sin1", 1, 8), "circuit")
         assert abs(p1 / h**4 - math.pi**4) / math.pi**4 <= 0.02
-        p2 = success_probability(encode_laplace_1d(8), grid_fn("cos3", 1, 8), "circuit")
+        p2 = success_probability(encode_laplace_dd(1, 8), grid_fn("cos3", 1, 8), "circuit")
         assert abs(p2 / h**4 - 81 * math.pi**4) / (81 * math.pi**4) <= 0.05
 
 
@@ -131,7 +129,7 @@ def test_criterion_05_comparison_factor_sixteen():
         for n in range(3, 7):
             for family in ("sin1", "cos3"):
                 gf = grid_fn(family, 1, n)
-                p_base = success_probability(encode_laplace_1d(n), gf, "circuit")
+                p_base = success_probability(encode_laplace_dd(1, n), gf, "circuit")
                 p_comp = success_probability(encode_laplace_1d_lcu(n), gf, "circuit")
                 assert abs(p_base / p_comp - 16.0) <= 1e-9
 
@@ -160,13 +158,10 @@ def test_criterion_07_fd_error_bounds_and_ratio():
             "cos3": 108.0 * math.pi**4,
         }
         for family, coeff in bounds.items():
-            fam = FAMILIES[family]
             errors = {}
-            for n in range(4, 9):
-                spec = GridSpec(1, n)
-                e = fd_error_max(fam.field(1), fam.exact_laplacian(1), spec)
-                assert e <= coeff * spec.h**2
-                errors[n] = e
+            for row in sweep_success_probability(1, range(4, 9), family):
+                assert row.e_max <= coeff * row.h**2
+                errors[row.n] = row.e_max
             for n in range(4, 8):
                 assert 3.6 <= errors[n] / errors[n + 1] <= 4.4
 
@@ -185,7 +180,7 @@ def test_criterion_08_first_order_encodings():
 def test_criterion_09_resource_scaling():
     with criterion(9, "T-counts affine in n, log-linear fit, and comparison ordering"):
         builders = {
-            "laplace D=1": lambda n: encode_laplace_1d(n),
+            "laplace D=1": lambda n: encode_laplace_dd(1, n),
             "laplace D=2": lambda n: encode_laplace_dd(2, n),
             "laplace D=3": lambda n: encode_laplace_dd(3, n),
             "lcu": lambda n: encode_laplace_1d_lcu(n),
@@ -210,7 +205,7 @@ def test_criterion_09_resource_scaling():
             r2 = 1.0 - float(residual @ residual) / float((y - y.mean()) @ (y - y.mean()))
             assert r2 >= 0.99
         for n in range(2, 9):
-            base = count_resources(encode_laplace_1d(n).circuit)
+            base = count_resources(encode_laplace_dd(1, n).circuit)
             comp = count_resources(encode_laplace_1d_lcu(n).circuit)
             assert comp.rotation_count > 0
             # strict even before any rotation charge is added
@@ -220,9 +215,9 @@ def test_criterion_09_resource_scaling():
 def test_criterion_10_property_suite():
     with criterion(10, "unitarity, route agreement, norm preservation, tensor-sum oracle"):
         corpus = [
-            encode_laplace_1d(2),
-            encode_laplace_1d(3),
-            encode_laplace_1d(4),
+            encode_laplace_dd(1, 2),
+            encode_laplace_dd(1, 3),
+            encode_laplace_dd(1, 4),
             encode_laplace_dd(2, 2),
             encode_laplace_dd(2, 3),
             encode_laplace_dd(3, 1),
@@ -241,8 +236,8 @@ def test_criterion_10_property_suite():
             v /= np.linalg.norm(v)
             assert abs(np.linalg.norm(apply(enc.circuit, v)) - 1.0) <= 1e-12
         route_cases = [
-            (encode_laplace_1d(3), "sin1", 1, 3),
-            (encode_laplace_1d(8), "cos3", 1, 8),
+            (encode_laplace_dd(1, 3), "sin1", 1, 3),
+            (encode_laplace_dd(1, 8), "cos3", 1, 8),
             (encode_laplace_dd(2, 2), "sinprod", 2, 2),
             (encode_laplace_dd(3, 2), "sinprod", 3, 2),
             (encode_laplace_1d_lcu(4), "sin1", 1, 4),

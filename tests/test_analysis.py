@@ -6,7 +6,6 @@ import pytest
 from fdblock.analysis import (
     FAMILIES,
     SWEEP_CSV_HEADER,
-    fd_error_max,
     success_probability,
     sweep_csv,
     sweep_success_probability,
@@ -20,7 +19,6 @@ from fdblock.encodings import (
     encode_derivative_1d,
     encode_divergence_2d,
     encode_gradient_2d,
-    encode_laplace_1d,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
     encode_wave_2d,
@@ -30,6 +28,7 @@ from fdblock.operators import (
     GridFunction,
     GridSpec,
     Stencil,
+    laplacian_stencil,
     sample_function,
     sample_grid,
     scaled_laplacian_stencil,
@@ -70,7 +69,7 @@ def test_extract_block_of_bare_ancilla_is_identity():
 
 def test_extract_block_theorem_targets():
     assert (
-        max_abs_diff(extract_block(encode_laplace_1d(3), 0, 0), scaled_laplacian_1d(3))
+        max_abs_diff(extract_block(encode_laplace_dd(1, 3), 0, 0), scaled_laplacian_1d(3))
         < 1e-12
     )
     enc = encode_laplace_dd(3, 1)
@@ -85,7 +84,7 @@ def with_blocks(enc, blocks):
 
 
 def test_verify_pattern_fails_on_a_perturbed_reference():
-    enc = encode_laplace_1d(3)
+    enc = encode_laplace_dd(1, 3)
     assert verify_pattern(enc, 1e-12).passed
     row, col, stencil = enc.blocks[0]
     # the centre coefficient, so every diagonal entry of block (0, 0) moves by 1e-6
@@ -100,7 +99,7 @@ def test_verify_pattern_fails_on_a_perturbed_reference():
 
 
 def test_verify_pattern_fails_on_a_flipped_off_diagonal_block():
-    enc = encode_laplace_1d(3)
+    enc = encode_laplace_dd(1, 3)
     row, col, stencil = enc.blocks[1]
     assert (row, col) == (0, 1)
     flipped = Stencil(stencil.spec, tuple((a, o, -c) for a, o, c in stencil.terms), stencil.divisor)
@@ -148,7 +147,7 @@ def _laplace_1d_blocks(n):
 # Every builder at 9-10 qubits, the sizes where the dense route is cheap,
 # with its blocks written out as dense operator matrices.
 ROUND_TRIP_CASES = [
-    (encode_laplace_1d(8), lambda: _laplace_1d_blocks(8)),
+    (encode_laplace_dd(1, 8), lambda: _laplace_1d_blocks(8)),
     (encode_laplace_dd(2, 3), lambda: {(0, 0): scaled_laplacian_dd(2, 3)}),
     (encode_laplace_dd(3, 2), lambda: {(0, 0): 0.75 * scaled_laplacian_dd(3, 2)}),
     (encode_laplace_1d_lcu(7), lambda: {(0, 0): -0.25 * scaled_laplacian_1d(7)}),
@@ -199,7 +198,7 @@ def test_declared_stencils_give_sparse_columns_of_wide_grids():
 
 @pytest.mark.parametrize(
     "enc",
-    [encode_laplace_1d(4), encode_wave_2d(2), encode_laplace_1d_lcu(3)],
+    [encode_laplace_dd(1, 4), encode_wave_2d(2), encode_laplace_1d_lcu(3)],
     ids=lambda e: e.label,
 )
 def test_round_trip_residual_matches_dense_gram_for_a_non_unitary_h(enc, monkeypatch):
@@ -218,7 +217,7 @@ def test_round_trip_counts_an_absent_diagonal_entry_as_zero(monkeypatch):
     # has no diagonal entries at all, like the dense Gram of a zero block
     import fdblock.circuit as circuit_mod
 
-    enc = encode_laplace_1d(2)
+    enc = encode_laplace_dd(1, 2)
     monkeypatch.setattr(circuit_mod, "_RSQRT2", 0.0)
     report = verify_pattern(enc, 1e-12)
     assert report.unitarity_residual == unitarity_residual(unitary(enc.circuit)) == 1.0
@@ -374,7 +373,7 @@ def test_verify_compares_an_alternating_move_as_one_entry():
 def test_verify_fails_on_an_alternating_term_at_the_statevector_cap():
     # laplace_1d n=16 has 18 qubits; an extra declared term at offset
     # 0x5555 is a move that the circuit never makes
-    enc = encode_laplace_1d(16)
+    enc = encode_laplace_dd(1, 16)
     row, col, lap = enc.blocks[0]
     extra = Stencil(lap.spec, (*lap.terms, (0, 0x5555, 1.0)), lap.divisor)
     report = verify_pattern(with_blocks(enc, ((row, col, extra), *enc.blocks[1:])), 1e-12)
@@ -468,13 +467,13 @@ def test_verify_pattern_needs_declared_blocks():
 def test_success_probability_sine_closed_form(n):
     # the sampled sine is an exact eigenvector of the circulant, with
     # eigenvalue -sin^2(pi h); probability is its fourth power
-    enc = encode_laplace_1d(n)
+    enc = encode_laplace_dd(1, n)
     p = success_probability(enc, grid_fn("sin1", 1, n), "circuit")
     assert abs(p - math.sin(math.pi / (1 << n)) ** 4) < 1e-12
 
 
 def test_success_probability_constant_function_is_zero():
-    enc = encode_laplace_1d(4)
+    enc = encode_laplace_dd(1, 4)
     gf = sample_function(lambda x: np.ones_like(x), GridSpec(1, 4))
     assert success_probability(enc, gf, "circuit") < 1e-25
     assert success_probability(enc, gf, "matrix") < 1e-25
@@ -485,15 +484,15 @@ def test_success_probability_cos3_constant():
     # at n=5, inside 5% from n=6 on
     for n in (5, 6, 8):
         h = 1.0 / (1 << n)
-        p = success_probability(encode_laplace_1d(n), grid_fn("cos3", 1, n), "circuit")
+        p = success_probability(encode_laplace_dd(1, n), grid_fn("cos3", 1, n), "circuit")
         assert abs(p - math.sin(3 * math.pi * h) ** 4) < 1e-13
         rel = abs(p / h**4 - 81 * math.pi**4) / (81 * math.pi**4)
         assert rel < (0.06 if n == 5 else 0.05)
 
 
 ROUTE_CASES = [
-    (encode_laplace_1d(3), "sin1", 1, 3),
-    (encode_laplace_1d(4), "cos3", 1, 4),
+    (encode_laplace_dd(1, 3), "sin1", 1, 3),
+    (encode_laplace_dd(1, 4), "cos3", 1, 4),
     (encode_laplace_dd(2, 2), "sinprod", 2, 2),
     (encode_laplace_dd(3, 1), "sinprod", 3, 1),
     (encode_laplace_1d_lcu(3), "sin1", 1, 3),
@@ -626,7 +625,7 @@ def test_circuit_route_runs_past_the_statevector_cap(dim, n):
 def test_circuit_route_refuses_a_circuit_beyond_the_entry_budget():
     # an H on every grid wire makes all 16 wires quantum, so every cube
     # is one column, and each H doubles them until they pass the budget
-    enc = encode_laplace_1d(14)
+    enc = encode_laplace_dd(1, 14)
     spread = tuple(Gate("H", w) for w in range(enc.m, 16)) + enc.circuit.gates
     wide = BlockEncoding(Circuit(16, spread), enc.m, enc.alpha, enc.label)
     with pytest.raises(SizeError, match="cube entries exceed the budget of 65536"):
@@ -665,7 +664,7 @@ def test_circuit_route_runs_in_place_on_its_own_state():
 
 
 def test_success_probability_rejects_bad_route_and_dims():
-    enc = encode_laplace_1d(3)
+    enc = encode_laplace_dd(1, 3)
     with pytest.raises(ParameterError):
         success_probability(enc, grid_fn("sin1", 1, 3), "magic")
     with pytest.raises(ShapeError):
@@ -676,7 +675,7 @@ def test_orthogonal_remainder_sums_to_one():
     # mass in the zero-ancilla block plus mass in all other ancilla
     # branches is exactly the (preserved) input norm
     n = 3
-    enc = encode_laplace_1d(n)
+    enc = encode_laplace_dd(1, n)
     gf = grid_fn("sin1", 1, n)
     state = np.zeros(enc.circuit.dim, dtype=complex)
     state[: enc.system_dim] = gf.values
@@ -689,36 +688,31 @@ def test_orthogonal_remainder_sums_to_one():
 
 def test_fd_error_constant_field_is_zero():
     spec = GridSpec(1, 4)
-    e = fd_error_max(
-        lambda x: np.ones_like(x), lambda x: np.zeros_like(x), spec
-    )
-    assert e == 0.0
+    raw = sample_grid(lambda x: np.ones_like(x), spec)
+    assert not np.any(laplacian_stencil(spec).apply(raw))
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_fd_error_bounds(n):
-    spec = GridSpec(1, n)
-    e1 = fd_error_max(FAMILIES["sin1"].field(1), FAMILIES["sin1"].exact_laplacian(1), spec)
-    e2 = fd_error_max(FAMILIES["cos3"].field(1), FAMILIES["cos3"].exact_laplacian(1), spec)
-    assert e1 <= (4.0 * math.pi**4 / 3.0) * spec.h**2
-    assert e2 <= 108.0 * math.pi**4 * spec.h**2
+    h = 1.0 / (1 << n)
+    (row1,) = sweep_success_probability(1, [n], "sin1")
+    (row2,) = sweep_success_probability(1, [n], "cos3")
+    assert row1.e_max <= (4.0 * math.pi**4 / 3.0) * h**2
+    assert row2.e_max <= 108.0 * math.pi**4 * h**2
 
 
 def test_sin1_is_sinprod_in_one_dimension():
     sin1, sinprod = FAMILIES["sin1"], FAMILIES["sinprod"]
     x = np.concatenate([np.arange(64) / 64, np.random.default_rng(5).random(16)])
     assert np.array_equal(sin1.field(1)(x), sinprod.field(1)(x))
-    assert np.array_equal(sin1.exact_laplacian(1)(x), sinprod.exact_laplacian(1)(x))
+    assert sin1.laplacian_factor(1) == sinprod.laplacian_factor(1)
     assert sin1.constant(1) == sinprod.constant(1)
 
 
 def test_fd_error_halving_ratio_near_four():
     for family in ("sin1", "cos3"):
-        fam = FAMILIES[family]
-        errors = {
-            n: fd_error_max(fam.field(1), fam.exact_laplacian(1), GridSpec(1, n))
-            for n in range(4, 9)
-        }
+        rows = sweep_success_probability(1, range(4, 9), family)
+        errors = {row.n: row.e_max for row in rows}
         for n in range(4, 8):
             ratio = errors[n] / errors[n + 1]
             assert 3.6 <= ratio <= 4.4
@@ -825,8 +819,10 @@ def test_sweep_samples_each_field_once_and_matches_the_public_routes(monkeypatch
             assert len(calls) == len(ns)
             for row in rows:
                 spec = GridSpec(dim, row.n)
-                expected = fd_error_max(fam.field(dim), fam.exact_laplacian(dim), spec)
-                assert row.e_max == expected
+                raw = sample_grid(fam.field(dim), spec)
+                lap = laplacian_stencil(spec).apply(raw)
+                exact = fam.laplacian_factor(dim) * raw
+                assert row.e_max == float(np.max(np.abs(lap - exact)))
                 gf = sample_function(fam.field(dim), spec)
                 enc = encode_laplace_dd(dim, row.n)
                 assert row.p_success == success_probability(enc, gf, "matrix")
@@ -856,7 +852,8 @@ def test_scaled_action_asymptote_matches_quadrature_oracle():
         measured = float(
             np.linalg.norm(scaled_laplacian_stencil(spec).apply(gf.values))
         ) / spec.h**2
-        num = trapezoid_l2_norm(fam.exact_laplacian(dim), dim, 10 * spec.N)
+        field, factor = fam.field(dim), fam.laplacian_factor(dim)
+        num = trapezoid_l2_norm(lambda *x: factor * field(*x), dim, 10 * spec.N)
         den = trapezoid_l2_norm(fam.field(dim), dim, 10 * spec.N)
         oracle = num / den / (4.0 * dim)
         assert abs(measured - oracle) / oracle < 0.02
@@ -921,7 +918,7 @@ def test_entry_budget_only_refuses_work(monkeypatch):
 def test_verify_refuses_a_circuit_beyond_the_entry_budget():
     # an H on every grid wire makes all 16 wires quantum: every cube is
     # one column, and the first H doubles them past the budget at once
-    enc = encode_laplace_1d(14)
+    enc = encode_laplace_dd(1, 14)
     spread = tuple(Gate("H", w) for w in range(enc.m, 16)) + enc.circuit.gates
     with pytest.raises(SizeError, match="gate 0: 131072 cube entries exceed the budget of 65536"):
         verify_pattern(

@@ -11,7 +11,7 @@ from fdblock.circuit import (
     export_text,
     quantum_bits,
 )
-from fdblock.encodings import encode_laplace_1d, shift_circuit
+from fdblock.encodings import encode_laplace_dd, shift_circuit
 from fdblock.errors import QubitIndexError, ShapeError, SizeError
 
 from .oracles import (
@@ -77,7 +77,7 @@ def test_big_endian_convention():
 def test_selection_subcircuit_fixes_middle_branches():
     # with the selection register in state 1, neither shift fires
     n = 3
-    enc = encode_laplace_1d(n)
+    enc = encode_laplace_dd(1, n)
     part2 = Circuit(enc.circuit.num_qubits, tuple(g for g in enc.circuit.gates if g.kind == "X"))
     for j in range(1 << n):
         out = apply(part2, basis(n + 2, (1 << n) + j))
@@ -105,7 +105,7 @@ def test_unitary_block_grid_structure():
     n = 2
     N = 1 << n
     h = 1.0 / N
-    u = unitary(encode_laplace_1d(n).circuit)
+    u = unitary(encode_laplace_dd(1, n).circuit)
     lap = scaled_laplacian_1d(n)
     dd = (h / 2.0) * central_difference_1d(n)
     qq = (1.0 / (2.0 * h)) * trapezoid_1d(n)
@@ -123,7 +123,7 @@ def test_unitary_runs_in_place_on_its_own_identity():
 
     from fdblock.encodings import encode_laplace_1d_lcu, encode_wave_2d
 
-    for enc in (encode_laplace_1d(8), encode_wave_2d(3), encode_laplace_1d_lcu(7)):
+    for enc in (encode_laplace_dd(1, 8), encode_wave_2d(3), encode_laplace_1d_lcu(7)):
         tracemalloc.start()
         try:
             u = unitary(enc.circuit)
@@ -153,7 +153,7 @@ def test_apply_to_columns_runs_in_place_on_its_copy():
     )
 
     for enc in (
-        encode_laplace_1d(13),
+        encode_laplace_dd(1, 13),
         encode_laplace_dd(2, 6),
         encode_laplace_1d_lcu(12),
         encode_banded_lcu(12, 0.65, -0.4, 0.15),
@@ -233,13 +233,13 @@ def test_apply_in_place_overwrites_its_own_array():
         apply_in_place(c, mat)
 
 
-def test_controlled_single_x_is_cnot():
+def test_x_with_one_control_is_cnot():
     cnot = Circuit(2, (Gate("X", 1, ((0, 1),)),))
     assert np.array_equal(apply(cnot, basis(2, 2)), basis(2, 3))
     assert np.array_equal(apply(cnot, basis(2, 0)), basis(2, 0))
 
 
-def test_controlled_polarity_zero_blocks_on_one():
+def test_x_with_a_polarity_zero_control_fires_on_zero():
     anti = Circuit(2, (Gate("X", 1, ((0, 0),)),))
     assert np.array_equal(apply(anti, basis(2, 2)), basis(2, 2))
     assert np.array_equal(apply(anti, basis(2, 0)), basis(2, 1))
@@ -255,19 +255,19 @@ def test_controlled_shift_matches_encoding_gates():
         Gate(g.kind, g.target + 2, ((1, 0),) + tuple((q + 2, p) for q, p in g.controls))
         for g in base.gates
     )
-    enc = encode_laplace_1d(n)
+    enc = encode_laplace_dd(1, n)
     expected = tuple(g for g in enc.circuit.gates if g.kind == "X")[:n]
     assert built == expected
 
 
-def test_compose_shift_inverse_is_identity():
+def test_decrement_then_increment_is_identity():
     n = 3
     c = Circuit(n, shift_circuit(-1, n).gates + shift_circuit(+1, n).gates)
     for j in range(1 << n):
         assert np.array_equal(apply(c, basis(n, j)), basis(n, j))
 
 
-def test_unitary_of_compose_is_reversed_product():
+def test_unitary_of_joined_gate_lists_is_reversed_product():
     rng = np.random.default_rng(5)
     gates_a = tuple(Gate("RY", int(rng.integers(0, 3)), theta=float(rng.normal())) for _ in range(4))
     gates_b = (Gate("H", 1), Gate("X", 2, ((0, 1),)))
@@ -278,7 +278,7 @@ def test_unitary_of_compose_is_reversed_product():
 
 def test_apply_preserves_norm_on_corpus():
     rng = np.random.default_rng(11)
-    for circ in (encode_laplace_1d(3).circuit, shift_circuit(+1, 4)):
+    for circ in (encode_laplace_dd(1, 3).circuit, shift_circuit(+1, 4)):
         v = rng.normal(size=circ.dim) + 1j * rng.normal(size=circ.dim)
         v /= np.linalg.norm(v)
         assert abs(np.linalg.norm(apply(circ, v)) - 1.0) < 1e-12

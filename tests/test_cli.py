@@ -206,6 +206,8 @@ def test_usage_errors(capsys):
     assert run("verify", "--op", "laplace", "--dim", "1", "--n", "3",
                "--tol", "-1") == 2
     capsys.readouterr()
+    assert run("verify", "--op", "laplace", "--n", "a..3") == 2
+    assert "bad range 'a..3'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -263,6 +265,14 @@ def test_io_error_exit_code(tmp_path, capsys):
                "--family", "sin1", "--out", str(target))
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+    # replacing a directory fails after the temporary file is written,
+    # and the temporary file is removed
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert run("export", "--op", "wave", "--n", "2", "--out", str(taken)) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert os.listdir(taken) == []
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -15,7 +15,6 @@ from fdblock.encodings import (
     encode_derivative_1d,
     encode_divergence_2d,
     encode_gradient_2d,
-    encode_laplace_1d,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
     encode_wave_2d,
@@ -84,7 +83,7 @@ def test_shift_rejects_bad_args():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_laplace_1d_zero_block(n):
-    enc = encode_laplace_1d(n)
+    enc = encode_laplace_dd(1, n)
     assert enc.m == 2 and enc.alpha == 1.0
     assert max_abs_diff(extract_block(enc, 0, 0), scaled_laplacian_1d(n)) < 1e-12
 
@@ -92,7 +91,7 @@ def test_laplace_1d_zero_block(n):
 def test_laplace_1d_difference_and_quadrature_blocks():
     n = 3
     h = 1.0 / (1 << n)
-    enc = encode_laplace_1d(n)
+    enc = encode_laplace_dd(1, n)
     dd = (h / 2.0) * central_difference_1d(n)
     qq = (1.0 / (2.0 * h)) * trapezoid_1d(n)
     assert max_abs_diff(extract_block(enc, 0, 1), dd) < 1e-12
@@ -103,7 +102,7 @@ def test_laplace_1d_difference_and_quadrature_blocks():
 def test_laplace_1d_full_block_grid(n):
     N = 1 << n
     h = 1.0 / N
-    u = unitary(encode_laplace_1d(n).circuit)
+    u = unitary(encode_laplace_dd(1, n).circuit)
     lap = scaled_laplacian_1d(n)
     dd = (h / 2.0) * central_difference_1d(n)
     qq = (1.0 / (2.0 * h)) * trapezoid_1d(n)
@@ -118,7 +117,7 @@ def test_lemma_truth_table_exact():
     # with amplitudes exactly 0 or 1
     for n in (1, 2, 3):
         N = 1 << n
-        enc = encode_laplace_1d(n)
+        enc = encode_laplace_dd(1, n)
         part2 = selection_subcircuit(enc)
         for sel in range(4):
             for j in range(N):
@@ -138,6 +137,8 @@ def test_alpha_d_values():
     assert alpha_d(5) == 5.0 / 8.0
     assert ancilla_axis_qubits(1) == 0
     assert ancilla_axis_qubits(3) == 2
+    with pytest.raises(ParameterError, match="dim must be >= 1"):
+        alpha_d(0)
 
 
 @pytest.mark.parametrize(
@@ -151,14 +152,6 @@ def test_laplace_dd_zero_block(dim, n):
     assert enc.alpha == alpha_d(dim)
     target = alpha_d(dim) * scaled_laplacian_dd(dim, n)
     assert max_abs_diff(extract_block(enc, 0, 0), target) < 1e-12
-
-
-def test_laplace_dd_dim1_is_the_1d_encoding():
-    for n in (1, 3, 6):
-        enc = encode_laplace_1d(n)
-        assert enc == encode_laplace_dd(1, n)
-        assert enc.label == f"laplace_1d n={n}"
-        assert (enc.m, enc.alpha) == (2, 1.0)
 
 
 def test_laplace_dd_unused_axis_patterns_leave_grid_fixed():
@@ -268,8 +261,8 @@ def test_wave_block_pattern():
 
 
 CORPUS = [
-    encode_laplace_1d(2),
-    encode_laplace_1d(3),
+    encode_laplace_dd(1, 2),
+    encode_laplace_dd(1, 3),
     encode_laplace_dd(2, 2),
     encode_laplace_dd(3, 1),
     encode_laplace_1d_lcu(3),
@@ -370,7 +363,7 @@ def test_declared_blocks_must_have_the_system_grid_size():
     # block's field width from its stencil's grid
     from fdblock.analysis import verify_pattern
 
-    enc = encode_laplace_1d(4)
+    enc = encode_laplace_dd(1, 4)
     for spec in (GridSpec(1, 3), GridSpec(1, 5)):
         blocks = ((0, 1, scaled_laplacian_stencil(spec)),)
         with pytest.raises(ParameterError, match=r"block \(0, 1\): .* system register 16$"):

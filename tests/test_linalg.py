@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdblock.errors import ShapeError
+from fdblock.errors import ShapeError, SizeError
 from fdblock.linalg import as_vector, norm2
 
 from .oracles import (
@@ -45,7 +45,7 @@ def test_norm2_three_four_five():
     assert norm2(np.array([0.6, 0.8])) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_is_unitary_identity_and_hadamard():
+def test_identity_and_hadamard_have_no_unitarity_residual():
     assert unitarity_residual(np.eye(8)) <= 1e-12
     assert unitarity_residual(H) <= 1e-12
 
@@ -63,3 +63,10 @@ def test_unitarity_residual_rejects_non_square():
 def test_as_vector_rejects_nan():
     with pytest.raises(ShapeError):
         as_vector(np.array([1.0, np.nan]))
+
+
+def test_norm2_rejects_matrices_and_oversized_vectors():
+    with pytest.raises(ShapeError, match="1-d vector"):
+        norm2(np.ones((2, 2)))
+    with pytest.raises(SizeError, match="exceeds cap"):
+        norm2(np.ones((1 << 16) + 1))

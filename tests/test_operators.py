@@ -3,6 +3,7 @@ import pytest
 
 from fdblock.errors import DegenerateInputError, ParameterError, ShapeError, SizeError
 from fdblock.operators import (
+    GridFunction,
     GridSpec,
     Stencil,
     first_order_stencil,
@@ -188,6 +189,17 @@ def test_sample_function_product_structure_2d():
     outer = np.kron(one_d, one_d)  # |j1>|j0> ordering, j0 fastest
     outer /= np.linalg.norm(outer)
     assert max_abs_diff(gf.values, outer) < 1e-13
+
+
+def test_grid_spec_and_grid_function_reject_bad_input():
+    for dim, n in ((0, 3), (1, 0)):
+        with pytest.raises(ParameterError):
+            GridSpec(dim, n)
+    spec = GridSpec(1, 2)
+    with pytest.raises(ShapeError, match="3 values on a 4-point grid"):
+        GridFunction(spec, np.full(3, 0.5), 1.0)
+    with pytest.raises(DegenerateInputError, match="unit norm"):
+        GridFunction(spec, np.full(4, 1.0), 2.0)
 
 
 def test_sample_function_rejects_zero_and_complex():
@@ -406,6 +418,11 @@ def test_sample_grid_requires_real_match():
         sample_grid(lambda x: x, GridSpec(1, 17))
 
 
+def test_sample_grid_rejects_a_field_of_the_wrong_shape():
+    with pytest.raises(ShapeError, match=r"field returned shape \(3,\)"):
+        sample_grid(lambda x: np.ones(3), GridSpec(1, 2))
+
+
 def test_sample_grid_rejects_non_real_and_non_finite_fields():
     spec = GridSpec(1, 3)
     nan_imag = lambda x: x + complex(0.0, np.nan)
@@ -415,8 +432,3 @@ def test_sample_grid_rejects_non_real_and_non_finite_fields():
     for bad in (np.nan, np.inf):
         with pytest.raises(ShapeError, match="finite"):
             sample_grid(lambda x: x + bad, spec)
-    # the error metric refuses a NaN imaginary part instead of returning nan
-    from fdblock.analysis import fd_error_max
-
-    with pytest.raises(ParameterError):
-        fd_error_max(lambda x: np.sin(2 * np.pi * x), nan_imag, spec)

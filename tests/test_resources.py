@@ -9,7 +9,6 @@ from fdblock.encodings import (
     encode_derivative_1d,
     encode_divergence_2d,
     encode_gradient_2d,
-    encode_laplace_1d,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
     encode_wave_2d,
@@ -33,7 +32,7 @@ from .oracles import (
 )
 
 BUILDERS = {
-    "laplace1": lambda n: encode_laplace_1d(n),
+    "laplace1": lambda n: encode_laplace_dd(1, n),
     "laplace2": lambda n: encode_laplace_dd(2, n),
     "laplace3": lambda n: encode_laplace_dd(3, n),
     "laplace4": lambda n: encode_laplace_dd(4, n),
@@ -98,7 +97,7 @@ def test_lowered_expansion_reproduces_gate_unitary(k):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: encode_laplace_1d(3),
+        lambda: encode_laplace_dd(1, 3),
         lambda: encode_laplace_dd(2, 2),
         lambda: encode_laplace_1d_lcu(2),
         lambda: encode_wave_2d(2),
@@ -155,7 +154,7 @@ def test_laplace_1d_count_recurrence():
     # each shift lowers to 3n-5 Toffolis (one target Toffoli per cascade
     # stage from width 2 up, one ladder extension per stage from width 3
     # up, and the ladder unwind), so t(n) = 14*(3n-5) = 42n - 70
-    counts = {n: count_resources(encode_laplace_1d(n).circuit) for n in range(1, 9)}
+    counts = {n: count_resources(encode_laplace_dd(1, n).circuit) for n in range(1, 9)}
     assert counts[1].t_count == 0
     for n in range(2, 9):
         assert counts[n].t_count == 42 * n - 70
@@ -370,7 +369,7 @@ def test_linear_fit_r2_vs_log_grid_points():
 
 def test_lcu_rotation_count_constant_and_comparison():
     for n in range(2, 9):
-        base = count_resources(encode_laplace_1d(n).circuit)
+        base = count_resources(encode_laplace_dd(1, n).circuit)
         comp = count_resources(encode_laplace_1d_lcu(n).circuit)
         assert comp.rotation_count == 6
         assert base.rotation_count == 0
