@@ -32,9 +32,10 @@ route that reported before is the test suite's second route
 Success probabilities are computed by two independent routes: running
 the encoding circuit on |0>|v> and collecting the zero-ancilla mass, or
 applying alpha times the declared (0,0) stencil to the samples.  The
-circuit route runs only the ancilla-zero columns on the cube simulator
-and applies each output entry that leaves the ancillas at 0 to v as
-one strided view, so its cost follows the summed sizes of those cubes
+circuit route runs only the ancilla-zero columns on the cube simulator,
+which drops each output with an ancilla at 1 right after that
+ancilla's last gate, and applies each entry it returns to v as one
+strided view, so its cost follows the summed sizes of those cubes
 (about 3N for the 1-d Laplacian).  Neither route has a qubit cap; the
 circuit route is bounded by the entry budget.  The routes agree to
 ~1e-15 and the sweep uses the stencil route.
@@ -173,10 +174,12 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     """Probability of measuring all ancillas in |0> after applying the encoding.
 
     route="circuit" runs the encoding on |0>|v>: the cube simulator runs
-    the columns whose ancilla bits are 0, and every output entry whose
-    ancilla bits are 0 adds its amplitude times v, on the entry's cube,
-    to the output as one strided view (:func:`_views`).  Only the entry
-    budget ``circuit.MAX_CUBES`` limits this route.  route="matrix"
+    the columns whose ancilla bits are 0 and keeps only the outputs whose
+    ancilla bits are 0 (``apply_cubes``'s ``zeros``), dropping the rest
+    as soon as their ancillas can no longer change.  Each entry it
+    returns adds its amplitude times v, on the entry's cube, to the
+    output as one strided view (:func:`_views`).  Only the entry budget
+    ``circuit.MAX_CUBES`` limits this route.  route="matrix"
     evaluates the squared norm of alpha times the declared (0,0) block's
     stencil applied to v.
     """
@@ -200,9 +203,7 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     values = np.ascontiguousarray(v.values)
     out = np.zeros(N, dtype=np.complex128)
     scratch = np.empty(N, dtype=np.complex128)
-    for care, val, xor, amp in apply_cubes(circuit, columns):
-        if xor & ancillas:
-            continue
+    for care, val, xor, amp in apply_cubes(circuit, columns, ancillas):
         shape, source, target = _views(care, val, xor, k)
         x = values.reshape(shape)[source]
         y = out.reshape(shape)[target]

@@ -40,7 +40,10 @@ shift's carry classes become cubes, so the entries stay few (at most a
 few thousand at 18 qubits) however wide the grid.  A shift moves every
 column of such a cube by the same difference mod N, so verification
 compares the entries with the declared stencils by that move, not by
-their xor.
+their xor.  A caller that keeps only the outputs whose ancillas read 0
+passes them as ``zeros``: each ancilla's unwanted outputs are dropped
+right after the last gate that targets it, so the closing W_out layers
+never run them.
 """
 
 from __future__ import annotations
@@ -167,20 +170,47 @@ def basis_cubes(circuit: Circuit) -> list:
             return cubes
 
 
-def apply_cubes(circuit: Circuit, cubes) -> list:
+def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
     """Run the circuit on cube entries (care, val, xor, amp); see the module docstring.
 
     Every entry must fix the circuit's quantum bits in ``care``, as the
     entries of :func:`basis_cubes` do, and those of this function for
     the circuit and its adjoint, which has the same H and RY targets.
-    Returns the output entries in no fixed order.  Raises SizeError when
-    the live entries outgrow MAX_CUBES, counted before H and RY outputs
-    are joined.
+    Returns the output entries in no fixed order.
+
+    ``zeros`` is a mask of output bits that the caller keeps only at 0,
+    such as the ancillas of a block encoding.  A bit no longer changes
+    after the last gate that targets it (later gates only read it as a
+    control), so right after that gate, or at the start if no gate
+    targets it, each entry loses the inputs it sends to a 1 there: the
+    whole entry where the bit is fixed in its cube, half the cube where
+    it is free.  Every input then keeps exactly the outputs and
+    amplitudes of the unprojected run that leave the zeros bits at 0.
+    An H or RY pairs outputs that agree on every bit but its target, so
+    a dropped output never pairs with a kept one.  Where every input
+    entry fixes the zeros bits at 0, as the ancilla-zero columns of
+    ``analysis.success_probability`` do, an entry is kept exactly when
+    its xor leaves those bits alone.  Kept and dropped entries then
+    never share a group when pairs are formed or cubes joined, and the
+    result is the unprojected run's entries whose xor leaves the zeros
+    bits at 0, in the same order.
+
+    Raises SizeError when the live entries outgrow MAX_CUBES, counted
+    after projected entries are dropped and before H and RY outputs are
+    joined.
     """
     nq = circuit.num_qubits
     quantum = quantum_bits(circuit)
     if any(care & quantum != quantum for care, *_ in cubes):
         raise ShapeError("every cube entry must fix the quantum bits")
+    settled = set()  # indices of the gates that target a zeros bit last
+    for i in reversed(range(len(circuit.gates))):
+        bit = 1 << (nq - 1 - circuit.gates[i].target)
+        if zeros & bit:
+            settled.add(i)
+            zeros ^= bit
+    if zeros:  # bits that no gate targets
+        cubes = _projected(cubes, zeros)
     for i, g in enumerate(circuit.gates):
         bit = 1 << (nq - 1 - g.target)
         mask = value = 0
@@ -197,11 +227,27 @@ def apply_cubes(circuit: Circuit, cubes) -> list:
             chosen = [(c, v, x, -a) for c, v, x, a in chosen]
         else:
             chosen = _mixed(g, chosen, bit)
+        if i in settled:
+            cubes, chosen = _projected(cubes, bit), _projected(chosen, bit)
         count = len(cubes) + len(chosen)
         if count > MAX_CUBES:
             raise SizeError(f"gate {i}: {count} cube entries exceed the budget of {MAX_CUBES}")
         cubes += _merged(chosen, ~quantum) if g.kind in ("H", "RY") else chosen
     return cubes
+
+
+def _projected(cubes, zeros: int) -> list:
+    """The entries, cut to the inputs that they send to 0 on every bit of zeros.
+
+    A fixed bit keeps or drops the whole entry; a free bit keeps the
+    half of the cube whose input bit equals the entry's xor there.
+    """
+    kept = []
+    for care, val, xor, amp in cubes:
+        if not (val ^ xor) & zeros & care:
+            free = zeros & ~care
+            kept.append((care | free, val | (xor & free), xor, amp))
+    return kept
 
 
 def _select(cubes, mask, value):

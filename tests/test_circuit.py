@@ -5,6 +5,7 @@ from fdblock.circuit import (
     GATE_KINDS,
     Circuit,
     Gate,
+    _mix_pair,
     adjoint,
     apply_cubes,
     basis_cubes,
@@ -488,12 +489,12 @@ def test_sparse_simulator_rejects_malformed_entries():
         apply_sparse(wide, [16], np.array([1], dtype=np.uint64), [1.0])
 
 
-def cube_columns(circuit):
+def cube_columns(circuit, zeros=0):
     """Dense (2**q, 2**q) matrix scattered from apply_cubes on every basis column."""
     js = np.arange(circuit.dim)
     out = np.zeros((circuit.dim, circuit.dim), dtype=complex)
     seen = np.zeros(out.shape, dtype=bool)
-    for care, val, xor, amp in apply_cubes(circuit, basis_cubes(circuit)):
+    for care, val, xor, amp in apply_cubes(circuit, basis_cubes(circuit), zeros):
         cols = js[(js & care) == val]
         rows = cols ^ xor
         assert not seen[rows, cols].any()  # one entry per (column, index)
@@ -563,6 +564,96 @@ def test_cube_simulator_refuses_entries_beyond_its_budget(monkeypatch):
     with pytest.raises(SizeError, match="gate 0: 16 cube entries"):
         apply_cubes(c, basis_cubes(c))
 
+
+
+def test_projection_keeps_the_unprojected_entries_at_zero_on_every_builder():
+    # the columns fix the ancillas at 0, so the projected run keeps the
+    # very entries of the unprojected one, in the same order
+    from fdblock.encodings import OPS
+
+    checked = 0
+    for spec in OPS.values():
+        for dim in (spec.dim,) if spec.dim else (1, 2, 3, 4):
+            for n in range(1, 16 // dim + 1):
+                enc = spec.build(dim, n)
+                c = enc.circuit
+                ancillas = (c.dim - 1) ^ (enc.system_dim - 1)
+                columns = [
+                    (care | ancillas, val, xor, amp)
+                    for care, val, xor, amp in basis_cubes(c)
+                    if not val & ancillas
+                ]
+                full = apply_cubes(c, columns)
+                kept = [e for e in full if not e[2] & ancillas]
+                assert apply_cubes(c, columns, ancillas) == kept
+                checked += 1
+    assert checked == 89
+
+
+def test_projection_keeps_the_dense_outputs_at_zero_on_random_circuits():
+    # each input keeps, bit for bit, the dense run's outputs that leave
+    # every zeros bit at 0, whether a zeros wire is quantum, classical
+    # (free in the basis cubes, so cut in half) or never targeted
+    rng = np.random.default_rng(2711)
+    for _ in range(40):
+        nq = int(rng.integers(2, 6))
+        c = Circuit(nq, tuple(random_gates(rng, nq, int(rng.integers(3, 12)))))
+        zeros = int(rng.integers(1, c.dim))
+        dense = apply(c, np.eye(c.dim))
+        dense[(np.arange(c.dim) & zeros) != 0] = 0
+        assert np.array_equal(cube_columns(c, zeros), dense)
+
+
+@pytest.mark.parametrize("kind", ["H", "RY"])
+def test_projection_drops_entries_before_the_gates_after_an_ancillas_last(kind, monkeypatch):
+    import fdblock.circuit as circuit_mod
+
+    # wire 0 is last targeted by gate 0; gates 1-3 fire only on its 1,
+    # so the projected run keeps one entry, while the unprojected one
+    # holds 2, 3 and then 5 entries, past a budget of 4, at gate 2
+    theta = 0.9 if kind == "RY" else None
+    gates = (Gate(kind, 0, theta=theta),) + tuple(Gate("H", w, ((0, 1),)) for w in (1, 2, 3))
+    c = Circuit(4, gates)
+    columns = [(0b1111, 0, 0, 1 + 0j)]
+    full = apply_cubes(c, columns)
+    monkeypatch.setattr(circuit_mod, "MAX_CUBES", 4)
+    with pytest.raises(SizeError, match="gate 2: 5 cube entries exceed the budget of 4"):
+        apply_cubes(c, columns)
+    (entry,) = apply_cubes(c, columns, 0b1000)
+    assert entry == (0b1111, 0, 0, _mix_pair(gates[0], 1 + 0j, 0j)[0])
+    assert [e for e in full if not e[2] & 0b1000] == [entry]
+
+
+def test_projection_after_an_ancillas_last_x_skips_the_gates_that_control_on_it():
+    # wire 0 is quantum (H), last flipped by gate 2; the H on wire 2 then
+    # reads it as a control and fires only on entries already dropped
+    gates = (
+        Gate("H", 0),
+        Gate("X", 1, ((0, 1),)),
+        Gate("X", 0),
+        Gate("H", 2, ((0, 1),)),
+        Gate("H", 1),
+    )
+    c = Circuit(3, gates)
+    columns = [e for e in basis_cubes(c) if not e[1] & 0b100]
+    full = apply_cubes(c, columns)
+    kept = apply_cubes(c, columns, 0b100)
+    assert kept == [e for e in full if not e[2] & 0b100]
+    assert not any(xor & 0b001 for _, _, xor, _ in kept)
+    assert any(xor & 0b001 for _, _, xor, _ in full)
+    dense = apply(c, np.eye(c.dim))
+    dense[4:] = 0
+    assert np.array_equal(cube_columns(c, 0b100), dense)
+
+
+def test_projection_filters_a_wire_that_no_gate_targets_once_at_the_start():
+    # wire 0 only ever controls; entries that fix it at 1 go at once,
+    # and a cube that leaves it free keeps the half where it is 0
+    c = Circuit(3, (Gate("H", 1, ((0, 1),)), Gate("X", 2, ((0, 0),)), Gate("H", 1)))
+    fixed = [(0b110, v, 0, 1 + 0j) for v in (0b000, 0b010, 0b100, 0b110)]
+    assert apply_cubes(c, fixed, 0b100) == apply_cubes(c, fixed[:2])
+    half = apply_cubes(c, [(0b110, 0b010, 0, 1 + 0j)])
+    assert apply_cubes(c, [(0b010, 0b010, 0, 1 + 0j)], 0b100) == half
 
 
 def test_merge_joins_across_groups_until_no_pair_is_left():
