@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
-from .linalg import VECTOR_DIM_CAP, norm2
+from .linalg import VECTOR_DIM_CAP, as_vector, norm2
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,11 +60,16 @@ class GridSpec(Frozen):
 
 
 class GridFunction(Frozen):
-    """Normalized samples of a scalar field plus the discarded 2-norm."""
+    """Normalized samples of a scalar field plus the discarded 2-norm.
+
+    ``values`` may be any finite 1-d sequence; it is kept as a complex128
+    array (``linalg.as_vector``).
+    """
 
     __slots__ = _compared = ("spec", "values", "raw_norm")
 
-    def __init__(self, spec: GridSpec, values: np.ndarray, raw_norm: float):
+    def __init__(self, spec: GridSpec, values, raw_norm: float):
+        values = as_vector(values)
         if values.size != spec.npoints:
             raise ShapeError(f"{values.size} values on a {spec.npoints}-point grid")
         if abs(norm2(values) - 1.0) > 1e-12:

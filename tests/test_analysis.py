@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -551,12 +552,12 @@ def dense_success_probability(enc, values):
 
 
 def unit_grid_functions(spec, seed):
-    """A random complex unit vector, and a real one whose values stay float64."""
+    """A random complex unit vector, and a real one held as complex128 with zero imaginary part."""
     rng = np.random.default_rng(seed)
     size = spec.npoints
     complex_gf = GridFunction.from_samples(spec, rng.normal(size=size) + 1j * rng.normal(size=size))
     real_gf = GridFunction.from_samples(spec, rng.normal(size=size))
-    assert real_gf.values.dtype == np.float64
+    assert real_gf.values.dtype == np.complex128 and not real_gf.values.imag.any()
     return complex_gf, real_gf
 
 
@@ -740,44 +741,43 @@ def test_sweep_matches_closed_form_and_halving_ratio():
         assert abs(ratio - 16.0) / 16.0 < 0.05
 
 
-# The sweeps of bench/reference: (op, dim, n range, family).
-REFERENCE_SWEEPS = [
-    ("laplace", 1, range(3, 17), "sinprod"),
-    ("laplace", 2, range(1, 9), "sinprod"),
-    ("laplace", 3, range(1, 6), "sinprod"),
-    ("laplace", 4, range(1, 5), "sinprod"),
-    ("lcu", 1, range(3, 17), "cos3"),
-]
-
 # At N = 2, sin(2 pi x) samples to 0 and 1.2e-16, so the normalized probe
 # is rounding noise, a delta at (1/2, ..., 1/2): (dim, n) -> (p_success,
 # its closed form).
 ROUNDING_NOISE_ROWS = {(2, 1): (0.375, 1.0), (3, 1): (0.1875, 0.5625), (4, 1): (0.3125, 1.0)}
 
 
-def test_reference_sweeps_match_their_closed_forms():
+def test_reference_sweeps_match_their_closed_forms(bench):
     # p_success within a relative 2 eps / sin^2(pi k h), e_max within
-    # 32 D eps / h^2 (measured: 1.0 and 14.2), on every row but the three
-    # rounding-noise rows, which must miss the p_success bound
+    # 32 D eps / h^2 (measured: 1.0 and 14.2), on every row of the
+    # reference sweeps but the three rounding-noise rows, which must miss
+    # the p_success bound
+    _, _, run = bench
     eps = 2.0**-52
     rows = noise = 0
-    for op, dim, n_range, family in REFERENCE_SWEEPS:
+    for job in run.TABLES_JOBS:
+        if job.command != "sweep":
+            continue
+        family = job.family or "sinprod"
         fam = FAMILIES[family]
-        for row in sweep_success_probability(dim, n_range, family, op=op):
-            rows += 1
-            spec = GridSpec(dim, row.n)
-            raw = sample_grid(fam.field(dim), spec)
-            e_max = closed_form_e_max(dim, fam.k, row.h, raw)
-            assert abs(row.e_max - e_max) <= 32 * dim * eps / row.h**2, (op, dim, row.n)
-            p_success = closed_form_p_success(row.alpha, fam.k, row.h)
-            gap = abs(row.p_success - p_success) / p_success
-            bound = 2 * eps / math.sin(math.pi * fam.k * row.h) ** 2
-            if (op, family) == ("laplace", "sinprod") and (dim, row.n) in ROUNDING_NOISE_ROWS:
-                noise += 1
-                assert (row.p_success, p_success) == ROUNDING_NOISE_ROWS[dim, row.n]
-                assert gap > bound
-            else:
-                assert gap <= bound, (op, dim, row.n, gap / bound)
+        with open(run.REFERENCE_DIR / job.output_name, newline="") as table:
+            for row in csv.DictReader(table):
+                rows += 1
+                dim, n = int(row["D"]), int(row["n"])
+                h, alpha = float(row["h"]), float(row["alpha"])
+                p_row, e_row = float(row["p_success"]), float(row["e_max"])
+                raw = sample_grid(fam.field(dim), GridSpec(dim, n))
+                e_max = closed_form_e_max(dim, fam.k, h, raw)
+                assert abs(e_row - e_max) <= 32 * dim * eps / h**2, (job.name, n)
+                p_success = closed_form_p_success(alpha, fam.k, h)
+                gap = abs(p_row - p_success) / p_success
+                bound = 2 * eps / math.sin(math.pi * fam.k * h) ** 2
+                if (job.op, family) == ("laplace", "sinprod") and (dim, n) in ROUNDING_NOISE_ROWS:
+                    noise += 1
+                    assert (p_row, p_success) == ROUNDING_NOISE_ROWS[dim, n]
+                    assert gap > bound
+                else:
+                    assert gap <= bound, (job.name, n, gap / bound)
     assert (rows, noise) == (45, 3)
 
 

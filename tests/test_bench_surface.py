@@ -5,26 +5,26 @@ The benchmark's worker builds grid functions with the three-argument
 tracer imports every layer module (``fdblock.linalg`` among them) and
 patches ``resources._Lowering.lower``.  These tests run the worker in
 process, so a change to that surface fails here and not only in the
-benchmark.
+benchmark.  The benchmark's tables-64q jobs, ``run.TABLES_JOBS``, are
+the paper's tables: one test reruns them and compares every output
+with its file in ``bench/reference/``, byte for byte.
 """
 
 import importlib
 import json
+import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
-import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-@pytest.fixture
-def bench(monkeypatch):
-    """The benchmark's worker and tracing modules, imported from bench/."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays as checked in
-    return importlib.import_module("worker"), importlib.import_module("tracing")
+# Runs each argv of the JSON list in argv[1] through the CLI, in order,
+# and exits nonzero naming every job that did not exit 0.
+RUN_JOBS = """
+import json, sys
+from fdblock.cli import main
+failed = [(argv, code) for argv in json.loads(sys.argv[1]) if (code := main(argv)) != 0]
+sys.exit(f"jobs that did not exit 0: {failed}" if failed else 0)
+"""
 
 
 def _patchable(tracing):
@@ -41,7 +41,7 @@ def _patchable(tracing):
 def test_traced_simulate_pass_agrees_and_restores_every_attribute(bench):
     import fdblock
 
-    worker, tracing = bench
+    worker, tracing, _ = bench
     # A package name read for the first time inside a traced section
     # would be cached as the tracer's wrapper, which uninstall does not
     # know of; resolving every name first keeps the comparison whole.
@@ -59,9 +59,31 @@ def test_traced_simulate_pass_agrees_and_restores_every_attribute(bench):
 
 
 def test_cli_job_runs_resources_under_the_tracer(bench, tmp_path, capsys):
-    worker, _ = bench
+    worker, _, run = bench
     spans = tmp_path / "spans.json"
     assert worker.cli_job(spans, ["resources", "--op", "wave", "--n", "2..4"]) == 0
-    reference = (BENCH / "reference" / "resources-wave-d2.csv").read_text()
+    reference = (run.REFERENCE_DIR / "resources-wave-d2.csv").read_text()
     assert capsys.readouterr().out == "".join(reference.splitlines(True)[:4])
     assert json.loads(spans.read_text())["spans"]
+
+
+def test_tables_jobs_reproduce_every_reference_output(bench, tmp_path):
+    _, _, run = bench
+    names = [job.output_name for job in run.TABLES_JOBS]
+    # one job per reference file, and no file without its job
+    assert sorted(names) == sorted(path.name for path in run.REFERENCE_DIR.iterdir())
+    # The sweeps' last digits hold only at the BLAS thread count that the
+    # references were captured with, so the jobs run in one child pinned
+    # to it, as the benchmark's tables-64q runs them.
+    argvs = [job.argv(tmp_path / name) for job, name in zip(run.TABLES_JOBS, names)]
+    env = run.child_env(run.REFERENCE_BLAS_THREADS) | {"PYTHONDONTWRITEBYTECODE": "1"}
+    child = subprocess.run(
+        [sys.executable, "-c", RUN_JOBS, json.dumps(argvs)], capture_output=True, text=True, env=env
+    )
+    assert child.returncode == 0, child.stderr
+    differ = [
+        name
+        for name in names
+        if (tmp_path / name).read_bytes() != (run.REFERENCE_DIR / name).read_bytes()
+    ]
+    assert differ == []

@@ -200,6 +200,16 @@ def test_grid_spec_and_grid_function_reject_bad_input():
         GridFunction(spec, np.full(3, 0.5), 1.0)
     with pytest.raises(DegenerateInputError, match="unit norm"):
         GridFunction(spec, np.full(4, 1.0), 2.0)
+    with pytest.raises(ShapeError, match="1-d vector"):
+        GridFunction(spec, np.full((2, 2), 0.5), 1.0)
+
+
+def test_grid_function_takes_any_sequence_as_a_complex_vector():
+    gf = GridFunction(GridSpec(1, 2), [0.5] * 4, 1.0)
+    assert gf.values.dtype == np.complex128
+    assert np.array_equal(gf.values, np.full(4, 0.5))
+    values = np.full(4, 0.5, dtype=np.complex128)
+    assert GridFunction(GridSpec(1, 2), values, 1.0).values is values
 
 
 def test_sample_function_rejects_zero_and_complex():
