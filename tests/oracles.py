@@ -19,12 +19,21 @@ report: it runs the basis columns in panels of numpy sparse entries
 them with the stencils' sparse columns (``stencil_columns``) through
 one sorted segment sum (``max_sparse_gap``).  Its floats equal the
 cube route's bit for bit.  It runs every column, so it stops at
-EXHAUSTIVE_QUBITS.  Past that, up to the 64-qubit build cap, the
-second route is a sample: ``sample_columns`` picks the grid edges of
-every axis with every ancilla input, plus seeded random columns, and
-``column_mismatches`` runs each alone through ``apply_sparse`` and
-compares it, amplitude for amplitude, with the cube entries of
+EXHAUSTIVE_QUBITS.  Both helpers sort entries on the pair (column,
+index), so a panel may hold any column ids at any width up to 64
+qubits.  Past EXHAUSTIVE_QUBITS, up to the 64-qubit build cap, the
+second route is a sample:
+``sample_columns`` picks the grid edges of every axis with every
+ancilla input, plus seeded random columns, and ``column_mismatches``
+runs them through ``apply_sparse`` as one panel and compares each
+column, amplitude for amplitude, with the cube entries of
 ``circuit.apply_cubes`` that cover it.
+
+``BUILDS`` lists the (op, dim) pairs that the suite checks: every op of
+``encodings.OPS``, laplace at D = 1..4.  ``widest_builds`` gives each
+its widest n under a qubit cap (and a grid-point cap), so that the
+exhaustive-cap and build-cap cases of the tests and of CI follow the
+builders and the caps without a list of sizes.
 
 ``lowered_round_trip_gap`` is the second route to every ``resources``
 row: it proves a lowered circuit equal to its source, with the ladder
@@ -33,6 +42,7 @@ reach.  ``closed_form_p_success`` and ``closed_form_e_max`` are the
 second route to every sweep number.
 """
 
+import functools
 import math
 import random
 
@@ -41,6 +51,7 @@ import numpy as np
 import fdblock.circuit as circuit_mod
 from fdblock.analysis import VerificationReport, _move_gap
 from fdblock.circuit import Circuit, adjoint, apply_cubes, basis_cubes
+from fdblock.encodings import OPS, build_encoding
 from fdblock.errors import ParameterError, ShapeError, SizeError
 from fdblock.resources import lower_to_toffoli
 
@@ -49,6 +60,36 @@ STATEVECTOR_QUBITS = 18
 
 # verify_sparse's cap: it runs every one of the 2**q columns.
 EXHAUSTIVE_QUBITS = 18
+
+# Every op at each dim it takes: a fixed-dim op at its dim, laplace at D = 1..4.
+BUILDS = tuple(
+    (op, dim) for op, spec in OPS.items() for dim in ((spec.dim,) if spec.dim else (1, 2, 3, 4))
+)
+
+
+@functools.cache
+def widest_builds(max_qubits, max_points=None):
+    """(op, dim, n) for each of BUILDS, with the largest n that fits the caps.
+
+    A build fits when it has at most max_qubits wires and, if max_points
+    is given, at most that many grid points.  Each candidate n is built,
+    so a builder's own width check (MAX_BUILD_QUBITS) ends the search too.
+    """
+    widest = []
+    for op, dim in BUILDS:
+        n = 0
+        while True:
+            try:
+                enc = build_encoding(op, dim, n + 1)
+            except SizeError:
+                break
+            if enc.circuit.num_qubits > max_qubits:
+                break
+            if max_points is not None and enc.system_dim > max_points:
+                break
+            n += 1
+        widest.append((op, dim, n))
+    return tuple(widest)
 
 
 def _mix(g, lo, hi, out0, out1, tmp) -> None:
@@ -517,8 +558,6 @@ def apply_sparse(circuit, cols, idx, amp):
     for a basis column of an LCU circuit of m ancillas).
 
     Returns new (cols, idx, amp) arrays; entries come in no fixed order.
-    Raises SizeError when a column id and a basis index do not fit one
-    64-bit sort key together.
     """
     nq = circuit.num_qubits
     cols = np.array(cols, dtype=np.int64)
@@ -528,9 +567,6 @@ def apply_sparse(circuit, cols, idx, amp):
         raise ShapeError(f"entry arrays differ in shape: {cols.shape}, {idx.shape}, {amp.shape}")
     if idx.size and (int(idx.max()) >> nq or cols.min() < 0):
         raise ShapeError(f"entries must have column ids >= 0 and indices below 2**{nq}")
-    # H and RY sort on one 64-bit key: column id above the cleared index.
-    if idx.size and int(cols.max()).bit_length() + nq > 64:
-        raise SizeError(f"column id {int(cols.max())} and {nq} qubits exceed a 64-bit sort key")
     for g in circuit.gates:
         bit = np.uint64(1 << (nq - 1 - g.target))
         mask = value = 0
@@ -548,7 +584,7 @@ def apply_sparse(circuit, cols, idx, amp):
         rest = ~sel
         c, i, a = cols[sel], idx[sel], amp[sel]
         cleared = i & ~bit
-        order = np.argsort((c.astype(np.uint64) << np.uint64(nq)) | cleared)
+        order = np.lexsort((cleared, c))
         c, i, a, cleared = c[order], i[order], a[order], cleared[order]
         first = np.ones(c.size, dtype=bool)
         first[1:] = (cleared[1:] != cleared[:-1]) | (c[1:] != c[:-1])
@@ -601,28 +637,27 @@ def stencil_columns(stencil, js):
 
 
 # Budget of one verification panel, in sparse entries, not bytes: the
-# per-gate sort temporaries of apply_sparse cost about 175 B per entry,
-# and CLI ``verify --op laplace --dim 1 --n 16`` (18 q) peaks at 189 MB RSS.
+# per-gate sort temporaries of apply_sparse cost about 170 B per entry,
+# and verify_sparse on laplace D=1 n=16 (18 q) peaks at 194 MB RSS.
 PANEL_ENTRIES = 1 << 20
 
 
-def max_sparse_gap(actual, expected, nq):
+def max_sparse_gap(actual, expected):
     """Max |actual - expected| over two sets of sparse column entries.
 
     Each set is (column, uint64 index, amplitude) arrays as
     :func:`apply_sparse` returns them, with at most one entry per
     (column, index) pair; a pair missing from one set is zero there.
-    One sort on the simulator's 64-bit key puts the two entries of each
-    pair side by side, and a segment sum takes their difference.
+    One sort on the pair puts the two entries of each pair side by
+    side, and a segment sum takes their difference.
     """
-    keys = np.concatenate(
-        [(c.astype(np.uint64) << np.uint64(nq)) | i for c, i, _ in (actual, expected)]
-    )
-    order = np.argsort(keys)
-    keys = keys[order]
-    diffs = np.concatenate((actual[2], -expected[2]))[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    cols = np.concatenate((actual[0], expected[0]))
+    idx = np.concatenate((actual[1], expected[1]))
+    diffs = np.concatenate((actual[2], -expected[2]))
+    order = np.lexsort((idx, cols))
+    cols, idx, diffs = cols[order], idx[order], diffs[order]
+    first = np.ones(cols.size, dtype=bool)
+    first[1:] = (idx[1:] != idx[:-1]) | (cols[1:] != cols[:-1])
     sums = np.add.reduceat(diffs, np.flatnonzero(first))
     # np.max, unlike the builtin, propagates a NaN into a FAIL.
     return float(np.max(np.abs(sums), initial=0.0))
@@ -658,8 +693,8 @@ def verify_sparse(enc, tol):
                 k, rows, values = stencil_columns(stencil, js)
                 found = (cols[inside], idx[inside], amp[inside])
                 expected = (k, rows + lo, enc.alpha * values)
-                deviations.append(max_sparse_gap(found, expected, nq))
-            residuals.append(max_sparse_gap(apply_sparse(inverse, *out), basis, nq))
+                deviations.append(max_sparse_gap(found, expected))
+            residuals.append(max_sparse_gap(apply_sparse(inverse, *out), basis))
     # np.max, unlike the builtin, propagates a NaN into a FAIL.
     deviation = float(np.max(deviations))
     residual = float(np.max(residuals))
@@ -696,24 +731,30 @@ def column_mismatches(circuit, cubes, columns):
     """The columns on which cube entries and apply_sparse disagree.
 
     ``cubes`` are output entries (care, val, xor, amp) of
-    ``circuit.apply_cubes`` on every basis column.  Each column j runs
-    alone through :func:`apply_sparse` (one column per panel keeps its
-    64-bit sort key at 64 qubits), and its entries must be exactly
-    those of the cubes that cover j, each amp at output j ^ xor, with
-    no output twice.  The cubes are indexed by input, by care and then by
-    val, so a column costs one lookup per distinct care.
+    ``circuit.apply_cubes`` on every basis column.  The columns run
+    through :func:`apply_sparse` as one panel, and the entries of
+    column j must be exactly those of the cubes that cover j, each amp
+    at output j ^ xor, with no output twice.  The cubes are indexed by
+    input, by care and then by val, so a column costs one lookup per
+    distinct care.
     """
     by_care = {}
     for care, val, xor, amp in cubes:
         by_care.setdefault(care, {}).setdefault(val, []).append((xor, amp))
+    k = len(columns)
+    starts = np.array(columns, dtype=np.uint64)
+    cols, idx, amps = apply_sparse(circuit, np.arange(k), starts, np.ones(k))
+    order = np.argsort(cols, kind="stable")
+    ends = np.searchsorted(cols[order], np.arange(1, k + 1)).tolist()
+    idx, amps = idx[order].tolist(), amps[order].tolist()
     bad = []
-    for j in columns:
+    for j, start, end in zip(columns, [0, *ends], ends):
         pairs = [
             (j ^ xor, amp)
             for care, by_val in by_care.items()
             for xor, amp in by_val.get(j & care, ())
         ]
-        _, idx, amp = apply_sparse(circuit, [0], [j], [1.0])
-        if len(dict(pairs)) != len(pairs) or dict(pairs) != dict(zip(idx.tolist(), amp.tolist())):
+        found = dict(zip(idx[start:end], amps[start:end]))
+        if len(dict(pairs)) != len(pairs) or dict(pairs) != found:
             bad.append(j)
     return bad

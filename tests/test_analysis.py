@@ -14,8 +14,10 @@ from fdblock.analysis import (
 )
 from fdblock.circuit import Circuit, Gate, apply_cubes, basis_cubes, quantum_bits
 from fdblock.encodings import (
+    MAX_BUILD_QUBITS,
     BlockEncoding,
     _shift_gates,
+    build_encoding,
     encode_banded_lcu,
     encode_derivative_1d,
     encode_divergence_2d,
@@ -26,6 +28,7 @@ from fdblock.encodings import (
 )
 from fdblock.errors import ParameterError, ShapeError, SizeError
 from fdblock.operators import (
+    VECTOR_DIM_CAP,
     GridFunction,
     GridSpec,
     Stencil,
@@ -36,6 +39,8 @@ from fdblock.operators import (
 )
 
 from .oracles import (
+    BUILDS,
+    STATEVECTOR_QUBITS,
     apply,
     banded_circulant,
     central_difference_1d,
@@ -55,6 +60,7 @@ from .oracles import (
     unitarity_residual,
     unitary,
     verify_sparse,
+    widest_builds,
 )
 
 
@@ -437,21 +443,18 @@ def test_verify_passes_at_seventeen_qubits():
 
 
 def test_verify_never_applies_a_stencil_densely(monkeypatch):
-    from fdblock.encodings import OPS
-
     def refuse(self, values):
         raise AssertionError("verification applied a stencil to a dense panel")
 
     monkeypatch.setattr(Stencil, "apply", refuse)
     checked = 0
-    for op in OPS.values():
-        for dim in (op.dim,) if op.dim else (1, 2, 3, 4):
-            for n in range(1, 9):
-                enc = op.build(dim, n)
-                if enc.circuit.num_qubits > 10:
-                    break
-                assert verify_pattern(enc, 1e-12).passed, enc.label
-                checked += 1
+    for op, dim in BUILDS:
+        for n in range(1, 9):
+            enc = build_encoding(op, dim, n)
+            if enc.circuit.num_qubits > 10:
+                break
+            assert verify_pattern(enc, 1e-12).passed, enc.label
+            checked += 1
     assert checked == 40
 
 
@@ -512,17 +515,11 @@ def test_route_agreement(enc, family, dim, n):
     assert abs(p_circuit - p_matrix) < 1e-12
 
 
-# simulate-18q's sizes: 16-18 qubits, the statevector cap
+# simulate-18q's sizes: each build at its widest grid function within
+# the statevector cap, 16-18 qubits
 CAP_CASES = [
-    (encode_laplace_dd(1, 16), 1, 16),
-    (encode_laplace_dd(2, 7), 2, 7),
-    (encode_laplace_dd(3, 4), 3, 4),
-    (encode_laplace_dd(4, 3), 4, 3),
-    (encode_laplace_1d_lcu(15), 1, 15),
-    (encode_derivative_1d(16), 1, 16),
-    (encode_gradient_2d(8), 2, 8),
-    (encode_divergence_2d(8), 2, 8),
-    (encode_wave_2d(7), 2, 7),
+    (build_encoding(op, dim, n), dim, n)
+    for op, dim, n in widest_builds(STATEVECTOR_QUBITS, VECTOR_DIM_CAP)
 ]
 
 
@@ -967,17 +964,7 @@ def test_verify_fails_a_reflection_at_the_build_cap():
 
 
 # Every op at the 63-64 qubit build cap: (op, dim, n).
-BUILD_CAPS = [
-    ("laplace", 1, 62),
-    ("laplace", 2, 30),
-    ("laplace", 3, 20),
-    ("laplace", 4, 15),
-    ("lcu", 1, 61),
-    ("derivative", 1, 63),
-    ("gradient", 2, 31),
-    ("divergence", 2, 31),
-    ("wave", 2, 30),
-]
+BUILD_CAPS = widest_builds(MAX_BUILD_QUBITS)
 
 
 @pytest.mark.parametrize("op,dim,n", BUILD_CAPS)
@@ -1019,16 +1006,10 @@ def test_verify_passes_at_the_build_cap(op, dim, n):
 
 
 def encodings_up_to(max_qubits):
-    """Every OPS build of at most max_qubits qubits, laplace in 1-4 dims."""
-    from fdblock.encodings import OPS
-
-    for op in OPS.values():
-        for dim in (op.dim,) if op.dim else (1, 2, 3, 4):
-            for n in range(1, 64):
-                enc = op.build(dim, n)
-                if enc.circuit.num_qubits > max_qubits:
-                    break
-                yield enc
+    """Every build of BUILDS with at most max_qubits qubits, n from 1 up."""
+    for op, dim, n_max in widest_builds(max_qubits):
+        for n in range(1, n_max + 1):
+            yield build_encoding(op, dim, n)
 
 
 def test_cube_reports_equal_the_sparse_oracle_reports():

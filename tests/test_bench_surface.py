@@ -7,7 +7,9 @@ patches ``resources._Lowering.lower``.  These tests run the worker in
 process, so a change to that surface fails here and not only in the
 benchmark.  The benchmark's tables-64q jobs, ``run.TABLES_JOBS``, are
 the paper's tables: one test reruns them and compares every output
-with its file in ``bench/reference/``, byte for byte.
+with its file in ``bench/reference/``, byte for byte.  The sizes that
+the benchmark writes by hand, its simulate cases and the tops of its
+resources ranges, must be the widest builds under the caps.
 """
 
 import importlib
@@ -16,6 +18,11 @@ import subprocess
 import sys
 
 import numpy as np
+
+from fdblock.encodings import MAX_BUILD_QUBITS
+from fdblock.operators import VECTOR_DIM_CAP
+
+from .oracles import EXHAUSTIVE_QUBITS, widest_builds
 
 # Runs each argv of the JSON list in argv[1] through the CLI, in order,
 # and exits nonzero naming every job that did not exit 0.
@@ -87,3 +94,13 @@ def test_tables_jobs_reproduce_every_reference_output(bench, tmp_path):
         if (tmp_path / name).read_bytes() != (run.REFERENCE_DIR / name).read_bytes()
     ]
     assert differ == []
+
+
+def test_bench_sizes_are_the_widest_builds(bench):
+    worker, _, run = bench
+    # simulate-18q: every build at its widest grid function within the 18-qubit cap
+    assert sorted(worker.SIM_CASES) == sorted(widest_builds(EXHAUSTIVE_QUBITS, VECTOR_DIM_CAP))
+    # the resources tables run every build up to the 64-qubit build cap
+    resources = [job for job in run.TABLES_JOBS if job.command == "resources"]
+    tops = [(job.op, job.dim, job.n_values[-1]) for job in resources]
+    assert sorted(tops) == sorted(widest_builds(MAX_BUILD_QUBITS))

@@ -12,10 +12,11 @@ from fdblock.circuit import (
     export_text,
     quantum_bits,
 )
-from fdblock.encodings import encode_laplace_dd, shift_circuit
+from fdblock.encodings import build_encoding, encode_laplace_dd, shift_circuit
 from fdblock.errors import QubitIndexError, ShapeError, SizeError
 
 from .oracles import (
+    BUILDS,
     apply,
     apply_in_place,
     apply_sparse,
@@ -438,18 +439,15 @@ def sparse_columns(circuit, columns):
 
 
 def test_sparse_simulator_is_bit_identical_on_every_builder():
-    from fdblock.encodings import OPS
-
     checked = 0
-    for spec in OPS.values():
-        for dim in (spec.dim,) if spec.dim else (1, 2, 3, 4):
-            for n in range(1, 9):
-                circuit = spec.build(dim, n).circuit
-                if circuit.num_qubits > 10:
-                    break
-                dense = apply(circuit, np.eye(circuit.dim))
-                assert max_abs_diff(sparse_columns(circuit, range(circuit.dim)), dense) == 0.0
-                checked += 1
+    for op, dim in BUILDS:
+        for n in range(1, 9):
+            circuit = build_encoding(op, dim, n).circuit
+            if circuit.num_qubits > 10:
+                break
+            dense = apply(circuit, np.eye(circuit.dim))
+            assert max_abs_diff(sparse_columns(circuit, range(circuit.dim)), dense) == 0.0
+            checked += 1
     assert checked == 40
 
 
@@ -482,11 +480,21 @@ def test_sparse_simulator_rejects_malformed_entries():
         apply_sparse(c, [0], np.array([4], dtype=np.uint64), [1.0])
     with pytest.raises(ShapeError):
         apply_sparse(c, [-1], np.array([0], dtype=np.uint64), [1.0])
-    # 60 qubits leave 4 bits of the sort key for the column id
-    wide = Circuit(60, (Gate("H", 59),))
-    apply_sparse(wide, [15], np.array([1], dtype=np.uint64), [1.0])
-    with pytest.raises(SizeError):
-        apply_sparse(wide, [16], np.array([1], dtype=np.uint64), [1.0])
+    # at 60 qubits, column ids wider than the 4 bits that one 64-bit key
+    # would leave them (16 and 32 would share a key): the panel equals
+    # the single-column runs, so each column pairs only its own entries
+    gates = [Gate("H", 59), Gate("RY", 59, (), 0.7), Gate("RY", 0, ((59, 1),), 0.3)]
+    wide = Circuit(60, (*gates, Gate("X", 1, ((0, 0),))))
+    ids = [16, 32, 1 << 40]
+    starts = np.array([1, 1, 2**60 - 2], dtype=np.uint64)
+    cols, idx, amp = apply_sparse(wide, ids, starts, np.ones(3))
+    for c, j in zip(ids, starts):
+        _, alone_idx, alone_amp = apply_sparse(wide, [0], [j], [1.0])
+        mine = cols == c
+        assert sorted(zip(idx[mine].tolist(), amp[mine].tolist())) == sorted(
+            zip(alone_idx.tolist(), alone_amp.tolist())
+        )
+    assert cols.size == 9
 
 
 def cube_columns(circuit, zeros=0):
@@ -504,17 +512,14 @@ def cube_columns(circuit, zeros=0):
 
 
 def test_cube_simulator_is_bit_identical_on_every_builder():
-    from fdblock.encodings import OPS
-
     checked = 0
-    for spec in OPS.values():
-        for dim in (spec.dim,) if spec.dim else (1, 2, 3, 4):
-            for n in range(1, 9):
-                circuit = spec.build(dim, n).circuit
-                if circuit.num_qubits > 9:
-                    break
-                assert np.array_equal(cube_columns(circuit), apply(circuit, np.eye(circuit.dim)))
-                checked += 1
+    for op, dim in BUILDS:
+        for n in range(1, 9):
+            circuit = build_encoding(op, dim, n).circuit
+            if circuit.num_qubits > 9:
+                break
+            assert np.array_equal(cube_columns(circuit), apply(circuit, np.eye(circuit.dim)))
+            checked += 1
     assert checked == 35
 
 
@@ -569,24 +574,21 @@ def test_cube_simulator_refuses_entries_beyond_its_budget(monkeypatch):
 def test_projection_keeps_the_unprojected_entries_at_zero_on_every_builder():
     # the columns fix the ancillas at 0, so the projected run keeps the
     # very entries of the unprojected one, in the same order
-    from fdblock.encodings import OPS
-
     checked = 0
-    for spec in OPS.values():
-        for dim in (spec.dim,) if spec.dim else (1, 2, 3, 4):
-            for n in range(1, 16 // dim + 1):
-                enc = spec.build(dim, n)
-                c = enc.circuit
-                ancillas = (c.dim - 1) ^ (enc.system_dim - 1)
-                columns = [
-                    (care | ancillas, val, xor, amp)
-                    for care, val, xor, amp in basis_cubes(c)
-                    if not val & ancillas
-                ]
-                full = apply_cubes(c, columns)
-                kept = [e for e in full if not e[2] & ancillas]
-                assert apply_cubes(c, columns, ancillas) == kept
-                checked += 1
+    for op, dim in BUILDS:
+        for n in range(1, 16 // dim + 1):
+            enc = build_encoding(op, dim, n)
+            c = enc.circuit
+            ancillas = (c.dim - 1) ^ (enc.system_dim - 1)
+            columns = [
+                (care | ancillas, val, xor, amp)
+                for care, val, xor, amp in basis_cubes(c)
+                if not val & ancillas
+            ]
+            full = apply_cubes(c, columns)
+            kept = [e for e in full if not e[2] & ancillas]
+            assert apply_cubes(c, columns, ancillas) == kept
+            checked += 1
     assert checked == 89
 
 

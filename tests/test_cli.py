@@ -10,6 +10,8 @@ from fdblock.cli import _build_parser, main
 from fdblock.encodings import OPS
 from fdblock.errors import ParameterError
 
+from .oracles import BUILDS
+
 GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_CASES = [
@@ -112,9 +114,7 @@ def test_sweep_deterministic_bytes(tmp_path):
 # Every op at each dim it takes (laplace at D = 1..4).  Only the ops
 # whose (0,0) block is the scaled Laplacian, which p_predicted and e_max
 # assume, may sweep.
-SWEEP_CASES = [
-    (op, d) for op, spec in OPS.items() for d in ((spec.dim,) if spec.dim else (1, 2, 3, 4))
-]
+SWEEP_CASES = BUILDS
 SWEEPABLE = {"laplace", "lcu"}
 
 

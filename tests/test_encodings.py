@@ -24,6 +24,7 @@ from fdblock.errors import ParameterError, SizeError
 from fdblock.operators import GridFunction, GridSpec, scaled_laplacian_stencil
 
 from .oracles import (
+    BUILDS,
     apply,
     banded_circulant,
     central_difference_1d,
@@ -35,6 +36,7 @@ from .oracles import (
     trapezoid_1d,
     unitarity_residual,
     unitary,
+    widest_builds,
 )
 
 
@@ -296,23 +298,21 @@ def test_system_dim_is_the_grid_size(op):
 
 
 BUILDERS_AT_THE_CAP = [
-    *(
-        pytest.param(dim, spec.build, id=f"{op} D={dim}")
-        for op, spec in OPS.items()
-        for dim in ((1, 2, 3, 4) if spec.dim is None else (spec.dim,))
-    ),
-    pytest.param(1, lambda dim, n: encode_banded_lcu(n, 0.65, 0.2, -0.3), id="banded_lcu"),
+    *(pytest.param(op, dim, OPS[op].build, id=f"{op} D={dim}") for op, dim in BUILDS),
+    pytest.param(None, 1, lambda dim, n: encode_banded_lcu(n, 0.65, 0.2, -0.3), id="banded_lcu"),
 ]
 
 
-@pytest.mark.parametrize("dim,build", BUILDERS_AT_THE_CAP)
-def test_builds_stop_at_the_qubit_cap(dim, build):
+@pytest.mark.parametrize("op,dim,build", BUILDERS_AT_THE_CAP)
+def test_builds_stop_at_the_qubit_cap(op, dim, build):
     # widths are m + dim*n: the widest grid that fits builds, the next
     # one raises; that is exactly 64 and 65 qubits wherever m + dim*n
-    # can take those values
+    # can take those values, and it is the n that the suite's build-cap
+    # cases read
     m = build(dim, 1).m
     n = (MAX_BUILD_QUBITS - m) // dim
     assert MAX_BUILD_QUBITS == 64
+    assert op is None or (op, dim, n) in widest_builds(MAX_BUILD_QUBITS)
     assert MAX_BUILD_QUBITS - dim < build(dim, n).circuit.num_qubits <= MAX_BUILD_QUBITS
     too_wide = f"^{m + dim * (n + 1)} qubits is beyond the supported range$"
     with pytest.raises(SizeError, match=too_wide):

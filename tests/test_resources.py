@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from pathlib import Path
 
@@ -6,9 +7,9 @@ import pytest
 
 from fdblock.circuit import GATE_KINDS, Circuit, Gate, export_text
 from fdblock.encodings import (
-    encode_derivative_1d,
-    encode_divergence_2d,
-    encode_gradient_2d,
+    MAX_BUILD_QUBITS,
+    OPS,
+    build_encoding,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
     encode_wave_2d,
@@ -24,24 +25,25 @@ from fdblock.resources import (
 )
 
 from .oracles import (
+    BUILDS,
     charge_lowered_circuit,
     dense_toffoli_network,
     lowered_round_trip_gap,
     max_abs_diff,
     unitary,
+    widest_builds,
 )
 
-BUILDERS = {
-    "laplace1": lambda n: encode_laplace_dd(1, n),
-    "laplace2": lambda n: encode_laplace_dd(2, n),
-    "laplace3": lambda n: encode_laplace_dd(3, n),
-    "laplace4": lambda n: encode_laplace_dd(4, n),
-    "lcu": lambda n: encode_laplace_1d_lcu(n),
-    "derivative": lambda n: encode_derivative_1d(n),
-    "gradient": lambda n: encode_gradient_2d(n),
-    "divergence": lambda n: encode_divergence_2d(n),
-    "wave": lambda n: encode_wave_2d(n),
-}
+
+def _name(op, dim):
+    """A build's name here: laplace1 .. laplace4, and a fixed-dim op's own name."""
+    return op if OPS[op].dim else f"{op}{dim}"
+
+
+# Every build as n -> encoding, and the largest n that fits the 64-qubit
+# build cap, which is the end of the range `resources` reports.
+BUILDERS = {_name(op, dim): functools.partial(build_encoding, op, dim) for op, dim in BUILDS}
+N_MAX = {_name(op, dim): n for op, dim, n in widest_builds(MAX_BUILD_QUBITS)}
 
 
 def test_clifford_only_circuit_has_no_t():
@@ -161,21 +163,20 @@ def test_laplace_1d_count_recurrence():
     assert all(counts[n].rotation_count == 0 for n in counts)
 
 
-# Per builder: its shifted grid axes a, the largest n that fits the
-# 64-qubit build cap (the end of the range `resources` reports), and the
-# intercepts of t = 42*a*n + c_t, clifford = 48*a*n + c_1,
-# qubits = (a + 1)*n + c_2 and ancillas = n + c_3, with its rotation
-# count, in that order; all read off every row of bench/reference.
+# Per builder: its shifted grid axes a and the intercepts of
+# t = 42*a*n + c_t, clifford = 48*a*n + c_1, qubits = (a + 1)*n + c_2
+# and ancillas = n + c_3, with its rotation count, in that order; all
+# read off every row of bench/reference.
 CAP_RANGES = {
-    "laplace1": (1, 62, -70, -64, 0, -2, 0),
-    "laplace2": (2, 30, -56, -32, 2, -1, 0),
-    "laplace3": (3, 20, -42, -4, 4, 0, 0),
-    "laplace4": (4, 15, -56, -14, 4, 0, 0),
-    "lcu": (1, 61, -28, -4, 1, -2, 6),
-    "derivative": (1, 63, -70, -67, -1, -2, 0),
-    "gradient": (2, 31, -56, -36, 1, -1, 0),
-    "divergence": (2, 31, -56, -36, 1, -1, 0),
-    "wave": (2, 30, -56, -32, 2, -1, 4),
+    "laplace1": (1, -70, -64, 0, -2, 0),
+    "laplace2": (2, -56, -32, 2, -1, 0),
+    "laplace3": (3, -42, -4, 4, 0, 0),
+    "laplace4": (4, -56, -14, 4, 0, 0),
+    "lcu": (1, -28, -4, 1, -2, 6),
+    "derivative": (1, -70, -67, -1, -2, 0),
+    "gradient": (2, -56, -36, 1, -1, 0),
+    "divergence": (2, -56, -36, 1, -1, 0),
+    "wave": (2, -56, -32, 2, -1, 4),
 }
 # The counts at n = 2 that step off those lines.
 OFF_LINE_AT_N2 = {
@@ -190,8 +191,8 @@ def test_t_count_affine_in_n(name):
     # each extra qubit adds 3 Toffolis (21 T) to every shift, so 42 T per
     # shifted axis for its S- and S+, all the way to the build cap; the
     # other columns follow their own lines from n = 3 on
-    build = BUILDERS[name]
-    axes, n_max, c_t, c_1, c_2, c_3, rotations = CAP_RANGES[name]
+    build, n_max = BUILDERS[name], N_MAX[name]
+    axes, c_t, c_1, c_2, c_3, rotations = CAP_RANGES[name]
     counts = {n: count_resources(build(n).circuit) for n in range(2, n_max + 1)}
 
     def expected(n):
@@ -215,8 +216,7 @@ def test_tally_equals_the_charge_of_the_lowered_circuit(name):
     # count_resources charges the ladder walk's steps without building
     # the lowered circuit; charging that circuit gate by gate must agree
     build = BUILDERS[name]
-    n_max = CAP_RANGES[name][1]
-    for n in (*range(1, 7), n_max):
+    for n in (*range(1, 7), N_MAX[name]):
         circuit = build(n).circuit
         assert count_resources(circuit) == _materialised_counts(circuit), (name, n)
 
