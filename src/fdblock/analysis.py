@@ -34,11 +34,14 @@ the encoding circuit on |0>|v> and collecting the zero-ancilla mass, or
 applying alpha times the declared (0,0) stencil to the samples.  The
 circuit route runs only the ancilla-zero columns on the cube simulator,
 which drops each output with an ancilla at 1 right after that
-ancilla's last gate, and applies each entry it returns to v as one
-strided view, so its cost follows the summed sizes of those cubes
-(about 3N for the 1-d Laplacian).  Neither route has a qubit cap; the
-circuit route is bounded by the entry budget.  The routes agree to
-~1e-15 and the sweep uses the stencil route.
+ancilla's last gate.  That block does not depend on v, so it is
+simulated once per encoding object and kept, with each returned
+entry's strided views, until the route runs another encoding.  Each
+call applies every entry to v as one strided view whose longest run
+is iterated innermost, so its cost follows the summed sizes of those
+cubes (about 3N for the 1-d Laplacian).  Neither route has a qubit
+cap; the circuit route is bounded by the entry budget.  The routes
+agree to ~1e-15 and the sweep uses the stencil route.
 """
 
 from __future__ import annotations
@@ -176,12 +179,14 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     route="circuit" runs the encoding on |0>|v>: the cube simulator runs
     the columns whose ancilla bits are 0 and keeps only the outputs whose
     ancilla bits are 0 (``apply_cubes``'s ``zeros``), dropping the rest
-    as soon as their ancillas can no longer change.  Each entry it
-    returns adds its amplitude times v, on the entry's cube, to the
-    output as one strided view (:func:`_views`).  Only the entry budget
-    ``circuit.MAX_CUBES`` limits this route.  route="matrix"
-    evaluates the squared norm of alpha times the declared (0,0) block's
-    stencil applied to v.
+    as soon as their ancillas can no longer change.  It runs once per
+    encoding object (:func:`_zero_views`), so later calls on the same
+    encoding only apply its entries.  Each entry adds its amplitude
+    times v, on the entry's cube, to the output as one strided view
+    (:func:`_views`), transposed so that its longest run is iterated
+    innermost.  Only the entry budget ``circuit.MAX_CUBES`` limits this
+    route.  route="matrix" evaluates the squared norm of alpha times
+    the declared (0,0) block's stencil applied to v.
     """
     import numpy as np
 
@@ -192,7 +197,41 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
         return float(np.sum(np.abs(enc.alpha * _zero_block(enc).apply(v.values)) ** 2))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
+    values = np.ascontiguousarray(v.values)
+    out = np.zeros(N, dtype=np.complex128)
+    scratch = np.empty(N, dtype=np.complex128)
+    for shape, source, target, order, amp in _zero_views(enc):
+        x = values.reshape(shape)[source].transpose(order)
+        y = out.reshape(shape)[target].transpose(order)
+        np.add(y, np.multiply(x, amp, out=scratch[: x.size].reshape(x.shape)), out=y)
+    mag = scratch.view(np.float64)[:N]
+    np.abs(out, out=mag)
+    np.square(mag, out=mag)
+    return float(np.sum(mag))
+
+
+# The last encoding that the circuit route ran and its plan, replaced in
+# place.  Holding the encoding keeps its id from passing to a later object.
+_last_zero_views: list = [None, ()]
+
+
+def _zero_views(enc: BlockEncoding) -> tuple:
+    """The circuit route's plan: one (shape, source, target, order, amp) per entry.
+
+    The cube simulator runs the ancilla-zero columns of the encoding
+    once per encoding object, and keeps the outputs whose ancillas stay
+    at 0 (``apply_cubes``'s ``zeros``).  Each entry it returns becomes
+    its grid views (:func:`_views`) and ``order``, the view's free axes
+    sorted by length, so that the longest run is iterated innermost.
+    The plan does not depend on v, so the route keeps the last one; a
+    new object, even one equal to the last, runs its own simulation,
+    and a SizeError from the entry budget keeps nothing.
+    """
+    last, plan = _last_zero_views
+    if last is enc:
+        return plan
     circuit = enc.circuit
+    N = enc.system_dim
     k = circuit.num_qubits - enc.m
     ancillas = (circuit.dim - 1) ^ (N - 1)
     columns = [
@@ -200,15 +239,15 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
         for care, val, xor, amp in basis_cubes(circuit)
         if not val & ancillas
     ]
-    values = np.ascontiguousarray(v.values)
-    out = np.zeros(N, dtype=np.complex128)
-    scratch = np.empty(N, dtype=np.complex128)
+    plan = []
     for care, val, xor, amp in apply_cubes(circuit, columns, ancillas):
         shape, source, target = _views(care, val, xor, k)
-        x = values.reshape(shape)[source]
-        y = out.reshape(shape)[target]
-        np.add(y, np.multiply(x, amp, out=scratch[: x.size].reshape(x.shape)), out=y)
-    return float(np.sum(np.abs(out) ** 2))
+        runs = [size for size, index in zip(shape, source) if isinstance(index, slice)]
+        order = tuple(sorted(range(len(runs)), key=runs.__getitem__))
+        plan.append((shape, source, target, order, amp))
+    plan = tuple(plan)
+    _last_zero_views[:] = enc, plan
+    return plan
 
 
 def _views(care: int, val: int, xor: int, k: int) -> tuple:

@@ -34,6 +34,11 @@ def as_vector(values) -> np.ndarray:
 
 def norm2(v: np.ndarray) -> float:
     """Euclidean norm."""
+    return _norm2(as_vector(v))
+
+
+def _norm2(v: np.ndarray) -> float:
+    """Euclidean norm of a vector that ``as_vector`` has already returned."""
     import numpy as np
 
-    return float(np.linalg.norm(as_vector(v)))
+    return float(np.linalg.norm(v))

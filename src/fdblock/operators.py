@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from ._frozen import Frozen
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
-from .linalg import VECTOR_DIM_CAP, as_vector, norm2
+from .linalg import VECTOR_DIM_CAP, _norm2, as_vector, norm2
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,7 +72,7 @@ class GridFunction(Frozen):
         values = as_vector(values)
         if values.size != spec.npoints:
             raise ShapeError(f"{values.size} values on a {spec.npoints}-point grid")
-        if abs(norm2(values) - 1.0) > 1e-12:
+        if abs(_norm2(values) - 1.0) > 1e-12:
             raise DegenerateInputError("grid function values must have unit norm")
         self._init(spec, values, raw_norm)
 

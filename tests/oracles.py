@@ -40,6 +40,11 @@ row: it proves a lowered circuit equal to its source, with the ladder
 returned to 0, by a round trip on cubes, at every width the builders
 reach.  ``closed_form_p_success`` and ``closed_form_e_max`` are the
 second route to every sweep number.
+
+``unplanned_success_probability`` is the circuit route of
+``analysis.success_probability`` as one loop: a fresh cube run and
+each entry's views in their own axis order.  The route's kept plan and
+transposed views must give its bits.
 """
 
 import functools
@@ -49,7 +54,7 @@ import random
 import numpy as np
 
 import fdblock.circuit as circuit_mod
-from fdblock.analysis import VerificationReport, _move_gap
+from fdblock.analysis import VerificationReport, _move_gap, _views
 from fdblock.circuit import Circuit, adjoint, apply_cubes, basis_cubes
 from fdblock.encodings import OPS, build_encoding
 from fdblock.errors import ParameterError, ShapeError, SizeError
@@ -758,3 +763,28 @@ def column_mismatches(circuit, cubes, columns):
         if len(dict(pairs)) != len(pairs) or dict(pairs) != found:
             bad.append(j)
     return bad
+
+
+def unplanned_success_probability(enc, values):
+    """Zero-ancilla mass of the encoding on |0>|values>, one cube run per call.
+
+    The ancilla-zero columns run through ``apply_cubes``, and each
+    output entry adds its amplitude times the values to the output on
+    its views (``analysis._views``) in their own axis order.
+    """
+    circuit = enc.circuit
+    N = enc.system_dim
+    k = circuit.num_qubits - enc.m
+    ancillas = (circuit.dim - 1) ^ (N - 1)
+    columns = [
+        (care | ancillas, val, xor, amp)
+        for care, val, xor, amp in basis_cubes(circuit)
+        if not val & ancillas
+    ]
+    values = np.ascontiguousarray(values)
+    out = np.zeros(N, dtype=np.complex128)
+    for care, val, xor, amp in apply_cubes(circuit, columns, ancillas):
+        shape, source, target = _views(care, val, xor, k)
+        y = out.reshape(shape)[target]
+        np.add(y, values.reshape(shape)[source] * amp, out=y)
+    return float(np.sum(np.abs(out) ** 2))

@@ -59,6 +59,7 @@ from .oracles import (
     trapezoid_l2_norm,
     unitarity_residual,
     unitary,
+    unplanned_success_probability,
     verify_sparse,
     widest_builds,
 )
@@ -572,15 +573,16 @@ def laplace_with_gates(gates, label):
     return BlockEncoding(circuit, enc.m, enc.alpha, label)
 
 
-@pytest.mark.parametrize(
-    "enc",
-    [
+def off_shift_form():
+    """Three fresh encodings that leave the shift form, so that each test runs its own."""
+    return [
         laplace_with_gates([Gate("X", w) for w in range(2, 18)], "reflection"),
         laplace_with_gates([Gate("H", 9)], "system H"),
         laplace_with_gates([Gate("RY", 17, theta=0.7)], "system RY"),
-    ],
-    ids=lambda e: e.label,
-)
+    ]
+
+
+@pytest.mark.parametrize("enc", off_shift_form(), ids=lambda e: e.label)
 def test_circuit_route_matches_the_dense_oracle_off_the_shift_form(enc, monkeypatch):
     # the reflection flips every free grid bit of its cubes, so the
     # views run backwards over whole runs; H and RY on a grid wire make
@@ -620,14 +622,78 @@ def test_circuit_route_runs_past_the_statevector_cap(dim, n):
         dense_success_probability(enc, complex_gf.values)
 
 
+def spread_over_the_grid():
+    """laplace D=1 n=14 behind an H on every grid wire."""
+    enc = encode_laplace_dd(1, 14)
+    spread = tuple(Gate("H", w) for w in range(enc.m, 16)) + enc.circuit.gates
+    return BlockEncoding(Circuit(16, spread), enc.m, enc.alpha, enc.label)
+
+
 def test_circuit_route_refuses_a_circuit_beyond_the_entry_budget():
     # an H on every grid wire makes all 16 wires quantum, so every cube
     # is one column, and each H doubles them until they pass the budget
-    enc = encode_laplace_dd(1, 14)
-    spread = tuple(Gate("H", w) for w in range(enc.m, 16)) + enc.circuit.gates
-    wide = BlockEncoding(Circuit(16, spread), enc.m, enc.alpha, enc.label)
     with pytest.raises(SizeError, match="cube entries exceed the budget of 65536"):
-        success_probability(wide, grid_fn("sin1", 1, 14), "circuit")
+        success_probability(spread_over_the_grid(), grid_fn("sin1", 1, 14), "circuit")
+
+
+def counting_simulations(monkeypatch):
+    """A list that gets one item per call of the circuit route's cube simulator."""
+    import fdblock.analysis as analysis_mod
+
+    calls = []
+    original = analysis_mod.apply_cubes
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(analysis_mod, "apply_cubes", counting)
+    return calls
+
+
+def test_circuit_route_simulates_an_encoding_once(monkeypatch):
+    # the ancilla-zero block does not depend on v: three vectors on one
+    # encoding object run the cube simulator once, and give its p
+    calls = counting_simulations(monkeypatch)
+    enc = encode_laplace_dd(2, 4)
+    for gf in (*unit_grid_functions(GridSpec(2, 4), 7), grid_fn("sinprod", 2, 4)):
+        p = success_probability(enc, gf, "circuit")
+        assert p.hex() == unplanned_success_probability(enc, gf.values).hex()
+    assert calls == [enc.circuit]
+
+
+def test_circuit_route_simulates_each_encoding_object(monkeypatch):
+    # the plan is kept by identity, never by value: an equal build pays
+    # for its own run, and so does an encoding after another one
+    calls = counting_simulations(monkeypatch)
+    first, second = encode_laplace_dd(1, 6), encode_laplace_dd(1, 6)
+    assert first == second and first is not second
+    gf = grid_fn("cos3", 1, 6)
+    p = [success_probability(enc, gf, "circuit") for enc in (first, second, second, first)]
+    assert len(calls) == 3 and p[0] == p[1] == p[2] == p[3]
+
+
+def test_circuit_route_keeps_nothing_from_a_refused_circuit(monkeypatch):
+    # a SizeError leaves no plan behind: the encoding raises again
+    calls = counting_simulations(monkeypatch)
+    wide = spread_over_the_grid()
+    gf = grid_fn("sin1", 1, 14)
+    for _ in range(2):
+        with pytest.raises(SizeError, match="cube entries exceed the budget of 65536"):
+            success_probability(wide, gf, "circuit")
+    assert calls == [wide.circuit, wide.circuit]
+
+
+@pytest.mark.parametrize(
+    "enc,dim,n",
+    CAP_CASES + [(enc, 1, 16) for enc in off_shift_form()],
+    ids=lambda c: getattr(c, "label", c),
+)
+def test_circuit_route_gives_the_bits_of_the_unplanned_loop(enc, dim, n):
+    # transposed views and |out|**2 in place change no bit of p
+    for gf in unit_grid_functions(GridSpec(dim, n), dim * 100 + n + 2):
+        p = success_probability(enc, gf, "circuit")
+        assert p.hex() == unplanned_success_probability(enc, gf.values).hex()
 
 
 def test_success_probability_leaves_the_grid_values_unchanged():

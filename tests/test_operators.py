@@ -202,6 +202,29 @@ def test_grid_spec_and_grid_function_reject_bad_input():
         GridFunction(spec, np.full(4, 1.0), 2.0)
     with pytest.raises(ShapeError, match="1-d vector"):
         GridFunction(spec, np.full((2, 2), 0.5), 1.0)
+    for bad in (np.nan, np.inf, complex(0.5, np.nan)):
+        with pytest.raises(ShapeError, match="finite"):
+            GridFunction(spec, [0.5, 0.5, 0.5, bad], 1.0)
+
+
+def test_grid_function_checks_its_values_once(monkeypatch):
+    # the unit-norm check reads the array that as_vector returned, so
+    # a 2**16-point vector pays for one finiteness pass, not two
+    import fdblock.linalg as linalg_mod
+    import fdblock.operators as operators_mod
+
+    checked = []
+    as_vector = linalg_mod.as_vector
+
+    def counting(values):
+        checked.append(values)
+        return as_vector(values)
+
+    monkeypatch.setattr(operators_mod, "as_vector", counting)
+    monkeypatch.setattr(linalg_mod, "as_vector", counting)
+    values = np.full(1 << 16, 1 / 256, dtype=np.complex128)
+    gf = GridFunction(GridSpec(1, 16), values, 256.0)
+    assert gf.values is values and len(checked) == 1
 
 
 def test_grid_function_takes_any_sequence_as_a_complex_vector():
