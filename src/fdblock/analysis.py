@@ -18,14 +18,18 @@ field.  An entry whose xor flips free bits makes different moves on
 different parts of its cube, and the comparison solves for the part
 that makes each expected move instead of listing the parts.  So its
 cost follows the entries times the expected moves, never the columns.
-Every encoding is an LCU of shifts, so the entries stay a few thousand
-at 18 qubits and about 30,000 at the 64-qubit build cap.  The entry
-budget ``circuit.MAX_CUBES`` is verification's only size limit.  A
-verify process never loads numpy.  The amplitudes are those of the test
-suite's dense statevector simulator bit for bit.  So are the
-deviations, as long as every amplitude and declared coefficient is
-real, as every gate kind and builder keeps them; numpy's complex abs
-can differ from Python's in the last digit otherwise.  The numpy sparse
+Every encoding is an LCU of shifts, so for the fixed-dim ops and
+laplace at D <= 4 the entries stay a few thousand at 18 qubits and
+about 30,000 at the 64-qubit build cap.  The entry budget
+``circuit.MAX_CUBES`` is verification's only size limit; laplace at
+D >= 5, with 5 or more ancillas, passes it well below 64 qubits (at
+40 qubits for D=5, 24 for D=9 and D=17), until ROADMAP item 8 runs one
+ancilla-input group at a time.  A verify process never loads numpy.
+The amplitudes are those of the test suite's dense statevector
+simulator bit for bit.  So are the deviations, as long as every
+amplitude and declared coefficient is real, as every gate kind and
+builder keeps them; numpy's complex abs can differ from Python's in
+the last digit otherwise.  The numpy sparse
 route that reported before is the test suite's second route
 (``tests/oracles.py``).
 

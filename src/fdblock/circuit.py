@@ -135,10 +135,16 @@ def _mix_pair(g: Gate, lo: complex, hi: complex) -> tuple[complex, complex]:
     return c * lo - s * hi, s * lo + c * hi
 
 
-# The cube simulator's budget of live entries.  Every OPS build peaks
-# below 6000 at 18 qubits (laplace D=3 n=4) and below 31000 at
-# 64 qubits.  A circuit that spreads its columns over many wires (an H on
-# every grid wire, say) needs up to 4**q and is refused as it passes this.
+# The cube simulator's budget of live entries.  The fixed-dim ops and
+# laplace at D <= 4 (at most 4 ancillas), all that tests/oracles.BUILDS
+# covers, peak below 6000 at 18 qubits (laplace D=3 n=4) and below 31000
+# at 64 qubits.  Laplace at D >= 5 has 5 or more ancillas, and a verify
+# pass outgrows the budget well below 64 qubits: it is refused with
+# 69632 entries on D=5 n=7 (40 q), and with 112640 and 74240 on D=9 n=2
+# and D=17 n=1 (24 q).
+# ROADMAP item 8 (verify one ancilla-input group at a time) is the fix.
+# A circuit that spreads its columns over many wires (an H on every grid
+# wire, say) needs up to 4**q and is refused as it passes this.
 MAX_CUBES = 1 << 16
 
 

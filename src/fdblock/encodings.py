@@ -125,8 +125,10 @@ def shift_circuit(direction: int, n: int) -> Circuit:
 
 
 # The widest circuit a builder assembles.  Verification has no qubit cap
-# of its own: the cube simulator's entry budget is its only limit, and
-# every OPS build stays within it up to this width.
+# of its own: the cube simulator's entry budget is its only limit.  The
+# fixed-dim ops and laplace at D <= 4 stay within it up to this width;
+# laplace at D >= 5 passes it far below (circuit.MAX_CUBES says where),
+# until ROADMAP item 8 verifies one ancilla-input group at a time.
 MAX_BUILD_QUBITS = 64
 
 

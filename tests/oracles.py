@@ -4,14 +4,14 @@ The dense operator matrices and gate networks here are deliberately
 written without the package's stencils or simulator, so that an
 agreement check is a real cross-check and not a tautology.
 
-``apply`` and ``apply_in_place`` are the dense statevector simulator
-that the package's cube simulator (``circuit.apply_cubes``) is checked
-against bit for bit: both evaluate H and RY on a pair of amplitudes
-with the same expressions in the same order, ``_mix`` here on numpy
-arrays and ``circuit._mix_pair`` on Python complex numbers.  Each
-column costs gates * 2**q amplitude updates, up to STATEVECTOR_QUBITS
-wires.  ``unitary`` and ``extract_block`` run it on basis columns, to
-give tests a circuit's matrix or one of its blocks.
+``apply`` is the dense statevector simulator that the package's cube
+simulator (``circuit.apply_cubes``) is checked against bit for bit:
+both evaluate H and RY on a pair of amplitudes with the same
+expressions in the same order, ``_mix`` here on numpy arrays and
+``circuit._mix_pair`` on Python complex numbers.  It runs on a copy of
+its input, and each column costs gates * 2**q amplitude updates.
+``unitary`` and ``extract_block`` run it on basis columns, to give
+tests a circuit's matrix or one of its blocks.
 
 ``verify_sparse`` is the second route to ``analysis.verify_pattern``'s
 report: it runs the basis columns in panels of numpy sparse entries
@@ -59,9 +59,6 @@ from fdblock.circuit import Circuit, adjoint, apply_cubes, basis_cubes
 from fdblock.encodings import OPS, build_encoding
 from fdblock.errors import ParameterError, ShapeError, SizeError
 from fdblock.resources import lower_to_toffoli
-
-# The dense simulator's cap: a 2**18 statevector takes 4 MiB.
-STATEVECTOR_QUBITS = 18
 
 # verify_sparse's cap: it runs every one of the 2**q columns.
 EXHAUSTIVE_QUBITS = 18
@@ -117,20 +114,19 @@ def _mix(g, lo, hi, out0, out1, tmp) -> None:
         np.add(np.multiply(s, lo, out=tmp), np.multiply(c, hi, out=out1), out=out1)
 
 
-def _run_gates(gates, psi):
-    """Apply gates in order to psi of shape (2,)*num_qubits (+ batch axes).
+def apply(circuit, states):
+    """Return U_c times states, a (2**n,) vector or a (2**n, k) array of columns.
 
-    Each gate updates the half-slices v0 and v1 of psi (its target bit 0
-    and 1, under its controls) in place.  v0's old values pass through
-    one scratch buffer, allocated once per call, and H and RY combine
-    them with v1 in :func:`_mix`.  Every gate needs one temporary of
-    v0's size and RY two, so the buffer holds psi.size // 2 entries,
-    which a control on the RY halves; an uncontrolled RY doubles the
-    buffer instead.
+    The gates run on a C-order complex128 copy, so ``states`` is left
+    unchanged; the result has its shape.  The copy is viewed with one
+    axis per wire and a trailing column axis, which keeps each gate's
+    half-slices v0 and v1 (its target bit 0 and 1, under its controls)
+    views even when the controls fix every other wire.  H and RY combine
+    a copy of v0 with v1 in :func:`_mix`.
     """
-    wide = any(g.kind == "RY" and not g.controls for g in gates)
-    scratch = np.empty(psi.size if wide else psi.size // 2, dtype=psi.dtype)
-    for g in gates:
+    out = np.array(states, dtype=np.complex128, order="C")
+    psi = out.reshape((2,) * circuit.num_qubits + (-1,))
+    for g in circuit.gates:
         sel0 = [slice(None)] * psi.ndim
         for q, pol in g.controls:
             sel0[q] = int(pol)  # numpy reads a bool index as a mask
@@ -141,49 +137,13 @@ def _run_gates(gates, psi):
         if g.kind == "Z":
             np.negative(v1, out=v1)
             continue
-        a = scratch[: v0.size].reshape(v0.shape)
-        np.copyto(a, v0)
+        a = v0.copy()
         if g.kind == "X":
             np.copyto(v0, v1)
             np.copyto(v1, a)
         else:
-            t = scratch[v0.size : 2 * v0.size].reshape(v0.shape) if g.kind == "RY" else None
-            _mix(g, a, v1, v0, v1, t)
-    return psi
-
-
-def apply(circuit, states):
-    """Return U_c times states, a (2**n,) vector or a (2**n, k) array of columns.
-
-    The gates run in place on a copy, so ``states`` is left unchanged;
-    the result has its shape.
-    """
-    psi = np.array(states, dtype=np.complex128, order="C")
-    if psi.ndim not in (1, 2):
-        raise ShapeError(f"expected shape ({circuit.dim},) or ({circuit.dim}, k), got {psi.shape}")
-    apply_in_place(circuit, psi[:, None] if psi.ndim == 1 else psi)
-    return psi
-
-
-def apply_in_place(circuit, psi):
-    """Overwrite every column of psi, a (2**n, k) array, with U_c times it.
-
-    psi must be a C-contiguous complex128 array with finite entries; it
-    is returned.  This is :func:`apply` without its copy, for a state
-    that the caller built and does not need again.
-    """
-    if circuit.num_qubits > STATEVECTOR_QUBITS:
-        raise SizeError(
-            f"{circuit.num_qubits} qubits exceeds the statevector cap {STATEVECTOR_QUBITS}"
-        )
-    if not (isinstance(psi, np.ndarray) and psi.dtype == np.complex128 and psi.flags.c_contiguous):
-        raise ShapeError("the state must be a C-contiguous complex128 array")
-    if psi.ndim != 2 or psi.shape[0] != circuit.dim:
-        raise ShapeError(f"expected shape ({circuit.dim}, k), got {psi.shape}")
-    if not np.all(np.isfinite(psi.view(np.float64))):
-        raise ShapeError("entries must be finite")
-    _run_gates(circuit.gates, psi.reshape((2,) * circuit.num_qubits + (psi.shape[1],)))
-    return psi
+            _mix(g, a, v1, v0, v1, np.empty_like(a) if g.kind == "RY" else None)
+    return out
 
 
 def max_abs_diff(a, b) -> float:
@@ -205,7 +165,7 @@ def unitarity_residual(u) -> float:
 
 def unitary(circuit):
     """Full matrix of the circuit: the gates run on the identity's columns."""
-    return apply_in_place(circuit, np.eye(circuit.dim, dtype=complex))
+    return apply(circuit, np.eye(circuit.dim))
 
 
 def extract_block(enc, row, col):
@@ -216,7 +176,7 @@ def extract_block(enc, row, col):
     N = enc.system_dim
     columns = np.zeros((enc.circuit.dim, N), dtype=complex)
     columns[col * N + np.arange(N), np.arange(N)] = 1.0
-    return apply_in_place(enc.circuit, columns)[row * N : (row + 1) * N]
+    return apply(enc.circuit, columns)[row * N : (row + 1) * N]
 
 
 def lambda_max(dim, n):

@@ -40,7 +40,7 @@ from fdblock.operators import (
 
 from .oracles import (
     BUILDS,
-    STATEVECTOR_QUBITS,
+    EXHAUSTIVE_QUBITS,
     apply,
     banded_circulant,
     central_difference_1d,
@@ -420,7 +420,6 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
         raise AssertionError("verification ran a numpy simulator")
 
     for module, name in (
-        (oracles, "apply_in_place"),
         (oracles, "apply"),
         (oracles, "_mix"),
         (oracles, "apply_sparse"),
@@ -517,10 +516,10 @@ def test_route_agreement(enc, family, dim, n):
 
 
 # simulate-18q's sizes: each build at its widest grid function within
-# the statevector cap, 16-18 qubits
+# EXHAUSTIVE_QUBITS, 16-18 qubits
 CAP_CASES = [
     (build_encoding(op, dim, n), dim, n)
-    for op, dim, n in widest_builds(STATEVECTOR_QUBITS, VECTOR_DIM_CAP)
+    for op, dim, n in widest_builds(EXHAUSTIVE_QUBITS, VECTOR_DIM_CAP)
 ]
 
 
@@ -614,12 +613,9 @@ def test_circuit_route_matches_the_dense_oracle_off_the_shift_form(enc, monkeypa
 def test_circuit_route_runs_past_the_statevector_cap(dim, n):
     enc = encode_laplace_dd(dim, n)
     assert enc.circuit.num_qubits == 16 + dim
-    complex_gf, real_gf = unit_grid_functions(GridSpec(dim, n), dim * 100 + n)
-    for gf in (complex_gf, real_gf):
+    for gf in unit_grid_functions(GridSpec(dim, n), dim * 100 + n):
         p = success_probability(enc, gf, "circuit")
         assert abs(p - success_probability(enc, gf, "matrix")) <= 1e-12
-    with pytest.raises(SizeError, match="statevector cap 18"):
-        dense_success_probability(enc, complex_gf.values)
 
 
 def spread_over_the_grid():
@@ -938,9 +934,9 @@ def test_scaled_action_asymptote_3d_separable_quadrature():
 
 
 def test_cap_scale_extraction_path_spot_checked():
-    # D=4, n=3 sits at the 16-qubit statevector cap where no full unitary
-    # exists; single-column applications (what extract_block batches)
-    # must still reproduce the stencil reference
+    # D=4, n=3 has 16 qubits, too many for a full unitary; single-column
+    # applications (what extract_block batches) must still reproduce
+    # the stencil reference
     enc = encode_laplace_dd(4, 3)
     spec = GridSpec(4, 3)
     N = enc.system_dim
@@ -1081,7 +1077,9 @@ def encodings_up_to(max_qubits):
 def test_cube_reports_equal_the_sparse_oracle_reports():
     encs = list(encodings_up_to(12))
     encs += [encode_banded_lcu(6, 0.65, -0.4, 0.15), encode_banded_lcu(8, 1.5, 0.3, -0.9)]
-    assert len(encs) == 54
+    # laplace with m = 5 ancillas, which BUILDS stops short of
+    encs += [encode_laplace_dd(5, 1), encode_laplace_dd(7, 1)]
+    assert len(encs) == 56
     for enc in encs:
         assert verify_pattern(enc, 1e-12) == verify_sparse(enc, 1e-12), enc.label
 

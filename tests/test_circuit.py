@@ -18,7 +18,6 @@ from fdblock.errors import QubitIndexError, ShapeError, SizeError
 from .oracles import (
     BUILDS,
     apply,
-    apply_in_place,
     apply_sparse,
     central_difference_1d,
     dense_circuit_unitary,
@@ -118,80 +117,6 @@ def test_unitary_block_grid_structure():
             assert max_abs_diff(got, want) < 1e-12
 
 
-def test_unitary_runs_in_place_on_its_own_identity():
-    # a 10-qubit unitary is 16 * 4**10 bytes; the gates add one scratch
-    # buffer of half that, and a second copy of the matrix would pass 3x
-    import tracemalloc
-
-    from fdblock.encodings import encode_laplace_1d_lcu, encode_wave_2d
-
-    for enc in (encode_laplace_dd(1, 8), encode_wave_2d(3), encode_laplace_1d_lcu(7)):
-        tracemalloc.start()
-        try:
-            u = unitary(enc.circuit)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 16 * 4**10
-        assert np.array_equal(u, apply(enc.circuit, np.eye(enc.circuit.dim)))
-
-
-def test_apply_to_columns_runs_in_place_on_its_copy():
-    # one column at 14-15 qubits costs its copy plus one half-size
-    # scratch buffer (1.5x the state); a full-size temporary per gate
-    # passes 2.25x.  numpy's ufunc iterator adds buffers of a fixed size
-    # (up to 256 KiB with numpy 2.4, twice a 13-qubit state), so no case
-    # runs below 14 qubits.
-    import tracemalloc
-
-    from fdblock.encodings import (
-        encode_banded_lcu,
-        encode_derivative_1d,
-        encode_divergence_2d,
-        encode_gradient_2d,
-        encode_laplace_1d_lcu,
-        encode_laplace_dd,
-        encode_wave_2d,
-    )
-
-    for enc in (
-        encode_laplace_dd(1, 13),
-        encode_laplace_dd(2, 6),
-        encode_laplace_1d_lcu(12),
-        encode_banded_lcu(12, 0.65, -0.4, 0.15),
-        encode_derivative_1d(13),
-        encode_gradient_2d(6),
-        encode_divergence_2d(6),
-        encode_wave_2d(6),
-    ):
-        col = np.zeros((enc.circuit.dim, 1), dtype=complex)
-        col[: enc.system_dim] = 1.0
-        tracemalloc.start()
-        try:
-            apply(enc.circuit, col)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * col.nbytes, enc.label
-
-
-def test_apply_dim_mismatch():
-    # a vector or a (2**n, k) array of columns; nothing else
-    for bad in (np.ones(3), np.ones((3, 2)), np.array(1.0), np.ones((4, 1, 1))):
-        with pytest.raises(ShapeError):
-            apply(Circuit(2), bad)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_apply_rejects_non_finite_entries(bad):
-    with pytest.raises(ShapeError, match="finite"):
-        apply(Circuit(2), np.array([1.0, bad, 0.0, 0.0]))
-    mat = np.zeros((4, 2), dtype=complex)
-    mat[1, 1] = complex(0.0, bad)
-    with pytest.raises(ShapeError, match="finite"):
-        apply(Circuit(2), mat)
-
-
 def test_dense_simulation_leaves_the_callers_arrays_unchanged():
     # X, Z, H and RY, open and closed controls; the strided column is a
     # view into mat, so the in-place gates must run on a copy
@@ -216,23 +141,6 @@ def test_dense_simulation_leaves_the_callers_arrays_unchanged():
         assert column.shape == (8,)
         assert np.array_equal(column, out[:, j])
     assert np.array_equal(mat, before)
-
-
-def test_apply_in_place_overwrites_its_own_array():
-    gates = (Gate("H", 0), Gate("RY", 1, ((0, 1),), 0.9), Gate("X", 2, ((1, 0),)))
-    c = Circuit(3, gates + (Gate("RY", 2, theta=-1.3),))
-    rng = np.random.default_rng(8)
-    mat = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-    expected = apply(c, mat)
-    assert apply_in_place(c, mat) is mat
-    assert np.array_equal(mat, expected)
-    # arrays that the gates could not overwrite in place are refused
-    for bad in (mat.real.copy(), np.asfortranarray(mat), mat[:, ::2], mat[:, 0]):
-        with pytest.raises(ShapeError):
-            apply_in_place(c, bad)
-    mat[3, 1] = np.nan
-    with pytest.raises(ShapeError, match="finite"):
-        apply_in_place(c, mat)
 
 
 def test_x_with_one_control_is_cnot():
@@ -402,11 +310,6 @@ def test_adjoint_inverts_an_encoding():
     assert max_abs_diff(unitary(inv) @ unitary(c), np.eye(c.dim)) < 1e-14
 
 
-def test_apply_statevector_cap():
-    with pytest.raises(SizeError):
-        apply(Circuit(19), np.zeros(1 << 19))
-
-
 def test_export_theta_round_trips():
     import math
 
@@ -414,18 +317,6 @@ def test_export_theta_round_trips():
     c = Circuit(1, (Gate("RY", 0, theta=theta),))
     line = export_text(c).strip()
     assert float(line.split("theta=")[1]) == theta
-
-
-def test_apply_supports_seventeen_qubit_statevectors():
-    # statevector cap (18) is wider than the sampled-grid vector cap (2^16)
-    from fdblock.encodings import encode_laplace_dd
-
-    enc = encode_laplace_dd(2, 7)
-    assert enc.circuit.num_qubits == 17
-    state = np.zeros(enc.circuit.dim, dtype=complex)
-    state[5] = 1.0
-    out = apply(enc.circuit, state)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def sparse_columns(circuit, columns):

@@ -60,10 +60,13 @@ def test_verify_every_op(capsys):
 
 
 def test_verify_rejects_oversized_request(capsys, monkeypatch):
-    # no qubit cap: 20 qubits pass, and only the entry budget refuses a
-    # build, here one whose live entries peak at 7712
+    # no qubit cap: 20 qubits pass, and 35 with 5 ancillas (laplace D=5
+    # at its widest n within the budget), and only the entry budget
+    # refuses a build, here one whose live entries peak at 7712
     import fdblock.circuit as circuit_mod
 
+    assert run("verify", "--op", "laplace", "--dim", "5", "--n", "6") == 0
+    assert capsys.readouterr().out.startswith("PASS laplace_dd D=5 n=6: ")
     args = ("verify", "--op", "laplace", "--dim", "4", "--n", "4")
     assert run(*args) == 0
     assert capsys.readouterr().out.startswith("PASS laplace_dd D=4 n=4: ")

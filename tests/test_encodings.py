@@ -145,7 +145,7 @@ def test_alpha_d_values():
 
 @pytest.mark.parametrize(
     "dim,n",
-    [(2, 1), (2, 2), (3, 1), (4, 1)],
+    [(2, 1), (2, 2), (3, 1), (4, 1), (5, 1)],
 )
 def test_laplace_dd_zero_block(dim, n):
     enc = encode_laplace_dd(dim, n)
