@@ -36,7 +36,6 @@ _EXPORTS = {
             "encode_laplace_1d_lcu",
             "encode_laplace_dd",
             "encode_wave_2d",
-            "shift_circuit",
         ),
         "linalg": ("norm2",),
         "operators": ("GridFunction", "GridSpec", "sample_function"),

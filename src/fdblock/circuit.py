@@ -216,7 +216,7 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
             settled.add(i)
             zeros ^= bit
     if zeros:  # bits that no gate targets
-        cubes = _projected(cubes, zeros)
+        cubes = _select(cubes, zeros, 0)[1]
     for i, g in enumerate(circuit.gates):
         bit = 1 << (nq - 1 - g.target)
         mask = value = 0
@@ -233,27 +233,13 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
             chosen = [(c, v, x, -a) for c, v, x, a in chosen]
         else:
             chosen = _mixed(g, chosen, bit)
-        if i in settled:
-            cubes, chosen = _projected(cubes, bit), _projected(chosen, bit)
+        if i in settled:  # keep the outputs at 0 on bit
+            cubes, chosen = _select(cubes, bit, 0)[1], _select(chosen, bit, 0)[1]
         count = len(cubes) + len(chosen)
         if count > MAX_CUBES:
             raise SizeError(f"gate {i}: {count} cube entries exceed the budget of {MAX_CUBES}")
         cubes += _merged(chosen, ~quantum) if g.kind in ("H", "RY") else chosen
     return cubes
-
-
-def _projected(cubes, zeros: int) -> list:
-    """The entries, cut to the inputs that they send to 0 on every bit of zeros.
-
-    A fixed bit keeps or drops the whole entry; a free bit keeps the
-    half of the cube whose input bit equals the entry's xor there.
-    """
-    kept = []
-    for care, val, xor, amp in cubes:
-        if not (val ^ xor) & zeros & care:
-            free = zeros & ~care
-            kept.append((care | free, val | (xor & free), xor, amp))
-    return kept
 
 
 def _select(cubes, mask, value):

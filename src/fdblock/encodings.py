@@ -115,15 +115,6 @@ def _shift_gates(direction: int, n: int, offset: int, prefix: tuple[Control, ...
     return [Gate("X", t, controls[: len(prefix) + hi - t]) for t in targets]
 
 
-def shift_circuit(direction: int, n: int) -> Circuit:
-    """Standalone cyclic shift by +-1 on an n-qubit register."""
-    if direction not in (1, -1):
-        raise ParameterError(f"direction must be +1 or -1, got {direction}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    return Circuit(n, tuple(_shift_gates(direction, n, 0, ())))
-
-
 # The widest circuit a builder assembles.  Verification has no qubit cap
 # of its own: the cube simulator's entry budget is its only limit.  The
 # fixed-dim ops and laplace at D <= 4 stay within it up to this width;

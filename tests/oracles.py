@@ -33,7 +33,16 @@ column, amplitude for amplitude, with the cube entries of
 ``encodings.OPS``, laplace at D = 1..4.  ``widest_builds`` gives each
 its widest n under a qubit cap (and a grid-point cap), so that the
 exhaustive-cap and build-cap cases of the tests and of CI follow the
-builders and the caps without a list of sizes.
+builders and the caps without a list of sizes.  ``builds_up_to`` yields
+every (op, dim, n) build within such caps, n from 1 up: the one corpus
+that the per-build tests loop over, so that a pair added to BUILDS is
+checked everywhere.  ``build`` makes a build's encoding, also for the
+``BANDED_BUILDS`` coefficient sets of ``encode_banded_lcu``.
+
+``dense_blocks`` states each build's m, alpha and declared blocks once,
+as dense operator matrices, with alpha computed here and not read from
+the package; the suite holds the circuit's extracted blocks and
+verify's deviations to it.
 
 ``lowered_round_trip_gap`` is the second route to every ``resources``
 row: it proves a lowered circuit equal to its source, with the ladder
@@ -56,7 +65,7 @@ import numpy as np
 import fdblock.circuit as circuit_mod
 from fdblock.analysis import VerificationReport, _move_gap, _views
 from fdblock.circuit import Circuit, adjoint, apply_cubes, basis_cubes
-from fdblock.encodings import OPS, build_encoding
+from fdblock.encodings import OPS, build_encoding, encode_banded_lcu
 from fdblock.errors import ParameterError, ShapeError, SizeError
 from fdblock.resources import lower_to_toffoli
 
@@ -92,6 +101,34 @@ def widest_builds(max_qubits, max_points=None):
             n += 1
         widest.append((op, dim, n))
     return tuple(widest)
+
+
+def builds_up_to(max_qubits, max_points=None):
+    """Every (op, dim, n) build of BUILDS within the caps, n from 1 up to its widest_builds n."""
+    for op, dim, n_max in widest_builds(max_qubits, max_points):
+        for n in range(1, n_max + 1):
+            yield op, dim, n
+
+
+# encode_banded_lcu's inputs besides the lcu op's, as builds of the
+# "banded_lcu" pseudo-op: (op, dim, n, (a0, a1, am1)).
+BANDED_BUILDS = tuple(
+    ("banded_lcu", 1, n, coefficients)
+    for n, coefficients in (
+        (2, (1.0, 0.0, 0.0)),
+        (2, (0.8, -0.3, 0.45)),
+        (3, (0.8, -0.3, 0.45)),
+        (2, (0.7, 0.2, -0.6)),
+        (7, (0.65, -0.4, 0.15)),
+    )
+)
+
+
+def build(op, dim, n, coefficients=()):
+    """A build's encoding: an op of OPS, or "banded_lcu" with its (a0, a1, am1)."""
+    if op == "banded_lcu":
+        return encode_banded_lcu(n, *coefficients)
+    return build_encoding(op, dim, n)
 
 
 def _mix(g, lo, hi, out0, out1, tmp) -> None:
@@ -257,6 +294,51 @@ def first_order_tensorized(axis, dim, n):
     d1 = h * central_difference_1d(n)
     eye = np.eye(N, dtype=complex)
     return np.kron(eye, d1) if axis == 0 else np.kron(d1, eye)
+
+
+def dense_blocks(op, dim, n, coefficients=()):
+    """(m, alpha, {(row, col): matrix}): a build's ancillas, alpha and declared blocks.
+
+    The blocks are alpha times the dense operators above, each at its
+    (row, col) of the 2**m x 2**m grid of N x N blocks.  laplace has
+    m = 2 + ceil(log2 D) and alpha = D / 2**ceil(log2 D), and at D = 1
+    declares its full 4 x 4 grid: the scaled Laplacian on the diagonal,
+    the trapezoid weights /(2h) where row + col = 3, and the central
+    difference times h/2 elsewhere.  lcu is the banded instance with
+    A = -(scaled Laplacian), and banded_lcu encodes A/4.  The
+    first-order ops place h times the central difference on axis 0 and
+    axis 1 in their pattern, wave's five other blocks zero.
+    """
+    h = 1.0 / (1 << n)
+    if op == "laplace":
+        dhat = (dim - 1).bit_length()
+        alpha = dim / (1 << dhat)
+        if dim > 1:
+            return 2 + dhat, alpha, {(0, 0): alpha * scaled_laplacian_dd(dim, n)}
+        lap = scaled_laplacian_1d(n)
+        mean = trapezoid_1d(n) / (2.0 * h)
+        diff = (h / 2.0) * central_difference_1d(n)
+        return 2, alpha, {
+            (r, c): lap if r == c else mean if r + c == 3 else diff for r in range(4) for c in range(4)
+        }
+    if op == "lcu":
+        return 3, -0.25, {(0, 0): -0.25 * scaled_laplacian_1d(n)}
+    if op == "banded_lcu":
+        return 3, 0.25, {(0, 0): 0.25 * banded_circulant(n, *coefficients)}
+    if op == "derivative":
+        return 1, 1.0, {(0, 0): h * central_difference_1d(n)}
+    alpha = 1.0 / math.sqrt(2.0)
+    d0, d1 = (alpha * first_order_tensorized(axis, dim, n) for axis in (0, 1))
+    if op == "gradient":
+        return 2, alpha, {(0, 0): d0, (1, 0): d1}
+    if op == "divergence":
+        return 2, alpha, {(0, 0): d0, (0, 1): d1}
+    if op == "wave":
+        zero = np.zeros_like(d0)
+        blocks = {(0, 2): d0, (2, 0): d0, (1, 2): d1, (2, 1): d1}
+        blocks.update({rc: zero for rc in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))})
+        return 3, alpha, blocks
+    raise ParameterError(f"no dense blocks for op {op!r}")
 
 
 def brute_force_tensor_sum(dim, n):

@@ -20,8 +20,6 @@ from fdblock.encodings import (
     build_encoding,
     encode_banded_lcu,
     encode_derivative_1d,
-    encode_divergence_2d,
-    encode_gradient_2d,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
     encode_wave_2d,
@@ -39,23 +37,20 @@ from fdblock.operators import (
 )
 
 from .oracles import (
-    BUILDS,
+    BANDED_BUILDS,
     EXHAUSTIVE_QUBITS,
     apply,
-    banded_circulant,
-    central_difference_1d,
+    build,
+    builds_up_to,
     closed_form_e_max,
     closed_form_p_success,
     column_mismatches,
+    dense_blocks,
     extract_block,
-    first_order_tensorized,
     max_abs_diff,
     sample_columns,
-    scaled_laplacian_1d,
-    scaled_laplacian_dd,
     separable_trapezoid_l2_norm,
     stencil_columns,
-    trapezoid_1d,
     trapezoid_l2_norm,
     unitarity_residual,
     unitary,
@@ -73,17 +68,6 @@ def test_extract_block_of_bare_ancilla_is_identity():
     enc = BlockEncoding(Circuit(3), 1, 1.0, "laplace_1d n=2")
     assert max_abs_diff(extract_block(enc, 0, 0), np.eye(4)) == 0.0
     assert max_abs_diff(extract_block(enc, 1, 0), np.zeros((4, 4))) == 0.0
-
-
-def test_extract_block_theorem_targets():
-    assert (
-        max_abs_diff(extract_block(encode_laplace_dd(1, 3), 0, 0), scaled_laplacian_1d(3))
-        < 1e-12
-    )
-    enc = encode_laplace_dd(3, 1)
-    assert (
-        max_abs_diff(extract_block(enc, 0, 0), 0.75 * scaled_laplacian_dd(3, 1)) < 1e-12
-    )
 
 
 def with_blocks(enc, blocks):
@@ -117,72 +101,24 @@ def test_verify_pattern_fails_on_a_flipped_off_diagonal_block():
     assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
 
 
-def test_verify_pattern_all_builders():
-    for enc in (
-        encode_laplace_dd(2, 2),
-        encode_derivative_1d(2),
-        encode_gradient_2d(2),
-        encode_divergence_2d(2),
-        encode_wave_2d(2),
-    ):
-        report = verify_pattern(enc, 1e-12)
-        assert report.passed, report.summary()
+# Every build within 10 qubits, where the dense route is cheap, laplace
+# at D = 5 with m = 5 ancillas, which BUILDS stops short of, and the
+# banded coefficient sets: (op, dim, n) or (op, dim, n, coefficients).
+TABLE = [*builds_up_to(10), ("laplace", 5, 1), *BANDED_BUILDS]
 
 
-def _first_order_2d(n):
-    a = 1.0 / math.sqrt(2.0)
-    return a * first_order_tensorized(0, 2, n), a * first_order_tensorized(1, 2, n)
-
-
-def _wave_blocks(n):
-    d0, d1 = _first_order_2d(n)
-    zero = np.zeros_like(d0)
-    blocks = {(0, 2): d0, (2, 0): d0, (1, 2): d1, (2, 1): d1}
-    blocks.update({rc: zero for rc in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))})
-    return blocks
-
-
-def _laplace_1d_blocks(n):
-    lap = scaled_laplacian_1d(n)
-    h = 1.0 / (1 << n)
-    mean = (1.0 / (2.0 * h)) * trapezoid_1d(n)
-    diff = (h / 2.0) * central_difference_1d(n)
-    return {
-        (r, c): lap if r == c else mean if r + c == 3 else diff for r in range(4) for c in range(4)
-    }
-
-
-# Every builder at 9-10 qubits, the sizes where the dense route is cheap,
-# with its blocks written out as dense operator matrices.
-ROUND_TRIP_CASES = [
-    (encode_laplace_dd(1, 8), lambda: _laplace_1d_blocks(8)),
-    (encode_laplace_dd(2, 3), lambda: {(0, 0): scaled_laplacian_dd(2, 3)}),
-    (encode_laplace_dd(3, 2), lambda: {(0, 0): 0.75 * scaled_laplacian_dd(3, 2)}),
-    (encode_laplace_1d_lcu(7), lambda: {(0, 0): -0.25 * scaled_laplacian_1d(7)}),
-    (
-        encode_banded_lcu(7, 0.65, -0.4, 0.15),
-        lambda: {(0, 0): 0.25 * banded_circulant(7, 0.65, -0.4, 0.15)},
-    ),
-    (encode_derivative_1d(9), lambda: {(0, 0): central_difference_1d(9) / 512}),
-    (encode_gradient_2d(4), lambda: dict(zip(((0, 0), (1, 0)), _first_order_2d(4)))),
-    (encode_divergence_2d(4), lambda: dict(zip(((0, 0), (0, 1)), _first_order_2d(4)))),
-    (encode_wave_2d(3), lambda: _wave_blocks(3)),
-]
-
-
-@pytest.mark.parametrize(
-    "enc,dense_blocks", ROUND_TRIP_CASES, ids=[enc.label for enc, _ in ROUND_TRIP_CASES]
-)
-def test_round_trip_deviations_equal_extract_block_route(enc, dense_blocks):
-    assert enc.circuit.num_qubits <= 10
-    dense = dense_blocks()
+@pytest.mark.parametrize("case", TABLE, ids=lambda case: build(*case).label)
+def test_round_trip_deviations_equal_extract_block_route(case):
+    enc = build(*case)
+    m, alpha, dense = dense_blocks(*case)
+    assert (enc.m, enc.alpha) == (m, alpha)
     assert sorted((row, col) for row, col, _ in enc.blocks) == sorted(dense)
     identity = np.eye(enc.system_dim, dtype=complex)
     deviations = []
     for block in enc.blocks:
         row, col, stencil = block
         extracted = extract_block(enc, row, col)
-        assert max_abs_diff(extracted, dense[row, col]) <= 1e-12
+        assert max_abs_diff(extracted, dense[row, col]) <= 1e-13
         deviations.append(max_abs_diff(extracted, enc.alpha * stencil.apply(identity)))
         single = verify_pattern(with_blocks(enc, (block,)), 1e-12)
         assert single.max_deviation == deviations[-1]
@@ -204,14 +140,11 @@ def test_declared_stencils_give_sparse_columns_of_wide_grids():
         assert got == {99 + pos: 0.25, 100 + pos: -0.5, 101 + pos: 0.25}
 
 
-@pytest.mark.parametrize(
-    "enc",
-    [encode_laplace_dd(1, 4), encode_wave_2d(2), encode_laplace_1d_lcu(3)],
-    ids=lambda e: e.label,
-)
-def test_round_trip_residual_matches_dense_gram_for_a_non_unitary_h(enc, monkeypatch):
+@pytest.mark.parametrize("case", list(builds_up_to(8)), ids=lambda case: build(*case).label)
+def test_round_trip_residual_matches_dense_gram_for_a_non_unitary_h(case, monkeypatch):
     import fdblock.circuit as circuit_mod
 
+    enc = build(*case)
     monkeypatch.setattr(circuit_mod, "_RSQRT2", 0.7071)
     report = verify_pattern(enc, 1e-12)
     dense = unitarity_residual(unitary(enc.circuit))
@@ -378,7 +311,7 @@ def test_verify_compares_an_alternating_move_as_one_entry():
     assert report == verify_sparse(wrong, 1e-12)
 
 
-def test_verify_fails_on_an_alternating_term_at_the_statevector_cap():
+def test_verify_fails_on_an_alternating_term_at_the_exhaustive_cap():
     # laplace_1d n=16 has 18 qubits; an extra declared term at offset
     # 0x5555 is a move that the circuit never makes
     enc = encode_laplace_dd(1, 16)
@@ -447,15 +380,9 @@ def test_verify_never_applies_a_stencil_densely(monkeypatch):
         raise AssertionError("verification applied a stencil to a dense panel")
 
     monkeypatch.setattr(Stencil, "apply", refuse)
-    checked = 0
-    for op, dim in BUILDS:
-        for n in range(1, 9):
-            enc = build_encoding(op, dim, n)
-            if enc.circuit.num_qubits > 10:
-                break
-            assert verify_pattern(enc, 1e-12).passed, enc.label
-            checked += 1
-    assert checked == 40
+    for case in builds_up_to(10):
+        enc = build(*case)
+        assert verify_pattern(enc, 1e-12).passed, enc.label
 
 
 def test_verify_pattern_needs_declared_blocks():
@@ -494,16 +421,12 @@ def test_success_probability_cos3_constant():
         assert rel < (0.06 if n == 5 else 0.05)
 
 
+# Every build within 8 qubits with each family of its dim: sin1 and cos3
+# in one dimension, where sinprod is sin1, and sinprod in more.
 ROUTE_CASES = [
-    (encode_laplace_dd(1, 3), "sin1", 1, 3),
-    (encode_laplace_dd(1, 4), "cos3", 1, 4),
-    (encode_laplace_dd(2, 2), "sinprod", 2, 2),
-    (encode_laplace_dd(3, 1), "sinprod", 3, 1),
-    (encode_laplace_1d_lcu(3), "sin1", 1, 3),
-    (encode_derivative_1d(3), "sin1", 1, 3),
-    (encode_gradient_2d(2), "sinprod", 2, 2),
-    (encode_divergence_2d(2), "sinprod", 2, 2),
-    (encode_wave_2d(2), "sinprod", 2, 2),
+    (build(op, dim, n), family, dim, n)
+    for op, dim, n in builds_up_to(8)
+    for family in (("sin1", "cos3") if dim == 1 else ("sinprod",))
 ]
 
 
@@ -524,7 +447,7 @@ CAP_CASES = [
 
 
 @pytest.mark.parametrize("enc,dim,n", CAP_CASES, ids=lambda c: getattr(c, "label", c))
-def test_route_agreement_at_the_statevector_cap(enc, dim, n):
+def test_route_agreement_at_the_exhaustive_cap(enc, dim, n):
     # a random unit vector, so that p is of order one: the smooth probes
     # give p ~ h**4, which any route meets within 1e-12 at these sizes.
     # wave's (0,0) block is zero, so its circuit must leave the branch empty.
@@ -610,7 +533,7 @@ def test_circuit_route_matches_the_dense_oracle_off_the_shift_form(enc, monkeypa
 
 
 @pytest.mark.parametrize("dim,n", [(3, 5), (4, 4)])
-def test_circuit_route_runs_past_the_statevector_cap(dim, n):
+def test_circuit_route_runs_past_the_exhaustive_cap(dim, n):
     enc = encode_laplace_dd(dim, n)
     assert enc.circuit.num_qubits == 16 + dim
     for gf in unit_grid_functions(GridSpec(dim, n), dim * 100 + n):
@@ -1067,19 +990,11 @@ def test_verify_passes_at_the_build_cap(op, dim, n):
     assert report.passed, report.summary()
 
 
-def encodings_up_to(max_qubits):
-    """Every build of BUILDS with at most max_qubits qubits, n from 1 up."""
-    for op, dim, n_max in widest_builds(max_qubits):
-        for n in range(1, n_max + 1):
-            yield build_encoding(op, dim, n)
-
-
 def test_cube_reports_equal_the_sparse_oracle_reports():
-    encs = list(encodings_up_to(12))
+    encs = [build(*case) for case in builds_up_to(12)]
     encs += [encode_banded_lcu(6, 0.65, -0.4, 0.15), encode_banded_lcu(8, 1.5, 0.3, -0.9)]
     # laplace with m = 5 ancillas, which BUILDS stops short of
     encs += [encode_laplace_dd(5, 1), encode_laplace_dd(7, 1)]
-    assert len(encs) == 56
     for enc in encs:
         assert verify_pattern(enc, 1e-12) == verify_sparse(enc, 1e-12), enc.label
 
@@ -1113,7 +1028,8 @@ def mutant(enc, kind, rng):
 
 def test_cube_reports_equal_the_sparse_oracle_reports_on_mutants():
     rng = np.random.default_rng(1515)
-    encs = [enc for enc in encodings_up_to(8) if enc.circuit.num_qubits >= 3]
+    encs = [build(*case) for case in builds_up_to(8)]
+    encs = [enc for enc in encs if enc.circuit.num_qubits >= 3]
     kinds = ("drop", "flip", "uncontrol", "system H", "RY", "2-controlled X")
     failed = 0
     for kind in kinds:

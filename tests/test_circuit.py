@@ -12,18 +12,17 @@ from fdblock.circuit import (
     export_text,
     quantum_bits,
 )
-from fdblock.encodings import build_encoding, encode_laplace_dd, shift_circuit
+from fdblock.encodings import MAX_BUILD_QUBITS, _shift_gates, encode_laplace_dd
 from fdblock.errors import QubitIndexError, ShapeError, SizeError
+from fdblock.operators import VECTOR_DIM_CAP
 
 from .oracles import (
-    BUILDS,
     apply,
     apply_sparse,
-    central_difference_1d,
+    build,
+    builds_up_to,
     dense_circuit_unitary,
     max_abs_diff,
-    scaled_laplacian_1d,
-    trapezoid_1d,
     unitary,
 )
 
@@ -39,6 +38,11 @@ def basis(num_qubits, index):
     v = np.zeros(1 << num_qubits, dtype=complex)
     v[index] = 1.0
     return v
+
+
+def shift(direction, n):
+    """The cyclic shift j -> j + direction mod 2**n on a bare n-qubit register."""
+    return Circuit(n, tuple(_shift_gates(direction, n, 0, ())))
 
 
 def test_single_gate_matrices_match_definitions():
@@ -75,46 +79,8 @@ def test_big_endian_convention():
     assert np.array_equal(apply(c, basis(3, 0)), basis(3, 6))
 
 
-def test_selection_subcircuit_fixes_middle_branches():
-    # with the selection register in state 1, neither shift fires
-    n = 3
-    enc = encode_laplace_dd(1, n)
-    part2 = Circuit(enc.circuit.num_qubits, tuple(g for g in enc.circuit.gates if g.kind == "X"))
-    for j in range(1 << n):
-        out = apply(part2, basis(n + 2, (1 << n) + j))
-        assert np.array_equal(out, basis(n + 2, (1 << n) + j))
-
-
 def test_unitary_of_empty_circuit():
     assert np.array_equal(unitary(Circuit(2)), np.eye(4))
-
-
-def test_unitary_shift_is_cyclic_permutation():
-    n = 3
-    N = 1 << n
-    u = unitary(shift_circuit(+1, n))
-    perm = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        perm[(j + 1) % N, j] = 1.0
-    assert max_abs_diff(u, perm) == 0.0
-
-
-def test_unitary_block_grid_structure():
-    # the full matrix of the two-ancilla Laplacian encoding is a 4x4 grid
-    # of NxN blocks: scaled Laplacian on the diagonal, quadrature on the
-    # antidiagonal, scaled central difference elsewhere
-    n = 2
-    N = 1 << n
-    h = 1.0 / N
-    u = unitary(encode_laplace_dd(1, n).circuit)
-    lap = scaled_laplacian_1d(n)
-    dd = (h / 2.0) * central_difference_1d(n)
-    qq = (1.0 / (2.0 * h)) * trapezoid_1d(n)
-    for r in range(4):
-        for c in range(4):
-            want = lap if r == c else (qq if r + c == 3 else dd)
-            got = u[r * N : (r + 1) * N, c * N : (c + 1) * N]
-            assert max_abs_diff(got, want) < 1e-12
 
 
 def test_dense_simulation_leaves_the_callers_arrays_unchanged():
@@ -160,7 +126,7 @@ def test_controlled_shift_matches_encoding_gates():
     # standalone shift moved onto the system wires, with an open control
     # on ancilla 1 prepended to every gate
     n = 3
-    base = shift_circuit(-1, n)
+    base = shift(-1, n)
     built = tuple(
         Gate(g.kind, g.target + 2, ((1, 0),) + tuple((q + 2, p) for q, p in g.controls))
         for g in base.gates
@@ -168,13 +134,6 @@ def test_controlled_shift_matches_encoding_gates():
     enc = encode_laplace_dd(1, n)
     expected = tuple(g for g in enc.circuit.gates if g.kind == "X")[:n]
     assert built == expected
-
-
-def test_decrement_then_increment_is_identity():
-    n = 3
-    c = Circuit(n, shift_circuit(-1, n).gates + shift_circuit(+1, n).gates)
-    for j in range(1 << n):
-        assert np.array_equal(apply(c, basis(n, j)), basis(n, j))
 
 
 def test_unitary_of_joined_gate_lists_is_reversed_product():
@@ -188,7 +147,7 @@ def test_unitary_of_joined_gate_lists_is_reversed_product():
 
 def test_apply_preserves_norm_on_corpus():
     rng = np.random.default_rng(11)
-    for circ in (encode_laplace_dd(1, 3).circuit, shift_circuit(+1, 4)):
+    for circ in (*(build(*case).circuit for case in builds_up_to(8)), shift(+1, 4)):
         v = rng.normal(size=circ.dim) + 1j * rng.normal(size=circ.dim)
         v /= np.linalg.norm(v)
         assert abs(np.linalg.norm(apply(circ, v)) - 1.0) < 1e-12
@@ -330,16 +289,10 @@ def sparse_columns(circuit, columns):
 
 
 def test_sparse_simulator_is_bit_identical_on_every_builder():
-    checked = 0
-    for op, dim in BUILDS:
-        for n in range(1, 9):
-            circuit = build_encoding(op, dim, n).circuit
-            if circuit.num_qubits > 10:
-                break
-            dense = apply(circuit, np.eye(circuit.dim))
-            assert max_abs_diff(sparse_columns(circuit, range(circuit.dim)), dense) == 0.0
-            checked += 1
-    assert checked == 40
+    for case in builds_up_to(10):
+        circuit = build(*case).circuit
+        dense = apply(circuit, np.eye(circuit.dim))
+        assert max_abs_diff(sparse_columns(circuit, range(circuit.dim)), dense) == 0.0
 
 
 def test_sparse_simulator_matches_dense_routes_on_random_circuits():
@@ -403,15 +356,9 @@ def cube_columns(circuit, zeros=0):
 
 
 def test_cube_simulator_is_bit_identical_on_every_builder():
-    checked = 0
-    for op, dim in BUILDS:
-        for n in range(1, 9):
-            circuit = build_encoding(op, dim, n).circuit
-            if circuit.num_qubits > 9:
-                break
-            assert np.array_equal(cube_columns(circuit), apply(circuit, np.eye(circuit.dim)))
-            checked += 1
-    assert checked == 35
+    for case in builds_up_to(9):
+        circuit = build(*case).circuit
+        assert np.array_equal(cube_columns(circuit), apply(circuit, np.eye(circuit.dim)))
 
 
 def test_cube_simulator_matches_dense_routes_on_random_circuits():
@@ -429,7 +376,7 @@ def test_cube_simulator_matches_dense_routes_on_random_circuits():
 def test_cube_simulator_shifts_at_sixty_four_wires(direction):
     # the carry classes of j -> j +- 1 mod 2**64: each entry sends every
     # input of its cube to j ^ xor, checked against integer arithmetic
-    c = shift_circuit(direction, 64)
+    c = shift(direction, 64)
     cubes = apply_cubes(c, basis_cubes(c))
     assert len(cubes) == 64
     rng = np.random.default_rng(64)
@@ -465,22 +412,18 @@ def test_cube_simulator_refuses_entries_beyond_its_budget(monkeypatch):
 def test_projection_keeps_the_unprojected_entries_at_zero_on_every_builder():
     # the columns fix the ancillas at 0, so the projected run keeps the
     # very entries of the unprojected one, in the same order
-    checked = 0
-    for op, dim in BUILDS:
-        for n in range(1, 16 // dim + 1):
-            enc = build_encoding(op, dim, n)
-            c = enc.circuit
-            ancillas = (c.dim - 1) ^ (enc.system_dim - 1)
-            columns = [
-                (care | ancillas, val, xor, amp)
-                for care, val, xor, amp in basis_cubes(c)
-                if not val & ancillas
-            ]
-            full = apply_cubes(c, columns)
-            kept = [e for e in full if not e[2] & ancillas]
-            assert apply_cubes(c, columns, ancillas) == kept
-            checked += 1
-    assert checked == 89
+    for case in builds_up_to(MAX_BUILD_QUBITS, VECTOR_DIM_CAP):
+        enc = build(*case)
+        c = enc.circuit
+        ancillas = (c.dim - 1) ^ (enc.system_dim - 1)
+        columns = [
+            (care | ancillas, val, xor, amp)
+            for care, val, xor, amp in basis_cubes(c)
+            if not val & ancillas
+        ]
+        full = apply_cubes(c, columns)
+        kept = [e for e in full if not e[2] & ancillas]
+        assert apply_cubes(c, columns, ancillas) == kept
 
 
 def test_projection_keeps_the_dense_outputs_at_zero_on_random_circuits():

@@ -9,31 +9,26 @@ from fdblock.encodings import (
     MAX_BUILD_QUBITS,
     OPS,
     BlockEncoding,
+    _shift_gates,
     alpha_d,
     ancilla_axis_qubits,
     encode_banded_lcu,
     encode_derivative_1d,
     encode_divergence_2d,
     encode_gradient_2d,
-    encode_laplace_1d_lcu,
     encode_laplace_dd,
-    encode_wave_2d,
-    shift_circuit,
 )
 from fdblock.errors import ParameterError, SizeError
-from fdblock.operators import GridFunction, GridSpec, scaled_laplacian_stencil
+from fdblock.operators import VECTOR_DIM_CAP, GridFunction, GridSpec, scaled_laplacian_stencil
 
 from .oracles import (
+    BANDED_BUILDS,
     BUILDS,
     apply,
-    banded_circulant,
-    central_difference_1d,
-    extract_block,
-    first_order_tensorized,
+    build,
+    builds_up_to,
+    dense_blocks,
     max_abs_diff,
-    scaled_laplacian_1d,
-    scaled_laplacian_dd,
-    trapezoid_1d,
     unitarity_residual,
     unitary,
     widest_builds,
@@ -51,67 +46,15 @@ def selection_subcircuit(enc):
     return Circuit(enc.circuit.num_qubits, tuple(g for g in enc.circuit.gates if g.kind == "X"))
 
 
-def test_shift_wraparound():
-    n = 3
-    up = shift_circuit(+1, n)
-    dn = shift_circuit(-1, n)
-    assert np.array_equal(apply(up, basis(n, 7)), basis(n, 0))
-    assert np.array_equal(apply(dn, basis(n, 0)), basis(n, 7))
-
-
-def test_shift_product_is_identity():
-    for n in (1, 2, 3, 4):
-        u = unitary(shift_circuit(+1, n)) @ unitary(shift_circuit(-1, n))
-        assert max_abs_diff(u, np.eye(1 << n)) < 1e-14
-
-
 def test_shift_matches_permutation_for_all_sizes():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         N = 1 << n
         for direction in (1, -1):
-            u = unitary(shift_circuit(direction, n))
+            u = unitary(Circuit(n, tuple(_shift_gates(direction, n, 0, ()))))
             perm = np.zeros((N, N), dtype=complex)
             for j in range(N):
                 perm[(j + direction) % N, j] = 1.0
             assert max_abs_diff(u, perm) == 0.0
-
-
-def test_shift_rejects_bad_args():
-    with pytest.raises(ParameterError):
-        shift_circuit(2, 3)
-    with pytest.raises(ParameterError):
-        shift_circuit(1, 0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_laplace_1d_zero_block(n):
-    enc = encode_laplace_dd(1, n)
-    assert enc.m == 2 and enc.alpha == 1.0
-    assert max_abs_diff(extract_block(enc, 0, 0), scaled_laplacian_1d(n)) < 1e-12
-
-
-def test_laplace_1d_difference_and_quadrature_blocks():
-    n = 3
-    h = 1.0 / (1 << n)
-    enc = encode_laplace_dd(1, n)
-    dd = (h / 2.0) * central_difference_1d(n)
-    qq = (1.0 / (2.0 * h)) * trapezoid_1d(n)
-    assert max_abs_diff(extract_block(enc, 0, 1), dd) < 1e-12
-    assert max_abs_diff(extract_block(enc, 0, 3), qq) < 1e-12
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_laplace_1d_full_block_grid(n):
-    N = 1 << n
-    h = 1.0 / N
-    u = unitary(encode_laplace_dd(1, n).circuit)
-    lap = scaled_laplacian_1d(n)
-    dd = (h / 2.0) * central_difference_1d(n)
-    qq = (1.0 / (2.0 * h)) * trapezoid_1d(n)
-    for r in range(4):
-        for c in range(4):
-            want = lap if r == c else (qq if r + c == 3 else dd)
-            assert max_abs_diff(u[r * N : (r + 1) * N, c * N : (c + 1) * N], want) < 1e-12
 
 
 def test_lemma_truth_table_exact():
@@ -143,19 +86,6 @@ def test_alpha_d_values():
         alpha_d(0)
 
 
-@pytest.mark.parametrize(
-    "dim,n",
-    [(2, 1), (2, 2), (3, 1), (4, 1), (5, 1)],
-)
-def test_laplace_dd_zero_block(dim, n):
-    enc = encode_laplace_dd(dim, n)
-    dhat = ancilla_axis_qubits(dim)
-    assert enc.m == 2 + dhat
-    assert enc.alpha == alpha_d(dim)
-    target = alpha_d(dim) * scaled_laplacian_dd(dim, n)
-    assert max_abs_diff(extract_block(enc, 0, 0), target) < 1e-12
-
-
 def test_laplace_dd_unused_axis_patterns_leave_grid_fixed():
     # dim = 3 uses axis patterns 0..2 of a 2-qubit register; pattern 3
     # must pass every basis state through the controlled shifts untouched
@@ -169,29 +99,6 @@ def test_laplace_dd_unused_axis_patterns_leave_grid_fixed():
             idx = ((3 * 4) + sel) * N_D + j  # axis pattern k = 3
             out = apply(part2, basis(nq, idx))
             assert out[idx] == 1.0
-
-
-def test_banded_lcu_laplacian_instance():
-    n = 3
-    enc = encode_laplace_1d_lcu(n)
-    assert enc.m == 3 and enc.alpha == -0.25
-    target = -0.25 * scaled_laplacian_1d(n)
-    assert max_abs_diff(extract_block(enc, 0, 0), target) < 1e-12
-
-
-def test_banded_lcu_identity_coefficients():
-    # a0 = 1, a1 = am1 = 0 encodes I/4 in the zero block
-    n = 2
-    enc = encode_banded_lcu(n, 1.0, 0.0, 0.0)
-    assert max_abs_diff(extract_block(enc, 0, 0), 0.25 * np.eye(1 << n)) < 1e-12
-
-
-def test_banded_lcu_general_coefficients():
-    n = 2
-    a0, a1, am1 = 0.8, -0.3, 0.45
-    enc = encode_banded_lcu(n, a0, a1, am1)
-    target = 0.25 * banded_circulant(n, a0, a1, am1)
-    assert max_abs_diff(extract_block(enc, 0, 0), target) < 1e-12
 
 
 def test_banded_lcu_rejects_bad_angles():
@@ -211,77 +118,17 @@ def test_banded_lcu_rejects_non_finite_coefficients(name, bad):
         encode_banded_lcu(3, coeffs["a0"], coeffs["a1"], coeffs["am1"])
 
 
-def test_derivative_block_and_properties():
-    n = 3
-    h = 1.0 / (1 << n)
-    enc = encode_derivative_1d(n)
-    assert enc.m == 1 and enc.alpha == 1.0
-    block = extract_block(enc, 0, 0)
-    assert max_abs_diff(block, h * central_difference_1d(n)) < 1e-12
-    assert max_abs_diff(block.T, -block) < 1e-12
-    const = np.full(1 << n, 1.0 / np.sqrt(1 << n))
-    assert float(np.max(np.abs(block @ const))) < 1e-12
+# Every build within 8 qubits, where a dense unitary is cheap, and the
+# banded coefficient sets.
+SMALL = [build(*case) for case in (*builds_up_to(8), *BANDED_BUILDS)]
 
 
-def test_gradient_blocks():
-    n = 2
-    enc = encode_gradient_2d(n)
-    a = enc.alpha
-    assert enc.m == 2 and abs(a - 1 / np.sqrt(2)) < 1e-15
-    assert max_abs_diff(extract_block(enc, 0, 0), a * first_order_tensorized(0, 2, n)) < 1e-12
-    assert max_abs_diff(extract_block(enc, 1, 0), a * first_order_tensorized(1, 2, n)) < 1e-12
-
-
-def test_divergence_blocks():
-    n = 2
-    enc = encode_divergence_2d(n)
-    a = enc.alpha
-    assert max_abs_diff(extract_block(enc, 0, 0), a * first_order_tensorized(0, 2, n)) < 1e-12
-    assert max_abs_diff(extract_block(enc, 0, 1), a * first_order_tensorized(1, 2, n)) < 1e-12
-
-
-def test_wave_block_pattern():
-    n = 2
-    enc = encode_wave_2d(n)
-    a = enc.alpha
-    d0 = first_order_tensorized(0, 2, n)
-    d1 = first_order_tensorized(1, 2, n)
-    zero = np.zeros_like(d0)
-    expected = {
-        (0, 2): a * d0,
-        (2, 0): a * d0,
-        (1, 2): a * d1,
-        (2, 1): a * d1,
-        (0, 0): zero,
-        (0, 1): zero,
-        (1, 0): zero,
-        (1, 1): zero,
-        (2, 2): zero,
-    }
-    for (r, c), want in expected.items():
-        assert max_abs_diff(extract_block(enc, r, c), want) < 1e-12, (r, c)
-
-
-CORPUS = [
-    encode_laplace_dd(1, 2),
-    encode_laplace_dd(1, 3),
-    encode_laplace_dd(2, 2),
-    encode_laplace_dd(3, 1),
-    encode_laplace_1d_lcu(3),
-    encode_banded_lcu(2, 0.7, 0.2, -0.6),
-    encode_derivative_1d(3),
-    encode_gradient_2d(2),
-    encode_divergence_2d(2),
-    encode_wave_2d(2),
-]
-
-
-@pytest.mark.parametrize("enc", CORPUS, ids=lambda e: e.label)
+@pytest.mark.parametrize("enc", SMALL, ids=lambda e: e.label)
 def test_every_encoding_is_unitary(enc):
     assert unitarity_residual(unitary(enc.circuit)) < 1e-12
 
 
-@pytest.mark.parametrize("enc", CORPUS, ids=lambda e: e.label)
+@pytest.mark.parametrize("enc", SMALL, ids=lambda e: e.label)
 def test_encoding_contract_consistency(enc):
     system_qubits = enc.system_dim.bit_length() - 1
     assert enc.circuit.num_qubits == enc.m + system_qubits
@@ -290,11 +137,19 @@ def test_encoding_contract_consistency(enc):
 
 @pytest.mark.parametrize("op", list(OPS))
 def test_system_dim_is_the_grid_size(op):
-    dims = (1, 3) if OPS[op].dim is None else (OPS[op].dim,)
-    for dim in dims:
-        for n in (1, 3):
-            enc = OPS[op].build(dim, n)
-            assert enc.system_dim == GridSpec(dim, n).npoints
+    for name, dim, n in builds_up_to(8):
+        if name == op:
+            assert OPS[op].build(dim, n).system_dim == GridSpec(dim, n).npoints
+
+
+# The caps that the suite's per-build loops read builds_up_to at.
+CORPUS_CAPS = [(8,), (9,), (10,), (12,), (16,), (24,), (28,), (MAX_BUILD_QUBITS, VECTOR_DIM_CAP)]
+
+
+@pytest.mark.parametrize("caps", CORPUS_CAPS, ids=str)
+def test_every_build_pair_has_builds_within_each_corpus_cap(caps):
+    # so that no per-build loop can pass by checking no build of a pair
+    assert {(op, dim) for op, dim, _ in builds_up_to(*caps)} == set(BUILDS)
 
 
 BUILDERS_AT_THE_CAP = [
@@ -388,14 +243,16 @@ def test_divergence_is_gradient_with_axis_mixing_moved():
 def test_banded_lcu_column_action_by_hand():
     # column action written out entrywise: the diagonal coefficient stays
     # on |j>, the subdiagonal one lands on |j+1>, the superdiagonal one
-    # on |j-1>, all divided by four
-    n, a0, a1, am1 = 3, 0.8, -0.3, 0.45
-    enc = encode_banded_lcu(n, a0, a1, am1)
-    blk = extract_block(enc, 0, 0)
-    N = 1 << n
+    # on |j-1>, all divided by four; the table test of test_analysis
+    # holds the circuit's block to this dense one
+    case = ("banded_lcu", 1, 3, (0.8, -0.3, 0.45))
+    assert case in BANDED_BUILDS
+    _, _, blocks = dense_blocks(*case)
+    a0, a1, am1 = case[3]
+    N = 1 << case[2]
     for j in range(N):
         col = np.zeros(N, dtype=complex)
         col[j] += 0.25 * a0
         col[(j - 1) % N] += 0.25 * am1
         col[(j + 1) % N] += 0.25 * a1
-        assert max_abs_diff(blk[:, j], col) < 1e-13
+        assert max_abs_diff(blocks[0, 0][:, j], col) < 1e-13

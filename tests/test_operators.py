@@ -102,7 +102,7 @@ def test_scaled_laplacian_spectral_norm_one_by_power_iteration():
 
 def test_tensor_sum_identity_vs_brute_force():
     for dim, n in ((1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)):
-        assert max_abs_diff(laplacian_dd(dim, n), brute_force_tensor_sum(dim, n)) < 1e-9
+        assert max_abs_diff(laplacian_dd(dim, n), brute_force_tensor_sum(dim, n)) < 1e-10
 
 
 def test_constant_function_in_kernel():
@@ -119,8 +119,10 @@ def test_central_difference_row_at_n2():
 
 
 def test_central_difference_antisymmetric():
+    # with the constants in its kernel, as the derivative's block has
     d = central_difference_1d(3)
     assert max_abs_diff(d.T, -d) == 0.0
+    assert not np.any(d @ np.ones(8))
 
 
 def test_trapezoid_row_sums():

@@ -12,7 +12,6 @@ from fdblock.encodings import (
     build_encoding,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
-    encode_wave_2d,
 )
 from fdblock.errors import ParameterError, SizeError
 from fdblock.resources import (
@@ -26,6 +25,9 @@ from fdblock.resources import (
 
 from .oracles import (
     BUILDS,
+    apply,
+    build,
+    builds_up_to,
     charge_lowered_circuit,
     dense_toffoli_network,
     lowered_round_trip_gap,
@@ -44,6 +46,11 @@ def _name(op, dim):
 # build cap, which is the end of the range `resources` reports.
 BUILDERS = {_name(op, dim): functools.partial(build_encoding, op, dim) for op, dim in BUILDS}
 N_MAX = {_name(op, dim): n for op, dim, n in widest_builds(MAX_BUILD_QUBITS)}
+
+
+def ns_up_to(name, max_qubits):
+    """The n of every build of the named builder within max_qubits, from 1 up."""
+    return [n for op, dim, n in builds_up_to(max_qubits) if _name(op, dim) == name]
 
 
 def test_clifford_only_circuit_has_no_t():
@@ -96,24 +103,19 @@ def test_lowered_expansion_reproduces_gate_unitary(k):
         assert not np.any(leak)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: encode_laplace_dd(1, 3),
-        lambda: encode_laplace_dd(2, 2),
-        lambda: encode_laplace_1d_lcu(2),
-        lambda: encode_wave_2d(2),
-    ],
-)
-def test_lowered_whole_encoding_equivalence(make):
-    # ladder caching across gates must not change the implemented unitary
-    enc = make()
+@pytest.mark.parametrize("case", list(builds_up_to(8)), ids=lambda case: build(*case).label)
+def test_lowered_whole_encoding_equivalence(case):
+    # ladder caching across gates must not change the implemented unitary:
+    # the lowered circuit's columns with its ladder at 0, densely
+    enc = build(*case)
     low = lower_to_toffoli(enc.circuit)
     anc = low.num_qubits - enc.circuit.num_qubits
-    full = unitary(low)
     idx = np.arange(enc.circuit.dim) << anc
-    assert max_abs_diff(full[np.ix_(idx, idx)], unitary(enc.circuit)) < 1e-13
-    leak = np.delete(full[:, idx], idx, axis=0)
+    columns = np.zeros((low.dim, idx.size), dtype=complex)
+    columns[idx, np.arange(idx.size)] = 1.0
+    full = apply(low, columns)
+    assert max_abs_diff(full[idx], unitary(enc.circuit)) < 1e-13
+    leak = np.delete(full, idx, axis=0)
     assert float(np.max(np.abs(leak))) < 1e-13 if leak.size else True
 
 
@@ -121,7 +123,7 @@ def test_lowered_whole_encoding_equivalence(make):
 def test_lowered_circuit_round_trips_to_its_source(name):
     # the cube round trip has no dense cap; its ladder width is the
     # resources table's ancilla column
-    for n in range(1, 4 if name in ("laplace3", "laplace4") else 7):
+    for n in ns_up_to(name, 16):
         circuit = BUILDERS[name](n).circuit
         gap, ladder = lowered_round_trip_gap(circuit)
         assert gap <= 1e-12, (name, n, gap)
@@ -215,8 +217,9 @@ def _materialised_counts(circuit):
 def test_tally_equals_the_charge_of_the_lowered_circuit(name):
     # count_resources charges the ladder walk's steps without building
     # the lowered circuit; charging that circuit gate by gate must agree
+    # every builder reaches n = 6 within 28 qubits (laplace D=4 there)
     build = BUILDERS[name]
-    for n in (*range(1, 7), N_MAX[name]):
+    for n in (*ns_up_to(name, 28), N_MAX[name]):
         circuit = build(n).circuit
         assert count_resources(circuit) == _materialised_counts(circuit), (name, n)
 
@@ -349,8 +352,9 @@ def test_lowered_streams_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_t_count_monotone_from_n1(name):
+    # every builder reaches n = 5 within 24 qubits (laplace D=4 there)
     build = BUILDERS[name]
-    ts = [count_resources(build(n).circuit).t_count for n in range(1, 6)]
+    ts = [count_resources(build(n).circuit).t_count for n in ns_up_to(name, 24)]
     assert all(b >= a for a, b in zip(ts, ts[1:]))
 
 
