@@ -29,9 +29,8 @@ The amplitudes are those of the test suite's dense statevector
 simulator bit for bit.  So are the deviations, as long as every
 amplitude and declared coefficient is real, as every gate kind and
 builder keeps them; numpy's complex abs can differ from Python's in
-the last digit otherwise.  The numpy sparse
-route that reported before is the test suite's second route
-(``tests/oracles.py``).
+the last digit otherwise.  The test suite's second route to the
+report runs the columns on numpy sparse panels (``tests/oracles.py``).
 
 Success probabilities are computed by two independent routes: running
 the encoding circuit on |0>|v> and collecting the zero-ancilla mass, or

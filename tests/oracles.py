@@ -54,6 +54,23 @@ second route to every sweep number.
 ``analysis.success_probability`` as one loop: a fresh cube run and
 each entry's views in their own axis order.  The route's kept plan and
 transposed views must give its bits.
+
+Each second route is compared in one parametrized table, so a new
+build, dim or circuit is a new row there, not an edit across tests:
+
+- blocks: ``test_analysis.TABLE`` in
+  ``test_round_trip_deviations_equal_extract_block_route``, against
+  ``dense_blocks`` and ``extract_block``;
+- verify reports: ``test_analysis.VERIFY_ROWS`` in
+  ``test_verify_report_equals_the_sparse_oracle``, against
+  ``verify_sparse``, with each row's PASS or FAIL;
+- the circuit route of ``success_probability``:
+  ``test_analysis.ROUTE_ROWS`` in ``test_circuit_route_table``, against
+  ``unplanned_success_probability``, the matrix route and ``apply``;
+- the column simulators, ``apply_sparse`` and ``circuit.apply_cubes``:
+  ``test_circuit``'s builder table over ``builds_up_to(10)`` and its
+  random table over ``RANDOM_SEEDS``, against ``apply`` and
+  ``dense_circuit_unitary``.
 """
 
 import functools
@@ -725,6 +742,7 @@ def verify_sparse(enc, tol):
     if nq > EXHAUSTIVE_QUBITS:
         raise SizeError(f"{nq} qubits exceeds the exhaustive cap {EXHAUSTIVE_QUBITS}")
     N = enc.system_dim
+    k = np.uint64(nq - enc.m)
     inverse = adjoint(enc.circuit)
     width = PANEL_ENTRIES >> min(2 * enc.m, nq)
     deviations, residuals = [0.0], [0.0]
@@ -735,11 +753,10 @@ def verify_sparse(enc, tol):
             basis = (np.arange(js.size), js + np.uint64(col * N), np.ones(js.size))
             cols, idx, amp = out = apply_sparse(enc.circuit, *basis)
             for row, stencil in wanted:
-                lo = np.uint64(row * N)
-                inside = (idx >= lo) & (idx < lo + np.uint64(N))
-                k, rows, values = stencil_columns(stencil, js)
+                inside = idx >> k == row
+                ks, rows, values = stencil_columns(stencil, js)
                 found = (cols[inside], idx[inside], amp[inside])
-                expected = (k, rows + lo, enc.alpha * values)
+                expected = (ks, rows + np.uint64(row * N), enc.alpha * values)
                 deviations.append(max_sparse_gap(found, expected))
             residuals.append(max_sparse_gap(apply_sparse(inverse, *out), basis))
     # np.max, unlike the builtin, propagates a NaN into a FAIL.

@@ -7,6 +7,7 @@ import pytest
 from fdblock.analysis import (
     FAMILIES,
     SWEEP_CSV_HEADER,
+    _zero_views,
     success_probability,
     sweep_csv,
     sweep_success_probability,
@@ -17,7 +18,6 @@ from fdblock.encodings import (
     MAX_BUILD_QUBITS,
     BlockEncoding,
     _shift_gates,
-    build_encoding,
     encode_banded_lcu,
     encode_derivative_1d,
     encode_laplace_1d_lcu,
@@ -308,7 +308,6 @@ def test_verify_compares_an_alternating_move_as_one_entry():
     report = verify_pattern(wrong, 1e-12)
     assert report.max_deviation == 0.25 and report.unitarity_residual == 0.0
     assert not report.passed
-    assert report == verify_sparse(wrong, 1e-12)
 
 
 def test_verify_fails_on_an_alternating_term_at_the_exhaustive_cap():
@@ -368,21 +367,12 @@ def test_verify_simulates_each_column_once_forward_and_once_back(monkeypatch):
 
 
 def test_verify_passes_at_seventeen_qubits():
-    # N = 2**16 grid points: comparing dense (N, width) panels took 90 s here
+    # N = 2**16 grid points, so a dense block would hold 2**32 entries;
+    # verify compares cube entries by move, whose count does not grow with N
     enc = encode_derivative_1d(16)
     assert enc.circuit.num_qubits == 17
     report = verify_pattern(enc, 1e-12)
     assert report.passed, report.summary()
-
-
-def test_verify_never_applies_a_stencil_densely(monkeypatch):
-    def refuse(self, values):
-        raise AssertionError("verification applied a stencil to a dense panel")
-
-    monkeypatch.setattr(Stencil, "apply", refuse)
-    for case in builds_up_to(10):
-        enc = build(*case)
-        assert verify_pattern(enc, 1e-12).passed, enc.label
 
 
 def test_verify_pattern_needs_declared_blocks():
@@ -419,126 +409,6 @@ def test_success_probability_cos3_constant():
         assert abs(p - math.sin(3 * math.pi * h) ** 4) < 1e-13
         rel = abs(p / h**4 - 81 * math.pi**4) / (81 * math.pi**4)
         assert rel < (0.06 if n == 5 else 0.05)
-
-
-# Every build within 8 qubits with each family of its dim: sin1 and cos3
-# in one dimension, where sinprod is sin1, and sinprod in more.
-ROUTE_CASES = [
-    (build(op, dim, n), family, dim, n)
-    for op, dim, n in builds_up_to(8)
-    for family in (("sin1", "cos3") if dim == 1 else ("sinprod",))
-]
-
-
-@pytest.mark.parametrize("enc,family,dim,n", ROUTE_CASES, ids=lambda c: getattr(c, "label", c))
-def test_route_agreement(enc, family, dim, n):
-    gf = grid_fn(family, dim, n)
-    p_circuit = success_probability(enc, gf, "circuit")
-    p_matrix = success_probability(enc, gf, "matrix")
-    assert abs(p_circuit - p_matrix) < 1e-12
-
-
-# simulate-18q's sizes: each build at its widest grid function within
-# EXHAUSTIVE_QUBITS, 16-18 qubits
-CAP_CASES = [
-    (build_encoding(op, dim, n), dim, n)
-    for op, dim, n in widest_builds(EXHAUSTIVE_QUBITS, VECTOR_DIM_CAP)
-]
-
-
-@pytest.mark.parametrize("enc,dim,n", CAP_CASES, ids=lambda c: getattr(c, "label", c))
-def test_route_agreement_at_the_exhaustive_cap(enc, dim, n):
-    # a random unit vector, so that p is of order one: the smooth probes
-    # give p ~ h**4, which any route meets within 1e-12 at these sizes.
-    # wave's (0,0) block is zero, so its circuit must leave the branch empty.
-    spec = GridSpec(dim, n)
-    rng = np.random.default_rng(dim * 100 + n)
-    raw = rng.normal(size=spec.npoints) + 1j * rng.normal(size=spec.npoints)
-    gf = GridFunction.from_samples(spec, raw)
-    p_circuit = success_probability(enc, gf, "circuit")
-    p_matrix = success_probability(enc, gf, "matrix")
-    if enc.label.startswith("wave_2d"):
-        assert p_matrix == 0.0
-    else:
-        assert p_matrix > 1e-2
-    assert abs(p_circuit - p_matrix) < 1e-12
-
-
-def dense_success_probability(enc, values):
-    """Zero-ancilla mass of the dense oracle's run of the encoding on |0>|v>."""
-    state = np.zeros(enc.circuit.dim, dtype=complex)
-    state[: enc.system_dim] = values
-    return float(np.sum(np.abs(apply(enc.circuit, state)[: enc.system_dim]) ** 2))
-
-
-def unit_grid_functions(spec, seed):
-    """A random complex unit vector, and a real one held as complex128 with zero imaginary part."""
-    rng = np.random.default_rng(seed)
-    size = spec.npoints
-    complex_gf = GridFunction.from_samples(spec, rng.normal(size=size) + 1j * rng.normal(size=size))
-    real_gf = GridFunction.from_samples(spec, rng.normal(size=size))
-    assert real_gf.values.dtype == np.complex128 and not real_gf.values.imag.any()
-    return complex_gf, real_gf
-
-
-@pytest.mark.parametrize("enc,dim,n", CAP_CASES, ids=lambda c: getattr(c, "label", c))
-def test_circuit_route_matches_the_dense_oracle_at_the_cap(enc, dim, n):
-    for gf in unit_grid_functions(GridSpec(dim, n), dim * 100 + n + 1):
-        p = success_probability(enc, gf, "circuit")
-        assert abs(p - dense_success_probability(enc, gf.values)) <= 1e-12
-
-
-def laplace_with_gates(gates, label):
-    """laplace D=1 n=16 (18 qubits) with extra gates ahead of its circuit."""
-    enc = encode_laplace_dd(1, 16)
-    circuit = Circuit(18, tuple(gates) + enc.circuit.gates)
-    return BlockEncoding(circuit, enc.m, enc.alpha, label)
-
-
-def off_shift_form():
-    """Three fresh encodings that leave the shift form, so that each test runs its own."""
-    return [
-        laplace_with_gates([Gate("X", w) for w in range(2, 18)], "reflection"),
-        laplace_with_gates([Gate("H", 9)], "system H"),
-        laplace_with_gates([Gate("RY", 17, theta=0.7)], "system RY"),
-    ]
-
-
-@pytest.mark.parametrize("enc", off_shift_form(), ids=lambda e: e.label)
-def test_circuit_route_matches_the_dense_oracle_off_the_shift_form(enc, monkeypatch):
-    # the reflection flips every free grid bit of its cubes, so the
-    # views run backwards over whole runs; H and RY on a grid wire make
-    # system bits quantum, which the cubes fix
-    import fdblock.analysis as analysis_mod
-
-    reversed_runs = []
-    views = analysis_mod._views
-
-    def spying(*args):
-        shape, source, target = views(*args)
-        reversed_runs.extend(
-            size for size, index in zip(shape, target) if index == slice(None, None, -1)
-        )
-        return shape, source, target
-
-    monkeypatch.setattr(analysis_mod, "_views", spying)
-    system = enc.system_dim - 1
-    for gf in unit_grid_functions(GridSpec(1, 16), 16):
-        p = success_probability(enc, gf, "circuit")
-        assert abs(p - dense_success_probability(enc, gf.values)) <= 1e-12
-    if enc.label == "reflection":
-        assert max(reversed_runs) == enc.system_dim
-    else:
-        assert quantum_bits(enc.circuit) & system
-
-
-@pytest.mark.parametrize("dim,n", [(3, 5), (4, 4)])
-def test_circuit_route_runs_past_the_exhaustive_cap(dim, n):
-    enc = encode_laplace_dd(dim, n)
-    assert enc.circuit.num_qubits == 16 + dim
-    for gf in unit_grid_functions(GridSpec(dim, n), dim * 100 + n):
-        p = success_probability(enc, gf, "circuit")
-        assert abs(p - success_probability(enc, gf, "matrix")) <= 1e-12
 
 
 def spread_over_the_grid():
@@ -603,16 +473,121 @@ def test_circuit_route_keeps_nothing_from_a_refused_circuit(monkeypatch):
     assert calls == [wide.circuit, wide.circuit]
 
 
-@pytest.mark.parametrize(
-    "enc,dim,n",
-    CAP_CASES + [(enc, 1, 16) for enc in off_shift_form()],
-    ids=lambda c: getattr(c, "label", c),
-)
-def test_circuit_route_gives_the_bits_of_the_unplanned_loop(enc, dim, n):
-    # transposed views and |out|**2 in place change no bit of p
-    for gf in unit_grid_functions(GridSpec(dim, n), dim * 100 + n + 2):
+def dense_success_probability(enc, values):
+    """Zero-ancilla mass of the dense oracle's run of the encoding on |0>|v>."""
+    state = np.zeros(enc.circuit.dim, dtype=complex)
+    state[: enc.system_dim] = values
+    return float(np.sum(np.abs(apply(enc.circuit, state)[: enc.system_dim]) ** 2))
+
+
+def unit_grid_functions(spec, seed):
+    """A random complex unit vector, and a real one held as complex128 with zero imaginary part."""
+    rng = np.random.default_rng(seed)
+    size = spec.npoints
+    complex_gf = GridFunction.from_samples(spec, rng.normal(size=size) + 1j * rng.normal(size=size))
+    real_gf = GridFunction.from_samples(spec, rng.normal(size=size))
+    assert real_gf.values.dtype == np.complex128 and not real_gf.values.imag.any()
+    return complex_gf, real_gf
+
+
+def off_shift(n, kind):
+    """laplace D=1 with one of five gate prefixes that break its shift form."""
+    enc = encode_laplace_dd(1, n)
+    nq = enc.circuit.num_qubits
+    mid = enc.m + n // 2
+    prefix = {
+        "reflection": [Gate("X", w) for w in range(enc.m, nq)],
+        "half reflection": [Gate("X", w) for w in range(mid, nq)],
+        "system H": [Gate("H", mid)],
+        "system RY": [Gate("RY", nq - 1, theta=0.7)],
+        "controlled X": [Gate("X", nq - 1, ((mid, 1),))],
+    }[kind]
+    circuit = Circuit(nq, tuple(prefix) + enc.circuit.gates)
+    return BlockEncoding(circuit, enc.m, enc.alpha, f"{kind} n={n}", enc.blocks)
+
+
+OFF_SHIFT = ("reflection", "half reflection", "system H", "system RY", "controlled X")
+
+
+# laplace (dim, n) past the exhaustive cap, and with m = 5 and 6 ancillas
+WIDE_LAPLACE = ((3, 5), (4, 4), (5, 3), (8, 2), (12, 1), (16, 1))
+
+
+def route_row(enc, dim, n, probes="random"):
+    """A row of the circuit-route table: the encoding, its grid and its vectors' families."""
+    return pytest.param(enc, dim, n, probes, id=f"{enc.label} {probes}")
+
+
+# The circuit-route table: one row per encoding, with its vectors.  A
+# row's probes are families of FAMILIES, or "random" for the two
+# unit_grid_functions of seed 100 * dim + n, whose p is of order one
+# where the smooth probes give p ~ h**4.
+ROUTE_ROWS = [
+    # every build within 8 qubits, with sin1 and cos3 in 1-d, sinprod above
+    *(
+        route_row(build(op, dim, n), dim, n, "sin1 cos3" if dim == 1 else "sinprod")
+        for op, dim, n in builds_up_to(8)
+    ),
+    # simulate-18q's sizes: each build at its widest grid within EXHAUSTIVE_QUBITS, 16-18 q
+    *(
+        route_row(build(op, dim, n), dim, n)
+        for op, dim, n in widest_builds(EXHAUSTIVE_QUBITS, VECTOR_DIM_CAP)
+    ),
+    *(route_row(encode_laplace_dd(dim, n), dim, n) for dim, n in WIDE_LAPLACE),
+    # the banded stencil that the builder declares
+    *(route_row(encode_banded_lcu(n, 0.65, -0.4, 0.15), 1, n, "sin1") for n in (3, 5)),
+    # 18 q off the shift form, with no declared blocks
+    *(
+        route_row(with_blocks(off_shift(16, kind), ()), 1, 16)
+        for kind in ("reflection", "system H", "system RY")
+    ),
+]
+
+
+@pytest.mark.parametrize("enc,dim,n,probes", ROUTE_ROWS)
+def test_circuit_route_table(enc, dim, n, probes):
+    # p has the bits of the unplanned loop: transposed views and
+    # |out|**2 in place change none.  It meets the matrix route where
+    # blocks are declared, and the dense oracle up to its cap.  wave's
+    # (0,0) block is zero, so its circuit must leave the branch empty.
+    spec = GridSpec(dim, n)
+    if probes == "random":
+        gfs = unit_grid_functions(spec, 100 * dim + n)
+    else:
+        gfs = [grid_fn(family, dim, n) for family in probes.split()]
+    for gf in gfs:
         p = success_probability(enc, gf, "circuit")
         assert p.hex() == unplanned_success_probability(enc, gf.values).hex()
+        if enc.blocks:
+            p_matrix = success_probability(enc, gf, "matrix")
+            assert abs(p - p_matrix) < 1e-14
+            if probes == "random":
+                assert (p_matrix == 0.0) if enc.label.startswith("wave_2d") else (p_matrix > 1e-2)
+        if enc.circuit.num_qubits <= EXHAUSTIVE_QUBITS:
+            assert abs(p - dense_success_probability(enc, gf.values)) < 1e-14
+
+
+def test_route_and_verify_rows_are_the_cases_they_name():
+    # the wide laplace rows: widths, and the number of ancillas
+    wide = [encode_laplace_dd(dim, n) for dim, n in WIDE_LAPLACE]
+    assert [(enc.circuit.num_qubits, enc.m) for enc in wide] == [
+        (19, 4), (20, 4), (20, 5), (21, 5), (18, 6), (22, 6)
+    ]
+    assert all(off_shift(12, kind).circuit.num_qubits == 14 for kind in OFF_SHIFT)
+    # the reflection flips every free grid bit of its cubes, so a view
+    # runs backwards over a whole run of N; H and RY on a grid wire make
+    # system bits quantum, which the cubes fix
+    reflection = off_shift(16, "reflection")
+    reversed_runs = [
+        size
+        for shape, _, target, _, _ in _zero_views(reflection)
+        for size, index in zip(shape, target)
+        if index == slice(None, None, -1)
+    ]
+    assert max(reversed_runs) == reflection.system_dim
+    for kind in ("system H", "system RY"):
+        enc = off_shift(16, kind)
+        assert quantum_bits(enc.circuit) & (enc.system_dim - 1)
 
 
 def test_success_probability_leaves_the_grid_values_unchanged():
@@ -856,10 +831,9 @@ def test_scaled_action_asymptote_3d_separable_quadrature():
     assert abs(measured - oracle) / oracle < 0.02
 
 
-def test_cap_scale_extraction_path_spot_checked():
-    # D=4, n=3 has 16 qubits, too many for a full unitary; single-column
-    # applications (what extract_block batches) must still reproduce
-    # the stencil reference
+def test_dense_single_columns_match_the_stencil_at_sixteen_qubits():
+    # D=4, n=3 has 16 qubits, too many for a full unitary; six dense
+    # single-column runs must still reproduce the stencil reference
     enc = encode_laplace_dd(4, 3)
     spec = GridSpec(4, 3)
     N = enc.system_dim
@@ -908,36 +882,6 @@ def test_verify_refuses_a_circuit_beyond_the_entry_budget():
         )
 
 
-def off_shift(n, kind):
-    """laplace D=1 with one of five gate prefixes that break its shift form."""
-    enc = encode_laplace_dd(1, n)
-    nq = enc.circuit.num_qubits
-    mid = enc.m + n // 2
-    prefix = {
-        "reflection": [Gate("X", w) for w in range(enc.m, nq)],
-        "half reflection": [Gate("X", w) for w in range(mid, nq)],
-        "system H": [Gate("H", mid)],
-        "system RY": [Gate("RY", nq - 1, theta=0.7)],
-        "controlled X": [Gate("X", nq - 1, ((mid, 1),))],
-    }[kind]
-    circuit = Circuit(nq, tuple(prefix) + enc.circuit.gates)
-    return BlockEncoding(circuit, enc.m, enc.alpha, f"{kind} n={n}", enc.blocks)
-
-
-OFF_SHIFT = ("reflection", "half reflection", "system H", "system RY", "controlled X")
-
-
-@pytest.mark.parametrize("kind", OFF_SHIFT)
-def test_cube_reports_equal_the_sparse_oracle_reports_off_the_shift_form(kind):
-    # flipped free bits cut the found cubes into many pieces of
-    # different moves, which the comparison solves for move by move
-    enc = off_shift(12, kind)
-    assert enc.circuit.num_qubits == 14
-    report = verify_pattern(enc, 1e-12)
-    assert repr(report) == repr(verify_sparse(enc, 1e-12))
-    assert not report.passed
-
-
 def test_verify_fails_a_reflection_at_the_build_cap():
     # 64 qubits, past the exhaustive oracle: the deviation is its 14-q twin's
     enc = off_shift(62, "reflection")
@@ -955,9 +899,7 @@ BUILD_CAPS = widest_builds(MAX_BUILD_QUBITS)
 @pytest.mark.parametrize("op,dim,n", BUILD_CAPS)
 def test_cube_columns_equal_the_sparse_oracle_at_the_build_cap(op, dim, n):
     # past the exhaustive oracle, sampled columns run one at a time
-    from fdblock.encodings import OPS
-
-    enc = OPS[op].build(dim, n)
+    enc = build(op, dim, n)
     assert enc.circuit.num_qubits in (63, 64)
     cubes = apply_cubes(enc.circuit, basis_cubes(enc.circuit))
     columns = sample_columns(enc, 8, n)
@@ -984,19 +926,8 @@ def test_column_mismatches_names_each_wrong_column():
 @pytest.mark.parametrize("op,dim,n", [c for c in BUILD_CAPS if c[0] in ("derivative", "wave")])
 def test_verify_passes_at_the_build_cap(op, dim, n):
     # the cheapest caps; CI verifies all nine through the CLI
-    from fdblock.encodings import OPS
-
-    report = verify_pattern(OPS[op].build(dim, n), 1e-12)
+    report = verify_pattern(build(op, dim, n), 1e-12)
     assert report.passed, report.summary()
-
-
-def test_cube_reports_equal_the_sparse_oracle_reports():
-    encs = [build(*case) for case in builds_up_to(12)]
-    encs += [encode_banded_lcu(6, 0.65, -0.4, 0.15), encode_banded_lcu(8, 1.5, 0.3, -0.9)]
-    # laplace with m = 5 ancillas, which BUILDS stops short of
-    encs += [encode_laplace_dd(5, 1), encode_laplace_dd(7, 1)]
-    for enc in encs:
-        assert verify_pattern(enc, 1e-12) == verify_sparse(enc, 1e-12), enc.label
 
 
 def mutant(enc, kind, rng):
@@ -1026,26 +957,61 @@ def mutant(enc, kind, rng):
     return BlockEncoding(Circuit(nq, tuple(gates)), enc.m, enc.alpha, enc.label, enc.blocks)
 
 
-def test_cube_reports_equal_the_sparse_oracle_reports_on_mutants():
+def seeded_mutants():
+    """48 gate mutants of the builds within 8 qubits of at least 3 wires, 8 of each kind."""
     rng = np.random.default_rng(1515)
     encs = [build(*case) for case in builds_up_to(8)]
     encs = [enc for enc in encs if enc.circuit.num_qubits >= 3]
     kinds = ("drop", "flip", "uncontrol", "system H", "RY", "2-controlled X")
-    failed = 0
-    for kind in kinds:
-        for _ in range(8):
-            mut = mutant(encs[int(rng.integers(0, len(encs)))], kind, rng)
-            report = verify_pattern(mut, 1e-12)
-            assert report == verify_sparse(mut, 1e-12), (kind, mut.label)
-            failed += not report.passed
-    assert failed >= 40
+    return [
+        (kind, mutant(encs[int(rng.integers(0, len(encs)))], kind, rng))
+        for kind in kinds
+        for _ in range(8)
+    ]
 
 
-def test_route_agreement_general_banded_label():
-    # the reference route applies the banded stencil the builder declared
-    for n in (3, 5):
-        enc = encode_banded_lcu(n, 0.65, -0.4, 0.15)
-        gf = grid_fn("sin1", 1, n)
-        p_c = success_probability(enc, gf, "circuit")
-        p_m = success_probability(enc, gf, "matrix")
-        assert abs(p_c - p_m) < 1e-14
+MUTANTS = seeded_mutants()
+
+
+def verify_row(enc, passes, name=None):
+    """A row of the verify table: the encoding, and whether it must PASS (None: either)."""
+    return pytest.param(enc, passes, id=name or enc.label)
+
+
+# The verify table.  Every build within 12 qubits, two more banded sets,
+# laplace with m = 5 ancillas, which BUILDS stops short of, and an
+# alternating shift must PASS; the off-shift circuits, whose flipped
+# free bits cut the found cubes into pieces of many moves, and the shift
+# declared at the wrong coefficient must FAIL; the mutants may do either.
+VERIFY_ROWS = [
+    *(verify_row(build(*case), True) for case in builds_up_to(12)),
+    verify_row(encode_banded_lcu(6, 0.65, -0.4, 0.15), True),
+    verify_row(encode_banded_lcu(8, 1.5, 0.3, -0.9), True),
+    verify_row(encode_laplace_dd(5, 1), True),
+    verify_row(encode_laplace_dd(7, 1), True),
+    verify_row(shift_encoding(0x555, 12, 1.0), True),
+    verify_row(shift_encoding(0x555, 12, 0.75), False, "shift 0x555 declared at 0.75"),
+    *(verify_row(off_shift(12, kind), False) for kind in OFF_SHIFT),
+    *(
+        verify_row(mut, None, f"mutant {i} {kind} of {mut.label}")
+        for i, (kind, mut) in enumerate(MUTANTS)
+    ),
+]
+
+
+@pytest.mark.parametrize("enc,passes", VERIFY_ROWS)
+def test_verify_report_equals_the_sparse_oracle(enc, passes, monkeypatch):
+    # verify compares by move and never applies a stencil to a dense panel
+    def refuse(self, values):
+        raise AssertionError("verification applied a stencil to a dense panel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Stencil, "apply", refuse)
+        report = verify_pattern(enc, 1e-12)
+    assert repr(report) == repr(verify_sparse(enc, 1e-12))
+    if passes is not None:
+        assert report.passed == passes, report.summary()
+
+
+def test_most_seeded_mutants_fail_verification():
+    assert sum(not verify_pattern(mut, 1e-12).passed for _, mut in MUTANTS) >= 40

@@ -234,33 +234,6 @@ def random_gates(rng, nq, count):
     return gates
 
 
-def test_simulator_matches_dense_oracle_on_random_circuits():
-    # cross-check the reshape-based simulator against a loop-built
-    # projector construction of every controlled gate
-    rng = np.random.default_rng(77)
-    for _ in range(12):
-        nq = int(rng.integers(2, 6))
-        gates = random_gates(rng, nq, int(rng.integers(3, 9)))
-        c = Circuit(nq, tuple(gates))
-        assert max_abs_diff(unitary(c), dense_circuit_unitary(gates, nq)) < 1e-13
-
-
-def test_adjoint_matches_dense_oracle_conjugate_transpose():
-    # every list carries an RY, whose angle the adjoint negates, and a
-    # controlled H
-    rng = np.random.default_rng(2429)
-    for _ in range(12):
-        nq = int(rng.integers(2, 6))
-        gates = random_gates(rng, nq, int(rng.integers(3, 9)))
-        gates.append(Gate("RY", int(rng.integers(0, nq)), theta=float(rng.normal())))
-        gates.append(Gate("H", 0, ((1, int(rng.integers(0, 2))),)))
-        rng.shuffle(gates)
-        c = Circuit(nq, tuple(gates))
-        expected = dense_circuit_unitary(gates, nq).conj().T
-        assert max_abs_diff(unitary(adjoint(c)), expected) < 1e-13
-        assert adjoint(adjoint(c)) == c
-
-
 def test_adjoint_inverts_an_encoding():
     from fdblock.encodings import encode_laplace_1d_lcu
 
@@ -286,34 +259,6 @@ def sparse_columns(circuit, columns):
     out = np.zeros((circuit.dim, k), dtype=complex)
     out[idx.astype(np.int64), cols] = amp
     return out
-
-
-def test_sparse_simulator_is_bit_identical_on_every_builder():
-    for case in builds_up_to(10):
-        circuit = build(*case).circuit
-        dense = apply(circuit, np.eye(circuit.dim))
-        assert max_abs_diff(sparse_columns(circuit, range(circuit.dim)), dense) == 0.0
-
-
-def test_sparse_simulator_matches_dense_routes_on_random_circuits():
-    # H and RY land on any wire, so supports grow toward 2**q; the
-    # random panels hold several entries per column
-    rng = np.random.default_rng(2509)
-    for _ in range(20):
-        nq = int(rng.integers(2, 7))
-        gates = random_gates(rng, nq, int(rng.integers(3, 12)))
-        c = Circuit(nq, tuple(gates))
-        sparse = sparse_columns(c, range(c.dim))
-        assert max_abs_diff(sparse, apply(c, np.eye(c.dim))) == 0.0
-        assert max_abs_diff(sparse, dense_circuit_unitary(gates, nq)) < 1e-13
-
-        panel = rng.normal(size=(c.dim, 3)) + 1j * rng.normal(size=(c.dim, 3))
-        panel[rng.random(panel.shape) < 0.6] = 0.0
-        idx, cols = np.nonzero(panel)
-        cols, idx, amp = apply_sparse(c, cols, idx.astype(np.uint64), panel[idx, cols])
-        out = np.zeros_like(panel)
-        out[idx.astype(np.int64), cols] = amp
-        assert max_abs_diff(out, apply(c, panel)) == 0.0
 
 
 def test_sparse_simulator_rejects_malformed_entries():
@@ -355,21 +300,62 @@ def cube_columns(circuit, zeros=0):
     return out
 
 
-def test_cube_simulator_is_bit_identical_on_every_builder():
-    for case in builds_up_to(9):
-        circuit = build(*case).circuit
-        assert np.array_equal(cube_columns(circuit), apply(circuit, np.eye(circuit.dim)))
+@pytest.mark.parametrize("case", list(builds_up_to(10)), ids=lambda case: build(*case).label)
+def test_column_simulators_equal_dense_apply_on_every_builder(case):
+    circuit = build(*case).circuit
+    dense = apply(circuit, np.eye(circuit.dim))
+    assert np.array_equal(sparse_columns(circuit, range(circuit.dim)), dense)
+    assert np.array_equal(cube_columns(circuit), dense)
 
 
-def test_cube_simulator_matches_dense_routes_on_random_circuits():
-    # H and RY land on any wire, controls on quantum and classical wires alike
-    rng = np.random.default_rng(2510)
-    for _ in range(20):
-        nq = int(rng.integers(2, 7))
-        gates = random_gates(rng, nq, int(rng.integers(3, 12)))
-        c = Circuit(nq, tuple(gates))
-        dense = apply(c, np.eye(c.dim))
-        assert np.array_equal(cube_columns(c), dense)
+def random_circuit(seed):
+    """Seeded circuit of 2-6 wires and 3-11 random gates, with the rng that drew it."""
+    rng = np.random.default_rng(seed)
+    nq = int(rng.integers(2, 7))
+    return Circuit(nq, tuple(random_gates(rng, nq, int(rng.integers(3, 12))))), rng
+
+
+RANDOM_SEEDS = range(60)
+
+
+def test_random_circuits_hold_every_gate_kind_with_and_without_controls():
+    # so that the random table runs RY angles that the adjoint negates,
+    # and H under controls
+    kinds = {
+        (g.kind, bool(g.controls)) for seed in RANDOM_SEEDS for g in random_circuit(seed)[0].gates
+    }
+    assert kinds == {(kind, controlled) for kind in GATE_KINDS for controlled in (False, True)}
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_column_simulators_equal_dense_apply_on_random_circuits(seed):
+    # H and RY land on any wire, so supports grow toward 2**q, and
+    # controls sit on quantum and classical wires alike
+    c, rng = random_circuit(seed)
+    dense = apply(c, np.eye(c.dim))
+    # the loop-built product of every controlled gate, and its adjoint
+    loop_built = dense_circuit_unitary(c.gates, c.num_qubits)
+    assert max_abs_diff(dense, loop_built) < 1e-13
+    assert max_abs_diff(unitary(adjoint(c)), loop_built.conj().T) < 1e-13
+    assert adjoint(adjoint(c)) == c
+
+    assert np.array_equal(sparse_columns(c, range(c.dim)), dense)
+    # a panel of three columns with several entries each
+    panel = rng.normal(size=(c.dim, 3)) + 1j * rng.normal(size=(c.dim, 3))
+    panel[rng.random(panel.shape) < 0.6] = 0.0
+    idx, cols = np.nonzero(panel)
+    cols, idx, amp = apply_sparse(c, cols, idx.astype(np.uint64), panel[idx, cols])
+    out = np.zeros_like(panel)
+    out[idx.astype(np.int64), cols] = amp
+    assert np.array_equal(out, apply(c, panel))
+
+    assert np.array_equal(cube_columns(c), dense)
+    # each input keeps, bit for bit, the dense outputs that leave every
+    # zeros bit at 0, whether a zeros wire is quantum, classical (free
+    # in the basis cubes, so cut in half) or never targeted
+    zeros = int(rng.integers(1, c.dim))
+    dense[(np.arange(c.dim) & zeros) != 0] = 0
+    assert np.array_equal(cube_columns(c, zeros), dense)
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -424,20 +410,6 @@ def test_projection_keeps_the_unprojected_entries_at_zero_on_every_builder():
         full = apply_cubes(c, columns)
         kept = [e for e in full if not e[2] & ancillas]
         assert apply_cubes(c, columns, ancillas) == kept
-
-
-def test_projection_keeps_the_dense_outputs_at_zero_on_random_circuits():
-    # each input keeps, bit for bit, the dense run's outputs that leave
-    # every zeros bit at 0, whether a zeros wire is quantum, classical
-    # (free in the basis cubes, so cut in half) or never targeted
-    rng = np.random.default_rng(2711)
-    for _ in range(40):
-        nq = int(rng.integers(2, 6))
-        c = Circuit(nq, tuple(random_gates(rng, nq, int(rng.integers(3, 12)))))
-        zeros = int(rng.integers(1, c.dim))
-        dense = apply(c, np.eye(c.dim))
-        dense[(np.arange(c.dim) & zeros) != 0] = 0
-        assert np.array_equal(cube_columns(c, zeros), dense)
 
 
 @pytest.mark.parametrize("kind", ["H", "RY"])
