@@ -40,11 +40,17 @@ which drops each output with an ancilla at 1 right after that
 ancilla's last gate.  That block does not depend on v, so it is
 simulated once per encoding object and kept, with each returned
 entry's strided views, until the route runs another encoding.  Each
-call applies every entry to v as one strided view whose longest run
-is iterated innermost, so its cost follows the summed sizes of those
-cubes (about 3N for the 1-d Laplacian).  Neither route has a qubit
-cap; the circuit route is bounded by the entry budget.  The routes
-agree to ~1e-15 and the sweep uses the stencil route.
+call multiplies v by every entry's amplitude as one strided view whose
+longest run is iterated innermost, so its cost follows the summed sizes
+of those cubes (about 3N for the 1-d Laplacian).  An entry whose output
+cube meets no earlier entry's, a first writer, stores its product in
+place; the others add theirs through one scratch array, and the output
+is zeroed only where the first writers leave part of it unwritten.  The
+stencil route applies the stencil by slices (``Stencil.apply``) and
+multiplies by alpha in place.  Both routes square the image's magnitudes
+in place and sum them.  Neither route has a qubit cap; the circuit
+route is bounded by the entry budget.  The routes agree to ~1e-15 and
+the sweep uses the stencil route.
 """
 
 from __future__ import annotations
@@ -179,17 +185,22 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
 def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circuit") -> float:
     """Probability of measuring all ancillas in |0> after applying the encoding.
 
-    route="circuit" runs the encoding on |0>|v>: the cube simulator runs
-    the columns whose ancilla bits are 0 and keeps only the outputs whose
-    ancilla bits are 0 (``apply_cubes``'s ``zeros``), dropping the rest
-    as soon as their ancillas can no longer change.  It runs once per
-    encoding object (:func:`_zero_views`), so later calls on the same
-    encoding only apply its entries.  Each entry adds its amplitude
-    times v, on the entry's cube, to the output as one strided view
-    (:func:`_views`), transposed so that its longest run is iterated
-    innermost.  Only the entry budget ``circuit.MAX_CUBES`` limits this
-    route.  route="matrix" evaluates the squared norm of alpha times
-    the declared (0,0) block's stencil applied to v.
+    Both routes compute the zero-ancilla block's image A v of the
+    samples and its squared norm, with the magnitudes squared in place
+    (:func:`_mass`).  route="circuit" runs the encoding on |0>|v>
+    (:func:`_circuit_image`): the cube simulator runs the columns whose
+    ancilla bits are 0 and keeps only the outputs whose ancilla bits are
+    0 (``apply_cubes``'s ``zeros``), dropping the rest as soon as their
+    ancillas can no longer change.  It runs once per encoding object
+    (:func:`_zero_views`), so later calls on the same encoding only
+    apply its entries.  Each entry multiplies v by its amplitude on the
+    entry's cube, as one strided view (:func:`_views`) transposed so
+    that its longest run is iterated innermost.  The product is stored
+    straight into the output where no earlier entry writes, and added
+    through a scratch array elsewhere.  Only the entry budget
+    ``circuit.MAX_CUBES`` limits this route.  route="matrix" multiplies
+    the declared (0,0) block's stencil applied to v by alpha in place
+    (:func:`_stencil_image`).
     """
     import numpy as np
 
@@ -197,42 +208,79 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     if v.spec.npoints != N:
         raise ShapeError(f"grid has {v.spec.npoints} points, encoding expects {N}")
     if route == "matrix":
-        return float(np.sum(np.abs(enc.alpha * _zero_block(enc).apply(v.values)) ** 2))
+        return _mass(_stencil_image(enc, v.values))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
-    values = np.ascontiguousarray(v.values)
-    out = np.zeros(N, dtype=np.complex128)
     scratch = np.empty(N, dtype=np.complex128)
-    for shape, source, target, order, amp in _zero_views(enc):
-        x = values.reshape(shape)[source].transpose(order)
-        y = out.reshape(shape)[target].transpose(order)
-        np.add(y, np.multiply(x, amp, out=scratch[: x.size].reshape(x.shape)), out=y)
-    mag = scratch.view(np.float64)[:N]
-    np.abs(out, out=mag)
+    return _mass(_circuit_image(enc, v.values, scratch), scratch.view(np.float64)[:N])
+
+
+def _mass(image, mag=None) -> float:
+    """The sum of |image|**2, the magnitudes squared in place in mag (a new array if None)."""
+    import numpy as np
+
+    mag = np.abs(image, out=mag)
     np.square(mag, out=mag)
     return float(np.sum(mag))
 
 
+def _stencil_image(enc: BlockEncoding, values):
+    """The zero-ancilla block's image of the values: alpha times its stencil applied to them."""
+    image = _zero_block(enc).apply(values)
+    image *= enc.alpha
+    return image
+
+
+def _circuit_image(enc: BlockEncoding, values, scratch):
+    """The zero-ancilla block's image of the values, by the circuit's plan.
+
+    ``scratch`` holds N complex entries that the call may overwrite.
+    A first writer's product is stored in place; every other entry's
+    goes through the scratch and is added.  The output is zeroed
+    only where the first writers leave part of it unwritten.
+    """
+    import numpy as np
+
+    plan, covered = _zero_views(enc)
+    values = np.ascontiguousarray(values)
+    N = enc.system_dim
+    out = np.empty(N, dtype=np.complex128) if covered else np.zeros(N, dtype=np.complex128)
+    for shape, source, target, order, amp, first in plan:
+        x = values.reshape(shape)[source].transpose(order)
+        y = out.reshape(shape)[target].transpose(order)
+        if first:
+            np.multiply(x, amp, out=y)
+        else:
+            np.add(y, np.multiply(x, amp, out=scratch[: x.size].reshape(x.shape)), out=y)
+    return out
+
+
 # The last encoding that the circuit route ran and its plan, replaced in
 # place.  Holding the encoding keeps its id from passing to a later object.
-_last_zero_views: list = [None, ()]
+_last_zero_views: list = [None, ((), False)]
 
 
-def _zero_views(enc: BlockEncoding) -> tuple:
-    """The circuit route's plan: one (shape, source, target, order, amp) per entry.
+def _zero_views(enc: BlockEncoding) -> tuple[tuple, bool]:
+    """The circuit route's plan, and whether its first writers cover the grid.
 
-    The cube simulator runs the ancilla-zero columns of the encoding
-    once per encoding object, and keeps the outputs whose ancillas stay
-    at 0 (``apply_cubes``'s ``zeros``).  Each entry it returns becomes
-    its grid views (:func:`_views`) and ``order``, the view's free axes
-    sorted by length, so that the longest run is iterated innermost.
-    The plan does not depend on v, so the route keeps the last one; a
-    new object, even one equal to the last, runs its own simulation,
-    and a SizeError from the entry budget keeps nothing.
+    The plan holds one (shape, source, target, order, amp, first) per
+    entry.  The cube simulator runs the ancilla-zero columns of the
+    encoding once per encoding object, and keeps the outputs whose
+    ancillas stay at 0 (``apply_cubes``'s ``zeros``).  Each entry it
+    returns becomes its grid views (:func:`_views`) and ``order``, the
+    view's free axes sorted by length, so that the longest run is
+    iterated innermost.  ``first`` marks a first writer: an entry
+    whose output cube (care, (val ^ xor) & care) meets no earlier
+    entry's, so that the route may store its product, not add it.
+    The first writers' cubes are disjoint, so they cover the grid when
+    their sizes sum to N.  The plan does not depend on v, so the route
+    keeps the last one; a new object, even one equal to the last, runs
+    its own simulation, and a SizeError from the entry budget keeps
+    nothing.
     """
-    last, plan = _last_zero_views
+    last, views = _last_zero_views
     if last is enc:
-        return plan
+        return views
     circuit = enc.circuit
     N = enc.system_dim
     k = circuit.num_qubits - enc.m
@@ -243,14 +291,22 @@ def _zero_views(enc: BlockEncoding) -> tuple:
         if not val & ancillas
     ]
     plan = []
+    outputs = []  # the (care, value) output cube of every entry so far
+    written = 0
     for care, val, xor, amp in apply_cubes(circuit, columns, ancillas):
         shape, source, target = _views(care, val, xor, k)
         runs = [size for size, index in zip(shape, source) if isinstance(index, slice)]
         order = tuple(sorted(range(len(runs)), key=runs.__getitem__))
-        plan.append((shape, source, target, order, amp))
-    plan = tuple(plan)
-    _last_zero_views[:] = enc, plan
-    return plan
+        care &= N - 1
+        value = (val ^ xor) & care
+        first = all((value ^ v) & care & c for c, v in outputs)
+        if first:
+            written += N >> care.bit_count()
+        outputs.append((care, value))
+        plan.append((shape, source, target, order, amp, first))
+    views = tuple(plan), written == N
+    _last_zero_views[:] = enc, views
+    return views
 
 
 def _views(care: int, val: int, xor: int, k: int) -> tuple:

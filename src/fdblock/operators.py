@@ -9,12 +9,14 @@ point (j0*h, j1*h, ..., j_{D-1}*h) is
 
 A :class:`Stencil` holds an operator as data, (axis, offset, coeff)
 terms over a divisor.  Its ``apply`` evaluates it on grid values by
-rolls, and its ``moves`` gives every basis column A e_j at once as one
-value per move: a periodic stencil moves every grid index by the same
-per-axis differences.  Neither forms a matrix, and ``moves`` works on
-grids of up to 2**64 points.  The encoding builders declare their
-blocks as Stencils.  The dense matrices that the tests compare them
-against live in the test suite's oracles, written without stencils.
+slices: each term is two slice products along its axis, stored into
+place or added through one scratch array.  Its ``moves`` gives every
+basis column A e_j at once as one value per move: a periodic stencil
+moves every grid index by the same per-axis differences.  Neither
+forms a matrix, and ``moves`` works on grids of up to 2**64 points.
+The encoding builders declare their blocks as Stencils.  The dense
+matrices that the tests compare them against live in the test suite's
+oracles, written without stencils.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class Stencil(Frozen):
     coeff), whose axis and offset are integers; terms landing on one
     point add up.  Both :meth:`apply` and :meth:`moves` add each axis's
     terms in declared order, then the axis sums in order of first
-    appearance, and apply the divisor last, so their values agree bit
-    for bit.  No terms is the zero operator.
+    appearance, and apply the divisor last, so their values are equal
+    but for the sign of a zero.  No terms is the zero operator.
     """
 
     __slots__ = _compared = ("spec", "terms", "divisor")
@@ -154,9 +156,16 @@ class Stencil(Frozen):
         return list(groups.values())
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """The stencil applied via rolls to axis 0 of ``values``.
+        """The stencil applied to axis 0 of ``values``, by slices.
 
-        Trailing axes of ``values`` are a batch of columns.
+        Trailing axes of ``values`` are a batch of columns.  A term
+        (axis, offset, coeff) is coeff times the values moved by -offset
+        along its axis: with o = offset mod N, two slice products,
+        out[:N-o] from v[o:] and out[N-o:] from v[:o].  The first term
+        of each axis is stored, and each later one is added through one
+        scratch array; the first axis sums straight into the result, each
+        later one in an axis array that is then added.  So the sums are
+        those of a zeroed accumulator, but for the sign of a zero.
         """
         import numpy as np
 
@@ -165,13 +174,18 @@ class Stencil(Frozen):
         if v.ndim == 0 or v.shape[0] != spec.npoints:
             raise ShapeError(f"expected {spec.npoints} values along axis 0, got shape {v.shape}")
         v = v.reshape((spec.N,) * spec.dim + v.shape[1:])
-        out = np.zeros_like(v)
-        for terms in self._by_axis():
-            axis_sum = np.zeros_like(v)
-            for axis, offset, coeff in terms:
-                # np.roll copies even at offset 0
-                axis_sum += coeff * (np.roll(v, -offset, spec.dim - 1 - axis) if offset else v)
-            out += axis_sum
+        groups = self._by_axis()
+        out = np.empty_like(v) if groups else np.zeros_like(v)
+        axis_sum = np.empty_like(v) if len(groups) > 1 else None
+        scratch = np.empty_like(v) if len(self.terms) > len(groups) else None
+        for g, terms in enumerate(groups):
+            acc = axis_sum if g else out
+            for t, (axis, offset, coeff) in enumerate(terms):
+                _moved_product(v, spec.dim - 1 - axis, offset % spec.N, coeff, scratch if t else acc)
+                if t:
+                    acc += scratch
+            if g:
+                out += axis_sum
         # numpy divides complex values by a real scalar as a product with
         # its reciprocal; the product gives those bits without the division.
         out *= 1.0 / self.divisor
@@ -201,6 +215,21 @@ class Stencil(Frozen):
         for (axis, move), coeff in sums.items():
             moves[move << (axis * spec.n)] = complex(coeff) * scale
         return moves
+
+
+def _moved_product(v, axis: int, o: int, coeff: float, out) -> None:
+    """out = coeff * v moved by -o along a tensor axis, as two slice products.
+
+    Entry i of the axis takes v[(i + o) mod N]: out[:N-o] from v[o:],
+    and out[N-o:] from v[:o].
+    """
+    import numpy as np
+
+    lead = (slice(None),) * axis
+    N = v.shape[axis]
+    np.multiply(v[(*lead, slice(o, None))], coeff, out=out[(*lead, slice(None, N - o))])
+    if o:
+        np.multiply(v[(*lead, slice(None, o))], coeff, out=out[(*lead, slice(N - o, None))])
 
 
 def laplacian_stencil(spec: GridSpec) -> Stencil:

@@ -50,6 +50,11 @@ returned to 0, by a round trip on cubes, at every width the builders
 reach.  ``closed_form_p_success`` and ``closed_form_e_max`` are the
 second route to every sweep number.
 
+``rolled_stencil_apply`` is ``Stencil.apply`` with ``np.roll`` into
+zeroed sums.  The package's slice products must equal it element for
+element (``==``: a stored first term can differ from 0 + term only in
+the sign of a zero), and their magnitudes byte for byte.
+
 ``unplanned_success_probability`` is the circuit route of
 ``analysis.success_probability`` as one loop: a fresh cube run and
 each entry's views in their own axis order.  The route's kept plan and
@@ -698,6 +703,30 @@ def stencil_columns(stencil, js):
     values = np.array([centre, *sums.values()], dtype=np.complex128) * (1.0 / stencil.divisor)
     k = np.tile(np.arange(js.size), len(rows))
     return k, np.concatenate(rows), np.repeat(values, js.size)
+
+
+def rolled_stencil_apply(stencil, values):
+    """A Stencil applied by rolls to axis 0 of values, trailing axes a batch.
+
+    Each axis's terms add coeff times the rolled values into a zeroed
+    axis sum in declared order, the axis sums add into a zeroed total in
+    order of their first term, and the divisor comes last, as a product
+    with its reciprocal.
+    """
+    spec = stencil.spec
+    v = np.asarray(values, dtype=np.complex128)
+    v = v.reshape((spec.N,) * spec.dim + v.shape[1:])
+    groups = {}
+    for term in stencil.terms:
+        groups.setdefault(term[0], []).append(term)
+    out = np.zeros_like(v)
+    for terms in groups.values():
+        axis_sum = np.zeros_like(v)
+        for axis, offset, coeff in terms:
+            axis_sum += coeff * np.roll(v, -offset, spec.dim - 1 - axis)
+        out += axis_sum
+    out *= 1.0 / stencil.divisor
+    return out.reshape((spec.npoints,) + out.shape[spec.dim :])
 
 
 # Budget of one verification panel, in sparse entries, not bytes: the

@@ -299,6 +299,17 @@ def shift_encoding(move, n, coeff):
     return BlockEncoding(Circuit(n, tuple(gates)), 0, 1.0, f"shift {move:#x}", ((0, 0, stencil),))
 
 
+def pair_swap(n):
+    """An X on the lowest grid wire, declared as the one move +1 at 0.5.
+
+    j ^ 1 moves even j by +1 and odd j by -1, so the one entry's free
+    flipped bit cuts it in two pieces, only one of which makes the
+    declared move: the other's amplitude 1 is the deviation.
+    """
+    stencil = Stencil(GridSpec(1, n), ((0, -1, 0.5),))
+    return BlockEncoding(Circuit(n, (Gate("X", n - 1),)), 0, 1.0, f"pair swap n={n}", ((0, 0, stencil),))
+
+
 def test_verify_compares_an_alternating_move_as_one_entry():
     # adding 0x555, whose bits alternate, splits the columns into many
     # carry classes, and each of them makes the same move
@@ -565,6 +576,19 @@ def test_circuit_route_table(enc, dim, n, probes):
                 assert (p_matrix == 0.0) if enc.label.startswith("wave_2d") else (p_matrix > 1e-2)
         if enc.circuit.num_qubits <= EXHAUSTIVE_QUBITS:
             assert abs(p - dense_success_probability(enc, gf.values)) < 1e-14
+    # a first writer's outputs, read off its target view, meet no earlier
+    # entry's, every other entry's meet some, and the output skips its
+    # zero fill exactly when the first writers write all of it
+    plan, covered = _zero_views(enc)
+    N = enc.system_dim
+    written = np.zeros(N, dtype=bool)
+    stored = np.zeros(N, dtype=bool)
+    for shape, _, target, _, _, first in plan:
+        outputs = np.arange(N).reshape(shape)[target]
+        assert first == (not written[outputs].any())
+        written[outputs] = True
+        stored[outputs] |= first
+    assert covered == stored.all()
 
 
 def test_route_and_verify_rows_are_the_cases_they_name():
@@ -580,7 +604,7 @@ def test_route_and_verify_rows_are_the_cases_they_name():
     reflection = off_shift(16, "reflection")
     reversed_runs = [
         size
-        for shape, _, target, _, _ in _zero_views(reflection)
+        for shape, _, target, *_ in _zero_views(reflection)[0]
         for size, index in zip(shape, target)
         if index == slice(None, None, -1)
     ]
@@ -981,8 +1005,10 @@ def verify_row(enc, passes, name=None):
 # The verify table.  Every build within 12 qubits, two more banded sets,
 # laplace with m = 5 ancillas, which BUILDS stops short of, and an
 # alternating shift must PASS; the off-shift circuits, whose flipped
-# free bits cut the found cubes into pieces of many moves, and the shift
-# declared at the wrong coefficient must FAIL; the mutants may do either.
+# free bits cut the found cubes into pieces of many moves, the shift
+# declared at the wrong coefficient, and the pair swap, whose one entry
+# makes its declared move on half its inputs only, must FAIL; the
+# mutants may do either.
 VERIFY_ROWS = [
     *(verify_row(build(*case), True) for case in builds_up_to(12)),
     verify_row(encode_banded_lcu(6, 0.65, -0.4, 0.15), True),
@@ -991,6 +1017,7 @@ VERIFY_ROWS = [
     verify_row(encode_laplace_dd(7, 1), True),
     verify_row(shift_encoding(0x555, 12, 1.0), True),
     verify_row(shift_encoding(0x555, 12, 0.75), False, "shift 0x555 declared at 0.75"),
+    verify_row(pair_swap(4), False, "X on grid bit 0 declared as move +1 at 0.5"),
     *(verify_row(off_shift(12, kind), False) for kind in OFF_SHIFT),
     *(
         verify_row(mut, None, f"mutant {i} {kind} of {mut.label}")

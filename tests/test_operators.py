@@ -23,6 +23,7 @@ from .oracles import (
     laplacian_1d,
     laplacian_dd,
     max_abs_diff,
+    rolled_stencil_apply,
     scaled_laplacian_1d,
     scaled_laplacian_dd,
     stencil_columns,
@@ -341,18 +342,51 @@ def dense_columns(stencil, js):
     return panel
 
 
+def wrapping_stencil(spec, rng):
+    """Offsets 0 mod N and past +-N, several per axis, the axes in no sorted order."""
+    N = spec.N
+    offsets = (N, -N - 1, 2 * N + 1, 0, -3 * N, 3 * N - 1, -2 * N + 1)
+    terms = tuple(
+        ((5 * i + 1) % spec.dim, offset, float(rng.normal()))
+        for i, offset in enumerate(offsets)
+    )
+    return Stencil(spec, terms, float(rng.uniform(0.5, 7.0)))
+
+
+def stencil_inputs(spec, rng):
+    """The identity panel, and complex, real and batched values with exact zeros."""
+    size = spec.npoints
+    z = rng.normal(size=size) + 1j * rng.normal(size=size)
+    z[::4] = 0.0
+    z.real[1::5] = 0.0
+    x = rng.normal(size=size)
+    x[::3] = 0.0
+    batch = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+    batch[::2, 1] = 0.0
+    return np.eye(size, dtype=complex), z, x, batch
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2])
 def test_stencil_columns_equal_apply_bit_for_bit(dim, n):
     # N = 2 and N = 4: the wrapped +-1 offsets collide at N = 2, and the
-    # Laplacian's centre terms of all axes collide for D >= 2
+    # Laplacian's centre terms of all axes collide for D >= 2.  apply's
+    # slice products equal the rolls into zeroed sums on every element,
+    # and their magnitudes byte for byte: a stored first term differs
+    # from 0 + term only in the sign of a zero
     spec = GridSpec(dim, n)
-    identity = np.eye(spec.npoints, dtype=complex)
-    stencils = random_banded_stencils(spec, np.random.default_rng(97 + 10 * dim + n))
+    rng = np.random.default_rng(97 + 10 * dim + n)
+    stencils = random_banded_stencils(spec, rng) + [wrapping_stencil(spec, rng), Stencil(spec)]
     stencils += declared_stencils(dim, n) + [laplacian_stencil(spec)]
+    inputs = stencil_inputs(spec, rng)
     js = np.arange(spec.npoints)
     for stencil in stencils:
-        assert np.array_equal(dense_columns(stencil, js), stencil.apply(identity))
+        assert np.array_equal(dense_columns(stencil, js), stencil.apply(inputs[0]))
+        for values in inputs:
+            got, want = stencil.apply(values), rolled_stencil_apply(stencil, values)
+            assert got.shape == want.shape == values.shape
+            assert np.all(got == want)
+            assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
 
 def dense_moves(stencil):
