@@ -5,9 +5,21 @@ checks its arguments in ``__init__`` and then stores them with
 ``_init``; after that an instance cannot change.  Equality, hash and
 repr read the attributes that the subclass names in ``_compared``:
 all of ``__slots__``, or the ones that take part in equality.
+Integer fields are stored as Python ints (:func:`_index`), whatever
+integer type (bool, numpy) they came as.
 """
 
 from __future__ import annotations
+
+import operator
+
+
+def _index(name: str, value, error: type[Exception]) -> int:
+    """value as a Python int; error, naming it, when value is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} {value!r} is not an integer") from None
 
 
 class Frozen:

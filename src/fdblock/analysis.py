@@ -35,11 +35,12 @@ report runs the columns on numpy sparse panels (``tests/oracles.py``).
 Success probabilities are computed by two independent routes: running
 the encoding circuit on |0>|v> and collecting the zero-ancilla mass, or
 applying alpha times the declared (0,0) stencil to the samples.  The
-circuit route runs only the ancilla-zero columns on the cube simulator,
-which drops each output with an ancilla at 1 right after that
-ancilla's last gate.  That block does not depend on v, so it is
-simulated once per encoding object and kept, with each returned
-entry's strided views, until the route runs another encoding.  Each
+circuit route passes every basis column and the ancilla mask to the
+cube simulator, which runs only the ancilla-zero columns and drops
+each output with an ancilla at 1 right after that ancilla's last
+gate.  That block does not depend on v, so it is simulated once per
+encoding object and kept, with each returned entry's strided views,
+until the route runs another encoding.  Each
 call multiplies v by every entry's amplitude as one strided view whose
 longest run is iterated innermost, so its cost follows the summed sizes
 of those cubes (about 3N for the 1-d Laplacian).  An entry whose output
@@ -163,8 +164,11 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     (``circuit.apply_cubes``), and the output back through the adjoint
     circuit.  Each declared block of the forward entries is compared
     with alpha times its stencil's moves, and the round trip with the
-    identity, by one comparison, :func:`_move_gap`.
+    identity, by one comparison, :func:`_move_gap`.  A tolerance that
+    is not finite and positive raises ParameterError.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tolerance must be finite and positive, got {tol}")
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
     circuit = enc.circuit
@@ -188,22 +192,21 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     Both routes compute the zero-ancilla block's image A v of the
     samples and its squared norm, with the magnitudes squared in place
     (:func:`_mass`).  route="circuit" runs the encoding on |0>|v>
-    (:func:`_circuit_image`): the cube simulator runs the columns whose
-    ancilla bits are 0 and keeps only the outputs whose ancilla bits are
-    0 (``apply_cubes``'s ``zeros``), dropping the rest as soon as their
-    ancillas can no longer change.  It runs once per encoding object
-    (:func:`_zero_views`), so later calls on the same encoding only
-    apply its entries.  Each entry multiplies v by its amplitude on the
-    entry's cube, as one strided view (:func:`_views`) transposed so
-    that its longest run is iterated innermost.  The product is stored
-    straight into the output where no earlier entry writes, and added
-    through a scratch array elsewhere.  Only the entry budget
-    ``circuit.MAX_CUBES`` limits this route.  route="matrix" multiplies
-    the declared (0,0) block's stencil applied to v by alpha in place
-    (:func:`_stencil_image`).
+    (:func:`_circuit_image`): it passes every basis column
+    (``basis_cubes``) with the ancilla mask as ``apply_cubes``'s
+    ``zeros``, so the cube simulator runs only the columns whose ancilla
+    bits are 0 and keeps only the outputs whose ancilla bits are 0,
+    dropping the rest as soon as their ancillas can no longer change.
+    It runs once per encoding object (:func:`_zero_views`), so later
+    calls on the same encoding only apply its entries.  Each entry
+    multiplies v by its amplitude on the entry's cube, as one strided
+    view (:func:`_views`) transposed so that its longest run is iterated
+    innermost.  The product is stored straight into the output where no
+    earlier entry writes, and added through a scratch array elsewhere.
+    Only the entry budget ``circuit.MAX_CUBES`` limits this route.
+    route="matrix" multiplies the declared (0,0) block's stencil applied
+    to v by alpha in place (:func:`_stencil_image`).
     """
-    import numpy as np
-
     N = enc.system_dim
     if v.spec.npoints != N:
         raise ShapeError(f"grid has {v.spec.npoints} points, encoding expects {N}")
@@ -211,15 +214,14 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
         return _mass(_stencil_image(enc, v.values))
     if route != "circuit":
         raise ParameterError(f"unknown route {route!r}")
-    scratch = np.empty(N, dtype=np.complex128)
-    return _mass(_circuit_image(enc, v.values, scratch), scratch.view(np.float64)[:N])
+    return _mass(_circuit_image(enc, v.values))
 
 
-def _mass(image, mag=None) -> float:
-    """The sum of |image|**2, the magnitudes squared in place in mag (a new array if None)."""
+def _mass(image) -> float:
+    """The sum of |image|**2, the magnitudes squared in place."""
     import numpy as np
 
-    mag = np.abs(image, out=mag)
+    mag = np.abs(image)
     np.square(mag, out=mag)
     return float(np.sum(mag))
 
@@ -231,13 +233,12 @@ def _stencil_image(enc: BlockEncoding, values):
     return image
 
 
-def _circuit_image(enc: BlockEncoding, values, scratch):
+def _circuit_image(enc: BlockEncoding, values):
     """The zero-ancilla block's image of the values, by the circuit's plan.
 
-    ``scratch`` holds N complex entries that the call may overwrite.
     A first writer's product is stored in place; every other entry's
-    goes through the scratch and is added.  The output is zeroed
-    only where the first writers leave part of it unwritten.
+    goes through a scratch array of N entries and is added.  The output
+    is zeroed only where the first writers leave part of it unwritten.
     """
     import numpy as np
 
@@ -245,6 +246,7 @@ def _circuit_image(enc: BlockEncoding, values, scratch):
     values = np.ascontiguousarray(values)
     N = enc.system_dim
     out = np.empty(N, dtype=np.complex128) if covered else np.zeros(N, dtype=np.complex128)
+    scratch = np.empty(N, dtype=np.complex128)
     for shape, source, target, order, amp, first in plan:
         x = values.reshape(shape)[source].transpose(order)
         y = out.reshape(shape)[target].transpose(order)
@@ -264,14 +266,15 @@ def _zero_views(enc: BlockEncoding) -> tuple[tuple, bool]:
     """The circuit route's plan, and whether its first writers cover the grid.
 
     The plan holds one (shape, source, target, order, amp, first) per
-    entry.  The cube simulator runs the ancilla-zero columns of the
-    encoding once per encoding object, and keeps the outputs whose
-    ancillas stay at 0 (``apply_cubes``'s ``zeros``).  Each entry it
-    returns becomes its grid views (:func:`_views`) and ``order``, the
-    view's free axes sorted by length, so that the longest run is
-    iterated innermost.  ``first`` marks a first writer: an entry
-    whose output cube (care, (val ^ xor) & care) meets no earlier
-    entry's, so that the route may store its product, not add it.
+    entry.  Once per encoding object, the cube simulator gets every
+    basis column (``basis_cubes``) with the ancilla mask as
+    ``apply_cubes``'s ``zeros``, and returns the zero-ancilla block: the
+    columns and the outputs whose ancillas are 0.  Each entry becomes
+    its grid views (:func:`_views`) and ``order``, the view's free axes
+    sorted by length, so that the longest run is iterated innermost.
+    ``first`` marks a first writer: an entry whose output cube
+    (care, (val ^ xor) & care) meets no earlier entry's, so that the
+    route may store its product, not add it.
     The first writers' cubes are disjoint, so they cover the grid when
     their sizes sum to N.  The plan does not depend on v, so the route
     keeps the last one; a new object, even one equal to the last, runs
@@ -285,15 +288,10 @@ def _zero_views(enc: BlockEncoding) -> tuple[tuple, bool]:
     N = enc.system_dim
     k = circuit.num_qubits - enc.m
     ancillas = (circuit.dim - 1) ^ (N - 1)
-    columns = [
-        (care | ancillas, val, xor, amp)
-        for care, val, xor, amp in basis_cubes(circuit)
-        if not val & ancillas
-    ]
     plan = []
     outputs = []  # the (care, value) output cube of every entry so far
     written = 0
-    for care, val, xor, amp in apply_cubes(circuit, columns, ancillas):
+    for care, val, xor, amp in apply_cubes(circuit, basis_cubes(circuit), ancillas):
         shape, source, target = _views(care, val, xor, k)
         runs = [size for size, index in zip(shape, source) if isinstance(index, slice)]
         order = tuple(sorted(range(len(runs)), key=runs.__getitem__))

@@ -40,10 +40,13 @@ shift's carry classes become cubes, so the entries stay few (at most a
 few thousand at 18 qubits) however wide the grid.  A shift moves every
 column of such a cube by the same difference mod N, so verification
 compares the entries with the declared stencils by that move, not by
-their xor.  A caller that keeps only the outputs whose ancillas read 0
-passes them as ``zeros``: each ancilla's unwanted outputs are dropped
+their xor.  A caller that wants the block between zero states of some
+wires, such as the ancillas' zero block, passes their bits as
+``zeros``: only the inputs at 0 there run, so an output's zeros bit is
+its xor bit, and the outputs at 1 on a zeros bit are dropped by xor
 right after the last gate that targets it, so the closing W_out layers
-never run them.
+never run them.  Cutting a cube on a bit (``_select``) serves only the
+controls.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _index
 from .errors import QubitIndexError, ShapeError, SizeError
 
 GATE_KINDS = ("X", "Z", "H", "RY")
@@ -86,40 +89,48 @@ class Circuit(Frozen):
     """Ordered gate list on num_qubits wires; the one place gates are checked.
 
     A bad gate raises QubitIndexError naming its position in the list.
+    The width, the targets and the (qubit, polarity) controls are stored
+    as Python ints, whatever integer type (bool, numpy) they came as.
     """
 
     __slots__ = _compared = ("num_qubits", "gates")
 
     def __init__(self, num_qubits: int, gates: tuple[Gate, ...] = ()):
-        n = num_qubits
+        n = _index("num_qubits", num_qubits, QubitIndexError)
         if n < 1:
             raise QubitIndexError("circuit needs at least one qubit")
-        gates = tuple(gates)
+        checked = []
         for i, g in enumerate(gates):
             if not isinstance(g, Gate):
                 raise QubitIndexError(f"gate {i}: {g!r} is not a Gate")
             kind, target, controls, theta = g
             ctrl = dict(controls)
+            exact = {type(target), *map(type, ctrl), *map(type, ctrl.values())} == {int}
             if kind not in GATE_KINDS:
                 problem = f"unknown gate kind {kind!r}"
             elif kind == "RY" and (theta is None or not math.isfinite(theta)):
                 problem = "RY needs a finite angle"
             elif kind != "RY" and theta is not None:
                 problem = f"{kind} takes no angle"
-            elif not _integers(target, ctrl):
+            elif not (exact or _integers(target, ctrl)):
                 problem = f"qubits {(target, *ctrl)} are not all integers"
             elif target in ctrl:
                 problem = f"target {target} also appears as control"
             elif len(ctrl) != len(controls):
                 problem = "a control qubit repeats"
-            elif not (_integers(0, ctrl.values()) and {0, 1}.issuperset(ctrl.values())):
+            elif not ((exact or _integers(0, ctrl.values())) and {0, 1}.issuperset(ctrl.values())):
                 problem = f"control polarities {tuple(ctrl.values())} are not all 0 or 1"
             elif not (0 <= target < n and 0 <= min(ctrl, default=0) <= max(ctrl, default=0) < n):
                 problem = f"qubits {(target, *ctrl)} are not all in 0..{n - 1}"
             else:
+                if not exact:  # bools and numpy integers, stored as Python ints
+                    index = operator.index
+                    controls = tuple(zip(map(index, ctrl), map(index, ctrl.values())))
+                    g = Gate(kind, index(target), controls, theta)
+                checked.append(g)
                 continue
             raise QubitIndexError(f"gate {i}: {problem}")
-        self._init(num_qubits, gates)
+        self._init(n, tuple(checked))
 
     @property
     def dim(self) -> int:
@@ -184,22 +195,21 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
     the circuit and its adjoint, which has the same H and RY targets.
     Returns the output entries in no fixed order.
 
-    ``zeros`` is a mask of output bits that the caller keeps only at 0,
-    such as the ancillas of a block encoding.  A bit no longer changes
-    after the last gate that targets it (later gates only read it as a
-    control), so right after that gate, or at the start if no gate
-    targets it, each entry loses the inputs it sends to a 1 there: the
-    whole entry where the bit is fixed in its cube, half the cube where
-    it is free.  Every input then keeps exactly the outputs and
-    amplitudes of the unprojected run that leave the zeros bits at 0.
-    An H or RY pairs outputs that agree on every bit but its target, so
-    a dropped output never pairs with a kept one.  Where every input
-    entry fixes the zeros bits at 0, as the ancilla-zero columns of
-    ``analysis.success_probability`` do, an entry is kept exactly when
-    its xor leaves those bits alone.  Kept and dropped entries then
-    never share a group when pairs are formed or cubes joined, and the
-    result is the unprojected run's entries whose xor leaves the zeros
-    bits at 0, in the same order.
+    ``zeros`` is a mask of bits, such as the ancillas of a block
+    encoding, on which the caller wants the block between zero states:
+    the inputs and the outputs at 0 on every zeros bit.  At the start
+    only those inputs run: each entry keeps the part of its cube at 0
+    there, with the zeros bits fixed in its care.  Cuts only fix more
+    bits, and joins only free a bit on which vals differ, so every
+    entry keeps them fixed at 0 and an output's zeros bit is its xor
+    bit.  A bit no longer changes after the last gate that targets it
+    (later gates only read it as a control), so right after that gate
+    the entries whose xor sets it are dropped, and at the start for a
+    bit that no gate targets.  An H or RY pairs outputs that agree on
+    every bit but its target, and cubes join only within one xor, so
+    kept and dropped entries never meet: the result is, in the same
+    order, the entries of the unprojected run on those inputs whose xor
+    leaves the zeros bits at 0.
 
     Raises SizeError when the live entries outgrow MAX_CUBES, counted
     after projected entries are dropped and before H and RY outputs are
@@ -209,14 +219,14 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
     quantum = quantum_bits(circuit)
     if any(care & quantum != quantum for care, *_ in cubes):
         raise ShapeError("every cube entry must fix the quantum bits")
-    settled = set()  # indices of the gates that target a zeros bit last
+    settled, left = set(), zeros  # the gates that target a zeros bit last; the bits none targets
     for i in reversed(range(len(circuit.gates))):
         bit = 1 << (nq - 1 - circuit.gates[i].target)
-        if zeros & bit:
+        if left & bit:
             settled.add(i)
-            zeros ^= bit
-    if zeros:  # bits that no gate targets
-        cubes = _select(cubes, zeros, 0)[1]
+            left ^= bit
+    if zeros:  # the inputs at 0 there, less those that a bit no gate targets sends to 1
+        cubes = [(c | zeros, v, x, a) for c, v, x, a in cubes if not (v | x & left) & zeros]
     for i, g in enumerate(circuit.gates):
         bit = 1 << (nq - 1 - g.target)
         mask = value = 0
@@ -233,8 +243,9 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
             chosen = [(c, v, x, -a) for c, v, x, a in chosen]
         else:
             chosen = _mixed(g, chosen, bit)
-        if i in settled:  # keep the outputs at 0 on bit
-            cubes, chosen = _select(cubes, bit, 0)[1], _select(chosen, bit, 0)[1]
+        if i in settled:  # keep the outputs at 0 on bit, which is their xor bit
+            cubes = [e for e in cubes if not e[2] & bit]
+            chosen = [e for e in chosen if not e[2] & bit]
         count = len(cubes) + len(chosen)
         if count > MAX_CUBES:
             raise SizeError(f"gate {i}: {count} cube entries exceed the budget of {MAX_CUBES}")
@@ -243,11 +254,12 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
 
 
 def _select(cubes, mask, value):
-    """Split entries into (rest, chosen) by whether their outputs match value on mask.
+    """Split entries into (rest, chosen) by whether their outputs meet a gate's controls.
 
-    An entry whose cube leaves a control bit free is cut on that bit;
-    each piece that fails the control goes to rest.  Only classical bits
-    are ever free, since every entry fixes the quantum ones.
+    The outputs match value on mask.  An entry whose cube leaves a
+    control bit free is cut on that bit; each piece that fails the
+    control goes to rest.  Only classical bits are ever free, since
+    every entry fixes the quantum ones.
     """
     if not mask:
         return [], cubes

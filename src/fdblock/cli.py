@@ -27,7 +27,6 @@ and ``export`` never load it.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -165,9 +164,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise UsageError(f"--tol must be finite and positive, got {tol}")
         # --n and --dim become the lists that the commands read.
         args.n = _parse_range("--n", args.n)
         args.dim = _parse_range("--dim", args.dim) if args.dim else None

@@ -37,7 +37,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import operators
-from ._frozen import Frozen
+from ._frozen import Frozen, _index
 from .circuit import _RSQRT2, Circuit, Gate
 from .errors import ParameterError, SizeError
 from .operators import GridSpec, Stencil
@@ -68,6 +68,7 @@ class BlockEncoding(Frozen):
         blocks: tuple[tuple[int, int, Stencil], ...] = (),
     ):
         num_qubits = circuit.num_qubits
+        m = _index("m", m, ParameterError)
         if not 0 <= m < num_qubits:
             raise ParameterError(f"m = {m} must lie in 0..{num_qubits - 1} to leave system qubits")
         if not abs(alpha) <= 1.0:  # a NaN alpha fails this too
@@ -95,6 +96,7 @@ def alpha_d(dim: int) -> float:
 
 def ancilla_axis_qubits(dim: int) -> int:
     """ceil(log2 dim): width of the axis-selection register."""
+    dim = _index("dim", dim, ParameterError)
     if dim < 1:
         raise ParameterError("dim must be >= 1")
     return (dim - 1).bit_length()
@@ -159,6 +161,7 @@ def encode_laplace_dd(dim: int, n: int) -> BlockEncoding:
     (:func:`_laplace_1d_blocks`).
     """
     spec = GridSpec(dim, n)
+    dim, n = spec.dim, spec.n
     dhat = ancilla_axis_qubits(dim)
     m = 2 + dhat
     l0, l1 = dhat, dhat + 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _index
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
 from .linalg import VECTOR_DIM_CAP, _norm2, as_vector, norm2
 
@@ -38,8 +38,10 @@ class GridSpec(Frozen):
     __slots__ = _compared = ("dim", "n")
 
     def __init__(self, dim: int, n: int):
+        dim = _index("dim", dim, ParameterError)
         if dim < 1:
             raise ParameterError("dim must be >= 1")
+        n = _index("n", n, ParameterError)
         if n < 1:
             raise ParameterError("n must be >= 1")
         self._init(dim, n)

@@ -395,6 +395,13 @@ def test_verify_pattern_needs_declared_blocks():
         success_probability(enc, gf, "matrix")
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_verify_pattern_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a FAIL report would read as a verified failure of a correct circuit
+    with pytest.raises(ParameterError, match="tolerance must be finite and positive"):
+        verify_pattern(encode_derivative_1d(2), tol)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_success_probability_sine_closed_form(n):
     # the sampled sine is an exact eigenvector of the circulant, with

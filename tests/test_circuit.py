@@ -350,11 +350,14 @@ def test_column_simulators_equal_dense_apply_on_random_circuits(seed):
     assert np.array_equal(out, apply(c, panel))
 
     assert np.array_equal(cube_columns(c), dense)
-    # each input keeps, bit for bit, the dense outputs that leave every
-    # zeros bit at 0, whether a zeros wire is quantum, classical (free
-    # in the basis cubes, so cut in half) or never targeted
+    # the zeros mask selects the block between zero states: every input
+    # at 0 on the zeros bits keeps, bit for bit, its dense outputs at 0
+    # there, and no other input runs, whether a zeros wire is quantum,
+    # classical (free in the basis cubes, so fixed at 0) or never targeted
     zeros = int(rng.integers(1, c.dim))
-    dense[(np.arange(c.dim) & zeros) != 0] = 0
+    off = (np.arange(c.dim) & zeros) != 0
+    dense[off] = 0
+    dense[:, off] = 0
     assert np.array_equal(cube_columns(c, zeros), dense)
 
 
@@ -410,6 +413,8 @@ def test_projection_keeps_the_unprojected_entries_at_zero_on_every_builder():
         full = apply_cubes(c, columns)
         kept = [e for e in full if not e[2] & ancillas]
         assert apply_cubes(c, columns, ancillas) == kept
+        # the mask alone selects those columns from every basis column
+        assert apply_cubes(c, basis_cubes(c), ancillas) == kept
 
 
 @pytest.mark.parametrize("kind", ["H", "RY"])
@@ -451,6 +456,7 @@ def test_projection_after_an_ancillas_last_x_skips_the_gates_that_control_on_it(
     assert any(xor & 0b001 for _, _, xor, _ in full)
     dense = apply(c, np.eye(c.dim))
     dense[4:] = 0
+    dense[:, 4:] = 0
     assert np.array_equal(cube_columns(c, 0b100), dense)
 
 
@@ -462,6 +468,8 @@ def test_projection_filters_a_wire_that_no_gate_targets_once_at_the_start():
     assert apply_cubes(c, fixed, 0b100) == apply_cubes(c, fixed[:2])
     half = apply_cubes(c, [(0b110, 0b010, 0, 1 + 0j)])
     assert apply_cubes(c, [(0b010, 0b010, 0, 1 + 0j)], 0b100) == half
+    # an input entry whose xor sets the wire sends its inputs to a 1 there
+    assert apply_cubes(c, [(0b110, 0b010, 0b100, 1 + 0j)], 0b100) == []
 
 
 def test_merge_joins_across_groups_until_no_pair_is_left():

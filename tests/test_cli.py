@@ -246,7 +246,7 @@ def test_non_finite_tolerance_is_usage_error(tol, capsys):
     assert run("verify", "--op", "laplace", "--dim", "1", "--n", "3", f"--tol={tol}") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tol must be finite and positive" in captured.err
+    assert "tolerance must be finite and positive" in captured.err
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):

@@ -18,7 +18,7 @@ from fdblock.encodings import (
     encode_gradient_2d,
     encode_laplace_dd,
 )
-from fdblock.errors import ParameterError, SizeError
+from fdblock.errors import ParameterError, QubitIndexError, SizeError
 from fdblock.operators import VECTOR_DIM_CAP, GridFunction, GridSpec, scaled_laplacian_stencil
 
 from .oracles import (
@@ -189,6 +189,57 @@ def test_checked_types_are_immutable_values():
     for clone in (copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
         assert clone == enc and clone.blocks == enc.blocks
     assert hash(GridSpec(1, 2)) == hash(spec) and Circuit(3, enc.circuit.gates) == enc.circuit
+
+
+def test_value_types_compare_and_print_by_their_fields():
+    spec = GridSpec(2, 3)
+    # equal fields in another type, a plain tuple or another value type, are no match
+    assert spec.__eq__((2, 3)) is NotImplemented
+    assert spec != (2, 3) and (2, 3) != spec
+    assert spec != Circuit(2) and Circuit(2) != spec
+    assert repr(spec) == "GridSpec(dim=2, n=3)"
+    enc = encode_derivative_1d(1)
+    assert repr(enc) == f"BlockEncoding(circuit={enc.circuit!r}, m=1, alpha=1.0, label='derivative_1d n=1')"
+    assert "blocks" not in repr(enc) and enc.blocks
+
+
+def test_integer_fields_of_any_integer_type_are_stored_as_python_ints():
+    from fdblock.analysis import sweep_csv, sweep_success_probability, verify_pattern
+    from fdblock.circuit import apply_cubes, basis_cubes, export_text
+    from fdblock.resources import resource_sweep
+
+    # a size that is not an integer raises its type's error where it enters
+    calls = [
+        (lambda: GridSpec(1, 2.5), ParameterError),
+        (lambda: GridSpec(2.0, 3), ParameterError),
+        (lambda: GridSpec("2", 3), ParameterError),
+        (lambda: encode_laplace_dd(2.0, 3), ParameterError),
+        (lambda: encode_laplace_dd(1, 2.5), ParameterError),
+        (lambda: sweep_success_probability(1.0, [3], "sinprod"), ParameterError),
+        (lambda: sweep_success_probability(1, [3.0], "sin1"), ParameterError),
+        (lambda: resource_sweep("laplace", [1], [2.0]), ParameterError),
+        (lambda: BlockEncoding(Circuit(2), 1.0, 1.0, "bare"), ParameterError),
+        (lambda: Circuit(2.0), QubitIndexError),
+    ]
+    for call, error in calls:
+        with pytest.raises(error, match="is not an integer"):
+            call()
+    # a numpy integer builds what the Python int does, to the report's
+    # repr, at 64 qubits too
+    for op, dim, n in [*widest_builds(12), ("derivative", 1, 63)]:
+        typed = OPS[op].build(np.int64(dim), np.int64(n))
+        report = verify_pattern(OPS[op].build(dim, n), 1e-12)
+        assert repr(verify_pattern(typed, 1e-12)) == repr(report)
+    assert GridSpec(np.int64(1), np.int64(63)).N == 2**63
+    typed_rows = sweep_success_probability(np.int64(2), [np.int64(3)], "sinprod")
+    assert sweep_csv(typed_rows) == sweep_csv(sweep_success_probability(2, [3], "sinprod"))
+    # a numpy or bool wire or polarity is the int one: an X on wire 0 of
+    # 64 flips bit 63, and a control on it does not overflow
+    plain = Circuit(64, (Gate("X", 0), Gate("X", 1, ((0, 1),))))
+    typed = Circuit(np.int64(64), (Gate("X", np.int64(0)), Gate("X", True, ((np.int64(0), True),))))
+    assert repr(typed) == repr(plain) and export_text(typed) == export_text(plain)
+    assert apply_cubes(typed, basis_cubes(typed)) == apply_cubes(plain, basis_cubes(plain))
+    assert repr(BlockEncoding(plain, np.int64(1), 1.0, "bare")) == repr(BlockEncoding(plain, 1, 1.0, "bare"))
 
 
 @pytest.mark.parametrize("m", [-1, 4])
