@@ -105,7 +105,11 @@ class Circuit(Frozen):
                 raise QubitIndexError(f"gate {i}: {g!r} is not a Gate")
             kind, target, controls, theta = g
             ctrl = dict(controls)
-            exact = {type(target), *map(type, ctrl), *map(type, ctrl.values())} == {int}
+            exact = (
+                type(target) is int
+                and {int}.issuperset(map(type, ctrl))
+                and {int}.issuperset(map(type, ctrl.values()))
+            )
             if kind not in GATE_KINDS:
                 problem = f"unknown gate kind {kind!r}"
             elif kind == "RY" and (theta is None or not math.isfinite(theta)):
@@ -197,19 +201,20 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
 
     ``zeros`` is a mask of bits, such as the ancillas of a block
     encoding, on which the caller wants the block between zero states:
-    the inputs and the outputs at 0 on every zeros bit.  At the start
-    only those inputs run: each entry keeps the part of its cube at 0
-    there, with the zeros bits fixed in its care.  Cuts only fix more
-    bits, and joins only free a bit on which vals differ, so every
-    entry keeps them fixed at 0 and an output's zeros bit is its xor
-    bit.  A bit no longer changes after the last gate that targets it
-    (later gates only read it as a control), so right after that gate
-    the entries whose xor sets it are dropped, and at the start for a
-    bit that no gate targets.  An H or RY pairs outputs that agree on
-    every bit but its target, and cubes join only within one xor, so
-    kept and dropped entries never meet: the result is, in the same
-    order, the entries of the unprojected run on those inputs whose xor
-    leaves the zeros bits at 0.
+    the inputs and the outputs at 0 on every zeros bit.  The input
+    entries' xor must leave the zeros bits at 0, as that of
+    :func:`basis_cubes` does.  At the start only those inputs run: each
+    entry keeps the part of its cube at 0 there, with the zeros bits
+    fixed in its care.  Cuts only fix more bits, and joins only free a
+    bit on which vals differ, so every entry keeps them fixed at 0 and
+    an output's zeros bit is its xor bit; a bit that no gate targets
+    stays at 0.  A bit no longer changes after the last gate that
+    targets it (later gates only read it as a control), so right after
+    that gate the entries whose xor sets it are dropped.  An H or RY
+    pairs outputs that agree on every bit but its target, and cubes
+    join only within one xor, so kept and dropped entries never meet:
+    the result is, in the same order, the entries of the unprojected
+    run on those inputs whose xor leaves the zeros bits at 0.
 
     Raises SizeError when the live entries outgrow MAX_CUBES, counted
     after projected entries are dropped and before H and RY outputs are
@@ -219,14 +224,14 @@ def apply_cubes(circuit: Circuit, cubes, zeros: int = 0) -> list:
     quantum = quantum_bits(circuit)
     if any(care & quantum != quantum for care, *_ in cubes):
         raise ShapeError("every cube entry must fix the quantum bits")
-    settled, left = set(), zeros  # the gates that target a zeros bit last; the bits none targets
+    if zeros:  # only the inputs at 0 on the zeros bits run
+        cubes = [(c | zeros, v, x, a) for c, v, x, a in cubes if not v & zeros]
+    settled = set()  # indices of the gates that target a zeros bit last
     for i in reversed(range(len(circuit.gates))):
         bit = 1 << (nq - 1 - circuit.gates[i].target)
-        if left & bit:
+        if zeros & bit:
             settled.add(i)
-            left ^= bit
-    if zeros:  # the inputs at 0 there, less those that a bit no gate targets sends to 1
-        cubes = [(c | zeros, v, x, a) for c, v, x, a in cubes if not (v | x & left) & zeros]
+            zeros ^= bit
     for i, g in enumerate(circuit.gates):
         bit = 1 << (nq - 1 - g.target)
         mask = value = 0

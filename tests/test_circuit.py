@@ -468,8 +468,6 @@ def test_projection_filters_a_wire_that_no_gate_targets_once_at_the_start():
     assert apply_cubes(c, fixed, 0b100) == apply_cubes(c, fixed[:2])
     half = apply_cubes(c, [(0b110, 0b010, 0, 1 + 0j)])
     assert apply_cubes(c, [(0b010, 0b010, 0, 1 + 0j)], 0b100) == half
-    # an input entry whose xor sets the wire sends its inputs to a 1 there
-    assert apply_cubes(c, [(0b110, 0b010, 0b100, 1 + 0j)], 0b100) == []
 
 
 def test_merge_joins_across_groups_until_no_pair_is_left():
