@@ -5,12 +5,20 @@ checks its arguments in ``__init__`` and then stores them with
 ``_init``; after that an instance cannot change.  Equality, hash and
 repr read the attributes that the subclass names in ``_compared``:
 all of ``__slots__``, or the ones that take part in equality.
-Integer fields are stored as Python ints (:func:`_index`), whatever
-integer type (bool, numpy) they came as.
+
+This module decides what a number is, by two rules that every value
+type and entry point applies.  An integer is whatever
+``operator.index`` accepts, bools and numpy integers included, and is
+stored as a Python int (:func:`_index`).  A real is a
+``numbers.Real`` that is finite as a float, bools and numpy reals
+included, and never a string, a complex value or an array
+(:func:`_real`); it is stored as given.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 
@@ -20,6 +28,14 @@ def _index(name: str, value, error: type[Exception]) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} {value!r} is not an integer") from None
+
+
+def _real(value) -> bool:
+    """Whether value is a real number that is finite as a float."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int past float range
+        return False
 
 
 class Frozen:

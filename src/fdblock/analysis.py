@@ -41,8 +41,8 @@ each output with an ancilla at 1 right after that ancilla's last
 gate.  That block does not depend on v, so it is simulated once per
 encoding object and kept, with each returned entry's strided views,
 until the route runs another encoding.  Each
-call multiplies v by every entry's amplitude as one strided view whose
-longest run is iterated innermost, so its cost follows the summed sizes
+call multiplies v by every entry's amplitude as one strided view, whose
+loop numpy orders by its strides, so its cost follows the summed sizes
 of those cubes (about 3N for the 1-d Laplacian).  An entry whose output
 cube meets no earlier entry's, a first writer, stores its product in
 place; the others add theirs through one scratch array, and the output
@@ -61,6 +61,7 @@ import time
 from typing import NamedTuple
 
 from . import encodings, operators
+from ._frozen import _real
 from .circuit import adjoint, apply_cubes, basis_cubes
 from .encodings import BlockEncoding, alpha_d
 from .errors import ParameterError, ShapeError
@@ -167,8 +168,8 @@ def verify_pattern(enc: BlockEncoding, tol: float) -> VerificationReport:
     identity, by one comparison, :func:`_move_gap`.  A tolerance that
     is not finite and positive raises ParameterError.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tolerance must be finite and positive, got {tol}")
+    if not (_real(tol) and tol > 0):
+        raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
     if not enc.blocks:
         raise ParameterError(f"{enc.label} declares no blocks to verify")
     circuit = enc.circuit
@@ -200,9 +201,9 @@ def success_probability(enc: BlockEncoding, v: GridFunction, route: str = "circu
     It runs once per encoding object (:func:`_zero_views`), so later
     calls on the same encoding only apply its entries.  Each entry
     multiplies v by its amplitude on the entry's cube, as one strided
-    view (:func:`_views`) transposed so that its longest run is iterated
-    innermost.  The product is stored straight into the output where no
-    earlier entry writes, and added through a scratch array elsewhere.
+    view (:func:`_views`).  The product is stored straight into the
+    output where no earlier entry writes, and added through a scratch
+    array elsewhere.
     Only the entry budget ``circuit.MAX_CUBES`` limits this route.
     route="matrix" multiplies the declared (0,0) block's stencil applied
     to v by alpha in place (:func:`_stencil_image`).
@@ -247,9 +248,9 @@ def _circuit_image(enc: BlockEncoding, values):
     N = enc.system_dim
     out = np.empty(N, dtype=np.complex128) if covered else np.zeros(N, dtype=np.complex128)
     scratch = np.empty(N, dtype=np.complex128)
-    for shape, source, target, order, amp, first in plan:
-        x = values.reshape(shape)[source].transpose(order)
-        y = out.reshape(shape)[target].transpose(order)
+    for shape, source, target, amp, first in plan:
+        x = values.reshape(shape)[source]
+        y = out.reshape(shape)[target]
         if first:
             np.multiply(x, amp, out=y)
         else:
@@ -265,16 +266,15 @@ _last_zero_views: list = [None, ((), False)]
 def _zero_views(enc: BlockEncoding) -> tuple[tuple, bool]:
     """The circuit route's plan, and whether its first writers cover the grid.
 
-    The plan holds one (shape, source, target, order, amp, first) per
+    The plan holds one (shape, source, target, amp, first) per
     entry.  Once per encoding object, the cube simulator gets every
     basis column (``basis_cubes``) with the ancilla mask as
     ``apply_cubes``'s ``zeros``, and returns the zero-ancilla block: the
     columns and the outputs whose ancillas are 0.  Each entry becomes
-    its grid views (:func:`_views`) and ``order``, the view's free axes
-    sorted by length, so that the longest run is iterated innermost.
-    ``first`` marks a first writer: an entry whose output cube
-    (care, (val ^ xor) & care) meets no earlier entry's, so that the
-    route may store its product, not add it.
+    its grid views (:func:`_views`), and ``first`` marks a first
+    writer: an entry whose output cube (care, (val ^ xor) & care) meets
+    no earlier entry's, so that the route may store its product, not
+    add it.
     The first writers' cubes are disjoint, so they cover the grid when
     their sizes sum to N.  The plan does not depend on v, so the route
     keeps the last one; a new object, even one equal to the last, runs
@@ -293,15 +293,13 @@ def _zero_views(enc: BlockEncoding) -> tuple[tuple, bool]:
     written = 0
     for care, val, xor, amp in apply_cubes(circuit, basis_cubes(circuit), ancillas):
         shape, source, target = _views(care, val, xor, k)
-        runs = [size for size, index in zip(shape, source) if isinstance(index, slice)]
-        order = tuple(sorted(range(len(runs)), key=runs.__getitem__))
         care &= N - 1
         value = (val ^ xor) & care
         first = all((value ^ v) & care & c for c, v in outputs)
         if first:
             written += N >> care.bit_count()
         outputs.append((care, value))
-        plan.append((shape, source, target, order, amp, first))
+        plan.append((shape, source, target, amp, first))
     views = tuple(plan), written == N
     _last_zero_views[:] = enc, views
     return views
@@ -433,8 +431,8 @@ def sweep_success_probability(
         scale = (enc.alpha / alpha_d(dim)) ** 2
         rows.append(
             SweepRow(
-                D=dim,
-                n=n,
+                D=spec.dim,
+                n=spec.n,
                 h=spec.h,
                 N_D=spec.npoints,
                 p_success=success_probability(enc, gf, "matrix"),

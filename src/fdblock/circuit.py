@@ -55,7 +55,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from ._frozen import Frozen, _index
+from ._frozen import Frozen, _index, _real
 from .errors import QubitIndexError, ShapeError, SizeError
 
 GATE_KINDS = ("X", "Z", "H", "RY")
@@ -72,17 +72,12 @@ class Gate(NamedTuple):
     theta: float | None = None
 
 
-def _integers(first, rest) -> bool:
-    """Whether first and every item of rest are integers (bools included).
-
-    One sum and one index check: a sum with a float or a string in it
-    is no integer.
-    """
+def _as_int(value):
+    """value as a Python int, or value itself when it is no integer."""
     try:
-        operator.index(sum(rest, first))
+        return operator.index(value)
     except TypeError:
-        return False
-    return True
+        return value
 
 
 class Circuit(Frozen):
@@ -104,34 +99,41 @@ class Circuit(Frozen):
             if not isinstance(g, Gate):
                 raise QubitIndexError(f"gate {i}: {g!r} is not a Gate")
             kind, target, controls, theta = g
-            ctrl = dict(controls)
+            try:
+                ctrl = dict(controls)
+            except (TypeError, ValueError):
+                raise QubitIndexError(
+                    f"gate {i}: controls {controls!r} are not (qubit, polarity) pairs"
+                ) from None
             exact = (
                 type(target) is int
                 and {int}.issuperset(map(type, ctrl))
                 and {int}.issuperset(map(type, ctrl.values()))
             )
+            if not exact:  # bools and numpy integers become Python ints; others stay
+                target = _as_int(target)
+                ctrl = {_as_int(q): _as_int(pol) for q, pol in ctrl.items()}
             if kind not in GATE_KINDS:
                 problem = f"unknown gate kind {kind!r}"
-            elif kind == "RY" and (theta is None or not math.isfinite(theta)):
+            elif kind == "RY" and not _real(theta):
                 problem = "RY needs a finite angle"
             elif kind != "RY" and theta is not None:
                 problem = f"{kind} takes no angle"
-            elif not (exact or _integers(target, ctrl)):
+            elif not (exact or {int}.issuperset(map(type, (target, *ctrl)))):
                 problem = f"qubits {(target, *ctrl)} are not all integers"
             elif target in ctrl:
                 problem = f"target {target} also appears as control"
             elif len(ctrl) != len(controls):
                 problem = "a control qubit repeats"
-            elif not ((exact or _integers(0, ctrl.values())) and {0, 1}.issuperset(ctrl.values())):
+            elif not (
+                (exact or {int}.issuperset(map(type, ctrl.values())))
+                and {0, 1}.issuperset(ctrl.values())
+            ):
                 problem = f"control polarities {tuple(ctrl.values())} are not all 0 or 1"
             elif not (0 <= target < n and 0 <= min(ctrl, default=0) <= max(ctrl, default=0) < n):
                 problem = f"qubits {(target, *ctrl)} are not all in 0..{n - 1}"
             else:
-                if not exact:  # bools and numpy integers, stored as Python ints
-                    index = operator.index
-                    controls = tuple(zip(map(index, ctrl), map(index, ctrl.values())))
-                    g = Gate(kind, index(target), controls, theta)
-                checked.append(g)
+                checked.append(g if exact else Gate(kind, target, tuple(ctrl.items()), theta))
                 continue
             raise QubitIndexError(f"gate {i}: {problem}")
         self._init(n, tuple(checked))

@@ -37,7 +37,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import operators
-from ._frozen import Frozen, _index
+from ._frozen import Frozen, _index, _real
 from .circuit import _RSQRT2, Circuit, Gate
 from .errors import ParameterError, SizeError
 from .operators import GridSpec, Stencil
@@ -53,7 +53,8 @@ class BlockEncoding(Frozen):
     ``blocks`` holds (row, col, stencil) triples: the block
     U[row*N:(row+1)*N, col*N:(col+1)*N] must equal alpha times the
     stencil, whose grid has the N system points.  Blocks not listed are
-    unconstrained.  ``blocks`` takes no part in equality or repr.
+    unconstrained.  Rows and columns are stored as Python ints.
+    ``blocks`` takes no part in equality or repr.
     """
 
     __slots__ = ("circuit", "m", "alpha", "label", "blocks")
@@ -67,14 +68,25 @@ class BlockEncoding(Frozen):
         label: str,
         blocks: tuple[tuple[int, int, Stencil], ...] = (),
     ):
+        if not isinstance(circuit, Circuit):
+            raise ParameterError(f"circuit {circuit!r} is not a Circuit")
         num_qubits = circuit.num_qubits
         m = _index("m", m, ParameterError)
         if not 0 <= m < num_qubits:
             raise ParameterError(f"m = {m} must lie in 0..{num_qubits - 1} to leave system qubits")
-        if not abs(alpha) <= 1.0:  # a NaN alpha fails this too
-            raise ParameterError(f"|alpha| = {abs(alpha)} is not at most 1")
+        if not (_real(alpha) and abs(alpha) <= 1.0):
+            raise ParameterError(f"alpha {alpha!r} is not a real number in [-1, 1]")
         size, points = 1 << m, 1 << (num_qubits - m)
-        for row, col, stencil in blocks:
+        checked = []
+        for block in blocks:
+            try:
+                row, col, stencil = block
+            except (TypeError, ValueError):
+                raise ParameterError(f"block {block!r} is not (row, col, stencil)") from None
+            row = _index("block row", row, ParameterError)
+            col = _index("block column", col, ParameterError)
+            if not isinstance(stencil, Stencil):
+                raise ParameterError(f"block {block!r}: {stencil!r} is not a Stencil")
             if not (0 <= row < size and 0 <= col < size):
                 raise ParameterError(f"block ({row}, {col}) is outside the 2**m = {size} blocks")
             if stencil.spec.npoints != points:
@@ -82,7 +94,8 @@ class BlockEncoding(Frozen):
                     f"block ({row}, {col}): its stencil's grid has {stencil.spec.npoints}"
                     f" points, the system register {points}"
                 )
-        self._init(circuit, m, alpha, label, blocks)
+            checked.append((row, col, stencil))
+        self._init(circuit, m, alpha, label, tuple(checked))
 
     @property
     def system_dim(self) -> int:
@@ -91,6 +104,7 @@ class BlockEncoding(Frozen):
 
 def alpha_d(dim: int) -> float:
     """Sub-normalization dim / 2**ceil(log2 dim); 1 when dim is a power of two."""
+    dim = _index("dim", dim, ParameterError)
     return dim / (1 << ancilla_axis_qubits(dim))
 
 
@@ -192,8 +206,8 @@ def _laplace_1d_blocks(lap: Stencil) -> tuple[tuple[int, int, Stencil], ...]:
 
 def _banded_circuit(spec: GridSpec, a0: float, a1: float, am1: float) -> Circuit:
     for name, val in (("a0", a0), ("a1", a1), ("am1", am1)):
-        if not math.isfinite(val):
-            raise ParameterError(f"{name} = {val} is not finite")
+        if not _real(val):
+            raise ParameterError(f"{name} = {val!r} is not a finite real number")
     if a0 <= 0.0:
         raise ParameterError("a0 must be positive")
     for name, val in (("a0-1", a0 - 1.0), ("a1", a1), ("am1", am1)):
@@ -336,12 +350,12 @@ OPS = {
 
 
 def op_dims(op: str, dims) -> list[int]:
-    """Dimension list for an op; fixed-dim ops default to their dimension."""
+    """Dimension list for an op, as Python ints; fixed-dim ops default to their dimension."""
     if op not in OPS:
         raise ParameterError(f"unknown op {op!r}")
     fixed = OPS[op].dim
     if fixed is None:
-        return [1] if dims in (None, []) else list(dims)
+        return [1] if dims in (None, []) else [_index("dim", d, ParameterError) for d in dims]
     if dims not in (None, []) and list(dims) != [fixed]:
         raise ParameterError(f"op {op!r} is fixed at dim {fixed}")
     return [fixed]

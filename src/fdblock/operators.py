@@ -21,10 +21,9 @@ oracles, written without stencils.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
-from ._frozen import Frozen, _index
+from ._frozen import Frozen, _index, _real
 from .errors import DegenerateInputError, ParameterError, ShapeError, SizeError
 from .linalg import VECTOR_DIM_CAP, _norm2, as_vector, norm2
 
@@ -73,11 +72,15 @@ class GridFunction(Frozen):
     __slots__ = _compared = ("spec", "values", "raw_norm")
 
     def __init__(self, spec: GridSpec, values, raw_norm: float):
+        if not isinstance(spec, GridSpec):
+            raise ParameterError(f"spec {spec!r} is not a GridSpec")
         values = as_vector(values)
         if values.size != spec.npoints:
             raise ShapeError(f"{values.size} values on a {spec.npoints}-point grid")
         if abs(_norm2(values) - 1.0) > 1e-12:
             raise DegenerateInputError("grid function values must have unit norm")
+        if not (_real(raw_norm) and raw_norm > 0):
+            raise ParameterError(f"raw_norm {raw_norm!r} is not a finite positive real")
         self._init(spec, values, raw_norm)
 
     @classmethod
@@ -129,8 +132,9 @@ class Stencil(Frozen):
 
     Row i of the operator holds ``coeff / divisor`` at the grid point
     i + offset along ``axis`` (mod N) for each term (axis, offset,
-    coeff), whose axis and offset are integers; terms landing on one
-    point add up.  Both :meth:`apply` and :meth:`moves` add each axis's
+    coeff), whose axis and offset are integers, stored as Python ints,
+    and whose coefficient is a finite real; terms landing on one point
+    add up.  Both :meth:`apply` and :meth:`moves` add each axis's
     terms in declared order, then the axis sums in order of first
     appearance, and apply the divisor last, so their values are equal
     but for the sign of a zero.  No terms is the zero operator.
@@ -141,14 +145,24 @@ class Stencil(Frozen):
     def __init__(
         self, spec: GridSpec, terms: tuple[tuple[int, int, float], ...] = (), divisor: float = 1.0
     ):
-        for axis, offset, _ in terms:
-            if not (isinstance(axis, int) and isinstance(offset, int)):
-                raise ParameterError(f"axis {axis!r} and offset {offset!r} must be integers")
+        if not isinstance(spec, GridSpec):
+            raise ParameterError(f"spec {spec!r} is not a GridSpec")
+        checked = []
+        for term in terms:
+            try:
+                axis, offset, coeff = term
+            except (TypeError, ValueError):
+                raise ParameterError(f"term {term!r} is not (axis, offset, coeff)") from None
+            axis = _index("axis", axis, ParameterError)
             if not 0 <= axis < spec.dim:
                 raise ParameterError(f"axis {axis} out of range for dim {spec.dim}")
-        if not (math.isfinite(divisor) and divisor != 0.0):
-            raise ParameterError(f"divisor {divisor} must be finite and nonzero")
-        self._init(spec, terms, divisor)
+            offset = _index("offset", offset, ParameterError)
+            if not _real(coeff):
+                raise ParameterError(f"coefficient {coeff!r} is not a finite real number")
+            checked.append((axis, offset, coeff))
+        if not (_real(divisor) and divisor != 0):
+            raise ParameterError(f"divisor {divisor!r} must be finite, real and nonzero")
+        self._init(spec, tuple(checked), divisor)
 
     def _by_axis(self) -> list[list[tuple[int, int, float]]]:
         """The terms grouped by axis, axes in order of their first term."""

@@ -45,6 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import encodings
+from ._frozen import _index
 from .circuit import Circuit, Gate
 from .errors import ParameterError
 
@@ -196,6 +197,7 @@ def resource_sweep(op: str, dims, n_range) -> list[ResourceRow]:
     rows = []
     for dim in encodings.op_dims(op, dims):
         for n in n_range:
+            n = _index("n", n, ParameterError)
             enc = encodings.OPS[op].build(dim, n)
             counts = count_resources(enc.circuit)
             rows.append(

@@ -57,8 +57,8 @@ the sign of a zero), and their magnitudes byte for byte.
 
 ``unplanned_success_probability`` is the circuit route of
 ``analysis.success_probability`` as one loop: a fresh cube run and
-each entry's views in their own axis order.  The route's kept plan and
-transposed views must give its bits.
+each entry's views.  The route's kept plan, first writers and scratch
+array must give its bits.
 
 Each second route is compared in one parametrized table, so a new
 build, dim or circuit is a new row there, not an edit across tests:
@@ -858,7 +858,7 @@ def unplanned_success_probability(enc, values):
 
     The ancilla-zero columns run through ``apply_cubes``, and each
     output entry adds its amplitude times the values to the output on
-    its views (``analysis._views``) in their own axis order.
+    its views (``analysis._views``).
     """
     circuit = enc.circuit
     N = enc.system_dim

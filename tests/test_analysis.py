@@ -20,6 +20,7 @@ from fdblock.encodings import (
     _shift_gates,
     encode_banded_lcu,
     encode_derivative_1d,
+    encode_gradient_2d,
     encode_laplace_1d_lcu,
     encode_laplace_dd,
     encode_wave_2d,
@@ -333,10 +334,15 @@ def test_verify_fails_on_an_alternating_term_at_the_exhaustive_cap():
 
 
 def test_a_nan_stencil_coefficient_fails_verification():
-    enc = encode_derivative_1d(3)
+    # a NaN coefficient is refused, but finite ones can overflow: the
+    # move-0 axis sums are +inf and -inf, and their sum is NaN
+    enc = encode_gradient_2d(2)
     row, col, stencil = enc.blocks[0]
-    nan = Stencil(stencil.spec, ((0, 1, math.nan), *stencil.terms[1:]), stencil.divisor)
-    report = verify_pattern(with_blocks(enc, ((row, col, nan),)), 1e-12)
+    terms = ((0, 0, 1e308), (0, 0, 1e308), (1, 0, -1e308), (1, 0, -1e308))
+    overflow = Stencil(stencil.spec, terms)
+    (centre,) = overflow.moves().values()
+    assert math.isnan(centre.real) and math.isnan(centre.imag)
+    report = verify_pattern(with_blocks(enc, ((row, col, overflow), *enc.blocks[1:])), 1e-12)
     assert math.isnan(report.max_deviation) and report.unitarity_residual < 1e-12
     assert not report.passed
 
@@ -564,8 +570,8 @@ ROUTE_ROWS = [
 
 @pytest.mark.parametrize("enc,dim,n,probes", ROUTE_ROWS)
 def test_circuit_route_table(enc, dim, n, probes):
-    # p has the bits of the unplanned loop: transposed views and
-    # |out|**2 in place change none.  It meets the matrix route where
+    # p has the bits of the unplanned loop: strided views and |out|**2
+    # in place change none.  It meets the matrix route where
     # blocks are declared, and the dense oracle up to its cap.  wave's
     # (0,0) block is zero, so its circuit must leave the branch empty.
     spec = GridSpec(dim, n)
@@ -590,7 +596,7 @@ def test_circuit_route_table(enc, dim, n, probes):
     N = enc.system_dim
     written = np.zeros(N, dtype=bool)
     stored = np.zeros(N, dtype=bool)
-    for shape, _, target, _, _, first in plan:
+    for shape, _, target, _, first in plan:
         outputs = np.arange(N).reshape(shape)[target]
         assert first == (not written[outputs].any())
         written[outputs] = True

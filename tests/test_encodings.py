@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from fdblock.analysis import verify_pattern
 from fdblock.circuit import Circuit, Gate
 from fdblock.encodings import (
     MAX_BUILD_QUBITS,
@@ -19,7 +20,13 @@ from fdblock.encodings import (
     encode_laplace_dd,
 )
 from fdblock.errors import ParameterError, QubitIndexError, SizeError
-from fdblock.operators import VECTOR_DIM_CAP, GridFunction, GridSpec, scaled_laplacian_stencil
+from fdblock.operators import (
+    VECTOR_DIM_CAP,
+    GridFunction,
+    GridSpec,
+    Stencil,
+    scaled_laplacian_stencil,
+)
 
 from .oracles import (
     BANDED_BUILDS,
@@ -204,9 +211,9 @@ def test_value_types_compare_and_print_by_their_fields():
 
 
 def test_integer_fields_of_any_integer_type_are_stored_as_python_ints():
-    from fdblock.analysis import sweep_csv, sweep_success_probability, verify_pattern
+    from fdblock.analysis import sweep_csv, sweep_success_probability
     from fdblock.circuit import apply_cubes, basis_cubes, export_text
-    from fdblock.resources import resource_sweep
+    from fdblock.resources import resource_sweep, resources_csv
 
     # a size that is not an integer raises its type's error where it enters
     calls = [
@@ -240,6 +247,85 @@ def test_integer_fields_of_any_integer_type_are_stored_as_python_ints():
     assert repr(typed) == repr(plain) and export_text(typed) == export_text(plain)
     assert apply_cubes(typed, basis_cubes(typed)) == apply_cubes(plain, basis_cubes(plain))
     assert repr(BlockEncoding(plain, np.int64(1), 1.0, "bare")) == repr(BlockEncoding(plain, 1, 1.0, "bare"))
+    # fields derived from a caller's integer are Python numbers, and the
+    # CSV bytes do not change
+    assert type(alpha_d(np.int64(3))) is float and alpha_d(np.int64(3)) == alpha_d(3)
+    for row in typed_rows + sweep_success_probability(np.int64(1), [3], "sin1"):
+        assert type(row.D) is int and type(row.n) is int and type(row.alpha) is float
+    typed_table = resource_sweep("laplace", [np.int64(3)], [np.int64(2)])
+    assert [(type(row.D), type(row.n)) for row in typed_table] == [(int, int)]
+    assert resources_csv(typed_table) == resources_csv(resource_sweep("laplace", [3], [2]))
+    enc = encode_derivative_1d(2)
+    typed = BlockEncoding(enc.circuit, 1, 1.0, "typed", ((np.int64(0), True, enc.blocks[0][2]),))
+    assert [type(field) for field in typed.blocks[0][:2]] == [int, int]
+    typed = Stencil(GridSpec(1, 2), ((np.int64(0), np.int64(1), 1.0),))
+    assert typed == Stencil(GridSpec(1, 2), ((0, 1, 1.0),))
+    assert [type(field) for field in typed.terms[0][:2]] == [int, int]
+
+
+# One bad call of each kind per row, with its FdblockError subclass and
+# the words of the check that must refuse it.  Each number goes through
+# one of _frozen's two rules: an integer (operator.index) or a finite
+# real (numbers.Real, finite as a float).
+_ENC = encode_derivative_1d(2)
+_SPEC = _ENC.blocks[0][2].spec
+_HALVES = np.full(4, 0.5)  # unit samples on _SPEC's 4 points
+BAD_CALLS = {
+    # not a finite real where one is due
+    "banded a0 str": (lambda: encode_banded_lcu(3, "0.5", 0, 0), ParameterError, "a0 = '0.5'"),
+    "banded a1 complex": (lambda: encode_banded_lcu(3, 0.5, 0.5 + 0j, 0), ParameterError, "a1 = "),
+    "stencil divisor str": (lambda: Stencil(_SPEC, (), "2"), ParameterError, "divisor '2'"),
+    "stencil nan coefficient": (
+        lambda: Stencil(_SPEC, ((0, 1, float("nan")),)), ParameterError, "coefficient nan"
+    ),
+    "stencil str coefficient": (lambda: Stencil(_SPEC, ((0, 1, "a"),)), ParameterError, "coefficient 'a'"),
+    "RY angle str": (lambda: Circuit(1, (Gate("RY", 0, (), "1.0"),)), QubitIndexError, "finite angle"),
+    "alpha str": (lambda: BlockEncoding(_ENC.circuit, 1, "0.5", "bad"), ParameterError, "alpha '0.5'"),
+    "alpha complex": (lambda: BlockEncoding(_ENC.circuit, 1, 0.5j, "bad"), ParameterError, "alpha 0.5j"),
+    "alpha past float range": (
+        lambda: BlockEncoding(_ENC.circuit, 1, 10**400, "bad"), ParameterError, "alpha 1000"
+    ),
+    "tolerance str": (lambda: verify_pattern(_ENC, "1e-12"), ParameterError, "tolerance"),
+    "raw_norm nan": (lambda: GridFunction(_SPEC, _HALVES, float("nan")), ParameterError, "raw_norm"),
+    "raw_norm str": (lambda: GridFunction(_SPEC, _HALVES, "x"), ParameterError, "raw_norm"),
+    "raw_norm negative": (lambda: GridFunction(_SPEC, _HALVES, -1.0), ParameterError, "raw_norm"),
+    "raw_norm zero": (lambda: GridFunction(_SPEC, _HALVES, 0.0), ParameterError, "raw_norm"),
+    # not an integer where one is due
+    "block row float": (
+        lambda: BlockEncoding(_ENC.circuit, 1, 1.0, "bad", ((0.0, 0, _ENC.blocks[0][2]),)),
+        ParameterError,
+        "block row 0.0 is not an integer",
+    ),
+    # malformed structures
+    "controls not pairs": (lambda: Circuit(2, (Gate("X", 0, ((1,),)),)), QubitIndexError, "pairs"),
+    "controls an int": (lambda: Circuit(2, (Gate("X", 0, 1),)), QubitIndexError, "pairs"),
+    "controls None": (lambda: Circuit(2, (Gate("X", 0, None),)), QubitIndexError, "pairs"),
+    "stencil term of two": (
+        lambda: Stencil(GridSpec(1, 2), ((0, 1),)), ParameterError, r"not \(axis, offset, coeff\)"
+    ),
+    "stencil spec str": (lambda: Stencil("s", ()), ParameterError, "is not a GridSpec"),
+    "block of two": (
+        lambda: BlockEncoding(_ENC.circuit, 1, 1.0, "bad", ((0, 0),)),
+        ParameterError,
+        r"not \(row, col, stencil\)",
+    ),
+    "block stencil str": (
+        lambda: BlockEncoding(_ENC.circuit, 1, 1.0, "bad", ((0, 0, "s"),)),
+        ParameterError,
+        "is not a Stencil",
+    ),
+    "circuit str": (lambda: BlockEncoding("c", 1, 1.0, "bad"), ParameterError, "is not a Circuit"),
+    "grid function spec str": (
+        lambda: GridFunction("s", _HALVES, 1.0), ParameterError, "is not a GridSpec"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_CALLS)
+def test_bad_calls_raise_their_fdblock_error(name):
+    call, error, words = BAD_CALLS[name]
+    with pytest.raises(error, match=words):
+        call()
 
 
 @pytest.mark.parametrize("m", [-1, 4])
@@ -267,8 +353,6 @@ def test_declared_blocks_must_lie_inside_the_ancilla_grid(row, col):
 def test_declared_blocks_must_have_the_system_grid_size():
     # laplace_1d n=4 has 16 system points; verification reads each
     # block's field width from its stencil's grid
-    from fdblock.analysis import verify_pattern
-
     enc = encode_laplace_dd(1, 4)
     for spec in (GridSpec(1, 3), GridSpec(1, 5)):
         blocks = ((0, 1, scaled_laplacian_stencil(spec)),)

@@ -301,7 +301,7 @@ def test_stencil_rejects_bad_axes_and_divisors():
         Stencil(spec, ((2, 1, 1.0),))
     # apply would read a float offset as 0, and moves packs with <<
     for axis, offset in ((0, 0.5), (0, 1.0), (0, "1"), (0.0, 1)):
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="is not an integer"):
             Stencil(GridSpec(1, 3), ((axis, offset, 1.0),))
     for divisor in (0.0, float("inf"), float("nan")):
         with pytest.raises(ParameterError, match="divisor"):
